@@ -39,6 +39,14 @@ def _parse_triple(text: str, what: str) -> np.ndarray:
         raise DomainError(f"{what} must be numeric, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: an integer in [0, 2^64), never wrapped."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {text}")
+    return value
+
+
 def _parse_noise(text: str) -> NoiseModel:
     if text in experiments.NOISE_PRESETS:
         return experiments.NOISE_PRESETS[text]
@@ -84,7 +92,7 @@ def _check_format(args, expected: str) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser, shots_default: int | None) -> None:
-    parser.add_argument("--seed", type=int, default=7, help="RNG seed (default 7)")
+    parser.add_argument("--seed", type=_seed, default=7, help="RNG seed (default 7)")
     parser.add_argument("--shots", type=int, default=shots_default,
                         help="shots per tomography circuit"
                              + (f" (default {shots_default})" if shots_default else ""))
@@ -124,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--shots-max", type=int, default=experiments.DEFAULT_SHOT_RANGE[1])
     p_sweep.add_argument("--backends", default="noiseless,nisq-lite",
                          help="comma-separated: noiseless and/or preset names")
-    p_sweep.add_argument("--seed", type=int, default=7)
+    p_sweep.add_argument("--seed", type=_seed, default=7)
     p_sweep.add_argument("--mitigate", action="store_true",
                          help="add readout mitigation on noisy backends")
     p_sweep.add_argument("--out", default="sweep.csv")
@@ -219,7 +227,8 @@ def _load_vectors(path: str):
     vectors = []
     for idx, entry in enumerate(data, start=1):
         if (not isinstance(entry, list) or len(entry) != 3
-                or not all(isinstance(x, (int, float)) for x in entry)):
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                           for x in entry)):
             raise DomainError(f"{path}: entry {idx} is not an [x, y, z] triple")
         unit, norm = normalize(np.array(entry, dtype=float))
         if abs(norm - 1.0) > 1e-9:

@@ -182,11 +182,9 @@ def extract_all(plan: MultiRotationPlan, shots_per_vector: int,
     tallies = {}
     for bi, label in enumerate(BASIS_LABELS):
         basis = (label,) + ("Z",) * n
-        res = sample(circuit, basis, total, noise, derive_seed(seed, bi))
-        per_branch = np.zeros((1 << n, 2), dtype=np.int64)
-        for bits, cnt in res.counts.items():
-            per_branch[int(bits[:n], 2), int(bits[n])] += cnt
-        tallies[label] = per_branch
+        # The data qubit is the least significant bit: row = branch, column = data bit.
+        tallies[label] = sample(circuit, basis, total, noise,
+                                derive_seed(seed, bi)).hist.reshape(1 << n, 2)
     return [index_estimate(i0 + 1, {label: tallies[label][i0] for label in BASIS_LABELS},
                            cal)
             for i0 in range(plan.batch.p)]

@@ -12,20 +12,35 @@ Conventions
   64-bit seed, so identical inputs give byte-identical counts. Per sampling
   job the stream is consumed in fixed blocks: with stochastic gate noise,
   uniforms for (noise trigger, Pauli choice) per gate and shot, then one
-  measurement uniform per shot, then readout-flip uniforms; without gate
-  noise only the measurement and readout blocks are drawn. A partition of
-  the shot range can therefore reproduce its rows by advancing the counter,
-  and merged counts do not depend on how shots are batched.
+  measurement uniform per shot, then readout-flip uniforms (one per shot and
+  qubit); without gate noise only the measurement and readout blocks are
+  drawn. A partition of the shot range can therefore reproduce its rows by
+  advancing the counter, and merged counts do not depend on how shots are
+  batched.
+* Without gate noise the final state is computed once, and each shot's
+  outcome is the inverse-CDF lookup of its uniform in the cumulative Born
+  distribution. Uniforms are drawn and looked up ``SAMPLE_CHUNK`` at a time
+  (readout flips from a second generator positioned at the readout block),
+  so memory is O(2^n + SAMPLE_CHUNK) whatever the shot count, and an s-shot
+  job's outcomes are the first s outcomes of any larger job at the same seed
+  when there are no readout flips.
 * Gate noise: after each gate, with the configured depolarizing probability
   (``depol_ctrl`` for controlled gates, ``depol_1q`` otherwise), one Pauli
   chosen uniformly from {X, Y, Z} is applied to the gate's target qubit.
-  ``readout_flip`` flips each measured bit independently.
+  ``readout_flip`` flips each measured bit independently. With gate noise
+  every shot is simulated as its own statevector trajectory, which needs
+  O(shots x 2^n) memory; jobs whose estimate exceeds
+  ``TRAJECTORY_BUDGET_BYTES`` are rejected with ``DomainError`` before
+  anything is allocated.
+* Counts are an integer histogram over the 2^n outcome indices
+  (``ShotResult.hist``); bitstring keys exist only as a view for display.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,6 +50,13 @@ from .linalg import PAULI_X, PAULI_Y, PAULI_Z
 from .rotation import gate_rx, gate_ry, gate_rz
 
 _MASK64 = (1 << 64) - 1
+
+# Shots drawn and looked up at a time on the noiseless path.
+SAMPLE_CHUNK = 1 << 16
+
+# Working-memory budget of the trajectory sampler, in bytes; see
+# ``trajectory_bytes`` for the estimate it bounds.
+TRAJECTORY_BUDGET_BYTES = 2 << 30
 
 _CONST_GATES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
@@ -67,13 +89,31 @@ class NoiseModel:
 NOISELESS = NoiseModel()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ShotResult:
-    """Counts per outcome bitstring for one measurement basis."""
+    """Outcome histogram for one measurement basis: ``hist[j]`` counts the
+    shots that read basis-state index j (int64, length 2^n, read-only)."""
 
     basis: tuple[str, ...]
-    counts: dict[str, int]
+    hist: np.ndarray
     shots: int
+
+    def __post_init__(self):
+        hist = np.array(self.hist, dtype=np.int64)
+        if hist.shape != (1 << len(self.basis),):
+            raise ShapeError(f"histogram of shape {hist.shape} does not match "
+                             f"{len(self.basis)} measured qubits")
+        if hist.min() < 0 or hist.sum() != self.shots:
+            raise DomainError(f"histogram must be nonnegative and sum to {self.shots} shots")
+        hist.setflags(write=False)
+        object.__setattr__(self, "hist", hist)
+
+    @property
+    def counts(self) -> MappingProxyType:
+        """Read-only bitstring view of the nonzero histogram entries."""
+        n = len(self.basis)
+        return MappingProxyType({format(j, f"0{n}b"): int(c)
+                                 for j, c in enumerate(self.hist) if c})
 
 
 def _splitmix64(x: int) -> int:
@@ -174,6 +214,11 @@ def _basis_change_ops(basis, n: int) -> list[GateOp]:
     return ops
 
 
+def marginal_counts(hist: np.ndarray, qubit: int) -> np.ndarray:
+    """Counts of bit 0 and bit 1 on one qubit, summed over all others."""
+    return hist.reshape(-1, 2, 1 << qubit).sum(axis=(0, 2))
+
+
 def _born_outcomes(states: np.ndarray, u: np.ndarray) -> np.ndarray:
     probs = np.abs(states) ** 2
     probs /= probs.sum(axis=1, keepdims=True)
@@ -181,11 +226,43 @@ def _born_outcomes(states: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((u[:, None] >= cum).sum(axis=1), states.shape[1] - 1)
 
 
+def _ideal_outcomes(final: np.ndarray, shots: int, rng: np.random.Generator):
+    """Yield Born-rule outcome indices of ``final`` for ``shots`` shots, at
+    most SAMPLE_CHUNK at a time; ``side="right"`` counts the cumulative
+    probabilities <= u, the same comparisons as ``_born_outcomes``."""
+    probs = np.abs(final) ** 2
+    cum = np.cumsum(probs / probs.sum())
+    for start in range(0, shots, SAMPLE_CHUNK):
+        u = rng.random(min(SAMPLE_CHUNK, shots - start))
+        idx = np.searchsorted(cum, u, side="right")
+        yield np.minimum(idx, cum.size - 1, out=idx)
+
+
+def _flip_readout(outcomes: np.ndarray, n: int, p: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    flips = rng.random((outcomes.size, n)) < p
+    return outcomes ^ (flips.astype(np.int64) << np.arange(n)).sum(axis=1)
+
+
+def trajectory_bytes(shots: int, n: int, num_gates: int) -> int:
+    """Estimated working memory of ``_sample_trajectories`` in bytes: per
+    shot, three complex statevectors (the state, a gate's output, and the
+    Born probabilities with their cumulative sums) plus two float64 noise
+    uniforms per gate."""
+    return shots * (3 * (1 << n) * 16 + 2 * num_gates * 8)
+
+
 def _sample_trajectories(ops, n: int, shots: int, noise: NoiseModel,
                          rng: np.random.Generator) -> np.ndarray:
     """Per-shot stochastic-Pauli trajectories, vectorized across shots."""
     dim = 1 << n
     num_gates = len(ops)
+    need = trajectory_bytes(shots, n, num_gates)
+    if need > TRAJECTORY_BUDGET_BYTES:
+        raise DomainError(
+            f"noisy sampling of {shots} shots over {dim} outcomes needs about "
+            f"{need / 2**30:.1f} GiB, above the {TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB "
+            "budget; use fewer shots or vectors, or no gate noise")
     fire = rng.random((shots, num_gates))
     which = rng.random((shots, num_gates))
     u_meas = rng.random(shots)
@@ -211,7 +288,8 @@ def _sample_trajectories(ops, n: int, shots: int, noise: NoiseModel,
 
 def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
            seed: int = 0) -> ShotResult:
-    """Run the circuit from |0...0>, measure every qubit, return counts.
+    """Run the circuit from |0...0>, measure every qubit, return the outcome
+    histogram.
 
     ``basis`` gives one Pauli label per qubit (index order). Deterministic
     for fixed ``(circuit, basis, shots, noise, seed)``.
@@ -224,19 +302,28 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     if len(basis) != n:
         raise DomainError(f"expected {n} basis labels, got {len(basis)}")
     all_ops = list(circuit.ops) + _basis_change_ops(basis, n)
+    dim = 1 << n
+    flip = noise.readout_flip
     rng = _rng(seed)
     if noise.depol_1q == 0.0 and noise.depol_ctrl == 0.0:
-        final = _apply_ops_batched(zero_state(n)[None, :], all_ops, n)
-        outcomes = _born_outcomes(np.broadcast_to(final, (shots, 1 << n)),
-                                  rng.random(shots))
+        final = _apply_ops_batched(zero_state(n)[None, :], all_ops, n)[0]
+        if flip > 0.0:
+            # Position a second generator at the readout block, which starts
+            # after the ``shots`` measurement uniforms (4 per Philox counter).
+            flip_rng = _rng(seed)
+            flip_rng.bit_generator.advance(shots // 4)
+            flip_rng.random(shots % 4)
+        hist = np.zeros(dim, dtype=np.int64)
+        for outcomes in _ideal_outcomes(final, shots, rng):
+            if flip > 0.0:
+                outcomes = _flip_readout(outcomes, n, flip, flip_rng)
+            hist += np.bincount(outcomes, minlength=dim)
     else:
         outcomes = _sample_trajectories(all_ops, n, shots, noise, rng)
-    if noise.readout_flip > 0.0:
-        flips = rng.random((shots, n)) < noise.readout_flip
-        outcomes = outcomes ^ (flips.astype(np.int64) << np.arange(n)).sum(axis=1)
-    binc = np.bincount(outcomes, minlength=1 << n)
-    counts = {format(j, f"0{n}b"): int(cnt) for j, cnt in enumerate(binc) if cnt}
-    return ShotResult(basis=basis, counts=counts, shots=int(shots))
+        if flip > 0.0:
+            outcomes = _flip_readout(outcomes, n, flip, rng)
+        hist = np.bincount(outcomes, minlength=dim)
+    return ShotResult(basis=basis, hist=hist, shots=int(shots))
 
 
 def expectation_from_counts(result: ShotResult, qubit: int) -> float:
@@ -244,13 +331,10 @@ def expectation_from_counts(result: ShotResult, qubit: int) -> float:
 
     Outcome bit 0 counts as +1, bit 1 as -1.
     """
-    if not result.counts:
+    if result.shots < 1:
         raise DomainError("empty counts")
     n = len(result.basis)
     if not 0 <= qubit < n:
         raise DomainError(f"qubit {qubit} out of range for {n} measured qubits")
-    pos = 0
-    for bits, cnt in result.counts.items():
-        if bits[n - 1 - qubit] == "0":
-            pos += cnt
+    pos = int(marginal_counts(result.hist, qubit)[0])
     return (2 * pos - result.shots) / result.shots

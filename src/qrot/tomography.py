@@ -29,7 +29,7 @@ from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, dagger, eig_hermitian,
                      is_unitary, max_abs, polar_unitary, trace)
 from .rotation import RotationSpec, ErParams, axis_rotation_sequence, erp_from_unitary
 from .simulator import (BASIS_LABELS, NoiseModel, ShotResult, derive_seed,
-                        expectation_from_counts, sample)
+                        expectation_from_counts, marginal_counts, sample)
 
 MIN_SHOTS = 100
 
@@ -113,11 +113,7 @@ def density_from_bloch(r) -> np.ndarray:
 
 
 def _marginal_freqs(result: ShotResult, qubit: int) -> np.ndarray:
-    n = len(result.basis)
-    f = np.zeros(2)
-    for bits, cnt in result.counts.items():
-        f[int(bits[n - 1 - qubit])] += cnt
-    return f / result.shots
+    return marginal_counts(result.hist, qubit) / result.shots
 
 
 def _measured_bloch(circuit: Circuit, data_qubit: int, shots: int,
@@ -248,10 +244,8 @@ def calibrate_readout(noise: NoiseModel | None, shots: int, seed: int = 0,
     cal = np.zeros((dim, dim))
     for j in range(dim):
         prep = tuple(GateOp("X", q) for q in range(num_qubits) if (j >> q) & 1)
-        res = sample(Circuit(num_qubits, prep), ("Z",) * num_qubits, shots,
-                     noise, derive_seed(seed, j))
-        for bits, cnt in res.counts.items():
-            cal[int(bits, 2), j] = cnt
+        cal[:, j] = sample(Circuit(num_qubits, prep), ("Z",) * num_qubits, shots,
+                           noise, derive_seed(seed, j)).hist
     return cal / shots
 
 
@@ -280,8 +274,4 @@ def mitigate_frequencies(freqs, cal) -> np.ndarray:
 
 def mitigate_counts(result: ShotResult, cal) -> np.ndarray:
     """Readout-corrected outcome frequencies for a full shot result."""
-    n = len(result.basis)
-    freqs = np.zeros(1 << n)
-    for bits, cnt in result.counts.items():
-        freqs[int(bits, 2)] = cnt
-    return mitigate_frequencies(freqs / result.shots, cal)
+    return mitigate_frequencies(result.hist / result.shots, cal)

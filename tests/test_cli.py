@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -194,6 +195,61 @@ class TestMultiCommand:
                            "--angle", "0.5")
         assert code == 2
         assert "entry 1" in err
+
+
+    def test_boolean_components_rejected(self, capsys, tmp_path):
+        vecs = self._vector_file(tmp_path, [[0, 1, 0], [True, False, False]])
+        code, _, err = run(capsys, "multi", "--vectors", vecs, "--axis", "0,0,1",
+                           "--angle", "0.5", "--shots", "500")
+        assert code == 2
+        assert "entry 2" in err
+
+    def test_noisy_cli_maximum_rejected_before_allocating(self, capsys, tmp_path):
+        # 1,024 vectors x 20,000 shots under gate noise would need terabytes
+        # of per-shot trajectories; the pre-flight estimate refuses it.
+        vecs = self._vector_file(tmp_path, [[0.6, 0.0, 0.8]] * 1024)
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "multi", "--vectors", vecs, "--axis", "0,0,1",
+                               "--angle", "0.5", "--shots", "20000", "--noise", "nisq-lite")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "budget" in err
+        assert peak < 32 * 2**20
+
+
+class TestSeedRange:
+    COMMANDS = {
+        "erp": ("erp", "--axis", "0,0,1", "--angle", "1"),
+        "rotate": ("rotate", "--axis", "0,0,1", "--angle", "1", "--vector", "1,0,0",
+                   "--shots", "200"),
+        "sweep": ("sweep", "--trials", "1", "--points", "1", "--shots-min", "200",
+                  "--shots-max", "200", "--backends", "noiseless"),
+        "multi": ("multi", "--axis", "0,0,1", "--angle", "1", "--shots", "200"),
+        "example": ("example", "--shots", "200"),
+    }
+
+    def _argv(self, tmp_path, name):
+        argv = list(self.COMMANDS[name])
+        if name == "multi":
+            path = tmp_path / "vectors.json"
+            path.write_text("[[1, 0, 0]]")
+            argv += ["--vectors", str(path)]
+        return argv + ["--out", str(tmp_path / "artifact")]
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 7)])
+    def test_out_of_range_seed_is_usage_error(self, capsys, tmp_path, name, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(tmp_path, name) + ["--seed", seed])
+        assert exc.value.code == 2
+        assert "seed must be in [0, 2^64)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_largest_seed_accepted(self, capsys, tmp_path, name):
+        assert main(self._argv(tmp_path, name) + ["--seed", str(2**64 - 1)]) == 0
 
 
 class TestExampleCommand:

@@ -150,25 +150,26 @@ class TestSample:
 
 class TestExpectationFromCounts:
     def test_all_zero(self):
-        res = ShotResult(("Z",), {"0": 100}, 100)
+        res = ShotResult(("Z",), [100, 0], 100)
         assert expectation_from_counts(res, 0) == 1.0
 
     def test_all_one(self):
-        res = ShotResult(("Z",), {"1": 100}, 100)
+        res = ShotResult(("Z",), [0, 100], 100)
         assert expectation_from_counts(res, 0) == -1.0
 
     def test_three_to_one_split(self):
-        res = ShotResult(("Z",), {"0": 750, "1": 250}, 1000)
+        res = ShotResult(("Z",), [750, 250], 1000)
         assert expectation_from_counts(res, 0) == 0.5
 
     def test_addresses_correct_bit(self):
-        res = ShotResult(("Z", "Z"), {"10": 60, "00": 40}, 100)
+        # index 2 is "10": qubit 1 reads 1, qubit 0 reads 0
+        res = ShotResult(("Z", "Z"), [40, 0, 60, 0], 100)
         assert expectation_from_counts(res, 1) == pytest.approx(-0.2)
         assert expectation_from_counts(res, 0) == 1.0
 
     def test_empty_counts_rejected(self):
         with pytest.raises(DomainError):
-            expectation_from_counts(ShotResult(("Z",), {}, 0), 0)
+            expectation_from_counts(ShotResult(("Z",), [0, 0], 0), 0)
 
 
 class TestNoise:

@@ -251,6 +251,6 @@ class TestMitigation:
                                  np.array([[0.5, 0.5], [0.5, 0.5]]))
 
     def test_mitigate_counts_wrapper(self):
-        result = ShotResult(("Z",), {"0": 820, "1": 180}, 1000)
+        result = ShotResult(("Z",), [820, 180], 1000)
         p = mitigate_counts(result, np.array([[0.9, 0.1], [0.1, 0.9]]))
         assert np.allclose(p, [0.9, 0.1], atol=1e-10)
