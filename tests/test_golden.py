@@ -59,7 +59,7 @@ CASES = {
     "sweep-noiseless": (_SWEEP + ("--shots-max", "5000", "--backends", "noiseless"), None),
     "sweep-nisq-mitigated": (_SWEEP + ("--shots-max", "2000", "--backends", "nisq-lite",
                                        "--mitigate"), None),
-    "multi-noiseless": (_MULTI + ("--shots", "2000",), _unit_rows(64, 0)),
+    "multi-noiseless": (_MULTI + ("--shots", "2000"), _unit_rows(64, 0)),
     "multi-readout": (_MULTI + ("--shots", "300", "--noise", "0,0,0.05"),
                       _unit_rows(8, 100)),
     "multi-nisq-mitigated": (_MULTI + ("--shots", "300", "--noise", "nisq-lite",
