@@ -7,7 +7,8 @@ estimator that alters any count or estimate fails here, whereas the
 reproducibility tests only compare a run with itself.
 
 Regenerate the fixture only when a change is meant to alter artifacts, and
-say so in the change log:
+say so in the change log. Before it rewrites the fixture, the script prints
+the worst |new - pinned| of every field name, for that log:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -110,6 +111,38 @@ def assert_matches(expected, actual, path="artifact"):
             f"{path}: {actual!r} != {expected!r}"
 
 
+def field_report(pinned: dict, fresh: dict) -> dict[str, list]:
+    """Per field name: [worst |fresh - pinned| over its floats (None if it
+    holds none), count of non-float values that differ]. A value is named by
+    its nearest dict key; a sweep row's value by its metric, the rest of the
+    row by "sweep row"."""
+    table: dict[str, list] = {}
+
+    def walk(old, new, field):
+        if isinstance(old, float) and isinstance(new, float):
+            entry = table.setdefault(field, [None, 0])
+            entry[0] = max(entry[0] or 0.0, abs(new - old))
+        elif isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+            for key in old:
+                walk(old[key], new[key], key)
+        elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+            for o, n in zip(old, new):
+                walk(o, n, field)
+        else:
+            table.setdefault(field, [None, 0])[1] += type(old) is not type(new) or old != new
+
+    for name in sorted(set(pinned) | set(fresh)):
+        old, new = pinned.get(name), fresh.get(name)
+        rows = name.startswith("sweep") and isinstance(old, list) and isinstance(new, list)
+        if rows and len(old) == len(new):
+            for o, n in zip(old, new):
+                walk(o[:4], n[:4], "sweep row")
+                walk(o[4], n[4], o[3])
+        else:
+            walk(old, new, name)
+    return table
+
+
 @pytest.fixture(scope="module")
 def golden():
     with open(FIXTURE) as fh:
@@ -128,11 +161,20 @@ def test_artifact_matches_golden(name, golden, tmp_path, capsys):
 
 
 if __name__ == "__main__":
+    import contextlib
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        pinned = {name: run_case(name, tmp) for name in sorted(CASES)}
+    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as quiet, \
+            contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+        fresh = {name: run_case(name, tmp) for name in sorted(CASES)}
+    if os.path.exists(FIXTURE):
+        with open(FIXTURE) as fh:
+            table = field_report(json.load(fh), fresh)
+        print(f"{'field':<20} {'worst |new - pinned|':>21} {'changed non-floats':>19}")
+        for field, (worst, changed) in sorted(table.items()):
+            shown = "-" if worst is None else f"{worst:.3g}"
+            print(f"{field:<20} {shown:>21} {changed:>19}")
     with open(FIXTURE, "w") as fh:
-        json.dump(pinned, fh, indent=1, sort_keys=True)
+        json.dump(fresh, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(pinned)} cases to {FIXTURE}", file=sys.stderr)
+    print(f"wrote {len(fresh)} cases to {FIXTURE}", file=sys.stderr)
