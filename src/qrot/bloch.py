@@ -36,29 +36,24 @@ def normalize(v):
 
 
 def require_unit(v, tol: float = UNIT_TOL) -> np.ndarray:
-    """Validate that ``v`` is a finite unit 3-vector and return it as an array."""
+    """Validate ``v`` through ``normalize``, require unit length, return ``v``."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise DomainError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("vector components must be finite")
-    norm = float(np.linalg.norm(v))
+    _, norm = normalize(v)
     if abs(norm - 1.0) > tol:
         raise DomainError(f"vector must be unit length (|v| = {norm!r}); normalize explicitly")
     return v
 
 
 def vec_to_angles(v) -> SphericalAngles:
-    """Spherical angles (theta, phi) of a unit vector.
-
-    At the poles phi is conventionally 0, which removes the atan2(0, 0)
-    ambiguity.
-    """
-    v = require_unit(v)
-    theta = math.acos(min(1.0, max(-1.0, float(v[2]))))
-    if math.hypot(float(v[0]), float(v[1])) < 1e-15:
+    """Spherical angles (theta, phi) of a unit vector. theta = atan2(|(x, y)|, z)
+    stays accurate near the poles, where acos(z) does not; at the poles phi is
+    conventionally 0, which removes the atan2(0, 0) ambiguity."""
+    x, y, z = (float(c) for c in require_unit(v))
+    transverse = math.hypot(x, y)
+    theta = math.atan2(transverse, z)
+    if transverse < 1e-15:
         return SphericalAngles(theta, 0.0)
-    phi = math.atan2(float(v[1]), float(v[0]))
+    phi = math.atan2(y, x)
     if phi <= -math.pi:
         phi = math.pi
     return SphericalAngles(theta, phi)
@@ -88,11 +83,9 @@ def state_to_bloch(psi) -> np.ndarray:
 
 
 def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two nonzero vectors.
-
-    The normalized dot product is clamped to [-1, 1] before acos so that
-    floating-point overshoot cannot produce NaN.
-    """
+    """Angle in [0, pi] between two nonzero vectors: atan2(|u x v|, u . v) of
+    their unit vectors, well conditioned at every angle, where acos of the dot
+    product loses all precision near 0 and pi."""
     uu, _ = normalize(u)
     vv, _ = normalize(v)
-    return math.acos(min(1.0, max(-1.0, float(np.dot(uu, vv)))))
+    return math.atan2(float(np.linalg.norm(np.cross(uu, vv))), float(np.dot(uu, vv)))

@@ -1,9 +1,9 @@
 """Dense complex linear algebra on small matrices.
 
-Everything works on plain numpy arrays (complex128, row-major). All matrices
-in this package are dense and small (2x2 up to a few thousand rows), so the
-Hermitian eigensolver is a self-contained cyclic Jacobi iteration; numpy is
-used for storage and elementwise arithmetic only.
+Everything works on plain numpy arrays (complex128, row-major), with numpy for
+storage and elementwise arithmetic only. 2x2 problems use closed forms; the
+self-contained cyclic Jacobi eigensolver serves the 4x4 Choi projection and
+the readout-calibration conditioning check.
 """
 
 from __future__ import annotations
@@ -106,14 +106,10 @@ def eig_hermitian(m, *, hermiticity_tol: float = 1e-8,
     a = (a + dagger(a)) / 2.0
     d = a.shape[0]
     v = np.eye(d, dtype=complex)
-    if d == 1:
-        return np.array([a[0, 0].real]), v
 
     threshold = off_tol * max(1.0, max_abs(a))
-    converged = False
     for _ in range(max_sweeps):
         if max_abs(np.triu(a, 1)) <= threshold:
-            converged = True
             break
         for p in range(d - 1):
             for q in range(p + 1, d):
@@ -148,7 +144,7 @@ def eig_hermitian(m, *, hermiticity_tol: float = 1e-8,
                 vcol_q = v[:, q].copy()
                 v[:, p] = vcol_p * w_pp + vcol_q * w_qp
                 v[:, q] = vcol_p * w_pq + vcol_q * w_qq
-    if not converged and max_abs(np.triu(a, 1)) > threshold:
+    if max_abs(np.triu(a, 1)) > threshold:
         raise NumericError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
 
     values = np.real(np.diag(a)).copy()
@@ -157,17 +153,21 @@ def eig_hermitian(m, *, hermiticity_tol: float = 1e-8,
 
 
 def polar_unitary(m) -> np.ndarray:
-    """Closest unitary to ``m`` in Frobenius norm (the U of the polar form m = U P).
-
-    Raises NumericError when ``m`` is numerically singular and the unitary
-    factor is therefore not determined.
+    """Closest unitary to a 2x2 ``m`` in Frobenius norm (the U of m = U P), in
+    closed form (Higham, Functions of Matrices, ch. 8): U = (m + (det m /
+    |det m|) adj(m)^dagger) / sqrt(||m||_F^2 + 2 |det m|). Raises NumericError
+    when sigma_min^2 <= 1e-24 max(sigma_max^2, 1): ``m`` is numerically
+    singular and U is not determined.
     """
     m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"polar decomposition requires a square matrix, got {m.shape}")
-    values, vectors = eig_hermitian(dagger(m) @ m)
-    values = np.clip(values, 0.0, None)
-    if values[-1] <= 1e-24 * max(values[0], 1.0):
+    if m.shape != (2, 2):
+        raise ShapeError(f"polar unitary requires a 2x2 matrix, got {m.shape}")
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    abs_det = abs(det)
+    fro2 = float(np.sum(np.abs(m) ** 2))
+    # sigma_max^2 and sigma_min^2 are the roots of x^2 - fro2 x + |det m|^2.
+    smax2 = 0.5 * (fro2 + np.sqrt(max(fro2 * fro2 - 4.0 * abs_det * abs_det, 0.0)))
+    if abs_det * abs_det <= 1e-24 * max(smax2, 1.0) * smax2:
         raise NumericError("matrix is numerically singular; polar unitary factor undefined")
-    inv_sqrt = vectors @ np.diag(values ** -0.5) @ dagger(vectors)
-    return m @ inv_sqrt
+    adj_dagger = np.array([[m[1, 1], -m[1, 0]], [-m[0, 1], m[0, 0]]]).conj()
+    return (m + (det / abs_det) * adj_dagger) / np.sqrt(fro2 + 2.0 * abs_det)

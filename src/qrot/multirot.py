@@ -18,14 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import state_to_bloch, vec_to_angles
+from .bloch import require_unit, state_to_bloch, vec_to_angles
 from .circuit import MAX_QUBITS, Circuit, GateOp
 from .errors import DomainError
-from .linalg import eig_hermitian
 from .rotation import RotationSpec, axis_rotation_sequence
-from .simulator import BASIS_LABELS, NoiseModel, derive_seed, sample
-from .tomography import (MIN_SHOTS, density_from_bloch, calibrate_readout,
-                         mitigate_frequencies, smolin_project)
+from .simulator import NoiseModel, derive_seed
+from .tomography import MIN_SHOTS, _mitigation_calibration, _sample_bases, estimate_qubit
 
 # Below this many samples in a basis, expectation estimates have standard
 # error above 0.2 and the per-index tomography is not meaningful.
@@ -42,14 +40,11 @@ class VectorBatch:
         v = np.atleast_2d(np.asarray(self.vectors, dtype=float))
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 1:
             raise DomainError(f"expected a (p, 3) array of vectors, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("vector components must be finite")
-        norms = np.linalg.norm(v, axis=1)
-        bad = np.where(np.abs(norms - 1.0) > 1e-9)[0]
-        if bad.size:
-            raise DomainError(
-                f"vector {bad[0] + 1} is not unit length (|v| = {norms[bad[0]]!r}); "
-                "normalize explicitly")
+        for k, row in enumerate(v, start=1):
+            try:
+                require_unit(row)
+            except DomainError as exc:
+                raise DomainError(f"vector {k}: {exc}") from None
         controls = max(1, math.ceil(math.log2(v.shape[0])))
         if controls + 1 > MAX_QUBITS:
             raise DomainError(
@@ -168,8 +163,8 @@ def extract_all(plan: MultiRotationPlan, shots_per_vector: int,
     control outcome, and reconstructs each encoded index from its share
     (about ``shots_per_vector`` per basis, since the control marginal is
     uniform). Indices with fewer than 25 samples in some basis are flagged
-    as under-sampled; an index with zero samples in some basis gets an error
-    entry rather than failing the whole extraction.
+    as under-sampled; an index with zero samples in some basis or a zero
+    estimate gets an error entry rather than failing the whole extraction.
     """
     if shots_per_vector < MIN_SHOTS:
         raise DomainError(
@@ -177,41 +172,24 @@ def extract_all(plan: MultiRotationPlan, shots_per_vector: int,
     circuit = full_circuit(plan)
     n = plan.batch.n
     total = shots_per_vector << n
-    cal = calibrate_readout(noise, shots_per_vector, derive_seed(seed, 3), 1) \
-        if mitigate else None
-    tallies = {}
-    for bi, label in enumerate(BASIS_LABELS):
-        basis = (label,) + ("Z",) * n
-        # The data qubit is the least significant bit: row = branch, column = data bit.
-        tallies[label] = sample(circuit, basis, total, noise,
-                                derive_seed(seed, bi)).hist.reshape(1 << n, 2)
-    return [index_estimate(i0 + 1, {label: tallies[label][i0] for label in BASIS_LABELS},
-                           cal)
+    cal = _mitigation_calibration(mitigate, noise, shots_per_vector, derive_seed(seed, 3))
+    # The data qubit is the least significant bit: row = branch, column = data bit.
+    tallies = {label: res.hist.reshape(1 << n, 2)
+               for label, res in _sample_bases(circuit, 0, total, noise, seed).items()}
+    return [index_estimate(i0 + 1, {label: t[i0] for label, t in tallies.items()}, cal)
             for i0 in range(plan.batch.p)]
 
 
 def index_estimate(index: int, tallies: dict, cal=None) -> ExtractedVector:
-    """Single-qubit tomography for one branch from its (n0, n1) tallies per basis."""
+    """Single-qubit tomography for one branch from its (n0, n1) tallies per
+    basis, with ``estimate_qubit``; ``cal`` is a checked readout calibration."""
     basis_totals = {label: int(sum(pair)) for label, pair in tallies.items()}
-    samples = sum(basis_totals.values())
     empty = [label for label, tot in basis_totals.items() if tot == 0]
     if empty:
-        return ExtractedVector(
-            index=index, vector=None, samples=samples, under_sampled=True,
-            error=f"no samples in basis {','.join(empty)}")
-    r = np.empty(3)
-    for k, label in enumerate(BASIS_LABELS):
-        n0, n1 = tallies[label]
-        if cal is not None:
-            p = mitigate_frequencies(np.array([n0, n1], dtype=float)
-                                     / basis_totals[label], cal)
-            r[k] = float(p[0] - p[1])
-        else:
-            r[k] = (n0 - n1) / basis_totals[label]
-    rho = smolin_project(density_from_bloch(r))
-    _, vectors = eig_hermitian(rho)
+        vector, error = None, f"no samples in basis {','.join(empty)}"
+    else:
+        _, _, vector = estimate_qubit(tallies, cal)
+        error = None if vector is not None else "estimated Bloch vector has no direction"
     return ExtractedVector(
-        index=index,
-        vector=state_to_bloch(vectors[:, 0]),
-        samples=samples,
-        under_sampled=min(basis_totals.values()) < UNDER_SAMPLE_THRESHOLD)
+        index=index, vector=vector, samples=sum(basis_totals.values()),
+        under_sampled=min(basis_totals.values()) < UNDER_SAMPLE_THRESHOLD, error=error)

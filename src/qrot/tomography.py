@@ -1,9 +1,11 @@
 """State and process reconstruction from sampled counts.
 
 State tomography measures the data qubit in the three Pauli bases, forms the
-raw linear-inversion estimate mu = (I + r . sigma)/2, and projects it to the
-nearest physical density matrix by flooring negative eigenvalues while
-spreading the deficit over the rest (trace and eigenvectors preserved).
+linear-inversion Bloch vector r, and projects (I + r . sigma)/2 onto the
+physical states by maximum likelihood (Smolin, Gambetta & Smith: floor the
+negative eigenvalue, keep the eigenvectors). For one qubit that is the state
+of Bloch vector r / max(1, |r|), whose dominant eigenvector is r/|r|;
+``estimate_qubit`` uses these closed forms.
 
 Process tomography (single qubit) prepares the four spanning inputs
 |0>, |1>, |+>, |+i>, reconstructs each output state by plain linear
@@ -22,16 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .bloch import state_to_bloch
 from .circuit import Circuit, GateOp
 from .errors import DomainError, NumericError, ShapeError
 from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, dagger, eig_hermitian,
                      is_unitary, max_abs, polar_unitary, trace)
 from .rotation import RotationSpec, ErParams, axis_rotation_sequence, erp_from_unitary
 from .simulator import (BASIS_LABELS, NoiseModel, ShotResult, derive_seed,
-                        expectation_from_counts, marginal_counts, sample)
+                        marginal_counts, sample)
 
 MIN_SHOTS = 100
+# A Bloch vector estimate shorter than this has no direction.
+MIN_BLOCH_NORM = 1e-12
 
 # Gate realizations of the four spanning input states.
 _PREP_OPS = {
@@ -64,7 +67,7 @@ class KrausSet:
 @dataclass
 class StateTomographyResult:
     density: np.ndarray          # 2x2, PSD, trace 1
-    bloch: np.ndarray            # Bloch vector of the dominant eigenvector
+    bloch: np.ndarray            # r/|r|, the Bloch vector of density's dominant eigenvector
     expectations: dict[str, float]
     counts: dict[str, ShotResult]
 
@@ -112,46 +115,55 @@ def density_from_bloch(r) -> np.ndarray:
     return 0.5 * (PAULI_I + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z)
 
 
-def _marginal_freqs(result: ShotResult, qubit: int) -> np.ndarray:
-    return marginal_counts(result.hist, qubit) / result.shots
-
-
-def _measured_bloch(circuit: Circuit, data_qubit: int, shots: int,
-                    noise: NoiseModel | None, seed: int, cal,
-                    counts_out: dict | None = None) -> np.ndarray:
+def estimate_qubit(tallies, cal=None):
+    """Single-qubit state estimate (r, rho, direction) from the (n0, n1)
+    tallies of bases X, Y, Z. r is (n0 - n1)/N per basis, or p0 - p1 of the
+    NNLS-mitigated frequencies given a checked calibration ``cal``, and may
+    leave the unit ball; rho = ``smolin_project`` of (I + r . sigma)/2 and
+    direction = r/|r| (None below MIN_BLOCH_NORM), in closed form."""
     r = np.empty(3)
-    for bi, label in enumerate(BASIS_LABELS):
-        basis = ["Z"] * circuit.num_qubits
-        basis[data_qubit] = label
-        res = sample(circuit, basis, shots, noise, derive_seed(seed, bi))
-        if counts_out is not None:
-            counts_out[label] = res
-        if cal is not None:
-            p = mitigate_frequencies(_marginal_freqs(res, data_qubit), cal)
-            r[bi] = float(p[0] - p[1])
+    for k, label in enumerate(BASIS_LABELS):
+        n0, n1 = tallies[label]
+        if n0 + n1 < 1:
+            raise DomainError(f"no samples in basis {label}")
+        if cal is None:
+            r[k] = (n0 - n1) / (n0 + n1)
         else:
-            r[bi] = expectation_from_counts(res, data_qubit)
-    return r
+            p = _nnls_frequencies(np.array([n0, n1], dtype=float) / (n0 + n1), cal)
+            r[k] = float(p[0] - p[1])
+    norm = float(np.linalg.norm(r))
+    return (r, density_from_bloch(r / max(1.0, norm)),
+            r / norm if norm >= MIN_BLOCH_NORM else None)
+
+
+def _sample_bases(circuit: Circuit, data_qubit: int, shots: int,
+                  noise: NoiseModel | None, seed: int) -> dict[str, ShotResult]:
+    """One job per basis X, Y, Z of the data qubit; the other qubits read in Z."""
+    return {label: sample(circuit, [label if q == data_qubit else "Z"
+                                    for q in range(circuit.num_qubits)],
+                          shots, noise, derive_seed(seed, bi))
+            for bi, label in enumerate(BASIS_LABELS)}
 
 
 def state_tomography(circuit: Circuit, data_qubit: int = 0, shots: int = 20000,
                      noise: NoiseModel | None = None, seed: int = 0,
                      mitigate: bool = False) -> StateTomographyResult:
     """Reconstruct the data qubit's state from three basis-sampled jobs of
-    ``shots`` each; returns the projected density matrix and the Bloch vector
-    of its dominant eigenvector."""
+    ``shots`` each with ``estimate_qubit``. Raises NumericError when the
+    estimate has no direction (|r| < MIN_BLOCH_NORM)."""
     if shots < MIN_SHOTS:
         raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {shots}")
-    cal = calibrate_readout(noise, shots, derive_seed(seed, 3), 1) if mitigate else None
-    counts: dict[str, ShotResult] = {}
-    r = _measured_bloch(circuit, data_qubit, shots, noise, seed, cal, counts)
-    rho = smolin_project(density_from_bloch(r))
-    _, vectors = eig_hermitian(rho)
-    bloch = state_to_bloch(vectors[:, 0])
+    if not 0 <= data_qubit < circuit.num_qubits:
+        raise DomainError(f"data qubit {data_qubit} out of range for {circuit.num_qubits} qubits")
+    cal = _mitigation_calibration(mitigate, noise, shots, derive_seed(seed, 3))
+    counts = _sample_bases(circuit, data_qubit, shots, noise, seed)
+    r, rho, direction = estimate_qubit(
+        {label: marginal_counts(res.hist, data_qubit) for label, res in counts.items()}, cal)
+    if direction is None:
+        raise NumericError("estimated Bloch vector is below MIN_BLOCH_NORM; it has no direction")
     return StateTomographyResult(
-        density=rho, bloch=bloch,
-        expectations=dict(zip(BASIS_LABELS, (float(x) for x in r))),
-        counts=counts)
+        density=rho, bloch=direction,
+        expectations=dict(zip(BASIS_LABELS, (float(x) for x in r))), counts=counts)
 
 
 def _reconstruct_process(outputs: dict[str, np.ndarray]) -> ProcessTomographyResult:
@@ -164,12 +176,9 @@ def _reconstruct_process(outputs: dict[str, np.ndarray]) -> ProcessTomographyRes
     floored = _floor_spectrum(values)
     choi = vectors @ np.diag(floored) @ dagger(vectors)
     choi = (choi + dagger(choi)) / 2.0
-    operators = []
-    weights = []
-    for k in range(4):
-        w = float(max(floored[k], 0.0))
-        operators.append(math.sqrt(w) * vectors[:, k].reshape(2, 2, order="F"))
-        weights.append(w)
+    weights = [float(max(w, 0.0)) for w in floored]
+    operators = [math.sqrt(w) * vectors[:, k].reshape(2, 2, order="F")
+                 for k, w in enumerate(weights)]
     degenerate = bool(floored[0] - floored[1] < 1e-6 and floored[1] > 0.1)
     unitary = polar_unitary(operators[0])
     return ProcessTomographyResult(choi=choi, kraus=KrausSet(operators, weights),
@@ -184,11 +193,12 @@ def process_tomography(spec: RotationSpec, shots: int = 20000,
     if shots < MIN_SHOTS:
         raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {shots}")
     rotation_ops = axis_rotation_sequence(spec)
-    cal = calibrate_readout(noise, shots, derive_seed(seed, 12), 1) if mitigate else None
+    cal = _mitigation_calibration(mitigate, noise, shots, derive_seed(seed, 12))
     outputs = {}
     for pi_, prep in enumerate(PREP_LABELS):
         circuit = Circuit(1, _PREP_OPS[prep] + rotation_ops)
-        r = _measured_bloch(circuit, 0, shots, noise, derive_seed(seed, 4 + pi_), cal)
+        counts = _sample_bases(circuit, 0, shots, noise, derive_seed(seed, 4 + pi_))
+        r, _, _ = estimate_qubit({label: res.hist for label, res in counts.items()}, cal)
         outputs[prep] = density_from_bloch(r)
     return _reconstruct_process(outputs)
 
@@ -249,6 +259,30 @@ def calibrate_readout(noise: NoiseModel | None, shots: int, seed: int = 0,
     return cal / shots
 
 
+def _conditioned(cal: np.ndarray) -> np.ndarray:
+    """``cal`` itself, once its condition number is checked to be below 1e8."""
+    gram_values, _ = eig_hermitian(cal.T @ cal)
+    smallest = float(gram_values[-1])
+    if smallest <= 0.0 or math.sqrt(gram_values[0] / smallest) > 1e8:
+        raise NumericError("calibration matrix is numerically singular")
+    return cal
+
+
+def _mitigation_calibration(mitigate: bool, noise: NoiseModel | None, shots: int,
+                            seed: int) -> np.ndarray | None:
+    """The checked one-qubit readout calibration, or None without mitigation."""
+    return _conditioned(calibrate_readout(noise, shots, seed, 1)) if mitigate else None
+
+
+def _nnls_frequencies(freqs: np.ndarray, cal) -> np.ndarray:
+    p, _ = nnls(np.asarray(cal, dtype=float), freqs)
+    p = np.clip(p, 0.0, None)
+    total = p.sum()
+    if total <= 0.0:
+        raise NumericError("mitigation produced an all-zero probability vector")
+    return p / total
+
+
 def mitigate_frequencies(freqs, cal) -> np.ndarray:
     """Solve cal @ p = freqs by nonnegative least squares; p is clipped to
     >= 0 and renormalized to sum 1."""
@@ -260,16 +294,7 @@ def mitigate_frequencies(freqs, cal) -> np.ndarray:
         raise ShapeError(
             f"frequency vector of length {freqs.shape[0]} does not match "
             f"calibration dimension {cal.shape[0]}")
-    gram_values, _ = eig_hermitian(cal.T @ cal)
-    smallest = float(gram_values[-1])
-    if smallest <= 0.0 or math.sqrt(gram_values[0] / smallest) > 1e8:
-        raise NumericError("calibration matrix is numerically singular")
-    p, _ = nnls(cal, freqs)
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total <= 0.0:
-        raise NumericError("mitigation produced an all-zero probability vector")
-    return p / total
+    return _nnls_frequencies(freqs, _conditioned(cal))
 
 
 def mitigate_counts(result: ShotResult, cal) -> np.ndarray:

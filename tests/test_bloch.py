@@ -5,6 +5,7 @@ import pytest
 
 from qrot import (DomainError, angle_between, angles_to_vec, normalize,
                   state_to_bloch, vec_to_angles)
+from qrot.bloch import require_unit
 from qrot.rotation import gate_ry, gate_rz
 
 from conftest import WORKED_AXIS, WORKED_VECTOR, random_unit
@@ -112,6 +113,27 @@ class TestAngleBetween:
 
     def test_scale_invariance(self):
         assert angle_between([2, 0, 0], [5, 5, 0]) == pytest.approx(math.pi / 4.0)
+
+    def test_resolves_tiny_angles(self):
+        # The dot product rounds to 1.0 here, so acos of it gives 0.
+        v = [math.cos(1e-9), math.sin(1e-9), 0.0]
+        assert angle_between([1.0, 0.0, 0.0], v) == pytest.approx(1e-9, rel=1e-12)
+
+    def test_resolves_angles_near_pi(self):
+        v = [-math.cos(1e-9), math.sin(1e-9), 0.0]
+        assert math.pi - angle_between([1.0, 0.0, 0.0], v) == pytest.approx(1e-9, rel=1e-6)
+
+
+class TestRequireUnit:
+    def test_returns_input_unchanged(self):
+        v = np.array([0.6, 0.0, 0.8])
+        assert require_unit(v).tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [1.0, float("nan"), 0.0],
+                                     [1.0, 0.0], [1.1, 0.0, 0.0]])
+    def test_rejects_invalid(self, bad):
+        with pytest.raises(DomainError):
+            require_unit(bad)
 
 
 class TestNormalize:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qrot import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DomainError, NumericError,
                   ShapeError, align_global_phase, dagger, eig_hermitian, kron,
@@ -16,6 +17,13 @@ def max_abs(m):
 def random_hermitian(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2.0
+
+
+def eig_polar_reference(m):
+    """The eigendecomposition formula m (m^dagger m)^(-1/2), through the
+    Jacobi eigensolver, that ``polar_unitary`` used before its closed form."""
+    values, vectors = eig_hermitian(dagger(m) @ m)
+    return m @ vectors @ np.diag(np.clip(values, 0.0, None) ** -0.5) @ dagger(vectors)
 
 
 class TestPauliIdentities:
@@ -152,3 +160,35 @@ class TestPolarUnitary:
     def test_singular_rejected(self):
         with pytest.raises(NumericError):
             polar_unitary(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("small, singular", [(1e-11, False), (1e-13, True)])
+    def test_singularity_threshold(self, small, singular):
+        # Singular when sigma_min^2 <= 1e-24 max(sigma_max^2, 1).
+        for m in (np.diag([1.0, small]), np.diag([small, small])):
+            if singular:
+                with pytest.raises(NumericError):
+                    polar_unitary(m)
+            else:
+                assert max_abs(polar_unitary(m) - np.eye(2)) <= 1e-15
+
+    def test_non_2x2_rejected(self):
+        with pytest.raises(ShapeError):
+            polar_unitary(np.eye(3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    def test_closed_form_matches_eig_formula(self, parts):
+        m = np.array(parts[:4]).reshape(2, 2) + 1j * np.array(parts[4:]).reshape(2, 2)
+        w, sigma, vh = np.linalg.svd(m)
+        assume(sigma[1] >= 1e-6 and sigma[1] >= 1e-2 * sigma[0])
+        cond = sigma[0] / sigma[1]
+        u = polar_unitary(m)
+        assert max_abs(dagger(u) @ u - np.eye(2)) <= 1e-14
+        # U = W V^dagger from the SVD m = W S V^dagger.
+        assert max_abs(u - w @ vh) <= 1e-14 * cond
+        # The Jacobi reference leaves off-diagonal entries of m^dagger m up to
+        # delta = 1e-12 max(1, sigma_max^2), which moves its (m^dagger m)^(-1/2)
+        # by up to delta / (2 sigma_min^3) and its U by sigma_max times that.
+        delta = 1e-12 * max(1.0, sigma[0] ** 2)
+        reference_error = sigma[0] * delta / (2.0 * sigma[1] ** 3)
+        assert max_abs(u - eig_polar_reference(m)) <= 1e-14 * cond + reference_error

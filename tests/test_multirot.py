@@ -174,6 +174,13 @@ class TestExtraction:
         assert item.error is not None and "X" in item.error
         assert item.under_sampled
 
+    @pytest.mark.parametrize("cal", [None, [[0.9, 0.1], [0.1, 0.9]]])
+    def test_zero_estimate_reports_error(self, cal):
+        item = index_estimate(2, {"X": (50, 50), "Y": (50, 50), "Z": (50, 50)}, cal)
+        assert item.vector is None
+        assert item.error is not None and "no direction" in item.error
+        assert item.samples == 300 and not item.under_sampled
+
     def test_under_sampled_flag(self):
         tallies = {"X": (20, 4), "Y": (30, 10), "Z": (25, 15)}
         item = index_estimate(1, tallies)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qrot import (DomainError, ErParams, RotationSpec, align_global_phase,
+from qrot import (PAULI_X, PAULI_Y, PAULI_Z, DomainError, ErParams, RotationSpec,
+                  align_global_phase, dagger,
                   axis_rotation_sequence, axis_rotation_unitary, er_matrix,
                   erp_from_spec, erp_from_unitary, gate_rx, gate_ry, gate_rz,
                   initialization_ops, rodrigues_matrix, rodrigues_rotate,
@@ -17,6 +19,34 @@ from conftest import (WORKED_AXIS, WORKED_ROTATED, WORKED_VECTOR,
 
 def max_abs(m):
     return float(np.max(np.abs(m)))
+
+
+_units = (st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+          .filter(lambda v: np.linalg.norm(v) >= 1e-3)
+          .map(lambda v: np.array(v) / np.linalg.norm(v)))
+_specs = st.builds(RotationSpec, _units, st.floats(-4.0 * math.pi, 4.0 * math.pi))
+
+
+def pauli_dot(v):
+    return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
+
+
+class TestRepresentationsAgree:
+    """ERPs, the circuit unitary and the Rodrigues oracles describe one rotation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_specs, v=_units)
+    def test_erp_unitary_and_rodrigues(self, spec, v):
+        u = axis_rotation_unitary(spec)
+        assert max_abs(sequence_unitary(spec) - u) <= 1e-12
+        from_unitary, from_spec = np.array(erp_from_unitary(u)), np.array(erp_from_spec(spec))
+        # (a, b, c, d) and its negation are the same rotation.
+        assert min(max_abs(from_unitary - from_spec), max_abs(from_unitary + from_spec)) <= 1e-12
+        rotation = rodrigues_matrix(spec)
+        assert max_abs(er_matrix(erp_from_spec(spec)) - rotation) <= 1e-12
+        assert max_abs(rodrigues_rotate(spec, v) - rotation @ v) <= 1e-12
+        # U (v . sigma) U^dagger = (R v) . sigma
+        assert max_abs(u @ pauli_dot(v) @ dagger(u) - pauli_dot(rotation @ v)) <= 1e-12
 
 
 class TestRotationSpec:

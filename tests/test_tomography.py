@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from qrot import (Circuit, DomainError, NoiseModel, NumericError,
+from qrot import (Circuit, DomainError, GateOp, NoiseModel, NumericError,
                   RotationSpec, ShapeError, ShotResult, align_global_phase,
                   axis_rotation_unitary, calibrate_readout,
                   dagger, eig_hermitian, erp_from_tomography, gate_fidelity,
                   mitigate_counts, mitigate_frequencies, process_tomography,
                   process_tomography_exact, smolin_project, state_tomography)
+from qrot import state_to_bloch, tomography
 from qrot.bloch import angle_between
+from qrot.cli import main
 from qrot.rotation import gate_ry, gate_rz
-from qrot.tomography import _reconstruct_process
+from qrot.tomography import (MIN_BLOCH_NORM, _reconstruct_process, density_from_bloch,
+                             estimate_qubit)
 from qrot.experiments import rotation_circuit
 
 from conftest import WORKED_ROTATED, WORKED_VECTOR, random_spec
@@ -63,6 +67,76 @@ class TestSmolinProject:
     def test_wrong_trace_rejected(self):
         with pytest.raises(DomainError):
             smolin_project(np.eye(2))
+
+
+# (n0, n1) per basis; r = (n0 - n1)/N reaches |r| = sqrt(3), so both the
+# inside and the outside of the unit ball are drawn.
+_tally = st.tuples(st.integers(0, 5000), st.integers(0, 5000)).filter(lambda t: sum(t) > 0)
+_tallies = st.fixed_dictionaries({basis: _tally for basis in "XYZ"})
+
+
+class TestEstimateQubit:
+    @settings(max_examples=300, deadline=None)
+    @given(tallies=_tallies)
+    @example(tallies={"X": (60, 40), "Y": (50, 50), "Z": (70, 30)})    # |r| < 1
+    @example(tallies={"X": (100, 0), "Y": (100, 0), "Z": (0, 100)})    # |r| = sqrt(3)
+    def test_matches_jacobi_reference(self, tallies):
+        r, rho, direction = estimate_qubit(tallies)
+        # The reference eigenvectors are only as accurate as eps / |r|, the
+        # inverse eigenvalue gap, so the bound needs |r| away from 0.
+        assume(np.linalg.norm(r) >= 0.05)
+        reference = smolin_project(density_from_bloch(r))
+        _, vectors = eig_hermitian(reference)
+        assert max_abs(rho - reference) <= 1e-14
+        assert max_abs(direction - state_to_bloch(vectors[:, 0])) <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(tallies=_tallies)
+    def test_raw_vector_is_counts_or_mitigated_frequencies(self, tallies):
+        cal = np.array([[0.93, 0.05], [0.07, 0.95]])
+        r, _, _ = estimate_qubit(tallies)
+        r_mitigated, _, _ = estimate_qubit(tallies, cal)
+        for k, basis in enumerate("XYZ"):
+            n0, n1 = tallies[basis]
+            assert r[k] == (n0 - n1) / (n0 + n1)
+            p = mitigate_frequencies(np.array([n0, n1]) / (n0 + n1), cal)
+            assert r_mitigated[k] == p[0] - p[1]
+
+    @pytest.mark.parametrize("cal", [None, [[0.9, 0.1], [0.1, 0.9]]])
+    def test_zero_vector_has_no_direction(self, cal):
+        r, rho, direction = estimate_qubit({basis: (50, 50) for basis in "XYZ"}, cal)
+        assert np.linalg.norm(r) < MIN_BLOCH_NORM
+        assert direction is None
+        assert max_abs(rho - np.eye(2) / 2.0) <= 1e-15
+
+    def test_empty_basis_rejected(self):
+        with pytest.raises(DomainError):
+            estimate_qubit({"X": (0, 0), "Y": (3, 1), "Z": (2, 2)})
+
+
+def even_sample(circuit, basis, shots, noise=None, seed=0):
+    """Stand-in for ``sample``: the calibration's prepare-and-measure runs
+    (no gate, or one X) read back through an exact symmetric 10% flip, every
+    other circuit gives equal counts of 0 and 1 in every basis."""
+    kinds = tuple(op.kind for op in circuit.ops)
+    ones = {(): shots // 10, ("X",): shots - shots // 10}.get(kinds, shots // 2)
+    return ShotResult(tuple(basis), [shots - ones, ones], shots)
+
+
+class TestZeroEstimate:
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_state_tomography_raises(self, monkeypatch, mitigate):
+        monkeypatch.setattr(tomography, "sample", even_sample)
+        with pytest.raises(NumericError):
+            state_tomography(Circuit(1, (GateOp("H", 0),)), shots=1000, mitigate=mitigate)
+
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_cli_exits_4(self, monkeypatch, capsys, mitigate):
+        monkeypatch.setattr(tomography, "sample", even_sample)
+        argv = ["rotate", "--axis", "0,0,1", "--angle", "1", "--vector", "1,0,0",
+                "--shots", "1000"] + (["--mitigate"] if mitigate else [])
+        assert main(argv) == 4
+        assert "no direction" in capsys.readouterr().err
 
 
 class TestStateTomography:
