@@ -190,13 +190,11 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
 
     Grid points use common random numbers: within a trial, every shot count
     samples from the same counter-based stream. Each point keeps its exact
-    marginal distribution. On the noiseless backend a larger job extends a
-    smaller one instead of resampling it, so the curve as a whole fluctuates
-    far less, which is what makes point-to-point comparisons along it
-    meaningful. That prefix property does not hold with readout flips or gate
-    noise: flips are drawn after every shot's measurement uniform, and
-    trajectories draw their per-gate noise uniforms first, so the same seed
-    at another shot count reads different uniforms for the same shot.
+    marginal distribution. On every backend a larger job extends a smaller
+    one instead of resampling it, because ``sample`` draws one uniform per
+    shot from the job's exact outcome distribution, so the curve as a whole
+    fluctuates far less, which is what makes point-to-point comparisons
+    along it meaningful.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")

@@ -9,29 +9,28 @@ Conventions
   applies H before measuring; "Y" applies RZ(-pi/2) then H. Basis-change
   gates are ordinary gates and are subject to gate noise like any other.
 * Randomness comes from numpy's Philox counter-based generator keyed by a
-  64-bit seed, so identical inputs give byte-identical counts. Per sampling
-  job the stream is consumed in fixed blocks: with stochastic gate noise,
-  uniforms for (noise trigger, Pauli choice) per gate and shot, then one
-  measurement uniform per shot, then readout-flip uniforms (one per shot and
-  qubit); without gate noise only the measurement and readout blocks are
-  drawn. A partition of the shot range can therefore reproduce its rows by
-  advancing the counter, and merged counts do not depend on how shots are
-  batched.
-* Without gate noise the final state is computed once, and each shot's
-  outcome is the inverse-CDF lookup of its uniform in the cumulative Born
-  distribution. Uniforms are drawn and looked up ``SAMPLE_CHUNK`` at a time
-  (readout flips from a second generator positioned at the readout block),
-  so memory is O(2^n + SAMPLE_CHUNK) whatever the shot count, and an s-shot
-  job's outcomes are the first s outcomes of any larger job at the same seed
-  when there are no readout flips.
+  64-bit seed, so identical inputs give byte-identical counts. A sampling
+  job computes its exact outcome distribution once and then draws one
+  uniform per shot, ``SAMPLE_CHUNK`` at a time, mapping each to its outcome
+  by inverse-CDF lookup in the cumulative distribution. Memory is therefore
+  independent of the shot count, merged counts do not depend on how shots
+  are chunked, and an s-shot job's outcomes are the first s outcomes of any
+  larger job at the same seed, with or without noise.
 * Gate noise: after each gate, with the configured depolarizing probability
   (``depol_ctrl`` for controlled gates, ``depol_1q`` otherwise), one Pauli
-  chosen uniformly from {X, Y, Z} is applied to the gate's target qubit.
-  ``readout_flip`` flips each measured bit independently. With gate noise
-  every shot is simulated as its own statevector trajectory, which needs
-  O(shots x 2^n) memory; jobs whose estimate exceeds
-  ``TRAJECTORY_BUDGET_BYTES`` are rejected with ``DomainError`` before
-  anything is allocated.
+  chosen uniformly from {X, Y, Z} hits the gate's target qubit; that is
+  the uniform Pauli channel on the target. Without gate noise the
+  distribution is the Born rule of the final statevector. With it, the
+  density matrix is evolved exactly as a tensor with one row axis and one
+  column axis per qubit. A qubit's axes stay of size 1 (it is |0><0|) until
+  an op first touches it. Once a qubit will never be a gate target again,
+  later ops use it at most as a control and it is measured in Z, so only
+  the diagonal of its block is ever read: it is dephased then, its column
+  axis shrinking to size 1, which leaves the outcome distribution exactly
+  unchanged. A batch circuit thereby keeps one 2x2 data-qubit block per
+  control branch.
+* ``readout_flip`` flips each measured bit independently; it is folded into
+  the distribution as the per-qubit confusion map [[1-f, f], [f, 1-f]].
 * Counts are an integer histogram over the 2^n outcome indices
   (``ShotResult.hist``); bitstring keys exist only as a view for display.
 """
@@ -46,17 +45,13 @@ import numpy as np
 
 from .circuit import Circuit, GateOp
 from .errors import DomainError, NumericError, ShapeError
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z
+from .linalg import PAULI_X
 from .rotation import gate_rx, gate_ry, gate_rz
 
 _MASK64 = (1 << 64) - 1
 
-# Shots drawn and looked up at a time on the noiseless path.
+# Shots drawn and looked up at a time.
 SAMPLE_CHUNK = 1 << 16
-
-# Working-memory budget of the trajectory sampler, in bytes; see
-# ``trajectory_bytes`` for the estimate it bounds.
-TRAJECTORY_BUDGET_BYTES = 2 << 30
 
 _CONST_GATES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
@@ -219,18 +214,10 @@ def marginal_counts(hist: np.ndarray, qubit: int) -> np.ndarray:
     return hist.reshape(-1, 2, 1 << qubit).sum(axis=(0, 2))
 
 
-def _born_outcomes(states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    probs = np.abs(states) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
-    return np.minimum((u[:, None] >= cum).sum(axis=1), states.shape[1] - 1)
-
-
-def _ideal_outcomes(final: np.ndarray, shots: int, rng: np.random.Generator):
-    """Yield Born-rule outcome indices of ``final`` for ``shots`` shots, at
-    most SAMPLE_CHUNK at a time; ``side="right"`` counts the cumulative
-    probabilities <= u, the same comparisons as ``_born_outcomes``."""
-    probs = np.abs(final) ** 2
+def _outcomes(probs: np.ndarray, shots: int, rng: np.random.Generator):
+    """Yield outcome indices drawn from ``probs`` for ``shots`` shots, at
+    most SAMPLE_CHUNK at a time, one uniform per shot; ``side="right"``
+    counts the cumulative probabilities <= u."""
     cum = np.cumsum(probs / probs.sum())
     for start in range(0, shots, SAMPLE_CHUNK):
         u = rng.random(min(SAMPLE_CHUNK, shots - start))
@@ -238,52 +225,89 @@ def _ideal_outcomes(final: np.ndarray, shots: int, rng: np.random.Generator):
         yield np.minimum(idx, cum.size - 1, out=idx)
 
 
-def _flip_readout(outcomes: np.ndarray, n: int, p: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    flips = rng.random((outcomes.size, n)) < p
-    return outcomes ^ (flips.astype(np.int64) << np.arange(n)).sum(axis=1)
+def _confuse_readout(probs: np.ndarray, n: int, f: float) -> np.ndarray:
+    """Fold independent per-qubit readout flips of probability ``f`` into an
+    outcome distribution; with f = 0 every value is returned unchanged."""
+    t = probs.reshape((2,) * n)
+    for axis in range(n):
+        t = (1.0 - f) * t + f * np.flip(t, axis)
+    return t.reshape(-1)
 
 
-def trajectory_bytes(shots: int, n: int, num_gates: int) -> int:
-    """Estimated working memory of ``_sample_trajectories`` in bytes: per
-    shot, three complex statevectors (the state, a gate's output, and the
-    Born probabilities with their cumulative sums) plus two float64 noise
-    uniforms per gate."""
-    return shots * (3 * (1 << n) * 16 + 2 * num_gates * 8)
+def _at(ndim: int, picks: dict) -> tuple:
+    """Index tuple selecting ``picks[axis]`` on the given axes, all of the rest."""
+    index = [slice(None)] * ndim
+    for axis, pick in picks.items():
+        index[axis] = pick
+    return tuple(index)
 
 
-def _sample_trajectories(ops, n: int, shots: int, noise: NoiseModel,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Per-shot stochastic-Pauli trajectories, vectorized across shots."""
-    dim = 1 << n
-    num_gates = len(ops)
-    need = trajectory_bytes(shots, n, num_gates)
-    if need > TRAJECTORY_BUDGET_BYTES:
-        raise DomainError(
-            f"noisy sampling of {shots} shots over {dim} outcomes needs about "
-            f"{need / 2**30:.1f} GiB, above the {TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB "
-            "budget; use fewer shots or vectors, or no gate noise")
-    fire = rng.random((shots, num_gates))
-    which = rng.random((shots, num_gates))
-    u_meas = rng.random(shots)
-    states = np.zeros((shots, dim), dtype=complex)
-    states[:, 0] = 1.0
-    t = states.reshape((shots,) + (2,) * n)
-    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+def _widen(rho: np.ndarray, axis: int) -> np.ndarray:
+    """Grow a size-1 axis that holds index 0 to size 2, with zeros at index 1."""
+    return np.concatenate((rho, np.zeros_like(rho)), axis=axis)
+
+
+def _block(rho: np.ndarray, r: int, c: int, i: int, j: int) -> np.ndarray:
+    """View of entry (i, j) of one qubit's 2x2 block, the qubit with row axis
+    ``r`` and column axis ``c``; slices keep it a view even of one element."""
+    return rho[_at(rho.ndim, {r: slice(i, i + 1), c: slice(j, j + 1)})]
+
+
+def _pauli_channel(rho: np.ndarray, r: int, c: int, p: float) -> None:
+    """Uniform Pauli channel of probability ``p`` in place, on the qubit with
+    row axis ``r`` and column axis ``c``: (1 - p) rho + (p/3)(X rho X +
+    Y rho Y + Z rho Z), in closed form on its 2x2 block."""
+    d0, d1 = _block(rho, r, c, 0, 0), _block(rho, r, c, 1, 1)
+    mix = (2.0 * p / 3.0) * (d1 - d0)
+    d0 += mix
+    d1 -= mix
+    _block(rho, r, c, 0, 1)[...] *= 1.0 - 4.0 * p / 3.0
+    _block(rho, r, c, 1, 0)[...] *= 1.0 - 4.0 * p / 3.0
+
+
+def _density_probs(ops, n: int, noise: NoiseModel) -> np.ndarray:
+    """Exact outcome probabilities of ``ops`` applied to |0...0> under the
+    gate noise of ``noise`` (readout flips are not applied here).
+
+    Qubit q has row axis n - 1 - q and column axis 2n - 1 - q. See the module
+    docstring for when an axis has size 1.
+    """
+    last_target = {op.target: g for g, op in enumerate(ops)}
+    rho = np.ones((1,) * (2 * n), dtype=complex)
     for g, op in enumerate(ops):
-        t = _apply_matrix(t, _gate_matrix(op), op.target, n, op.controls)
+        for q in (op.target, *(q for q, _ in op.controls)):
+            if rho.shape[n - 1 - q] == 1:
+                rho = _widen(rho, n - 1 - q)
+                if last_target.get(q, -1) >= g:
+                    rho = _widen(rho, 2 * n - 1 - q)
+        # Controlled gate: U on the rows where each control's row index is
+        # its trigger, conj(U) on the columns where its column index is. A
+        # dephased control has no column axis of its own; its row index
+        # stands for both.
+        rows, cols = {}, {}
+        for q, trig in op.controls:
+            r, c = n - 1 - q, 2 * n - 1 - q
+            rows[r] = slice(trig, trig + 1)
+            cols[c if rho.shape[c] == 2 else r] = slice(trig, trig + 1)
+        r, c = n - 1 - op.target, 2 * n - 1 - op.target
+        mat = _gate_matrix(op)
+        sel = _at(rho.ndim, rows)
+        rho[sel] = _matmul_axis(rho[sel], mat, r)
+        sel = _at(rho.ndim, cols)
+        rho[sel] = _matmul_axis(rho[sel], mat.conj(), c)
         p = noise.depol_ctrl if op.controls else noise.depol_1q
-        if p <= 0.0:
-            continue
-        hit = fire[:, g] < p
-        if not hit.any():
-            continue
-        pick = np.minimum((which[:, g] * 3).astype(int), 2)
-        for k, pauli in enumerate(paulis):
-            rows = hit & (pick == k)
-            if rows.any():
-                t[rows] = _apply_matrix(t[rows], pauli, op.target, n)
-    return _born_outcomes(t.reshape(shots, dim), u_meas)
+        if p > 0.0:
+            _pauli_channel(rho, r, c, p)
+        if last_target[op.target] == g:
+            rho = np.concatenate((_block(rho, r, c, 0, 0), _block(rho, r, c, 1, 1)), axis=r)
+    for q in range(n):
+        if rho.shape[n - 1 - q] == 1:
+            rho = _widen(rho, n - 1 - q)
+    # Every column axis now has size 1: the tensor is the diagonal.
+    probs = rho.real.reshape(-1)
+    if abs(probs.sum() - 1.0) > 1e-10:
+        raise NumericError("density-matrix trace drifted beyond 1e-10")
+    return np.maximum(probs, 0.0)
 
 
 def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
@@ -302,27 +326,15 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     if len(basis) != n:
         raise DomainError(f"expected {n} basis labels, got {len(basis)}")
     all_ops = list(circuit.ops) + _basis_change_ops(basis, n)
-    dim = 1 << n
-    flip = noise.readout_flip
-    rng = _rng(seed)
     if noise.depol_1q == 0.0 and noise.depol_ctrl == 0.0:
-        final = _apply_ops_batched(zero_state(n)[None, :], all_ops, n)[0]
-        if flip > 0.0:
-            # Position a second generator at the readout block, which starts
-            # after the ``shots`` measurement uniforms (4 per Philox counter).
-            flip_rng = _rng(seed)
-            flip_rng.bit_generator.advance(shots // 4)
-            flip_rng.random(shots % 4)
-        hist = np.zeros(dim, dtype=np.int64)
-        for outcomes in _ideal_outcomes(final, shots, rng):
-            if flip > 0.0:
-                outcomes = _flip_readout(outcomes, n, flip, flip_rng)
-            hist += np.bincount(outcomes, minlength=dim)
+        probs = np.abs(_apply_ops_batched(zero_state(n)[None, :], all_ops, n)[0]) ** 2
     else:
-        outcomes = _sample_trajectories(all_ops, n, shots, noise, rng)
-        if flip > 0.0:
-            outcomes = _flip_readout(outcomes, n, flip, rng)
-        hist = np.bincount(outcomes, minlength=dim)
+        probs = _density_probs(all_ops, n, noise)
+    probs = _confuse_readout(probs, n, noise.readout_flip)
+    dim = 1 << n
+    hist = np.zeros(dim, dtype=np.int64)
+    for outcomes in _outcomes(probs, shots, _rng(seed)):
+        hist += np.bincount(outcomes, minlength=dim)
     return ShotResult(basis=basis, hist=hist, shots=int(shots))
 
 

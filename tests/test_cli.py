@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import pytest
 
@@ -203,21 +202,6 @@ class TestMultiCommand:
                            "--angle", "0.5", "--shots", "500")
         assert code == 2
         assert "entry 2" in err
-
-    def test_noisy_cli_maximum_rejected_before_allocating(self, capsys, tmp_path):
-        # 1,024 vectors x 20,000 shots under gate noise would need terabytes
-        # of per-shot trajectories; the pre-flight estimate refuses it.
-        vecs = self._vector_file(tmp_path, [[0.6, 0.0, 0.8]] * 1024)
-        tracemalloc.start()
-        try:
-            code, _, err = run(capsys, "multi", "--vectors", vecs, "--axis", "0,0,1",
-                               "--angle", "0.5", "--shots", "20000", "--noise", "nisq-lite")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 2
-        assert "budget" in err
-        assert peak < 32 * 2**20
 
 
 class TestSeedRange:

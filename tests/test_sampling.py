@@ -1,39 +1,72 @@
-"""Properties of the chunked noiseless sampler and the sampling memory bounds."""
+"""Properties of the sampler: exact outcome distributions with and without
+gate noise, one uniform per shot, and memory that does not grow with shots."""
 
 import math
 import tracemalloc
+from functools import reduce
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2
 
 from qrot import (Circuit, GateOp, MultiRotationPlan, NoiseModel, RotationSpec,
                   VectorBatch, apply, full_circuit, sample, zero_state)
 from qrot import simulator
 from qrot.circuit import GATE_KINDS
+from qrot.experiments import NOISE_PRESETS
+from qrot.linalg import PAULI_X, PAULI_Y, PAULI_Z
+
+from trajectories import trajectory_hist
 
 _BASIS_OPS = {"X": (("H", 0.0),), "Y": (("RZ", -math.pi / 2.0), ("H", 0.0)), "Z": ()}
 
 
+def _measured_ops(circuit, basis):
+    return list(circuit.ops) + [GateOp(kind, q, theta) for q, label in enumerate(basis)
+                                for kind, theta in _BASIS_OPS[label]]
+
+
+def _on_qubit(mat, q, n):
+    """``mat`` on qubit q and the identity elsewhere, as a 2^n x 2^n matrix."""
+    return reduce(np.kron, [mat if k == q else np.eye(2) for k in range(n - 1, -1, -1)])
+
+
+def dense_channel_probs(ops, n, noise):
+    """Diagonal of the 2^n x 2^n density matrix after ``ops`` from |0...0>,
+    each gate followed by (1 - p) rho + (p/3) sum_P P rho P on its target."""
+    dim = 1 << n
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    for op in ops:
+        # Row j of the batched evolution of the identity is U e_j.
+        u = simulator._apply_ops_batched(np.eye(dim, dtype=complex), [op], n).T
+        rho = u @ rho @ u.conj().T
+        p = noise.depol_ctrl if op.controls else noise.depol_1q
+        paulis = [_on_qubit(m, op.target, n) for m in (PAULI_X, PAULI_Y, PAULI_Z)]
+        rho = (1.0 - p) * rho + (p / 3.0) * sum(m @ rho @ m for m in paulis)
+    return np.diag(rho).real
+
+
 def reference_outcomes(circuit, basis, shots, noise, seed):
-    """The broadcast sampler that the chunked one replaced, kept as an oracle:
-    shots x 2^n probabilities, cumulative sums and comparisons, then
-    readout flips drawn after every measurement uniform."""
+    """The broadcast sampler, kept as an oracle: exact outcome probabilities
+    (Born rule of the final state, or the dense density matrix under gate
+    noise) times the Kronecker product of the readout confusion matrices,
+    then shots x 2^n cumulative sums compared with one uniform per shot."""
     n = circuit.num_qubits
-    change = [GateOp(kind, q, theta) for q, label in enumerate(basis)
-              for kind, theta in _BASIS_OPS[label]]
-    final = apply(circuit.extended(change), zero_state(n))
+    ops = _measured_ops(circuit, basis)
+    if noise.depol_1q == 0.0 and noise.depol_ctrl == 0.0:
+        probs = np.abs(apply(Circuit(n, ops), zero_state(n))) ** 2
+    else:
+        probs = dense_channel_probs(ops, n, noise)
+    f = noise.readout_flip
+    probs = reduce(np.kron, [np.array([[1.0 - f, f], [f, 1.0 - f]])] * n) @ probs
     rng = np.random.Generator(np.random.Philox(key=seed))
-    states = np.broadcast_to(final, (shots, 1 << n))
-    probs = np.abs(states) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
+    probs = np.broadcast_to(probs, (shots, 1 << n))
+    cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
     u = rng.random(shots)
-    outcomes = np.minimum((u[:, None] >= cum).sum(axis=1), (1 << n) - 1)
-    if noise.readout_flip > 0.0:
-        flips = rng.random((shots, n)) < noise.readout_flip
-        outcomes = outcomes ^ (flips.astype(np.int64) << np.arange(n)).sum(axis=1)
-    return outcomes
+    return np.minimum((u[:, None] >= cum).sum(axis=1), (1 << n) - 1)
 
 
 @st.composite
@@ -55,11 +88,13 @@ def jobs(draw, max_qubits=6):
 
 
 seeds = st.integers(0, 2**64 - 1)
-readout = st.sampled_from([0.0, 0.03, 0.5]).map(lambda p: NoiseModel(readout_flip=p))
+depol = st.sampled_from([0.0, 0.01, 0.3, 1.0])
+gate_noise = st.builds(NoiseModel, depol, depol)
+noises = st.builds(NoiseModel, depol, depol, st.sampled_from([0.0, 0.03, 0.5]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(job=jobs(), shots=st.integers(1, 3000), noise=readout, seed=seeds)
+@given(job=jobs(), shots=st.integers(1, 3000), noise=noises, seed=seeds)
 def test_counts_match_broadcast_sampler(job, shots, noise, seed):
     circuit, basis = job
     expected = np.bincount(reference_outcomes(circuit, basis, shots, noise, seed),
@@ -68,7 +103,7 @@ def test_counts_match_broadcast_sampler(job, shots, noise, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(job=jobs(), shots=st.integers(1, 700), noise=readout, seed=seeds)
+@given(job=jobs(), shots=st.integers(1, 700), noise=noises, seed=seeds)
 def test_counts_do_not_depend_on_chunk_size(job, shots, noise, seed):
     circuit, basis = job
     hists = []
@@ -80,39 +115,102 @@ def test_counts_do_not_depend_on_chunk_size(job, shots, noise, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(job=jobs(), sizes=st.lists(st.integers(1, 3000), min_size=2, max_size=2),
-       seed=seeds)
-def test_smaller_job_is_prefix_of_larger(job, sizes, seed):
+       noise=noises, seed=seeds)
+def test_smaller_job_is_prefix_of_larger(job, sizes, noise, seed):
     circuit, basis = job
     small, large = sorted(sizes)
-    outcomes = reference_outcomes(circuit, basis, large, simulator.NOISELESS, seed)
+    outcomes = reference_outcomes(circuit, basis, large, noise, seed)
     assert np.array_equal(
-        sample(circuit, basis, small, seed=seed).hist,
+        sample(circuit, basis, small, noise, seed).hist,
         np.bincount(outcomes[:small], minlength=1 << circuit.num_qubits))
 
 
+@settings(max_examples=60, deadline=None)
+@given(job=jobs())
+def test_density_path_without_gate_noise_is_born_rule(job):
+    circuit, basis = job
+    ops = _measured_ops(circuit, basis)
+    n = circuit.num_qubits
+    born = np.abs(apply(Circuit(n, ops), zero_state(n))) ** 2
+    probs = simulator._density_probs(ops, n, simulator.NOISELESS)
+    assert np.max(np.abs(probs - born)) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(job=jobs(), noise=gate_noise)
+def test_density_path_matches_dense_channel(job, noise):
+    circuit, basis = job
+    ops = _measured_ops(circuit, basis)
+    n = circuit.num_qubits
+    probs = simulator._density_probs(ops, n, noise)
+    assert np.max(np.abs(probs - dense_channel_probs(ops, n, noise))) <= 1e-14
+
+
+# Significance level of the two-sample chi-square tests against the
+# trajectory oracle, fixed before any of them was run.
+CHI2_ALPHA = 1e-4
+
+
+def assert_same_distribution(a, b):
+    """Chi-square test that two equal-size histograms share a distribution;
+    bins holding fewer than 20 shots of both are pooled into one."""
+    assert a.sum() == b.sum()
+    small = a + b < 20
+    a = np.append(a[~small], a[small].sum())
+    b = np.append(b[~small], b[small].sum())
+    keep = a + b > 0
+    a, b = a[keep], b[keep]
+    stat = float(np.sum((a - b) ** 2 / (a + b)))
+    p_value = chi2.sf(stat, a.size - 1)
+    assert p_value >= CHI2_ALPHA, f"chi2 {stat:.1f} on {a.size - 1} dof, p = {p_value:.2g}"
+
+
+def _batch_circuit(count, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(count, 3))
+    batch = VectorBatch(v / np.linalg.norm(v, axis=1, keepdims=True))
+    return full_circuit(MultiRotationPlan(batch, RotationSpec(np.array([0.0, 0.6, 0.8]), 1.0)))
+
+
+@pytest.mark.parametrize("data_basis", "XYZ")
+def test_nisq_batch_matches_trajectories(data_basis):
+    circuit = _batch_circuit(16, 8)
+    basis = (data_basis,) + ("Z",) * (circuit.num_qubits - 1)
+    noise = NOISE_PRESETS["nisq-lite"]
+    shots = 20000
+    assert_same_distribution(sample(circuit, basis, shots, noise, 21).hist,
+                             trajectory_hist(circuit, basis, shots, noise, 22))
+
+
+@pytest.mark.parametrize("basis", [("Z", "Z", "Z"), ("X", "Y", "Z"), ("Y", "X", "X")])
+def test_reused_control_matches_trajectories(basis):
+    # Qubit 1 controls two gates while coherent and is then rotated, so the
+    # off-diagonal blocks of a control reach the outcome distribution.
+    circuit = Circuit(3, (GateOp("H", 1), GateOp("RX", 2, 0.8),
+                          GateOp("RY", 0, 1.9, ((1, 1),)),
+                          GateOp("RX", 2, 1.3, ((1, 0),)),
+                          GateOp("RY", 1, 0.6), GateOp("H", 0, 0.0, ((2, 1),)),
+                          GateOp("RZ", 1, 2.2, ((0, 0),))))
+    noise = NoiseModel(0.05, 0.1, 0.04)
+    shots = 20000
+    assert_same_distribution(sample(circuit, basis, shots, noise, 31).hist,
+                             trajectory_hist(circuit, basis, shots, noise, 32))
+
+
 def test_several_default_chunks_with_readout_flips():
-    # More than one SAMPLE_CHUNK and a shot count that is not a multiple of 4,
-    # so the readout generator starts mid-counter.
+    # More than one SAMPLE_CHUNK and a short last chunk, under gate noise.
     circuit = Circuit(3, (GateOp("H", 0), GateOp("RY", 1, 0.7, ((0, 1),)),
                           GateOp("RX", 2, 2.1)))
     shots = 2 * simulator.SAMPLE_CHUNK + 3
-    noise = NoiseModel(readout_flip=0.07)
+    noise = NoiseModel(0.02, 0.05, 0.07)
     expected = np.bincount(reference_outcomes(circuit, ("X", "Z", "Y"), shots, noise, 99),
                            minlength=8)
     assert np.array_equal(sample(circuit, ("X", "Z", "Y"), shots, noise, 99).hist,
                           expected)
 
 
-def _wide_circuit():
-    """The 9-qubit circuit of a 256-vector batch."""
-    rng = np.random.default_rng(5)
-    v = rng.normal(size=(256, 3))
-    batch = VectorBatch(v / np.linalg.norm(v, axis=1, keepdims=True))
-    return full_circuit(MultiRotationPlan(batch, RotationSpec(np.array([0.0, 0.6, 0.8]), 1.0)))
-
-
 def test_noiseless_sample_memory_does_not_grow_with_shots():
-    circuit = _wide_circuit()
+    circuit = _batch_circuit(256, 5)
     basis = ("X",) + ("Z",) * 8
     for shots in (128_000, 1_280_000):
         tracemalloc.start()
@@ -126,13 +224,17 @@ def test_noiseless_sample_memory_does_not_grow_with_shots():
         assert peak < 4 * 2**20, f"{shots} shots peaked at {peak / 2**20:.1f} MiB"
 
 
-def test_largest_noisy_roadmap_job_fits_trajectory_budget():
-    # multi at 64 vectors x 2000 shots under nisq-lite: the widest noisy
-    # job the benchmark plan names must stay runnable.
-    rng = np.random.default_rng(6)
-    v = rng.normal(size=(64, 3))
-    batch = VectorBatch(v / np.linalg.norm(v, axis=1, keepdims=True))
-    circuit = full_circuit(MultiRotationPlan(batch, RotationSpec(np.array([1.0, 0.0, 0.0]), 1.0)))
-    gates = len(circuit.ops) + 2    # plus the Y-basis change
-    need = simulator.trajectory_bytes(2000 * 64, circuit.num_qubits, gates)
-    assert need <= simulator.TRAJECTORY_BUDGET_BYTES
+def test_noisy_cli_maximum_sample_memory_bound():
+    # The widest noisy batch the CLI accepts, 1,024 vectors on 11 qubits.
+    # Dephased after their Hadamards, the controls leave 2^10 data-qubit
+    # 2x2 blocks, 64 KiB; an undephased 4^11 tensor alone would be 64 MiB.
+    circuit = _batch_circuit(1024, 6)
+    basis = ("Y",) + ("Z",) * 10
+    tracemalloc.start()
+    try:
+        res = sample(circuit, basis, 1000, NOISE_PRESETS["nisq-lite"], seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.hist.sum() == 1000
+    assert peak < 16 * 2**20, f"peaked at {peak / 2**20:.1f} MiB"

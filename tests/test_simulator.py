@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qrot import (Circuit, DomainError, GateOp, NoiseModel,
+from qrot import (Circuit, DomainError, GateOp, NoiseModel, NumericError,
                   ShapeError, ShotResult, apply, axis_rotation_sequence,
                   derive_seed, expectation_from_counts, initialization_ops,
                   kron, rodrigues_rotate, sample, state_to_bloch, zero_state)
+from qrot import simulator
 from qrot.rotation import gate_ry
 
 from conftest import WORKED_ROTATED, WORKED_VECTOR
@@ -179,9 +180,9 @@ class TestNoise:
         assert a.counts == b.counts
 
     def test_inert_trajectory_path_matches_born_statistics(self):
-        # depol_ctrl > 0 forces the trajectory path, but a circuit without
-        # controlled gates draws no noise; frequencies must match the exact
-        # Born probability within 5 sigma.
+        # depol_ctrl > 0 forces the density-matrix path, but a circuit
+        # without controlled gates meets no noise; frequencies must match the
+        # exact Born probability within 5 sigma.
         circuit = Circuit(1, (GateOp("RY", 0, 0.9),))
         shots = 20000
         res = sample(circuit, ("Z",), shots, NoiseModel(0.0, 0.7, 0.0), seed=10)
@@ -223,6 +224,14 @@ class TestNoise:
         res = sample(circuit, ("Z", "Z"), shots, NoiseModel(0.0, 1.0, 0.0), seed=13)
         z = expectation_from_counts(res, 0)
         assert abs(z - 1.0 / 3.0) <= 5.0 / math.sqrt(shots)
+
+    def test_density_trace_drift_raises(self, monkeypatch):
+        # A gate that is not unitary changes the trace; the density path
+        # refuses to sample from it instead of renormalizing.
+        monkeypatch.setattr(simulator, "_gate_matrix",
+                            lambda op: 1.01 * np.eye(2, dtype=complex))
+        with pytest.raises(NumericError):
+            sample(H, ("Z",), 10, NoiseModel(depol_1q=0.1), seed=1)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,62 @@
+"""Per-shot stochastic Pauli trajectories, kept as a test oracle.
+
+This is the sampler that the exact density-matrix path of
+``simulator.sample`` replaced. Every shot is its own statevector: after each
+gate, a uniform ``fire`` below the gate's depolarizing probability applies
+one Pauli, picked by a second uniform from {X, Y, Z}, to the target; then
+one uniform per shot picks the Born outcome and readout flips are drawn per
+shot and qubit. Memory grows as shots x 2^n, so keep jobs small.
+"""
+
+import numpy as np
+
+from qrot import Circuit
+from qrot import simulator
+from qrot.linalg import PAULI_X, PAULI_Y, PAULI_Z
+
+
+def born_outcomes(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome index of each row of ``states`` for its uniform in ``u``."""
+    probs = np.abs(states) ** 2
+    probs /= probs.sum(axis=1, keepdims=True)
+    cum = np.cumsum(probs, axis=1)
+    return np.minimum((u[:, None] >= cum).sum(axis=1), states.shape[1] - 1)
+
+
+def flip_readout(outcomes: np.ndarray, n: int, p: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    flips = rng.random((outcomes.size, n)) < p
+    return outcomes ^ (flips.astype(np.int64) << np.arange(n)).sum(axis=1)
+
+
+def sample_trajectories(ops, n: int, shots: int, noise, rng) -> np.ndarray:
+    """Outcome index per shot of ``ops`` from |0...0>, one trajectory each."""
+    dim = 1 << n
+    fire = rng.random((shots, len(ops)))
+    which = rng.random((shots, len(ops)))
+    u_meas = rng.random(shots)
+    states = np.zeros((shots, dim), dtype=complex)
+    states[:, 0] = 1.0
+    t = states.reshape((shots,) + (2,) * n)
+    for g, op in enumerate(ops):
+        t = simulator._apply_matrix(t, simulator._gate_matrix(op), op.target, n,
+                                    op.controls)
+        p = noise.depol_ctrl if op.controls else noise.depol_1q
+        hit = fire[:, g] < p
+        pick = np.minimum((which[:, g] * 3).astype(int), 2)
+        for k, pauli in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
+            rows = hit & (pick == k)
+            if rows.any():
+                t[rows] = simulator._apply_matrix(t[rows], pauli, op.target, n)
+    return born_outcomes(t.reshape(shots, dim), u_meas)
+
+
+def trajectory_hist(circuit: Circuit, basis, shots: int, noise, seed: int) -> np.ndarray:
+    """Outcome histogram of the trajectory sampler, as ``sample`` measures it."""
+    n = circuit.num_qubits
+    ops = list(circuit.ops) + simulator._basis_change_ops(basis, n)
+    rng = simulator._rng(seed)
+    outcomes = sample_trajectories(ops, n, shots, noise, rng)
+    if noise.readout_flip > 0.0:
+        outcomes = flip_readout(outcomes, n, noise.readout_flip, rng)
+    return np.bincount(outcomes, minlength=1 << n)
