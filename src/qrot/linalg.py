@@ -1,9 +1,9 @@
 """Dense complex linear algebra on small matrices.
 
-Everything works on plain numpy arrays (complex128, row-major), with numpy for
-storage and elementwise arithmetic only. 2x2 problems use closed forms; the
-self-contained cyclic Jacobi eigensolver serves the 4x4 Choi projection and
-the readout-calibration conditioning check.
+Everything works on plain numpy arrays (complex128, row-major). 2x2 problems
+use closed forms: the polar unitary and the singular values behind it, which
+the readout-calibration conditioning check shares. The one eigensolver,
+``eig_hermitian``, is LAPACK's ``eigh`` and serves the 4x4 Choi projection.
 """
 
 from __future__ import annotations
@@ -83,73 +83,35 @@ def align_global_phase(reference, m) -> np.ndarray:
     return m * (np.conj(z) / abs(z))
 
 
-def eig_hermitian(m, *, hermiticity_tol: float = 1e-8,
-                  max_sweeps: int = 100, off_tol: float = 1e-12):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def eig_hermitian(m):
+    """Eigendecomposition of a Hermitian matrix by LAPACK's ``eigh``.
 
     Returns ``(values, vectors)`` with eigenvalues sorted descending and the
     eigenvectors as columns of a unitary matrix, so that
-    ``m == vectors @ diag(values) @ vectors.conj().T``.
-
-    Each step phase-rotates the (p, q) pivot into a real symmetric 2x2
-    subproblem and annihilates the off-diagonal entry with a classical
-    Jacobi rotation. Convergence is quadratic; a handful of sweeps suffices
-    for the dimensions used here. Raises NumericError if the off-diagonal
-    mass has not dropped below ``off_tol`` (relative to the largest input
-    entry) after ``max_sweeps`` sweeps.
+    ``m == vectors @ diag(values) @ vectors.conj().T``. Raises DomainError
+    when ``m`` is further than 1e-8 from its conjugate transpose.
     """
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"eigendecomposition requires a square matrix, got {a.shape}")
-    if max_abs(a - dagger(a)) > hermiticity_tol:
+    if max_abs(a - dagger(a)) > 1e-8:
         raise DomainError("matrix is not Hermitian within tolerance")
-    a = (a + dagger(a)) / 2.0
-    d = a.shape[0]
-    v = np.eye(d, dtype=complex)
+    values, vectors = np.linalg.eigh((a + dagger(a)) / 2.0)
+    return values[::-1], vectors[:, ::-1]
 
-    threshold = off_tol * max(1.0, max_abs(a))
-    for _ in range(max_sweeps):
-        if max_abs(np.triu(a, 1)) <= threshold:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= threshold:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # 2x2 unitary diag(1, conj(phase)) . [[c, s], [-s, c]]
-                w_pp, w_pq = c, s
-                w_qp, w_qq = -s * np.conj(phase), c * np.conj(phase)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = col_p * w_pp + col_q * w_qp
-                a[:, q] = col_p * w_pq + col_q * w_qq
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = np.conj(w_pp) * row_p + np.conj(w_qp) * row_q
-                a[q, :] = np.conj(w_pq) * row_p + np.conj(w_qq) * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = vcol_p * w_pp + vcol_q * w_qp
-                v[:, q] = vcol_p * w_pq + vcol_q * w_qq
-    if max_abs(np.triu(a, 1)) > threshold:
-        raise NumericError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
 
-    values = np.real(np.diag(a)).copy()
-    order = np.argsort(-values, kind="stable")
-    return values[order], v[:, order]
+def svd_invariants(m) -> tuple[complex, float, float]:
+    """(det m, ||m||_F^2, sigma_max^2) of a 2x2 ``m`` in closed form.
+
+    sigma_max^2 and sigma_min^2 are the roots of x^2 - ||m||_F^2 x + |det m|^2,
+    and sigma_max sigma_min = |det m|, so sigma_max / sigma_min =
+    sigma_max^2 / |det m|.
+    """
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    fro2 = float(np.sum(np.abs(m) ** 2))
+    abs_det = abs(det)
+    smax2 = 0.5 * (fro2 + np.sqrt(max(fro2 * fro2 - 4.0 * abs_det * abs_det, 0.0)))
+    return det, fro2, smax2
 
 
 def polar_unitary(m) -> np.ndarray:
@@ -162,11 +124,8 @@ def polar_unitary(m) -> np.ndarray:
     m = _as_matrix(m)
     if m.shape != (2, 2):
         raise ShapeError(f"polar unitary requires a 2x2 matrix, got {m.shape}")
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    det, fro2, smax2 = svd_invariants(m)
     abs_det = abs(det)
-    fro2 = float(np.sum(np.abs(m) ** 2))
-    # sigma_max^2 and sigma_min^2 are the roots of x^2 - fro2 x + |det m|^2.
-    smax2 = 0.5 * (fro2 + np.sqrt(max(fro2 * fro2 - 4.0 * abs_det * abs_det, 0.0)))
     if abs_det * abs_det <= 1e-24 * max(smax2, 1.0) * smax2:
         raise NumericError("matrix is numerically singular; polar unitary factor undefined")
     adj_dagger = np.array([[m[1, 1], -m[1, 0]], [-m[0, 1], m[0, 0]]]).conj()

@@ -76,10 +76,6 @@ class NoiseModel:
             if not 0.0 <= p <= 1.0:
                 raise DomainError(f"{name} must be a probability in [0, 1], got {p!r}")
 
-    @property
-    def is_noiseless(self) -> bool:
-        return self.depol_1q == 0.0 and self.depol_ctrl == 0.0 and self.readout_flip == 0.0
-
 
 NOISELESS = NoiseModel()
 

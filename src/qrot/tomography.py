@@ -14,6 +14,11 @@ semidefinite at trace 2, and reads the channel's Kraus operators off the
 eigendecomposition: K_i = sqrt(lambda_i) * column-major reshape of the i-th
 eigenvector. The reconstructed unitary is the polar-unitary factor of the
 dominant Kraus operator.
+
+Readout mitigation is one-qubit: a 2x2 confusion matrix from two
+prepare-and-measure runs, checked for conditioning by its closed-form
+singular values, and inverted per basis by a closed-form nonnegative least
+squares solve.
 """
 
 from __future__ import annotations
@@ -22,12 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .circuit import Circuit, GateOp
 from .errors import DomainError, NumericError, ShapeError
 from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, dagger, eig_hermitian,
-                     is_unitary, max_abs, polar_unitary, trace)
+                     is_unitary, max_abs, polar_unitary, svd_invariants, trace)
 from .rotation import RotationSpec, ErParams, axis_rotation_sequence, erp_from_unitary
 from .simulator import (BASIS_LABELS, NoiseModel, ShotResult, derive_seed,
                         marginal_counts, sample)
@@ -239,31 +243,25 @@ def erp_from_tomography(spec: RotationSpec, shots: int = 20000,
     return erp_from_unitary(result.unitary, unitarity_tol=1e-3)
 
 
-def calibrate_readout(noise: NoiseModel | None, shots: int, seed: int = 0,
-                      num_qubits: int = 1) -> np.ndarray:
-    """Estimate the readout confusion matrix by prepare-and-measure runs.
+def calibrate_readout(noise: NoiseModel | None, shots: int, seed: int = 0) -> np.ndarray:
+    """Estimate the one-qubit readout confusion matrix by prepare-and-measure
+    runs of ``shots`` each.
 
-    Column j holds the outcome frequencies observed when basis state j is
-    prepared; columns sum to 1 exactly.
+    Column j holds the outcome frequencies observed when |j> is prepared;
+    columns sum to 1 exactly.
     """
-    if num_qubits < 1:
-        raise DomainError(f"num_qubits must be >= 1, got {num_qubits}")
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}")
-    dim = 1 << num_qubits
-    cal = np.zeros((dim, dim))
-    for j in range(dim):
-        prep = tuple(GateOp("X", q) for q in range(num_qubits) if (j >> q) & 1)
-        cal[:, j] = sample(Circuit(num_qubits, prep), ("Z",) * num_qubits, shots,
-                           noise, derive_seed(seed, j)).hist
+    cal = np.zeros((2, 2))
+    for j, prep in enumerate(((), (GateOp("X", 0),))):
+        cal[:, j] = sample(Circuit(1, prep), ("Z",), shots, noise, derive_seed(seed, j)).hist
     return cal / shots
 
 
 def _conditioned(cal: np.ndarray) -> np.ndarray:
     """``cal`` itself, once its condition number is checked to be below 1e8."""
-    gram_values, _ = eig_hermitian(cal.T @ cal)
-    smallest = float(gram_values[-1])
-    if smallest <= 0.0 or math.sqrt(gram_values[0] / smallest) > 1e8:
+    det, _, smax2 = svd_invariants(cal)
+    if det == 0.0 or smax2 > 1e8 * abs(det):
         raise NumericError("calibration matrix is numerically singular")
     return cal
 
@@ -271,11 +269,23 @@ def _conditioned(cal: np.ndarray) -> np.ndarray:
 def _mitigation_calibration(mitigate: bool, noise: NoiseModel | None, shots: int,
                             seed: int) -> np.ndarray | None:
     """The checked one-qubit readout calibration, or None without mitigation."""
-    return _conditioned(calibrate_readout(noise, shots, seed, 1)) if mitigate else None
+    return _conditioned(calibrate_readout(noise, shots, seed)) if mitigate else None
 
 
 def _nnls_frequencies(freqs: np.ndarray, cal) -> np.ndarray:
-    p, _ = nnls(np.asarray(cal, dtype=float), freqs)
+    """min ||cal p - freqs|| over p >= 0 for a nonsingular 2x2 ``cal``, in
+    closed form (Lawson & Hanson 1974): the unconstrained solve when it is
+    nonnegative, else the minimum lies on an edge p_j = 0, so take the better
+    of the two one-column fits clamped at 0. Then clip and renormalize."""
+    cal = np.asarray(cal, dtype=float)
+    (a, b), (c, d) = cal
+    det = a * d - b * c
+    p = np.array([d * freqs[0] - b * freqs[1], a * freqs[1] - c * freqs[0]]) / det
+    if p[0] < 0.0 or p[1] < 0.0:
+        x = np.maximum(cal.T @ freqs / np.sum(cal * cal, axis=0), 0.0)
+        j = int(np.argmin(np.sum((freqs[:, None] - cal * x) ** 2, axis=0)))
+        p = np.zeros(2)
+        p[j] = x[j]
     p = np.clip(p, 0.0, None)
     total = p.sum()
     if total <= 0.0:
@@ -284,19 +294,20 @@ def _nnls_frequencies(freqs: np.ndarray, cal) -> np.ndarray:
 
 
 def mitigate_frequencies(freqs, cal) -> np.ndarray:
-    """Solve cal @ p = freqs by nonnegative least squares; p is clipped to
-    >= 0 and renormalized to sum 1."""
+    """Solve cal @ p = freqs for one qubit's two outcome frequencies by
+    nonnegative least squares, given a 2x2 calibration from
+    ``calibrate_readout``; p is clipped to >= 0 and renormalized to sum 1.
+    Raises ShapeError for any other shape and NumericError when ``cal`` has
+    a condition number above 1e8."""
     cal = np.asarray(cal, dtype=float)
     freqs = np.asarray(freqs, dtype=float).reshape(-1)
-    if cal.ndim != 2 or cal.shape[0] != cal.shape[1]:
-        raise ShapeError(f"calibration matrix must be square, got {cal.shape}")
-    if freqs.shape[0] != cal.shape[0]:
-        raise ShapeError(
-            f"frequency vector of length {freqs.shape[0]} does not match "
-            f"calibration dimension {cal.shape[0]}")
+    if cal.shape != (2, 2):
+        raise ShapeError(f"calibration matrix must be 2x2, got {cal.shape}")
+    if freqs.shape != (2,):
+        raise ShapeError(f"expected 2 outcome frequencies, got {freqs.shape[0]}")
     return _nnls_frequencies(freqs, _conditioned(cal))
 
 
 def mitigate_counts(result: ShotResult, cal) -> np.ndarray:
-    """Readout-corrected outcome frequencies for a full shot result."""
+    """Readout-corrected outcome frequencies for a one-qubit shot result."""
     return mitigate_frequencies(result.hist / result.shots, cal)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qrot
 from qrot.cli import main
 
 
@@ -250,3 +255,14 @@ class TestExampleCommand:
         assert payload["erp_classical"] == pytest.approx(
             [0.70710678, 0.57735027, 0.28867513, 0.28867513], abs=1e-8)
         assert payload["oracle"] == pytest.approx([0.7698, 0.14920, 0.62060], abs=1e-4)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test dependency only; a fresh interpreter shows what the CLI loads.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qrot.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
+    code = "import sys, qrot.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

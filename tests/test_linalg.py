@@ -9,6 +9,8 @@ from qrot import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DomainError, NumericError,
                   matmul, polar_unitary, trace)
 from qrot.rotation import gate_ry, gate_rz
 
+import jacobi
+
 
 def max_abs(m):
     return float(np.max(np.abs(m)))
@@ -22,7 +24,7 @@ def random_hermitian(rng, dim):
 def eig_polar_reference(m):
     """The eigendecomposition formula m (m^dagger m)^(-1/2), through the
     Jacobi eigensolver, that ``polar_unitary`` used before its closed form."""
-    values, vectors = eig_hermitian(dagger(m) @ m)
+    values, vectors = jacobi.eig_hermitian(dagger(m) @ m)
     return m @ vectors @ np.diag(np.clip(values, 0.0, None) ** -0.5) @ dagger(vectors)
 
 
@@ -102,13 +104,15 @@ class TestKron:
 
 
 class TestEigHermitian:
+    eig_hermitian = staticmethod(eig_hermitian)
+
     def test_pauli_z(self):
-        values, vectors = eig_hermitian(PAULI_Z)
+        values, vectors = self.eig_hermitian(PAULI_Z)
         assert np.allclose(values, [1.0, -1.0], atol=1e-14)
         assert max_abs(np.abs(vectors) - np.eye(2)) <= 1e-14
 
     def test_pauli_x(self):
-        values, vectors = eig_hermitian(PAULI_X)
+        values, vectors = self.eig_hermitian(PAULI_X)
         assert np.allclose(values, [1.0, -1.0], atol=1e-14)
         plus = np.array([1, 1]) / math.sqrt(2.0)
         minus = np.array([1, -1]) / math.sqrt(2.0)
@@ -116,7 +120,7 @@ class TestEigHermitian:
         assert abs(abs(np.vdot(minus, vectors[:, 1])) - 1.0) <= 1e-12
 
     def test_maximally_mixed(self):
-        values, vectors = eig_hermitian(PAULI_I / 2.0)
+        values, vectors = self.eig_hermitian(PAULI_I / 2.0)
         assert np.allclose(values, [0.5, 0.5])
         assert max_abs(dagger(vectors) @ vectors - np.eye(2)) <= 1e-12
 
@@ -125,7 +129,7 @@ class TestEigHermitian:
         rng = np.random.default_rng(dim)
         for _ in range(5):
             m = random_hermitian(rng, dim)
-            values, vectors = eig_hermitian(m)
+            values, vectors = self.eig_hermitian(m)
             assert max_abs(vectors @ np.diag(values) @ dagger(vectors) - m) <= 1e-8
             assert max_abs(dagger(vectors) @ vectors - np.eye(dim)) <= 1e-10
             assert np.all(np.diff(values) <= 1e-12)
@@ -134,11 +138,25 @@ class TestEigHermitian:
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(DomainError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            self.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
-            eig_hermitian(np.ones((2, 3)))
+            self.eig_hermitian(np.ones((2, 3)))
+
+
+class TestJacobiOracle(TestEigHermitian):
+    """The same contract for the Jacobi oracle that tests compare against."""
+
+    eig_hermitian = staticmethod(jacobi.eig_hermitian)
+
+
+def test_eig_hermitian_resolves_tiny_off_diagonal():
+    # The Jacobi oracle skips off-diagonal entries below 1e-12 and leaves this
+    # matrix 1e-13 away from its reconstruction.
+    m = np.array([[1.0, 1e-13], [1e-13, 2.0]])
+    values, vectors = eig_hermitian(m)
+    assert max_abs(vectors @ np.diag(values) @ dagger(vectors) - m) <= 1e-15
 
 
 class TestPhaseAlignment:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.optimize import nnls
 
 from qrot import (Circuit, DomainError, GateOp, NoiseModel, NumericError,
                   RotationSpec, ShapeError, ShotResult, align_global_phase,
@@ -20,9 +21,18 @@ from qrot.experiments import rotation_circuit
 
 from conftest import WORKED_ROTATED, WORKED_VECTOR, random_spec
 
+import jacobi
+
 
 def max_abs(m):
     return float(np.max(np.abs(m)))
+
+
+def jacobi_smolin_project(mu):
+    """``smolin_project`` with the Jacobi oracle as its eigensolver."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tomography, "eig_hermitian", jacobi.eig_hermitian)
+        return smolin_project(mu)
 
 
 def hermitian_with_spectrum(values, seed=0):
@@ -80,13 +90,14 @@ class TestEstimateQubit:
     @given(tallies=_tallies)
     @example(tallies={"X": (60, 40), "Y": (50, 50), "Z": (70, 30)})    # |r| < 1
     @example(tallies={"X": (100, 0), "Y": (100, 0), "Z": (0, 100)})    # |r| = sqrt(3)
+    @example(tallies={"X": (90, 100), "Y": (90, 100), "Z": (1, 1)})    # |r| = 0.074
     def test_matches_jacobi_reference(self, tallies):
         r, rho, direction = estimate_qubit(tallies)
         # The reference eigenvectors are only as accurate as eps / |r|, the
         # inverse eigenvalue gap, so the bound needs |r| away from 0.
         assume(np.linalg.norm(r) >= 0.05)
-        reference = smolin_project(density_from_bloch(r))
-        _, vectors = eig_hermitian(reference)
+        reference = jacobi_smolin_project(density_from_bloch(r))
+        _, vectors = jacobi.eig_hermitian(reference)
         assert max_abs(rho - reference) <= 1e-14
         assert max_abs(direction - state_to_bloch(vectors[:, 0])) <= 1e-14
 
@@ -277,7 +288,7 @@ class TestErpFromTomography:
 
 class TestCalibration:
     def test_noiseless_is_identity(self):
-        cal = calibrate_readout(None, shots=20000, seed=12, num_qubits=1)
+        cal = calibrate_readout(None, shots=20000, seed=12)
         assert np.array_equal(cal, np.eye(2))
 
     def test_symmetric_flip_channel(self):
@@ -292,9 +303,8 @@ class TestCalibration:
         assert max_abs(cal - 0.5) <= 5.0 * math.sqrt(0.25 / shots)
 
     def test_columns_sum_to_one(self):
-        cal = calibrate_readout(NoiseModel(readout_flip=0.2), 5000, seed=15,
-                                num_qubits=2)
-        assert cal.shape == (4, 4)
+        cal = calibrate_readout(NoiseModel(readout_flip=0.2), 5000, seed=15)
+        assert cal.shape == (2, 2)
         assert np.allclose(cal.sum(axis=0), 1.0, atol=1e-12)
 
 
@@ -323,8 +333,47 @@ class TestMitigation:
         with pytest.raises(NumericError):
             mitigate_frequencies(np.array([0.5, 0.5]),
                                  np.array([[0.5, 0.5], [0.5, 0.5]]))
+        # nonsingular, but with condition number 2e9 > 1e8
+        with pytest.raises(NumericError):
+            mitigate_frequencies(np.array([0.5, 0.5]),
+                                 np.array([[0.5, 0.5 - 5e-10], [0.5, 0.5 + 5e-10]]))
 
     def test_mitigate_counts_wrapper(self):
         result = ShotResult(("Z",), [820, 180], 1000)
         p = mitigate_counts(result, np.array([[0.9, 0.1], [0.1, 0.9]]))
         assert np.allclose(p, [0.9, 0.1], atol=1e-10)
+
+    def test_two_qubit_calibration_rejected(self):
+        with pytest.raises(ShapeError):
+            mitigate_frequencies(np.full(4, 0.25), np.eye(4))
+
+    def test_both_unconstrained_parts_negative(self):
+        # Only inputs with negative entries make both parts of the unconstrained
+        # solve negative (-6, -5 here); clipping that would give all zeros, while
+        # the nonnegative least squares minimum is the column-1 fit (0, 0.941).
+        cal = np.array([[1.0, -1.0], [0.0, 0.1]])
+        p = mitigate_frequencies(np.array([-1.0, -0.5]), cal)
+        assert np.array_equal(p, [0.0, 1.0])
+
+    # Column-stochastic calibrations [[1 - e0, e1], [e0, 1 - e1]] with
+    # det = 1 - e0 - e1 drawn on a log scale, so cond reaches 1e8.
+    @settings(max_examples=500, deadline=None)
+    @given(e0=st.floats(0.0, 1.0), log_det=st.floats(-8.0, 0.0),
+           sign=st.sampled_from([1.0, -1.0]), q=st.floats(0.0, 1.0))
+    @example(e0=0.1, log_det=math.log10(0.8), sign=1.0, q=0.99)   # p1 < 0 unconstrained
+    @example(e0=0.1, log_det=math.log10(0.8), sign=1.0, q=0.01)   # p0 < 0 unconstrained
+    @example(e0=0.6, log_det=math.log10(0.3), sign=-1.0, q=0.9)   # swapped columns, p0 < 0
+    @example(e0=0.6, log_det=math.log10(0.3), sign=-1.0, q=0.2)   # swapped columns, p1 < 0
+    def test_matches_scipy_nnls(self, e0, log_det, sign, q):
+        e1 = 1.0 - e0 - sign * 10.0 ** log_det
+        assume(0.0 <= e1 <= 1.0)
+        cal = np.array([[1.0 - e0, e1], [e0, 1.0 - e1]])
+        cond = np.linalg.cond(cal)
+        # Stay clear of the 1e8 rejection threshold, where the two condition
+        # number formulas may round to opposite sides.
+        assume(cond <= 0.999e8)
+        freqs = np.array([q, 1.0 - q])
+        reference, _ = nnls(cal, freqs)
+        reference = np.clip(reference, 0.0, None)
+        reference /= reference.sum()
+        assert max_abs(mitigate_frequencies(freqs, cal) - reference) <= 1e-15 * cond
