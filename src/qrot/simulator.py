@@ -16,6 +16,11 @@ Conventions
   independent of the shot count, merged counts do not depend on how shots
   are chunked, and an s-shot job's outcomes are the first s outcomes of any
   larger job at the same seed, with or without noise.
+* Every gate is applied by one in-place kernel with no batch axis: on the
+  slice where each control axis holds its trigger, the target's axis is
+  viewed as the middle of (left, 2, right) and multiplied by the 2x2 gate.
+  The statevector path calls it once per gate, the density path twice (U
+  on the target's row axis, conj(U) on its column axis).
 * Gate noise: after each gate, with the configured depolarizing probability
   (``depol_ctrl`` for controlled gates, ``depol_1q`` otherwise), one Pauli
   chosen uniformly from {X, Y, Z} hits the gate's target qubit; that is
@@ -142,36 +147,32 @@ def _gate_matrix(op: GateOp) -> np.ndarray:
     return _PARAM_GATES[op.kind](op.theta)
 
 
-def _matmul_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(arr, axis, -1)
-    return np.moveaxis(moved @ mat.T, -1, axis)
+def _at(ndim: int, picks: dict) -> tuple:
+    """Index tuple selecting ``picks[axis]`` on the given axes, all of the rest."""
+    index = [slice(None)] * ndim
+    for axis, pick in picks.items():
+        index[axis] = pick
+    return tuple(index)
 
 
-def _apply_matrix(t: np.ndarray, mat: np.ndarray, target: int, n: int,
-                  controls=()) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit of a batched state tensor.
-
-    ``t`` has shape (batch, 2, ..., 2) with qubit q on axis 1 + (n - 1 - q).
-    Controlled gates act in place on the slice selected by the triggers, so
-    ``t`` must be owned by the caller.
-    """
-    axis = 1 + (n - 1 - target)
-    if not controls:
-        return _matmul_axis(t, mat, axis)
-    sl: list = [slice(None)] * (n + 1)
-    for q, trig in controls:
-        sl[1 + (n - 1 - q)] = trig
-    # Integer indices collapse their axes, shifting the target axis left.
-    shift = sum(1 for q, _ in controls if 1 + (n - 1 - q) < axis)
-    t[tuple(sl)] = _matmul_axis(t[tuple(sl)], mat, axis - shift)
-    return t
+def _apply_gate(t: np.ndarray, mat: np.ndarray, axis: int, picks: dict) -> None:
+    """Apply the 2x2 ``mat`` in place along ``axis`` of ``t``, on the slice
+    where each axis in ``picks`` holds its size-1 slice (a control's
+    trigger). The slice is viewed as (left, 2, right) with ``axis`` in the
+    middle, and ``mat`` multiplies that middle axis."""
+    sub = t[_at(t.ndim, picks)]
+    x = sub.reshape(math.prod(sub.shape[:axis]), 2, -1)
+    sub[...] = (mat @ x).reshape(sub.shape)
 
 
-def _apply_ops_batched(states: np.ndarray, ops, n: int) -> np.ndarray:
-    t = states.reshape((-1,) + (2,) * n)
+def _evolve(state: np.ndarray, ops, n: int) -> np.ndarray:
+    """Apply ``ops`` in place to ``state``, a 2^n statevector owned by the
+    caller; qubit q is axis n - 1 - q of its (2,) * n view."""
+    t = state.reshape((2,) * n)
     for op in ops:
-        t = _apply_matrix(t, _gate_matrix(op), op.target, n, op.controls)
-    return t.reshape(states.shape)
+        _apply_gate(t, _gate_matrix(op), n - 1 - op.target,
+                    {n - 1 - q: slice(trig, trig + 1) for q, trig in op.controls})
+    return state
 
 
 def apply(circuit: Circuit, initial) -> np.ndarray:
@@ -184,7 +185,7 @@ def apply(circuit: Circuit, initial) -> np.ndarray:
             f"needs {dim}")
     if abs(np.linalg.norm(initial) - 1.0) > 1e-10:
         raise DomainError("initial state must be normalized")
-    out = _apply_ops_batched(initial[None, :].copy(), circuit.ops, circuit.num_qubits)[0]
+    out = _evolve(initial.copy(), circuit.ops, circuit.num_qubits)
     if abs(np.linalg.norm(out) - 1.0) > 1e-10:
         raise NumericError("statevector norm drifted beyond 1e-10")
     return out
@@ -228,14 +229,6 @@ def _confuse_readout(probs: np.ndarray, n: int, f: float) -> np.ndarray:
     for axis in range(n):
         t = (1.0 - f) * t + f * np.flip(t, axis)
     return t.reshape(-1)
-
-
-def _at(ndim: int, picks: dict) -> tuple:
-    """Index tuple selecting ``picks[axis]`` on the given axes, all of the rest."""
-    index = [slice(None)] * ndim
-    for axis, pick in picks.items():
-        index[axis] = pick
-    return tuple(index)
 
 
 def _widen(rho: np.ndarray, axis: int) -> np.ndarray:
@@ -287,10 +280,8 @@ def _density_probs(ops, n: int, noise: NoiseModel) -> np.ndarray:
             cols[c if rho.shape[c] == 2 else r] = slice(trig, trig + 1)
         r, c = n - 1 - op.target, 2 * n - 1 - op.target
         mat = _gate_matrix(op)
-        sel = _at(rho.ndim, rows)
-        rho[sel] = _matmul_axis(rho[sel], mat, r)
-        sel = _at(rho.ndim, cols)
-        rho[sel] = _matmul_axis(rho[sel], mat.conj(), c)
+        _apply_gate(rho, mat, r, rows)
+        _apply_gate(rho, mat.conj(), c, cols)
         p = noise.depol_ctrl if op.controls else noise.depol_1q
         if p > 0.0:
             _pauli_channel(rho, r, c, p)
@@ -323,7 +314,7 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
         raise DomainError(f"expected {n} basis labels, got {len(basis)}")
     all_ops = list(circuit.ops) + _basis_change_ops(basis, n)
     if noise.depol_1q == 0.0 and noise.depol_ctrl == 0.0:
-        probs = np.abs(_apply_ops_batched(zero_state(n)[None, :], all_ops, n)[0]) ** 2
+        probs = np.abs(_evolve(zero_state(n), all_ops, n)) ** 2
     else:
         probs = _density_probs(all_ops, n, noise)
     probs = _confuse_readout(probs, n, noise.readout_flip)

@@ -99,6 +99,16 @@ def _floor_spectrum(values_desc: np.ndarray) -> np.ndarray:
     return out
 
 
+def _floor_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(floored eigenvalues descending, eigenvectors as columns, projection)
+    of a Hermitian ``m``: its spectrum floored by ``_floor_spectrum`` on the
+    same eigenvectors, symmetrized."""
+    values, vectors = eig_hermitian(m)
+    floored = _floor_spectrum(values)
+    rho = vectors @ np.diag(floored) @ dagger(vectors)
+    return floored, vectors, (rho + dagger(rho)) / 2.0
+
+
 def smolin_project(mu) -> np.ndarray:
     """Maximum-likelihood projection of a Hermitian trace-1 matrix onto the
     physical density matrices (eigenvalue flooring; eigenvectors unchanged)."""
@@ -109,10 +119,7 @@ def smolin_project(mu) -> np.ndarray:
         raise DomainError("input must be Hermitian")
     if abs(trace(mu).real - 1.0) > 1e-6:
         raise DomainError(f"input must have trace 1, got {trace(mu).real!r}")
-    values, vectors = eig_hermitian(mu)
-    floored = _floor_spectrum(values)
-    rho = vectors @ np.diag(floored) @ dagger(vectors)
-    return (rho + dagger(rho)) / 2.0
+    return _floor_psd(mu)[2]
 
 
 def density_from_bloch(r) -> np.ndarray:
@@ -176,10 +183,7 @@ def _reconstruct_process(outputs: dict[str, np.ndarray]) -> ProcessTomographyRes
     e00, e11 = outputs["0"], outputs["1"]
     e01 = outputs["+"] + 1j * outputs["+i"] - (1.0 + 1.0j) / 2.0 * (e00 + e11)
     choi = np.block([[e00, e01], [dagger(e01), e11]])
-    values, vectors = eig_hermitian(choi)
-    floored = _floor_spectrum(values)
-    choi = vectors @ np.diag(floored) @ dagger(vectors)
-    choi = (choi + dagger(choi)) / 2.0
+    floored, vectors, choi = _floor_psd(choi)
     weights = [float(max(w, 0.0)) for w in floored]
     operators = [math.sqrt(w) * vectors[:, k].reshape(2, 2, order="F")
                  for k, w in enumerate(weights)]
@@ -273,19 +277,15 @@ def _mitigation_calibration(mitigate: bool, noise: NoiseModel | None, shots: int
 
 
 def _nnls_frequencies(freqs: np.ndarray, cal) -> np.ndarray:
-    """min ||cal p - freqs|| over p >= 0 for a nonsingular 2x2 ``cal``, in
-    closed form (Lawson & Hanson 1974): the unconstrained solve when it is
-    nonnegative, else the minimum lies on an edge p_j = 0, so take the better
-    of the two one-column fits clamped at 0. Then clip and renormalize."""
-    cal = np.asarray(cal, dtype=float)
+    """min ||cal p - freqs|| over p >= 0 for a nonsingular 2x2 ``cal``, then
+    renormalized: the unconstrained solve clipped at 0. For nonnegative
+    ``cal`` and ``freqs`` at most one part of that solve is negative; freqs
+    then lies outside the cone of cal's columns, nearest the ray of the
+    other column, and the NNLS minimum on that ray renormalizes to the same
+    basis vector."""
     (a, b), (c, d) = cal
     det = a * d - b * c
     p = np.array([d * freqs[0] - b * freqs[1], a * freqs[1] - c * freqs[0]]) / det
-    if p[0] < 0.0 or p[1] < 0.0:
-        x = np.maximum(cal.T @ freqs / np.sum(cal * cal, axis=0), 0.0)
-        j = int(np.argmin(np.sum((freqs[:, None] - cal * x) ** 2, axis=0)))
-        p = np.zeros(2)
-        p[j] = x[j]
     p = np.clip(p, 0.0, None)
     total = p.sum()
     if total <= 0.0:
@@ -297,14 +297,17 @@ def mitigate_frequencies(freqs, cal) -> np.ndarray:
     """Solve cal @ p = freqs for one qubit's two outcome frequencies by
     nonnegative least squares, given a 2x2 calibration from
     ``calibrate_readout``; p is clipped to >= 0 and renormalized to sum 1.
-    Raises ShapeError for any other shape and NumericError when ``cal`` has
-    a condition number above 1e8."""
+    Raises ShapeError for any other shape, DomainError for a negative
+    calibration entry or frequency, and NumericError when ``cal`` has a
+    condition number above 1e8."""
     cal = np.asarray(cal, dtype=float)
     freqs = np.asarray(freqs, dtype=float).reshape(-1)
     if cal.shape != (2, 2):
         raise ShapeError(f"calibration matrix must be 2x2, got {cal.shape}")
     if freqs.shape != (2,):
         raise ShapeError(f"expected 2 outcome frequencies, got {freqs.shape[0]}")
+    if cal.min() < 0.0 or freqs.min() < 0.0:
+        raise DomainError("calibration entries and frequencies must be nonnegative")
     return _nnls_frequencies(freqs, _conditioned(cal))
 
 

@@ -33,6 +33,31 @@ def _on_qubit(mat, q, n):
     return reduce(np.kron, [mat if k == q else np.eye(2) for k in range(n - 1, -1, -1)])
 
 
+def _single_qubit_matrix(op):
+    """The 2x2 matrix of ``op``'s kind, RX/RY/RZ as exp(-i theta P / 2)."""
+    if op.kind == "H":
+        return (PAULI_X + PAULI_Z) / math.sqrt(2.0)
+    if op.kind == "X":
+        return PAULI_X
+    pauli = {"RX": PAULI_X, "RY": PAULI_Y, "RZ": PAULI_Z}[op.kind]
+    return math.cos(op.theta / 2.0) * np.eye(2) - 1j * math.sin(op.theta / 2.0) * pauli
+
+
+def dense_gate(op, n):
+    """``op`` as a 2^n x 2^n matrix: I + (|t><t| on each control with trigger
+    t, U - I on the target, I elsewhere)."""
+    triggers = dict(op.controls)
+    factors = []
+    for q in range(n - 1, -1, -1):
+        if q == op.target:
+            factors.append(_single_qubit_matrix(op) - np.eye(2))
+        elif q in triggers:
+            factors.append(np.diag([1.0 - triggers[q], triggers[q]]))
+        else:
+            factors.append(np.eye(2))
+    return np.eye(1 << n) + reduce(np.kron, factors)
+
+
 def dense_channel_probs(ops, n, noise):
     """Diagonal of the 2^n x 2^n density matrix after ``ops`` from |0...0>,
     each gate followed by (1 - p) rho + (p/3) sum_P P rho P on its target."""
@@ -40,8 +65,7 @@ def dense_channel_probs(ops, n, noise):
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     for op in ops:
-        # Row j of the batched evolution of the identity is U e_j.
-        u = simulator._apply_ops_batched(np.eye(dim, dtype=complex), [op], n).T
+        u = dense_gate(op, n)
         rho = u @ rho @ u.conj().T
         p = noise.depol_ctrl if op.controls else noise.depol_1q
         paulis = [_on_qubit(m, op.target, n) for m in (PAULI_X, PAULI_Y, PAULI_Z)]
@@ -71,7 +95,9 @@ def reference_outcomes(circuit, basis, shots, noise, seed):
 
 @st.composite
 def jobs(draw, max_qubits=6):
-    """A random circuit with controlled gates, plus a measurement basis."""
+    """A random circuit, plus a measurement basis. A controlled gate has any
+    nonempty set of the other qubits as controls, in random order and with
+    random triggers, on either side of its target."""
     n = draw(st.integers(1, max_qubits))
     ops = []
     for _ in range(draw(st.integers(0, 12))):
@@ -80,8 +106,9 @@ def jobs(draw, max_qubits=6):
         theta = draw(st.floats(-math.pi, math.pi)) if kind.startswith("R") else 0.0
         controls = ()
         if n > 1 and draw(st.booleans()):
-            ctrl = draw(st.integers(0, n - 2))
-            controls = ((ctrl + (ctrl >= target), draw(st.integers(0, 1))),)
+            others = [q for q in range(n) if q != target]
+            qubits = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+            controls = tuple((q, draw(st.integers(0, 1))) for q in qubits)
         ops.append(GateOp(kind, target, theta, controls))
     basis = tuple(draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n)))
     return Circuit(n, ops), basis
@@ -123,6 +150,20 @@ def test_smaller_job_is_prefix_of_larger(job, sizes, noise, seed):
     assert np.array_equal(
         sample(circuit, basis, small, noise, seed).hist,
         np.bincount(outcomes[:small], minlength=1 << circuit.num_qubits))
+
+
+@settings(max_examples=100, deadline=None)
+@given(job=jobs(), state_seed=seeds)
+def test_apply_matches_dense_gate_product(job, state_seed):
+    circuit, _ = job
+    n = circuit.num_qubits
+    rng = np.random.default_rng(state_seed)
+    initial = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    initial /= np.linalg.norm(initial)
+    expected = initial
+    for op in circuit.ops:
+        expected = dense_gate(op, n) @ expected
+    assert np.max(np.abs(apply(circuit, initial) - expected)) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)

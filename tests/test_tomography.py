@@ -349,11 +349,15 @@ class TestMitigation:
 
     def test_both_unconstrained_parts_negative(self):
         # Only inputs with negative entries make both parts of the unconstrained
-        # solve negative (-6, -5 here); clipping that would give all zeros, while
-        # the nonnegative least squares minimum is the column-1 fit (0, 0.941).
+        # solve negative (-6, -5 here), where clipping it is not the nonnegative
+        # least squares minimum; such inputs are rejected.
         cal = np.array([[1.0, -1.0], [0.0, 0.1]])
-        p = mitigate_frequencies(np.array([-1.0, -0.5]), cal)
-        assert np.array_equal(p, [0.0, 1.0])
+        with pytest.raises(DomainError):
+            mitigate_frequencies(np.array([-1.0, -0.5]), cal)
+        with pytest.raises(DomainError):
+            mitigate_frequencies(np.array([0.5, 0.5]), cal)
+        with pytest.raises(DomainError):
+            mitigate_frequencies(np.array([1.1, -0.1]), np.eye(2))
 
     # Column-stochastic calibrations [[1 - e0, e1], [e0, 1 - e1]] with
     # det = 1 - e0 - e1 drawn on a log scale, so cond reaches 1e8.

@@ -6,6 +6,8 @@ gate, a uniform ``fire`` below the gate's depolarizing probability applies
 one Pauli, picked by a second uniform from {X, Y, Z}, to the target; then
 one uniform per shot picks the Born outcome and readout flips are drawn per
 shot and qubit. Memory grows as shots x 2^n, so keep jobs small.
+``_apply_matrix`` applies each gate to every shot at once, over a leading
+batch axis; the library's own kernel has no batch axis.
 """
 
 import numpy as np
@@ -13,6 +15,31 @@ import numpy as np
 from qrot import Circuit
 from qrot import simulator
 from qrot.linalg import PAULI_X, PAULI_Y, PAULI_Z
+
+
+def _matmul_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    moved = np.moveaxis(arr, axis, -1)
+    return np.moveaxis(moved @ mat.T, -1, axis)
+
+
+def _apply_matrix(t: np.ndarray, mat: np.ndarray, target: int, n: int,
+                  controls=()) -> np.ndarray:
+    """Apply a 2x2 matrix to one qubit of a batched state tensor.
+
+    ``t`` has shape (batch, 2, ..., 2) with qubit q on axis 1 + (n - 1 - q).
+    Controlled gates act in place on the slice selected by the triggers, so
+    ``t`` must be owned by the caller.
+    """
+    axis = 1 + (n - 1 - target)
+    if not controls:
+        return _matmul_axis(t, mat, axis)
+    sl: list = [slice(None)] * (n + 1)
+    for q, trig in controls:
+        sl[1 + (n - 1 - q)] = trig
+    # Integer indices collapse their axes, shifting the target axis left.
+    shift = sum(1 for q, _ in controls if 1 + (n - 1 - q) < axis)
+    t[tuple(sl)] = _matmul_axis(t[tuple(sl)], mat, axis - shift)
+    return t
 
 
 def born_outcomes(states: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -39,15 +66,14 @@ def sample_trajectories(ops, n: int, shots: int, noise, rng) -> np.ndarray:
     states[:, 0] = 1.0
     t = states.reshape((shots,) + (2,) * n)
     for g, op in enumerate(ops):
-        t = simulator._apply_matrix(t, simulator._gate_matrix(op), op.target, n,
-                                    op.controls)
+        t = _apply_matrix(t, simulator._gate_matrix(op), op.target, n, op.controls)
         p = noise.depol_ctrl if op.controls else noise.depol_1q
         hit = fire[:, g] < p
         pick = np.minimum((which[:, g] * 3).astype(int), 2)
         for k, pauli in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
             rows = hit & (pick == k)
             if rows.any():
-                t[rows] = simulator._apply_matrix(t[rows], pauli, op.target, n)
+                t[rows] = _apply_matrix(t[rows], pauli, op.target, n)
     return born_outcomes(t.reshape(shots, dim), u_meas)
 
 
