@@ -16,6 +16,11 @@ Conventions
   independent of the shot count, merged counts do not depend on how shots
   are chunked, and an s-shot job's outcomes are the first s outcomes of any
   larger job at the same seed, with or without noise.
+* A job may name ``checkpoints``: shot counts at which the draw is also cut
+  and the running histogram kept. ``ShotResult.prefix(s)`` then returns the
+  result of the first s shots, which equals the result of an s-shot job at
+  the same seed, so one job at the largest count stands for every smaller
+  one.
 * Every gate is applied by one in-place kernel with no batch axis: on the
   slice where each control axis holds its trigger, the target's axis is
   viewed as the middle of (left, 2, right) and multiplied by the 2x2 gate.
@@ -43,7 +48,9 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from numbers import Integral
 from types import MappingProxyType
 
 import numpy as np
@@ -88,11 +95,14 @@ NOISELESS = NoiseModel()
 @dataclass(frozen=True, eq=False)
 class ShotResult:
     """Outcome histogram for one measurement basis: ``hist[j]`` counts the
-    shots that read basis-state index j (int64, length 2^n, read-only)."""
+    shots that read basis-state index j (int64, length 2^n, read-only).
+    ``prefixes[s]`` is the result of the job's first s shots, for each
+    checkpoint s it was drawn with; read it through ``prefix``."""
 
     basis: tuple[str, ...]
     hist: np.ndarray
     shots: int
+    prefixes: Mapping[int, ShotResult] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         hist = np.array(self.hist, dtype=np.int64)
@@ -103,6 +113,16 @@ class ShotResult:
             raise DomainError(f"histogram must be nonnegative and sum to {self.shots} shots")
         hist.setflags(write=False)
         object.__setattr__(self, "hist", hist)
+
+    def prefix(self, shots: int) -> ShotResult:
+        """The result of the job's first ``shots`` shots: itself at its full
+        size, else the snapshot taken at that checkpoint."""
+        if shots == self.shots:
+            return self
+        if shots not in self.prefixes:
+            raise DomainError(f"{shots} shots is not a checkpoint of this "
+                              f"{self.shots}-shot result")
+        return self.prefixes[shots]
 
     @property
     def counts(self) -> MappingProxyType:
@@ -211,15 +231,16 @@ def marginal_counts(hist: np.ndarray, qubit: int) -> np.ndarray:
     return hist.reshape(-1, 2, 1 << qubit).sum(axis=(0, 2))
 
 
-def _outcomes(probs: np.ndarray, shots: int, rng: np.random.Generator):
-    """Yield outcome indices drawn from ``probs`` for ``shots`` shots, at
-    most SAMPLE_CHUNK at a time, one uniform per shot; ``side="right"``
-    counts the cumulative probabilities <= u."""
+def _outcomes(probs: np.ndarray, edges, rng: np.random.Generator):
+    """Yield (end, outcome indices) for the shots up to each of the increasing
+    ``edges`` in turn, drawn from ``probs`` with one uniform per shot;
+    ``side="right"`` counts the cumulative probabilities <= u."""
     cum = np.cumsum(probs / probs.sum())
-    for start in range(0, shots, SAMPLE_CHUNK):
-        u = rng.random(min(SAMPLE_CHUNK, shots - start))
-        idx = np.searchsorted(cum, u, side="right")
-        yield np.minimum(idx, cum.size - 1, out=idx)
+    start = 0
+    for end in edges:
+        idx = np.searchsorted(cum, rng.random(end - start), side="right")
+        yield end, np.minimum(idx, cum.size - 1, out=idx)
+        start = end
 
 
 def _confuse_readout(probs: np.ndarray, n: int, f: float) -> np.ndarray:
@@ -298,16 +319,24 @@ def _density_probs(ops, n: int, noise: NoiseModel) -> np.ndarray:
 
 
 def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
-           seed: int = 0) -> ShotResult:
+           seed: int = 0, *, checkpoints=()) -> ShotResult:
     """Run the circuit from |0...0>, measure every qubit, return the outcome
     histogram.
 
     ``basis`` gives one Pauli label per qubit (index order). Deterministic
-    for fixed ``(circuit, basis, shots, noise, seed)``.
+    for fixed ``(circuit, basis, shots, noise, seed)``. ``checkpoints``, sorted
+    distinct ints in [1, shots], are the shot counts whose prefix histograms
+    the result keeps for ``ShotResult.prefix``.
     """
     noise = NOISELESS if noise is None else noise
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}")
+    checkpoints = tuple(checkpoints)
+    if (not all(isinstance(s, Integral) for s in checkpoints)
+            or list(checkpoints) != sorted(set(checkpoints))
+            or not all(1 <= s <= shots for s in checkpoints)):
+        raise DomainError(f"checkpoints must be sorted distinct integers in "
+                          f"[1, {shots}], got {checkpoints}")
     n = circuit.num_qubits
     basis = tuple(str(b).upper() for b in basis)
     if len(basis) != n:
@@ -320,9 +349,15 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     probs = _confuse_readout(probs, n, noise.readout_flip)
     dim = 1 << n
     hist = np.zeros(dim, dtype=np.int64)
-    for outcomes in _outcomes(probs, shots, _rng(seed)):
+    prefixes = {}
+    edges = sorted({*range(SAMPLE_CHUNK, shots, SAMPLE_CHUNK), *map(int, checkpoints),
+                    int(shots)})
+    for end, outcomes in _outcomes(probs, edges, _rng(seed)):
         hist += np.bincount(outcomes, minlength=dim)
-    return ShotResult(basis=basis, hist=hist, shots=int(shots))
+        if end in checkpoints:
+            prefixes[end] = ShotResult(basis, hist, end)
+    return ShotResult(basis=basis, hist=hist, shots=int(shots),
+                      prefixes=MappingProxyType(prefixes))
 
 
 def expectation_from_counts(result: ShotResult, qubit: int) -> float:

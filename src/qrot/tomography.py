@@ -148,12 +148,46 @@ def estimate_qubit(tallies, cal=None):
 
 
 def _sample_bases(circuit: Circuit, data_qubit: int, shots: int,
-                  noise: NoiseModel | None, seed: int) -> dict[str, ShotResult]:
-    """One job per basis X, Y, Z of the data qubit; the other qubits read in Z."""
+                  noise: NoiseModel | None, seed: int, **sample_kw) -> dict[str, ShotResult]:
+    """One job per basis X, Y, Z of the data qubit; the other qubits read in Z.
+    ``sample_kw`` (``checkpoints``) passes on to ``sample``."""
     return {label: sample(circuit, [label if q == data_qubit else "Z"
                                     for q in range(circuit.num_qubits)],
-                          shots, noise, derive_seed(seed, bi))
+                          shots, noise, derive_seed(seed, bi), **sample_kw)
             for bi, label in enumerate(BASIS_LABELS)}
+
+
+def _check_shots(shots: int) -> None:
+    if shots < MIN_SHOTS:
+        raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {shots}")
+
+
+def _at_shots(jobs, shots: int):
+    """(checked calibration or None, per-basis results) of ``_state_jobs`` or
+    ``_process_jobs`` at their first ``shots`` shots."""
+    readout, results = jobs
+    cal = None if readout is None else _conditioned(_readout_matrix(readout, shots))
+    return cal, {key: res.prefix(shots) for key, res in results.items()}
+
+
+def _state_jobs(circuit: Circuit, data_qubit: int, shots: int, noise: NoiseModel | None,
+                seed: int, mitigate: bool, **sample_kw):
+    """Every job of state tomography: the readout calibration's runs (None
+    without mitigation) and the per-basis runs, keyed by basis label."""
+    readout = _readout_runs(noise, shots, derive_seed(seed, 3), **sample_kw) if mitigate else None
+    return readout, _sample_bases(circuit, data_qubit, shots, noise, seed, **sample_kw)
+
+
+def _estimate_state(cal, counts: dict[str, ShotResult], data_qubit: int) -> StateTomographyResult:
+    """State tomography from per-basis results and a checked calibration
+    (or None). Raises NumericError when the estimate has no direction."""
+    r, rho, direction = estimate_qubit(
+        {label: marginal_counts(res.hist, data_qubit) for label, res in counts.items()}, cal)
+    if direction is None:
+        raise NumericError("estimated Bloch vector is below MIN_BLOCH_NORM; it has no direction")
+    return StateTomographyResult(
+        density=rho, bloch=direction,
+        expectations=dict(zip(BASIS_LABELS, (float(x) for x in r))), counts=counts)
 
 
 def state_tomography(circuit: Circuit, data_qubit: int = 0, shots: int = 20000,
@@ -162,19 +196,11 @@ def state_tomography(circuit: Circuit, data_qubit: int = 0, shots: int = 20000,
     """Reconstruct the data qubit's state from three basis-sampled jobs of
     ``shots`` each with ``estimate_qubit``. Raises NumericError when the
     estimate has no direction (|r| < MIN_BLOCH_NORM)."""
-    if shots < MIN_SHOTS:
-        raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {shots}")
+    _check_shots(shots)
     if not 0 <= data_qubit < circuit.num_qubits:
         raise DomainError(f"data qubit {data_qubit} out of range for {circuit.num_qubits} qubits")
-    cal = _mitigation_calibration(mitigate, noise, shots, derive_seed(seed, 3))
-    counts = _sample_bases(circuit, data_qubit, shots, noise, seed)
-    r, rho, direction = estimate_qubit(
-        {label: marginal_counts(res.hist, data_qubit) for label, res in counts.items()}, cal)
-    if direction is None:
-        raise NumericError("estimated Bloch vector is below MIN_BLOCH_NORM; it has no direction")
-    return StateTomographyResult(
-        density=rho, bloch=direction,
-        expectations=dict(zip(BASIS_LABELS, (float(x) for x in r))), counts=counts)
+    jobs = _state_jobs(circuit, data_qubit, shots, noise, seed, mitigate)
+    return _estimate_state(*_at_shots(jobs, shots), data_qubit)
 
 
 def _reconstruct_process(outputs: dict[str, np.ndarray]) -> ProcessTomographyResult:
@@ -193,22 +219,39 @@ def _reconstruct_process(outputs: dict[str, np.ndarray]) -> ProcessTomographyRes
                                    unitary=unitary, degenerate=degenerate)
 
 
+def _process_jobs(spec: RotationSpec, shots: int, noise: NoiseModel | None, seed: int,
+                  mitigate: bool, **sample_kw):
+    """Every job of process tomography: the readout calibration's runs (None
+    without mitigation) and the per-basis runs, keyed by (preparation, basis
+    label)."""
+    readout = _readout_runs(noise, shots, derive_seed(seed, 12), **sample_kw) if mitigate else None
+    rotation_ops = axis_rotation_sequence(spec)
+    results = {}
+    for pi_, prep in enumerate(PREP_LABELS):
+        circuit = Circuit(1, _PREP_OPS[prep] + rotation_ops)
+        for label, res in _sample_bases(circuit, 0, shots, noise, derive_seed(seed, 4 + pi_),
+                                        **sample_kw).items():
+            results[prep, label] = res
+    return readout, results
+
+
+def _estimate_process(cal, counts: dict) -> ProcessTomographyResult:
+    """Process tomography from the per-basis results of the four preparations,
+    keyed by (preparation, basis label), and a checked calibration (or None)."""
+    outputs = {}
+    for prep in PREP_LABELS:
+        r, _, _ = estimate_qubit({label: counts[prep, label].hist for label in BASIS_LABELS}, cal)
+        outputs[prep] = density_from_bloch(r)
+    return _reconstruct_process(outputs)
+
+
 def process_tomography(spec: RotationSpec, shots: int = 20000,
                        noise: NoiseModel | None = None, seed: int = 0,
                        mitigate: bool = False) -> ProcessTomographyResult:
     """Sampled process tomography of the rotation circuit: 4 input states
     x 3 measurement bases, ``shots`` per circuit."""
-    if shots < MIN_SHOTS:
-        raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {shots}")
-    rotation_ops = axis_rotation_sequence(spec)
-    cal = _mitigation_calibration(mitigate, noise, shots, derive_seed(seed, 12))
-    outputs = {}
-    for pi_, prep in enumerate(PREP_LABELS):
-        circuit = Circuit(1, _PREP_OPS[prep] + rotation_ops)
-        counts = _sample_bases(circuit, 0, shots, noise, derive_seed(seed, 4 + pi_))
-        r, _, _ = estimate_qubit({label: res.hist for label, res in counts.items()}, cal)
-        outputs[prep] = density_from_bloch(r)
-    return _reconstruct_process(outputs)
+    _check_shots(shots)
+    return _estimate_process(*_at_shots(_process_jobs(spec, shots, noise, seed, mitigate), shots))
 
 
 def process_tomography_exact(u) -> ProcessTomographyResult:
@@ -256,10 +299,19 @@ def calibrate_readout(noise: NoiseModel | None, shots: int, seed: int = 0) -> np
     """
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}")
-    cal = np.zeros((2, 2))
-    for j, prep in enumerate(((), (GateOp("X", 0),))):
-        cal[:, j] = sample(Circuit(1, prep), ("Z",), shots, noise, derive_seed(seed, j)).hist
-    return cal / shots
+    return _readout_matrix(_readout_runs(noise, shots, seed), shots)
+
+
+def _readout_runs(noise: NoiseModel | None, shots: int, seed: int,
+                  **sample_kw) -> list[ShotResult]:
+    """The prepare-|0> and prepare-|1> runs behind ``calibrate_readout``."""
+    return [sample(Circuit(1, prep), ("Z",), shots, noise, derive_seed(seed, j), **sample_kw)
+            for j, prep in enumerate(((), (GateOp("X", 0),)))]
+
+
+def _readout_matrix(runs, shots: int) -> np.ndarray:
+    """The confusion matrix of the first ``shots`` shots of ``_readout_runs``."""
+    return np.column_stack([run.prefix(shots).hist for run in runs]) / shots
 
 
 def _conditioned(cal: np.ndarray) -> np.ndarray:
@@ -297,17 +349,17 @@ def mitigate_frequencies(freqs, cal) -> np.ndarray:
     """Solve cal @ p = freqs for one qubit's two outcome frequencies by
     nonnegative least squares, given a 2x2 calibration from
     ``calibrate_readout``; p is clipped to >= 0 and renormalized to sum 1.
-    Raises ShapeError for any other shape, DomainError for a negative
-    calibration entry or frequency, and NumericError when ``cal`` has a
-    condition number above 1e8."""
+    Raises ShapeError for any other shape, DomainError for a negative or
+    non-finite calibration entry or frequency, and NumericError when ``cal``
+    has a condition number above 1e8."""
     cal = np.asarray(cal, dtype=float)
     freqs = np.asarray(freqs, dtype=float).reshape(-1)
     if cal.shape != (2, 2):
         raise ShapeError(f"calibration matrix must be 2x2, got {cal.shape}")
     if freqs.shape != (2,):
         raise ShapeError(f"expected 2 outcome frequencies, got {freqs.shape[0]}")
-    if cal.min() < 0.0 or freqs.min() < 0.0:
-        raise DomainError("calibration entries and frequencies must be nonnegative")
+    if not all(np.all(np.isfinite(a) & (a >= 0.0)) for a in (cal, freqs)):
+        raise DomainError("calibration entries and frequencies must be finite and nonnegative")
     return _nnls_frequencies(freqs, _conditioned(cal))
 
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from qrot import (Circuit, GateOp, MultiRotationPlan, NoiseModel, RotationSpec,
-                  VectorBatch, apply, full_circuit, sample, zero_state)
+from qrot import (Circuit, DomainError, GateOp, MultiRotationPlan, NoiseModel,
+                  RotationSpec, VectorBatch, apply, full_circuit, sample, zero_state)
 from qrot import simulator
 from qrot.circuit import GATE_KINDS
 from qrot.experiments import NOISE_PRESETS
@@ -150,6 +150,53 @@ def test_smaller_job_is_prefix_of_larger(job, sizes, noise, seed):
     assert np.array_equal(
         sample(circuit, basis, small, noise, seed).hist,
         np.bincount(outcomes[:small], minlength=1 << circuit.num_qubits))
+
+
+# Gate noise and readout flips are both on, so the density path feeds the draw.
+noisy = st.builds(NoiseModel, st.sampled_from([0.01, 0.3]), depol, st.sampled_from([0.03, 0.5]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(job=jobs(), checkpoints=st.lists(st.integers(1, 3000), min_size=1, max_size=6, unique=True),
+       extra=st.integers(0, 50), noise=noisy, seed=seeds)
+def test_checkpoint_prefix_is_the_smaller_job(job, checkpoints, extra, noise, seed):
+    checkpoints = sorted(checkpoints)
+    shots = checkpoints[-1] + extra
+    result = sample(*job, shots, noise, seed, checkpoints=checkpoints)
+    for s in (*checkpoints, shots):
+        prefix = result.prefix(s)
+        assert prefix.shots == s and prefix.basis == result.basis
+        assert np.array_equal(prefix.hist, sample(*job, s, noise, seed).hist)
+
+
+@settings(max_examples=30, deadline=None)
+@given(job=jobs(), edges=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       extra=st.integers(0, 9), noise=noisy, seed=seeds)
+def test_checkpoints_around_chunk_edges(job, edges, extra, noise, seed):
+    # Checkpoints one shot before, on and one shot after multiples of the
+    # chunk; the smaller jobs they are checked against use the default chunk.
+    checkpoints = sorted({7 * k + d for k in edges for d in (-1, 0, 1)})
+    with mock.patch.object(simulator, "SAMPLE_CHUNK", 7):
+        result = sample(*job, checkpoints[-1] + extra, noise, seed, checkpoints=checkpoints)
+    for s in checkpoints:
+        assert np.array_equal(result.prefix(s).hist, sample(*job, s, noise, seed).hist)
+
+
+@pytest.mark.parametrize("checkpoints", [(0,), (101,), (50, 20), (20, 20, 50), (2.5,)])
+def test_invalid_checkpoints_rejected(checkpoints):
+    with pytest.raises(DomainError):
+        sample(Circuit(1, (GateOp("H", 0),)), ("Z",), 100, checkpoints=checkpoints)
+
+
+def test_prefix_needs_a_checkpoint():
+    circuit = Circuit(1, (GateOp("H", 0),))
+    result = sample(circuit, ("Z",), 100, seed=1, checkpoints=(10, 50))
+    assert result.prefix(100) is result
+    for s in (0, 11, 99, 101):
+        with pytest.raises(DomainError):
+            result.prefix(s)
+    with pytest.raises(DomainError):
+        sample(circuit, ("Z",), 100, seed=1).prefix(50)
 
 
 @settings(max_examples=100, deadline=None)

@@ -338,6 +338,15 @@ class TestMitigation:
             mitigate_frequencies(np.array([0.5, 0.5]),
                                  np.array([[0.5, 0.5 - 5e-10], [0.5, 0.5 + 5e-10]]))
 
+    @pytest.mark.parametrize("freqs, cal", [
+        ([math.nan, 0.5], np.eye(2)),
+        ([0.5, 0.5], [[0.9, math.nan], [0.1, 0.9]]),
+        ([math.inf, 0.5], np.eye(2)),
+    ])
+    def test_non_finite_input_rejected(self, freqs, cal):
+        with pytest.raises(DomainError):
+            mitigate_frequencies(np.array(freqs), np.array(cal))
+
     def test_mitigate_counts_wrapper(self):
         result = ShotResult(("Z",), [820, 180], 1000)
         p = mitigate_counts(result, np.array([[0.9, 0.1], [0.1, 0.9]]))
