@@ -21,12 +21,14 @@ import numpy as np
 
 from . import experiments
 from .bloch import normalize
+from .circuit import MAX_QUBITS
 from .errors import DomainError, NumericError, ShapeError
 from .multirot import MultiRotationPlan, VectorBatch
 from .rotation import RotationSpec
 from .simulator import NoiseModel
 
-MAX_BATCH_VECTORS = 1024
+# A batch of p vectors needs ceil(log2 p) control qubits plus the data qubit.
+MAX_BATCH_VECTORS = 1 << (MAX_QUBITS - 1)
 
 
 def _parse_triple(text: str, what: str) -> np.ndarray:
@@ -194,6 +196,8 @@ def cmd_rotate(args) -> int:
 def cmd_sweep(args) -> int:
     _check_format(args, "csv")
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
+    if not backends:
+        raise DomainError("--backends names no backend")
     for b in backends:
         if b != "noiseless" and b not in experiments.NOISE_PRESETS:
             raise DomainError(f"unknown backend {b!r}; expected 'noiseless' or one of "
@@ -215,10 +219,14 @@ def cmd_sweep(args) -> int:
 
 def _load_vectors(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError:
+        raise DomainError(f"{path}: not UTF-8 text") from None
+    except RecursionError:
+        raise DomainError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, list) or not data:
         raise DomainError(f"{path}: expected a non-empty JSON array of [x, y, z] triples")
     if len(data) > MAX_BATCH_VECTORS:

@@ -16,8 +16,7 @@ from .rotation import (RotationSpec, axis_rotation_sequence, axis_rotation_unita
                        erp_from_spec, erp_from_unitary, initialization_ops,
                        rodrigues_rotate)
 from .simulator import NoiseModel, derive_seed
-from .tomography import (_at_shots, _check_shots, _estimate_process, _estimate_state,
-                         _process_jobs, _state_jobs, erp_from_tomography, gate_fidelity,
+from .tomography import (_process_series, _state_series, erp_from_tomography, gate_fidelity,
                          state_tomography)
 
 NOISE_PRESETS = {
@@ -195,8 +194,9 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
     one instead of resampling it, because ``sample`` draws one uniform per
     shot from the job's exact outcome distribution, so the curve as a whole
     fluctuates far less, which is what makes point-to-point comparisons
-    along it meaningful. Each circuit is therefore drawn once, at the largest
-    grid point, and every smaller point reads its prefix tally
+    along it meaningful. Each trial therefore runs ``_process_series`` and
+    ``_state_series``, which draw every circuit once, at the largest grid
+    point, and read every smaller point as its prefix tally
     (``ShotResult.prefix``); the records equal those of ``process_tomography``
     and ``state_tomography`` run at each point.
     """
@@ -205,8 +205,6 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
     shot_grid = log_shot_grid() if shot_grid is None else [int(s) for s in shot_grid]
     if not shot_grid:
         return []
-    _check_shots(min(shot_grid))
-    top, checkpoints = max(shot_grid), sorted(set(shot_grid))
     specs = seeded_rotations(seed, trials)
     vectors = seeded_vectors(seed, trials)
     records: list[SweepRecord] = []
@@ -217,16 +215,13 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
         for trial, (spec, vector) in enumerate(zip(specs, vectors)):
             exact = axis_rotation_unitary(spec)
             oracle = rodrigues_rotate(spec, vector)
-            proc_jobs = _process_jobs(spec, top, noise, derive_seed(seed, trial, 3),
-                                      use_mitigation, checkpoints=checkpoints)
-            state_jobs = _state_jobs(rotation_circuit(vector, spec), 0, top, noise,
-                                     derive_seed(seed, trial, 4), use_mitigation,
-                                     checkpoints=checkpoints)
-            for shots in shot_grid:
-                proc = _estimate_process(*_at_shots(proc_jobs, shots))
+            procs = _process_series(spec, shot_grid, noise, derive_seed(seed, trial, 3),
+                                    use_mitigation)
+            states = _state_series(rotation_circuit(vector, spec), 0, shot_grid, noise,
+                                   derive_seed(seed, trial, 4), use_mitigation)
+            for shots, proc, state in zip(shot_grid, procs, states):
                 records.append(SweepRecord(label, trial, shots, "gate_fidelity",
                                            gate_fidelity(exact, proc.unitary)))
-                state = _estimate_state(*_at_shots(state_jobs, shots), 0)
                 records.append(SweepRecord(
                     label, trial, shots, "angle_deg",
                     math.degrees(angle_between(state.bloch, oracle))))

@@ -23,7 +23,8 @@ from .circuit import MAX_QUBITS, Circuit, GateOp
 from .errors import DomainError
 from .rotation import RotationSpec, axis_rotation_sequence
 from .simulator import NoiseModel, derive_seed
-from .tomography import MIN_SHOTS, _mitigation_calibration, _sample_bases, estimate_qubit
+from .tomography import (MIN_SHOTS, _conditioned, _sample_bases, calibrate_readout,
+                         estimate_qubit)
 
 # Below this many samples in a basis, expectation estimates have standard
 # error above 0.2 and the per-index tomography is not meaningful.
@@ -172,7 +173,8 @@ def extract_all(plan: MultiRotationPlan, shots_per_vector: int,
     circuit = full_circuit(plan)
     n = plan.batch.n
     total = shots_per_vector << n
-    cal = _mitigation_calibration(mitigate, noise, shots_per_vector, derive_seed(seed, 3))
+    cal = (_conditioned(calibrate_readout(noise, shots_per_vector, derive_seed(seed, 3)))
+           if mitigate else None)
     # The data qubit is the least significant bit: row = branch, column = data bit.
     tallies = {label: res.hist.reshape(1 << n, 2)
                for label, res in _sample_bases(circuit, 0, total, noise, seed).items()}

@@ -329,8 +329,8 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     the result keeps for ``ShotResult.prefix``.
     """
     noise = NOISELESS if noise is None else noise
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
+    if not isinstance(shots, Integral) or shots < 1:
+        raise DomainError(f"shots must be an integer >= 1, got {shots!r}")
     checkpoints = tuple(checkpoints)
     if (not all(isinstance(s, Integral) for s in checkpoints)
             or list(checkpoints) != sorted(set(checkpoints))

@@ -147,47 +147,51 @@ def estimate_qubit(tallies, cal=None):
             r / norm if norm >= MIN_BLOCH_NORM else None)
 
 
-def _sample_bases(circuit: Circuit, data_qubit: int, shots: int,
-                  noise: NoiseModel | None, seed: int, **sample_kw) -> dict[str, ShotResult]:
-    """One job per basis X, Y, Z of the data qubit; the other qubits read in Z.
-    ``sample_kw`` (``checkpoints``) passes on to ``sample``."""
+def _sample_bases(circuit: Circuit, data_qubit: int, shots: int, noise: NoiseModel | None,
+                  seed: int, checkpoints=()) -> dict[str, ShotResult]:
+    """One job per basis X, Y, Z of the data qubit; the other qubits read in Z."""
     return {label: sample(circuit, [label if q == data_qubit else "Z"
                                     for q in range(circuit.num_qubits)],
-                          shots, noise, derive_seed(seed, bi), **sample_kw)
+                          shots, noise, derive_seed(seed, bi), checkpoints=checkpoints)
             for bi, label in enumerate(BASIS_LABELS)}
 
 
-def _check_shots(shots: int) -> None:
-    if shots < MIN_SHOTS:
-        raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {shots}")
+def _grid_counts(circuits: dict, data_qubit: int, shot_grid, noise: NoiseModel | None,
+                 cal_seed: int, mitigate: bool) -> list:
+    """Per point of the non-empty ``shot_grid``, in grid order: the checked
+    readout calibration (None without mitigation) and, for each key of
+    ``circuits`` (key -> (circuit, seed)), its per-basis results. Every job,
+    the calibration's runs included, is drawn once at the largest point with
+    the grid as checkpoints; a smaller point reads its prefix."""
+    if min(shot_grid) < MIN_SHOTS:
+        raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {min(shot_grid)}")
+    top, checkpoints = max(shot_grid), sorted(set(shot_grid))
+    readout = _readout_runs(noise, top, cal_seed, checkpoints) if mitigate else None
+    jobs = {key: _sample_bases(circuit, data_qubit, top, noise, seed, checkpoints)
+            for key, (circuit, seed) in circuits.items()}
+    return [(None if readout is None else _conditioned(_readout_matrix(readout, shots)),
+             {key: {label: res.prefix(shots) for label, res in bases.items()}
+              for key, bases in jobs.items()})
+            for shots in shot_grid]
 
 
-def _at_shots(jobs, shots: int):
-    """(checked calibration or None, per-basis results) of ``_state_jobs`` or
-    ``_process_jobs`` at their first ``shots`` shots."""
-    readout, results = jobs
-    cal = None if readout is None else _conditioned(_readout_matrix(readout, shots))
-    return cal, {key: res.prefix(shots) for key, res in results.items()}
-
-
-def _state_jobs(circuit: Circuit, data_qubit: int, shots: int, noise: NoiseModel | None,
-                seed: int, mitigate: bool, **sample_kw):
-    """Every job of state tomography: the readout calibration's runs (None
-    without mitigation) and the per-basis runs, keyed by basis label."""
-    readout = _readout_runs(noise, shots, derive_seed(seed, 3), **sample_kw) if mitigate else None
-    return readout, _sample_bases(circuit, data_qubit, shots, noise, seed, **sample_kw)
-
-
-def _estimate_state(cal, counts: dict[str, ShotResult], data_qubit: int) -> StateTomographyResult:
-    """State tomography from per-basis results and a checked calibration
-    (or None). Raises NumericError when the estimate has no direction."""
-    r, rho, direction = estimate_qubit(
-        {label: marginal_counts(res.hist, data_qubit) for label, res in counts.items()}, cal)
-    if direction is None:
-        raise NumericError("estimated Bloch vector is below MIN_BLOCH_NORM; it has no direction")
-    return StateTomographyResult(
-        density=rho, bloch=direction,
-        expectations=dict(zip(BASIS_LABELS, (float(x) for x in r))), counts=counts)
+def _state_series(circuit: Circuit, data_qubit: int, shot_grid, noise: NoiseModel | None,
+                  seed: int, mitigate: bool) -> list[StateTomographyResult]:
+    """``state_tomography`` at every point of ``shot_grid``, in grid order,
+    from one draw at the largest point."""
+    if not 0 <= data_qubit < circuit.num_qubits:
+        raise DomainError(f"data qubit {data_qubit} out of range for {circuit.num_qubits} qubits")
+    series = []
+    for cal, jobs in _grid_counts({0: (circuit, seed)}, data_qubit, shot_grid, noise,
+                                  derive_seed(seed, 3), mitigate):
+        r, rho, direction = estimate_qubit(
+            {label: marginal_counts(res.hist, data_qubit) for label, res in jobs[0].items()}, cal)
+        if direction is None:
+            raise NumericError("estimated Bloch vector is below MIN_BLOCH_NORM; it has no direction")
+        series.append(StateTomographyResult(
+            density=rho, bloch=direction,
+            expectations=dict(zip(BASIS_LABELS, (float(x) for x in r))), counts=jobs[0]))
+    return series
 
 
 def state_tomography(circuit: Circuit, data_qubit: int = 0, shots: int = 20000,
@@ -196,11 +200,7 @@ def state_tomography(circuit: Circuit, data_qubit: int = 0, shots: int = 20000,
     """Reconstruct the data qubit's state from three basis-sampled jobs of
     ``shots`` each with ``estimate_qubit``. Raises NumericError when the
     estimate has no direction (|r| < MIN_BLOCH_NORM)."""
-    _check_shots(shots)
-    if not 0 <= data_qubit < circuit.num_qubits:
-        raise DomainError(f"data qubit {data_qubit} out of range for {circuit.num_qubits} qubits")
-    jobs = _state_jobs(circuit, data_qubit, shots, noise, seed, mitigate)
-    return _estimate_state(*_at_shots(jobs, shots), data_qubit)
+    return _state_series(circuit, data_qubit, [shots], noise, seed, mitigate)[0]
 
 
 def _reconstruct_process(outputs: dict[str, np.ndarray]) -> ProcessTomographyResult:
@@ -219,30 +219,20 @@ def _reconstruct_process(outputs: dict[str, np.ndarray]) -> ProcessTomographyRes
                                    unitary=unitary, degenerate=degenerate)
 
 
-def _process_jobs(spec: RotationSpec, shots: int, noise: NoiseModel | None, seed: int,
-                  mitigate: bool, **sample_kw):
-    """Every job of process tomography: the readout calibration's runs (None
-    without mitigation) and the per-basis runs, keyed by (preparation, basis
-    label)."""
-    readout = _readout_runs(noise, shots, derive_seed(seed, 12), **sample_kw) if mitigate else None
+def _process_series(spec: RotationSpec, shot_grid, noise: NoiseModel | None, seed: int,
+                    mitigate: bool) -> list[ProcessTomographyResult]:
+    """``process_tomography`` at every point of ``shot_grid``, in grid order,
+    from one draw at the largest point."""
     rotation_ops = axis_rotation_sequence(spec)
-    results = {}
-    for pi_, prep in enumerate(PREP_LABELS):
-        circuit = Circuit(1, _PREP_OPS[prep] + rotation_ops)
-        for label, res in _sample_bases(circuit, 0, shots, noise, derive_seed(seed, 4 + pi_),
-                                        **sample_kw).items():
-            results[prep, label] = res
-    return readout, results
-
-
-def _estimate_process(cal, counts: dict) -> ProcessTomographyResult:
-    """Process tomography from the per-basis results of the four preparations,
-    keyed by (preparation, basis label), and a checked calibration (or None)."""
-    outputs = {}
-    for prep in PREP_LABELS:
-        r, _, _ = estimate_qubit({label: counts[prep, label].hist for label in BASIS_LABELS}, cal)
-        outputs[prep] = density_from_bloch(r)
-    return _reconstruct_process(outputs)
+    circuits = {prep: (Circuit(1, _PREP_OPS[prep] + rotation_ops), derive_seed(seed, 4 + k))
+                for k, prep in enumerate(PREP_LABELS)}
+    series = []
+    for cal, jobs in _grid_counts(circuits, 0, shot_grid, noise, derive_seed(seed, 12), mitigate):
+        outputs = {prep: density_from_bloch(estimate_qubit(
+                       {label: res.hist for label, res in jobs[prep].items()}, cal)[0])
+                   for prep in PREP_LABELS}
+        series.append(_reconstruct_process(outputs))
+    return series
 
 
 def process_tomography(spec: RotationSpec, shots: int = 20000,
@@ -250,8 +240,7 @@ def process_tomography(spec: RotationSpec, shots: int = 20000,
                        mitigate: bool = False) -> ProcessTomographyResult:
     """Sampled process tomography of the rotation circuit: 4 input states
     x 3 measurement bases, ``shots`` per circuit."""
-    _check_shots(shots)
-    return _estimate_process(*_at_shots(_process_jobs(spec, shots, noise, seed, mitigate), shots))
+    return _process_series(spec, [shots], noise, seed, mitigate)[0]
 
 
 def process_tomography_exact(u) -> ProcessTomographyResult:
@@ -297,15 +286,14 @@ def calibrate_readout(noise: NoiseModel | None, shots: int, seed: int = 0) -> np
     Column j holds the outcome frequencies observed when |j> is prepared;
     columns sum to 1 exactly.
     """
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
     return _readout_matrix(_readout_runs(noise, shots, seed), shots)
 
 
 def _readout_runs(noise: NoiseModel | None, shots: int, seed: int,
-                  **sample_kw) -> list[ShotResult]:
+                  checkpoints=()) -> list[ShotResult]:
     """The prepare-|0> and prepare-|1> runs behind ``calibrate_readout``."""
-    return [sample(Circuit(1, prep), ("Z",), shots, noise, derive_seed(seed, j), **sample_kw)
+    return [sample(Circuit(1, prep), ("Z",), shots, noise, derive_seed(seed, j),
+                   checkpoints=checkpoints)
             for j, prep in enumerate(((), (GateOp("X", 0),)))]
 
 
@@ -320,12 +308,6 @@ def _conditioned(cal: np.ndarray) -> np.ndarray:
     if det == 0.0 or smax2 > 1e8 * abs(det):
         raise NumericError("calibration matrix is numerically singular")
     return cal
-
-
-def _mitigation_calibration(mitigate: bool, noise: NoiseModel | None, shots: int,
-                            seed: int) -> np.ndarray | None:
-    """The checked one-qubit readout calibration, or None without mitigation."""
-    return _conditioned(calibrate_readout(noise, shots, seed)) if mitigate else None
 
 
 def _nnls_frequencies(freqs: np.ndarray, cal) -> np.ndarray:

@@ -7,8 +7,13 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import qrot
-from qrot.cli import main
+from qrot import tomography
+from qrot.circuit import MAX_QUBITS
+from qrot.cli import MAX_BATCH_VECTORS, main
+from qrot.multirot import VectorBatch
 
 
 def run(capsys, *argv):
@@ -146,6 +151,14 @@ class TestSweepCommand:
                          "--out", str(tmp_path / "s.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("backends", ["", " , "])
+    def test_no_backend_is_usage_error(self, capsys, tmp_path, backends):
+        code, _, err = run(capsys, "sweep", "--backends", backends,
+                           "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "no backend" in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_json_format_rejected(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "--trials", "1", "--points", "1",
                          "--shots-min", "200", "--shots-max", "200",
@@ -200,6 +213,33 @@ class TestMultiCommand:
         assert code == 2
         assert "entry 1" in err
 
+
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "vectors.json"
+        path.write_bytes(b"\xff\xfe[\x00[\x001\x00]\x00]\x00")
+        code, _, err = run(capsys, "multi", "--vectors", str(path), "--axis", "0,0,1",
+                           "--angle", "0.5")
+        assert code == 2
+        assert "UTF-8" in err
+
+    def test_deeply_nested_file_is_usage_error(self, capsys, tmp_path):
+        vecs = self._vector_file(tmp_path, "[" * 100_000)
+        code, _, err = run(capsys, "multi", "--vectors", vecs, "--axis", "0,0,1",
+                           "--angle", "0.5")
+        assert code == 2
+        assert "nested" in err
+
+    def test_batch_limit_is_the_circuit_width_limit(self, capsys, tmp_path, monkeypatch):
+        assert MAX_BATCH_VECTORS == 1 << (MAX_QUBITS - 1) == 2048
+        VectorBatch(np.tile([0.0, 0.0, 1.0], (MAX_BATCH_VECTORS, 1)))
+        calls = []
+        monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))
+        vecs = self._vector_file(tmp_path, [[0, 0, 1]] * (MAX_BATCH_VECTORS + 1))
+        code, _, err = run(capsys, "multi", "--vectors", vecs, "--axis", "0,0,1",
+                           "--angle", "0.5", "--shots", "500")
+        assert code == 2
+        assert "at most 2048 vectors" in err
+        assert calls == []
 
     def test_boolean_components_rejected(self, capsys, tmp_path):
         vecs = self._vector_file(tmp_path, [[0, 1, 0], [True, False, False]])

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from qrot import DomainError, axis_rotation_unitary, rodrigues_rotate
+from qrot import DomainError, axis_rotation_unitary, rodrigues_rotate, tomography
 from qrot.bloch import angle_between
 from qrot.experiments import (NOISE_PRESETS, SweepRecord, log_shot_grid, rotation_circuit,
                               seeded_rotations, seeded_vectors, sweep_records)
@@ -45,6 +45,11 @@ def test_sweep_equals_per_point_tomography(backend, mitigate, shot_grid):
     assert records == reference_sweep([backend], 3, shot_grid, 17, mitigate)
 
 
-def test_grid_point_below_min_shots_rejected():
-    with pytest.raises(DomainError):
-        sweep_records(["noiseless"], 1, [500, 99])
+def test_grid_point_below_min_shots_rejected(monkeypatch):
+    # rejected before any draw, the readout calibration's included
+    calls = []
+    monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))
+    for backend, mitigate in (("noiseless", False), ("nisq-lite", True)):
+        with pytest.raises(DomainError):
+            sweep_records([backend], 2, [500, 99], mitigate=mitigate)
+    assert calls == []

@@ -5,8 +5,9 @@ import pytest
 
 from qrot import (Circuit, DomainError, GateOp, NoiseModel, NumericError,
                   ShapeError, ShotResult, apply, axis_rotation_sequence,
-                  derive_seed, expectation_from_counts, initialization_ops,
-                  kron, rodrigues_rotate, sample, state_to_bloch, zero_state)
+                  calibrate_readout, derive_seed, expectation_from_counts, initialization_ops,
+                  kron, process_tomography, rodrigues_rotate, sample, state_to_bloch,
+                  zero_state)
 from qrot import simulator
 from qrot.rotation import gate_ry
 
@@ -141,6 +142,15 @@ class TestSample:
     def test_zero_shots_rejected(self):
         with pytest.raises(DomainError):
             sample(H, ("Z",), 0)
+
+    def test_non_integer_shots_rejected(self, worked_spec):
+        # a float count used to escape as a TypeError from range()
+        with pytest.raises(DomainError, match="integer"):
+            sample(H, ("Z",), 1000.0)
+        with pytest.raises(DomainError, match="integer"):
+            calibrate_readout(None, 1000.0)
+        with pytest.raises(DomainError, match="integer"):
+            process_tomography(worked_spec, 1000.0)
 
     def test_bitstring_order_most_significant_first(self):
         # flip only qubit 1 of three: outcome index 2 prints as "010"

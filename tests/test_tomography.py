@@ -125,7 +125,7 @@ class TestEstimateQubit:
             estimate_qubit({"X": (0, 0), "Y": (3, 1), "Z": (2, 2)})
 
 
-def even_sample(circuit, basis, shots, noise=None, seed=0):
+def even_sample(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
     """Stand-in for ``sample``: the calibration's prepare-and-measure runs
     (no gate, or one X) read back through an exact symmetric 10% flip, every
     other circuit gives equal counts of 0 and 1 in every basis."""
