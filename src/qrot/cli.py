@@ -238,7 +238,12 @@ def _load_vectors(path: str):
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                            for x in entry)):
             raise DomainError(f"{path}: entry {idx} is not an [x, y, z] triple")
-        unit, norm = normalize(np.array(entry, dtype=float))
+        try:
+            vector = np.array(entry, dtype=float)
+        except OverflowError:
+            raise DomainError(f"{path}: entry {idx} has a component too large "
+                              f"for a float") from None
+        unit, norm = normalize(vector)
         if abs(norm - 1.0) > 1e-9:
             print(f"warning: vector {idx} normalized from length {norm:.6f}")
         vectors.append(unit)

@@ -82,8 +82,7 @@ def rotate_report(spec: RotationSpec, vector, shots: int, noise: NoiseModel | No
                   seed: int, mitigate: bool = False) -> dict:
     """Rotate one vector classically and through sampled tomography."""
     oracle = rodrigues_rotate(spec, vector)
-    result = state_tomography(rotation_circuit(vector, spec), 0, shots, noise,
-                              seed, mitigate)
+    result = state_tomography(rotation_circuit(vector, spec), shots, noise, seed, mitigate)
     return {
         "axis": [float(x) for x in spec.axis],
         "angle_r": spec.angle_r,
@@ -217,7 +216,7 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
             oracle = rodrigues_rotate(spec, vector)
             procs = _process_series(spec, shot_grid, noise, derive_seed(seed, trial, 3),
                                     use_mitigation)
-            states = _state_series(rotation_circuit(vector, spec), 0, shot_grid, noise,
+            states = _state_series(rotation_circuit(vector, spec), shot_grid, noise,
                                    derive_seed(seed, trial, 4), use_mitigation)
             for shots, proc, state in zip(shot_grid, procs, states):
                 records.append(SweepRecord(label, trial, shots, "gate_fidelity",

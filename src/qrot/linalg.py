@@ -26,6 +26,15 @@ def _as_matrix(m, name="matrix") -> np.ndarray:
     return m
 
 
+def _finite_matrix(m) -> np.ndarray:
+    """``_as_matrix``, rejecting NaN and infinite entries, which every
+    tolerance comparison would let through."""
+    m = _as_matrix(m)
+    if not np.all(np.isfinite(m)):
+        raise DomainError("matrix entries must be finite")
+    return m
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product with an explicit inner-dimension check."""
     a = _as_matrix(a, "left operand")
@@ -89,9 +98,10 @@ def eig_hermitian(m):
     Returns ``(values, vectors)`` with eigenvalues sorted descending and the
     eigenvectors as columns of a unitary matrix, so that
     ``m == vectors @ diag(values) @ vectors.conj().T``. Raises DomainError
-    when ``m`` is further than 1e-8 from its conjugate transpose.
+    for a non-finite entry or when ``m`` is further than 1e-8 from its
+    conjugate transpose.
     """
-    a = _as_matrix(m)
+    a = _finite_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"eigendecomposition requires a square matrix, got {a.shape}")
     if max_abs(a - dagger(a)) > 1e-8:
@@ -119,9 +129,9 @@ def polar_unitary(m) -> np.ndarray:
     closed form (Higham, Functions of Matrices, ch. 8): U = (m + (det m /
     |det m|) adj(m)^dagger) / sqrt(||m||_F^2 + 2 |det m|). Raises NumericError
     when sigma_min^2 <= 1e-24 max(sigma_max^2, 1): ``m`` is numerically
-    singular and U is not determined.
+    singular and U is not determined, and DomainError for a non-finite entry.
     """
-    m = _as_matrix(m)
+    m = _finite_matrix(m)
     if m.shape != (2, 2):
         raise ShapeError(f"polar unitary requires a 2x2 matrix, got {m.shape}")
     det, fro2, smax2 = svd_invariants(m)

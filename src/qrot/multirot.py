@@ -23,8 +23,7 @@ from .circuit import MAX_QUBITS, Circuit, GateOp
 from .errors import DomainError
 from .rotation import RotationSpec, axis_rotation_sequence
 from .simulator import NoiseModel, derive_seed
-from .tomography import (MIN_SHOTS, _conditioned, _sample_bases, calibrate_readout,
-                         estimate_qubit)
+from .tomography import _grid_counts, estimate_qubit
 
 # Below this many samples in a basis, expectation estimates have standard
 # error above 0.2 and the per-index tomography is not meaningful.
@@ -159,25 +158,19 @@ def extract_all(plan: MultiRotationPlan, shots_per_vector: int,
                 mitigate: bool = False) -> list[ExtractedVector]:
     """Rotate the whole batch and read every vector back by post-selection.
 
-    Runs the full circuit ``shots_per_vector * 2**n`` times in each of the
-    three data-qubit bases (controls always measured in Z), groups shots by
-    control outcome, and reconstructs each encoded index from its share
-    (about ``shots_per_vector`` per basis, since the control marginal is
-    uniform). Indices with fewer than 25 samples in some basis are flagged
-    as under-sampled; an index with zero samples in some basis or a zero
+    Draws the full circuit through ``tomography._grid_counts`` at the one
+    grid point ``shots_per_vector`` (``shots_per_vector * 2**n`` shots in
+    each basis of qubit 0, the readout calibration at ``shots_per_vector``)
+    and reconstructs each encoded index from its control branch's row of the
+    tally: about ``shots_per_vector`` per basis, since the control marginal
+    is uniform. Raises DomainError below ``tomography.MIN_SHOTS`` before any
+    draw. Indices with fewer than 25 samples in some basis are flagged as
+    under-sampled; an index with zero samples in some basis or a zero
     estimate gets an error entry rather than failing the whole extraction.
     """
-    if shots_per_vector < MIN_SHOTS:
-        raise DomainError(
-            f"shots_per_vector must be >= {MIN_SHOTS}, got {shots_per_vector}")
-    circuit = full_circuit(plan)
-    n = plan.batch.n
-    total = shots_per_vector << n
-    cal = (_conditioned(calibrate_readout(noise, shots_per_vector, derive_seed(seed, 3)))
-           if mitigate else None)
-    # The data qubit is the least significant bit: row = branch, column = data bit.
-    tallies = {label: res.hist.reshape(1 << n, 2)
-               for label, res in _sample_bases(circuit, 0, total, noise, seed).items()}
+    [(cal, jobs)] = _grid_counts({0: (full_circuit(plan), seed)}, [shots_per_vector], noise,
+                                 derive_seed(seed, 3), mitigate)
+    tallies = {label: res.hist.reshape(-1, 2) for label, res in jobs[0].items()}
     return [index_estimate(i0 + 1, {label: t[i0] for label, t in tallies.items()}, cal)
             for i0 in range(plan.batch.p)]
 

@@ -137,16 +137,16 @@ def gate_rz(theta: float) -> np.ndarray:
                     dtype=complex)
 
 
-def initialization_ops(vector, target: int = 0) -> tuple[GateOp, ...]:
-    """Gates mapping |0> to the qubit state whose Bloch vector is ``vector``:
-    RY(theta) then RZ(phi)."""
+def initialization_ops(vector) -> tuple[GateOp, ...]:
+    """Gates mapping qubit 0 from |0> to the state whose Bloch vector is
+    ``vector``: RY(theta) then RZ(phi)."""
     theta, phi = vec_to_angles(vector)
-    return (GateOp("RY", target, theta), GateOp("RZ", target, phi))
+    return (GateOp("RY", 0, theta), GateOp("RZ", 0, phi))
 
 
-def axis_rotation_sequence(spec: RotationSpec, target: int = 0,
-                           controls=()) -> tuple[GateOp, ...]:
-    """The five-gate realization of a rotation about an arbitrary axis.
+def axis_rotation_sequence(spec: RotationSpec, controls=()) -> tuple[GateOp, ...]:
+    """The five-gate realization of a rotation about an arbitrary axis, on
+    qubit 0 (controlled by ``controls``, if any).
 
     In application order: RZ(-phi_n), RY(-theta_n), RZ(theta_r), RY(theta_n),
     RZ(phi_n), where (theta_n, phi_n) are the spherical angles of the axis.
@@ -156,11 +156,11 @@ def axis_rotation_sequence(spec: RotationSpec, target: int = 0,
     theta_n, phi_n = vec_to_angles(spec.axis)
     controls = tuple(controls)
     return (
-        GateOp("RZ", target, -phi_n, controls),
-        GateOp("RY", target, -theta_n, controls),
-        GateOp("RZ", target, spec.angle_r, controls),
-        GateOp("RY", target, theta_n, controls),
-        GateOp("RZ", target, phi_n, controls),
+        GateOp("RZ", 0, -phi_n, controls),
+        GateOp("RY", 0, -theta_n, controls),
+        GateOp("RZ", 0, spec.angle_r, controls),
+        GateOp("RY", 0, theta_n, controls),
+        GateOp("RZ", 0, phi_n, controls),
     )
 
 

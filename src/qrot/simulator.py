@@ -105,7 +105,10 @@ class ShotResult:
     prefixes: Mapping[int, ShotResult] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        hist = np.array(self.hist, dtype=np.int64)
+        hist = np.asarray(self.hist)
+        if hist.dtype.kind not in "iu":
+            raise DomainError(f"histogram entries must be integers, got dtype {hist.dtype}")
+        hist = hist.astype(np.int64)
         if hist.shape != (1 << len(self.basis),):
             raise ShapeError(f"histogram of shape {hist.shape} does not match "
                              f"{len(self.basis)} measured qubits")

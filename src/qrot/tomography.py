@@ -1,6 +1,7 @@
 """State and process reconstruction from sampled counts.
 
-State tomography measures the data qubit in the three Pauli bases, forms the
+State tomography measures the data qubit, qubit 0, in the three Pauli bases
+(any other qubit is a control read in Z; see ``_grid_counts``), forms the
 linear-inversion Bloch vector r, and projects (I + r . sigma)/2 onto the
 physical states by maximum likelihood (Smolin, Gambetta & Smith: floor the
 negative eigenvalue, keep the eigenvectors). For one qubit that is the state
@@ -33,8 +34,7 @@ from .errors import DomainError, NumericError, ShapeError
 from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, dagger, eig_hermitian,
                      is_unitary, max_abs, polar_unitary, svd_invariants, trace)
 from .rotation import RotationSpec, ErParams, axis_rotation_sequence, erp_from_unitary
-from .simulator import (BASIS_LABELS, NoiseModel, ShotResult, derive_seed,
-                        marginal_counts, sample)
+from .simulator import BASIS_LABELS, NoiseModel, ShotResult, derive_seed, sample
 
 MIN_SHOTS = 100
 # A Bloch vector estimate shorter than this has no direction.
@@ -111,10 +111,14 @@ def _floor_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def smolin_project(mu) -> np.ndarray:
     """Maximum-likelihood projection of a Hermitian trace-1 matrix onto the
-    physical density matrices (eigenvalue flooring; eigenvectors unchanged)."""
+    physical density matrices (eigenvalue flooring; eigenvectors unchanged).
+    Raises DomainError for an input that is not finite, not Hermitian or not
+    of trace 1."""
     mu = np.asarray(mu, dtype=complex)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {mu.shape}")
+    if not np.all(np.isfinite(mu)):
+        raise DomainError("input entries must be finite")
     if max_abs(mu - dagger(mu)) > 1e-8:
         raise DomainError("input must be Hermitian")
     if abs(trace(mu).real - 1.0) > 1e-6:
@@ -147,45 +151,43 @@ def estimate_qubit(tallies, cal=None):
             r / norm if norm >= MIN_BLOCH_NORM else None)
 
 
-def _sample_bases(circuit: Circuit, data_qubit: int, shots: int, noise: NoiseModel | None,
-                  seed: int, checkpoints=()) -> dict[str, ShotResult]:
-    """One job per basis X, Y, Z of the data qubit; the other qubits read in Z."""
-    return {label: sample(circuit, [label if q == data_qubit else "Z"
-                                    for q in range(circuit.num_qubits)],
-                          shots, noise, derive_seed(seed, bi), checkpoints=checkpoints)
-            for bi, label in enumerate(BASIS_LABELS)}
-
-
-def _grid_counts(circuits: dict, data_qubit: int, shot_grid, noise: NoiseModel | None,
-                 cal_seed: int, mitigate: bool) -> list:
-    """Per point of the non-empty ``shot_grid``, in grid order: the checked
-    readout calibration (None without mitigation) and, for each key of
-    ``circuits`` (key -> (circuit, seed)), its per-basis results. Every job,
+def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: int,
+                 mitigate: bool) -> list:
+    """Per point s of the non-empty ``shot_grid``, in grid order: the checked
+    readout calibration of s shots per run (None without mitigation) and, for
+    each key of ``circuits`` (key -> (circuit, seed)), its results in bases
+    X, Y, Z. Qubit 0 is the data qubit, measured in each basis; every other
+    qubit is a control bit read in Z. A circuit with n control qubits is
+    drawn at s * 2**n shots, about s per control branch, and its tally is
+    ``res.hist.reshape(-1, 2)``: row b holds branch b's (n0, n1). Every job,
     the calibration's runs included, is drawn once at the largest point with
     the grid as checkpoints; a smaller point reads its prefix."""
     if min(shot_grid) < MIN_SHOTS:
         raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {min(shot_grid)}")
     top, checkpoints = max(shot_grid), sorted(set(shot_grid))
     readout = _readout_runs(noise, top, cal_seed, checkpoints) if mitigate else None
-    jobs = {key: _sample_bases(circuit, data_qubit, top, noise, seed, checkpoints)
-            for key, (circuit, seed) in circuits.items()}
-    return [(None if readout is None else _conditioned(_readout_matrix(readout, shots)),
-             {key: {label: res.prefix(shots) for label, res in bases.items()}
+    jobs = {}
+    for key, (circuit, seed) in circuits.items():
+        n = circuit.num_qubits - 1
+        jobs[key] = {label: sample(circuit, (label,) + ("Z",) * n, top * 2**n, noise,
+                                   derive_seed(seed, bi),
+                                   checkpoints=[s * 2**n for s in checkpoints])
+                     for bi, label in enumerate(BASIS_LABELS)}
+    return [(None if readout is None else _conditioned(_readout_matrix(readout, s)),
+             {key: {label: res.prefix(s * 2**(len(res.basis) - 1)) for label, res in bases.items()}
               for key, bases in jobs.items()})
-            for shots in shot_grid]
+            for s in shot_grid]
 
 
-def _state_series(circuit: Circuit, data_qubit: int, shot_grid, noise: NoiseModel | None,
-                  seed: int, mitigate: bool) -> list[StateTomographyResult]:
+def _state_series(circuit: Circuit, shot_grid, noise: NoiseModel | None, seed: int,
+                  mitigate: bool) -> list[StateTomographyResult]:
     """``state_tomography`` at every point of ``shot_grid``, in grid order,
     from one draw at the largest point."""
-    if not 0 <= data_qubit < circuit.num_qubits:
-        raise DomainError(f"data qubit {data_qubit} out of range for {circuit.num_qubits} qubits")
     series = []
-    for cal, jobs in _grid_counts({0: (circuit, seed)}, data_qubit, shot_grid, noise,
-                                  derive_seed(seed, 3), mitigate):
+    for cal, jobs in _grid_counts({0: (circuit, seed)}, shot_grid, noise, derive_seed(seed, 3),
+                                  mitigate):
         r, rho, direction = estimate_qubit(
-            {label: marginal_counts(res.hist, data_qubit) for label, res in jobs[0].items()}, cal)
+            {label: res.hist.reshape(-1, 2).sum(axis=0) for label, res in jobs[0].items()}, cal)
         if direction is None:
             raise NumericError("estimated Bloch vector is below MIN_BLOCH_NORM; it has no direction")
         series.append(StateTomographyResult(
@@ -194,13 +196,13 @@ def _state_series(circuit: Circuit, data_qubit: int, shot_grid, noise: NoiseMode
     return series
 
 
-def state_tomography(circuit: Circuit, data_qubit: int = 0, shots: int = 20000,
-                     noise: NoiseModel | None = None, seed: int = 0,
-                     mitigate: bool = False) -> StateTomographyResult:
-    """Reconstruct the data qubit's state from three basis-sampled jobs of
-    ``shots`` each with ``estimate_qubit``. Raises NumericError when the
-    estimate has no direction (|r| < MIN_BLOCH_NORM)."""
-    return _state_series(circuit, data_qubit, [shots], noise, seed, mitigate)[0]
+def state_tomography(circuit: Circuit, shots: int = 20000, noise: NoiseModel | None = None,
+                     seed: int = 0, mitigate: bool = False) -> StateTomographyResult:
+    """Reconstruct qubit 0's state with ``estimate_qubit`` from its marginal
+    in three basis-sampled jobs of ``shots * 2**n`` each, n being the number
+    of other (control) qubits. Raises NumericError when the estimate has no
+    direction (|r| < MIN_BLOCH_NORM)."""
+    return _state_series(circuit, [shots], noise, seed, mitigate)[0]
 
 
 def _reconstruct_process(outputs: dict[str, np.ndarray]) -> ProcessTomographyResult:
@@ -227,9 +229,10 @@ def _process_series(spec: RotationSpec, shot_grid, noise: NoiseModel | None, see
     circuits = {prep: (Circuit(1, _PREP_OPS[prep] + rotation_ops), derive_seed(seed, 4 + k))
                 for k, prep in enumerate(PREP_LABELS)}
     series = []
-    for cal, jobs in _grid_counts(circuits, 0, shot_grid, noise, derive_seed(seed, 12), mitigate):
+    for cal, jobs in _grid_counts(circuits, shot_grid, noise, derive_seed(seed, 12), mitigate):
         outputs = {prep: density_from_bloch(estimate_qubit(
-                       {label: res.hist for label, res in jobs[prep].items()}, cal)[0])
+                       {label: res.hist.reshape(-1, 2)[0] for label, res in jobs[prep].items()},
+                       cal)[0])
                    for prep in PREP_LABELS}
         series.append(_reconstruct_process(outputs))
     return series

@@ -229,6 +229,14 @@ class TestMultiCommand:
         assert code == 2
         assert "nested" in err
 
+    def test_huge_integer_component_is_usage_error(self, capsys, tmp_path):
+        # an integer beyond the float range used to escape as an OverflowError
+        vecs = self._vector_file(tmp_path, "[[0, 0, 1], [1" + "0" * 400 + ", 0, 0]]")
+        code, _, err = run(capsys, "multi", "--vectors", vecs, "--axis", "0,0,1",
+                           "--angle", "0.5")
+        assert code == 2
+        assert "entry 2" in err
+
     def test_batch_limit_is_the_circuit_width_limit(self, capsys, tmp_path, monkeypatch):
         assert MAX_BATCH_VECTORS == 1 << (MAX_QUBITS - 1) == 2048
         VectorBatch(np.tile([0.0, 0.0, 1.0], (MAX_BATCH_VECTORS, 1)))

@@ -28,7 +28,7 @@ def reference_sweep(backends, trials, shot_grid, seed, mitigate):
                 records.append(SweepRecord(
                     label, trial, shots, "gate_fidelity",
                     gate_fidelity(axis_rotation_unitary(spec), proc.unitary)))
-                state = state_tomography(rotation_circuit(vector, spec), 0, shots, noise,
+                state = state_tomography(rotation_circuit(vector, spec), shots, noise,
                                          derive_seed(seed, trial, 4), use_mitigation)
                 records.append(SweepRecord(
                     label, trial, shots, "angle_deg",

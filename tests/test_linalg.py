@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qrot import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DomainError, NumericError,
                   ShapeError, align_global_phase, dagger, eig_hermitian, kron,
-                  matmul, polar_unitary, trace)
+                  matmul, polar_unitary, smolin_project, trace)
 from qrot.rotation import gate_ry, gate_rz
 
 import jacobi
@@ -157,6 +157,14 @@ def test_eig_hermitian_resolves_tiny_off_diagonal():
     m = np.array([[1.0, 1e-13], [1e-13, 2.0]])
     values, vectors = eig_hermitian(m)
     assert max_abs(vectors @ np.diag(values) @ dagger(vectors) - m) <= 1e-15
+
+
+@pytest.mark.parametrize("fn", [eig_hermitian, smolin_project, polar_unitary])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_input_rejected(fn, bad):
+    # NaN passes every tolerance comparison and came back as a NaN matrix
+    with pytest.raises(DomainError, match="finite"):
+        fn(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestPhaseAlignment:

@@ -152,6 +152,12 @@ class TestSample:
         with pytest.raises(DomainError, match="integer"):
             process_tomography(worked_spec, 1000.0)
 
+    @pytest.mark.parametrize("hist", [[1.5, 0.5], [1.0, 0.0], ["1", "0"]])
+    def test_non_integer_histogram_rejected(self, hist):
+        # [1.5, 0.5] used to be stored as [1, 0]
+        with pytest.raises(DomainError, match="integers"):
+            ShotResult(("Z",), hist, 1)
+
     def test_bitstring_order_most_significant_first(self):
         # flip only qubit 1 of three: outcome index 2 prints as "010"
         circuit = Circuit(3, (GateOp("X", 1),))

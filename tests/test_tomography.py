@@ -18,6 +18,8 @@ from qrot.rotation import gate_ry, gate_rz
 from qrot.tomography import (MIN_BLOCH_NORM, _reconstruct_process, density_from_bloch,
                              estimate_qubit)
 from qrot.experiments import rotation_circuit
+from qrot.multirot import MultiRotationPlan, VectorBatch, extract_all
+from qrot.simulator import expectation_from_counts, sample
 
 from conftest import WORKED_ROTATED, WORKED_VECTOR, random_spec
 
@@ -148,6 +150,46 @@ class TestZeroEstimate:
                 "--shots", "1000"] + (["--mitigate"] if mitigate else [])
         assert main(argv) == 4
         assert "no direction" in capsys.readouterr().err
+
+
+class TestSharedCore:
+    """Every tomography draw goes through ``_grid_counts``: a circuit with n
+    control qubits is drawn at shots * 2**n per basis, its readout
+    calibration at shots per run."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def recording_sample(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
+            calls.append((circuit.num_qubits, shots, tuple(checkpoints)))
+            return sample(circuit, basis, shots, noise, seed, checkpoints=checkpoints)
+
+        monkeypatch.setattr(tomography, "sample", recording_sample)
+        return calls
+
+    def test_batched_extraction(self, calls, worked_spec):
+        plan = MultiRotationPlan(VectorBatch(np.tile([0.0, 0.0, 1.0], (5, 1))), worked_spec)
+        out = extract_all(plan, 200, NoiseModel(readout_flip=0.02), seed=3, mitigate=True)
+        assert len(out) == 5
+        # two calibration runs at 200 shots, then X, Y, Z over 3 controls at 200 * 8
+        assert calls == [(1, 200, (200,))] * 2 + [(4, 1600, (1600,))] * 3
+
+    def test_batched_extraction_rejects_few_shots_before_drawing(self, calls, worked_spec):
+        plan = MultiRotationPlan(VectorBatch(np.tile([0.0, 0.0, 1.0], (5, 1))), worked_spec)
+        with pytest.raises(DomainError):
+            extract_all(plan, 50)
+        assert calls == []
+
+    def test_two_qubit_state_reads_qubit_0_marginal(self, calls):
+        circuit = Circuit(2, (GateOp("H", 1), GateOp("RY", 0, 0.7)))
+        result = state_tomography(circuit, shots=500, seed=5)
+        assert calls == [(2, 1000, (1000,))] * 3
+        for label, res in result.counts.items():
+            assert res.shots == 1000
+            assert result.expectations[label] == expectation_from_counts(res, 0)
+        expected = [math.sin(0.7), 0.0, math.cos(0.7)]
+        assert math.degrees(angle_between(result.bloch, expected)) < 10.0
 
 
 class TestStateTomography:
