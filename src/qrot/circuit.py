@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .errors import DomainError
 
@@ -32,8 +33,12 @@ class GateOp:
             raise DomainError(f"unknown gate kind {self.kind!r}; expected one of {GATE_KINDS}")
         if not math.isfinite(self.theta):
             raise DomainError("gate angle must be finite")
-        if self.target < 0:
-            raise DomainError(f"target qubit index must be non-negative, got {self.target}")
+        if not isinstance(self.target, Integral) or self.target < 0:
+            raise DomainError(f"target qubit index must be a non-negative integer, "
+                              f"got {self.target!r}")
+        if not all(isinstance(x, Integral) for pair in self.controls for x in pair):
+            raise DomainError(f"control qubits and triggers must be integers, "
+                              f"got {self.controls!r}")
         controls = tuple((int(q), int(t)) for q, t in self.controls)
         object.__setattr__(self, "controls", controls)
         seen = set()

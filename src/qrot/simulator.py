@@ -24,21 +24,23 @@ Conventions
 * Every gate is applied by one in-place kernel with no batch axis: on the
   slice where each control axis holds its trigger, the target's axis is
   viewed as the middle of (left, 2, right) and multiplied by the 2x2 gate.
-  The statevector path calls it once per gate, the density path twice (U
-  on the target's row axis, conj(U) on its column axis).
+  Every job evolves one statevector; a norm drift beyond 1e-10 raises
+  NumericError.
 * Gate noise: after each gate, with the configured depolarizing probability
   (``depol_ctrl`` for controlled gates, ``depol_1q`` otherwise), one Pauli
-  chosen uniformly from {X, Y, Z} hits the gate's target qubit; that is
-  the uniform Pauli channel on the target. Without gate noise the
-  distribution is the Born rule of the final statevector. With it, the
-  density matrix is evolved exactly as a tensor with one row axis and one
-  column axis per qubit. A qubit's axes stay of size 1 (it is |0><0|) until
-  an op first touches it. Once a qubit will never be a gate target again,
-  later ops use it at most as a control and it is measured in Z, so only
-  the diagonal of its block is ever read: it is dephased then, its column
-  axis shrinking to size 1, which leaves the outcome distribution exactly
-  unchanged. A batch circuit thereby keeps one 2x2 data-qubit block per
-  control branch.
+  chosen uniformly from {X, Y, Z} hits the gate's target qubit. That uniform
+  Pauli channel is the depolarizing channel rho -> lam rho + (1 - lam) I/2
+  with lam = 1 - 4p/3, which commutes with every gate on its qubit. Under
+  gate noise a circuit (basis-change gates included) must have this shape:
+  a qubit that is ever a control is touched first by an uncontrolled H and
+  afterwards only as a control, so it is read in Z; every other qubit may
+  be a target anywhere. Any other circuit raises DomainError. In that
+  shape, every gate is block-diagonal in the controls, the Z diagonal of
+  each control stays uniform whatever the noise on its H, and each other
+  qubit's noise moves to the end of the circuit, where it is a flip of
+  that qubit's bit with probability (1 - prod lam) / 2 over the gates that
+  target it. The outcome distribution is the Born rule of the final
+  statevector with those flips folded in.
 * ``readout_flip`` flips each measured bit independently; it is folded into
   the distribution as the per-qubit confusion map [[1-f, f], [f, 1-f]].
 * Counts are an integer histogram over the 2^n outcome indices
@@ -170,31 +172,28 @@ def _gate_matrix(op: GateOp) -> np.ndarray:
     return _PARAM_GATES[op.kind](op.theta)
 
 
-def _at(ndim: int, picks: dict) -> tuple:
-    """Index tuple selecting ``picks[axis]`` on the given axes, all of the rest."""
-    index = [slice(None)] * ndim
-    for axis, pick in picks.items():
-        index[axis] = pick
-    return tuple(index)
-
-
-def _apply_gate(t: np.ndarray, mat: np.ndarray, axis: int, picks: dict) -> None:
+def _apply_gate(t: np.ndarray, mat: np.ndarray, axis: int, index: tuple) -> None:
     """Apply the 2x2 ``mat`` in place along ``axis`` of ``t``, on the slice
-    where each axis in ``picks`` holds its size-1 slice (a control's
-    trigger). The slice is viewed as (left, 2, right) with ``axis`` in the
+    ``t[index]``, where each control's axis holds the size-1 slice of its
+    trigger. The slice is viewed as (left, 2, right) with ``axis`` in the
     middle, and ``mat`` multiplies that middle axis."""
-    sub = t[_at(t.ndim, picks)]
+    sub = t[index]
     x = sub.reshape(math.prod(sub.shape[:axis]), 2, -1)
     sub[...] = (mat @ x).reshape(sub.shape)
 
 
 def _evolve(state: np.ndarray, ops, n: int) -> np.ndarray:
-    """Apply ``ops`` in place to ``state``, a 2^n statevector owned by the
-    caller; qubit q is axis n - 1 - q of its (2,) * n view."""
+    """Apply ``ops`` in place to ``state``, a normalized 2^n statevector owned
+    by the caller; qubit q is axis n - 1 - q of its (2,) * n view. Raises
+    NumericError if the norm has drifted beyond 1e-10."""
     t = state.reshape((2,) * n)
     for op in ops:
-        _apply_gate(t, _gate_matrix(op), n - 1 - op.target,
-                    {n - 1 - q: slice(trig, trig + 1) for q, trig in op.controls})
+        index = [slice(None)] * n
+        for q, trig in op.controls:
+            index[n - 1 - q] = slice(trig, trig + 1)
+        _apply_gate(t, _gate_matrix(op), n - 1 - op.target, tuple(index))
+    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
+        raise NumericError("statevector norm drifted beyond 1e-10")
     return state
 
 
@@ -208,10 +207,7 @@ def apply(circuit: Circuit, initial) -> np.ndarray:
             f"needs {dim}")
     if abs(np.linalg.norm(initial) - 1.0) > 1e-10:
         raise DomainError("initial state must be normalized")
-    out = _evolve(initial.copy(), circuit.ops, circuit.num_qubits)
-    if abs(np.linalg.norm(out) - 1.0) > 1e-10:
-        raise NumericError("statevector norm drifted beyond 1e-10")
-    return out
+    return _evolve(initial.copy(), circuit.ops, circuit.num_qubits)
 
 
 def _basis_change_ops(basis, n: int) -> list[GateOp]:
@@ -246,79 +242,38 @@ def _outcomes(probs: np.ndarray, edges, rng: np.random.Generator):
         start = end
 
 
-def _confuse_readout(probs: np.ndarray, n: int, f: float) -> np.ndarray:
-    """Fold independent per-qubit readout flips of probability ``f`` into an
-    outcome distribution; with f = 0 every value is returned unchanged."""
+def _confuse_readout(probs: np.ndarray, flips) -> np.ndarray:
+    """Fold an independent flip of each qubit q's bit, with probability
+    ``flips[q]``, into an outcome distribution; a qubit with flip 0 leaves
+    every value unchanged."""
+    n = len(flips)
     t = probs.reshape((2,) * n)
     for axis in range(n):
+        f = flips[n - 1 - axis]
         t = (1.0 - f) * t + f * np.flip(t, axis)
     return t.reshape(-1)
 
 
-def _widen(rho: np.ndarray, axis: int) -> np.ndarray:
-    """Grow a size-1 axis that holds index 0 to size 2, with zeros at index 1."""
-    return np.concatenate((rho, np.zeros_like(rho)), axis=axis)
-
-
-def _block(rho: np.ndarray, r: int, c: int, i: int, j: int) -> np.ndarray:
-    """View of entry (i, j) of one qubit's 2x2 block, the qubit with row axis
-    ``r`` and column axis ``c``; slices keep it a view even of one element."""
-    return rho[_at(rho.ndim, {r: slice(i, i + 1), c: slice(j, j + 1)})]
-
-
-def _pauli_channel(rho: np.ndarray, r: int, c: int, p: float) -> None:
-    """Uniform Pauli channel of probability ``p`` in place, on the qubit with
-    row axis ``r`` and column axis ``c``: (1 - p) rho + (p/3)(X rho X +
-    Y rho Y + Z rho Z), in closed form on its 2x2 block."""
-    d0, d1 = _block(rho, r, c, 0, 0), _block(rho, r, c, 1, 1)
-    mix = (2.0 * p / 3.0) * (d1 - d0)
-    d0 += mix
-    d1 -= mix
-    _block(rho, r, c, 0, 1)[...] *= 1.0 - 4.0 * p / 3.0
-    _block(rho, r, c, 1, 0)[...] *= 1.0 - 4.0 * p / 3.0
-
-
-def _density_probs(ops, n: int, noise: NoiseModel) -> np.ndarray:
-    """Exact outcome probabilities of ``ops`` applied to |0...0> under the
-    gate noise of ``noise`` (readout flips are not applied here).
-
-    Qubit q has row axis n - 1 - q and column axis 2n - 1 - q. See the module
-    docstring for when an axis has size 1.
-    """
-    last_target = {op.target: g for g, op in enumerate(ops)}
-    rho = np.ones((1,) * (2 * n), dtype=complex)
-    for g, op in enumerate(ops):
-        for q in (op.target, *(q for q, _ in op.controls)):
-            if rho.shape[n - 1 - q] == 1:
-                rho = _widen(rho, n - 1 - q)
-                if last_target.get(q, -1) >= g:
-                    rho = _widen(rho, 2 * n - 1 - q)
-        # Controlled gate: U on the rows where each control's row index is
-        # its trigger, conj(U) on the columns where its column index is. A
-        # dephased control has no column axis of its own; its row index
-        # stands for both.
-        rows, cols = {}, {}
-        for q, trig in op.controls:
-            r, c = n - 1 - q, 2 * n - 1 - q
-            rows[r] = slice(trig, trig + 1)
-            cols[c if rho.shape[c] == 2 else r] = slice(trig, trig + 1)
-        r, c = n - 1 - op.target, 2 * n - 1 - op.target
-        mat = _gate_matrix(op)
-        _apply_gate(rho, mat, r, rows)
-        _apply_gate(rho, mat.conj(), c, cols)
-        p = noise.depol_ctrl if op.controls else noise.depol_1q
-        if p > 0.0:
-            _pauli_channel(rho, r, c, p)
-        if last_target[op.target] == g:
-            rho = np.concatenate((_block(rho, r, c, 0, 0), _block(rho, r, c, 1, 1)), axis=r)
-    for q in range(n):
-        if rho.shape[n - 1 - q] == 1:
-            rho = _widen(rho, n - 1 - q)
-    # Every column axis now has size 1: the tensor is the diagonal.
-    probs = rho.real.reshape(-1)
-    if abs(probs.sum() - 1.0) > 1e-10:
-        raise NumericError("density-matrix trace drifted beyond 1e-10")
-    return np.maximum(probs, 0.0)
+def _gate_noise_flips(ops, n: int, noise: NoiseModel) -> np.ndarray:
+    """Per-qubit bit-flip probabilities equal to the gate noise of ``ops``
+    on the outcome distribution, for the shape in the module docstring;
+    raises DomainError for any other circuit."""
+    controls = {q for op in ops for q, _ in op.controls}
+    prepared = set()
+    lam = np.ones(n)
+    for op in ops:
+        in_shape = prepared.issuperset(q for q, _ in op.controls)
+        if op.target in controls:
+            in_shape &= op.kind == "H" and not op.controls and op.target not in prepared
+            prepared.add(op.target)
+        else:
+            p = noise.depol_ctrl if op.controls else noise.depol_1q
+            lam[op.target] *= 1.0 - 4.0 * p / 3.0
+        if not in_shape:
+            raise DomainError(f"under gate noise, each control qubit must be touched first "
+                              f"by an uncontrolled H and only be a control after it; {op} "
+                              f"breaks that")
+    return (1.0 - lam) / 2.0
 
 
 def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
@@ -330,6 +285,12 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     for fixed ``(circuit, basis, shots, noise, seed)``. ``checkpoints``, sorted
     distinct ints in [1, shots], are the shot counts whose prefix histograms
     the result keeps for ``ShotResult.prefix``.
+
+    Noiseless and readout-only sampling accept any circuit. Under gate noise
+    (``depol_1q`` or ``depol_ctrl`` above 0) the circuit with its
+    basis-change gates must have the module docstring's shape: each control
+    qubit prepared by one uncontrolled H, only a control afterwards and
+    measured in Z. Any other noisy circuit raises DomainError.
     """
     noise = NOISELESS if noise is None else noise
     if not isinstance(shots, Integral) or shots < 1:
@@ -345,11 +306,10 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     if len(basis) != n:
         raise DomainError(f"expected {n} basis labels, got {len(basis)}")
     all_ops = list(circuit.ops) + _basis_change_ops(basis, n)
-    if noise.depol_1q == 0.0 and noise.depol_ctrl == 0.0:
-        probs = np.abs(_evolve(zero_state(n), all_ops, n)) ** 2
-    else:
-        probs = _density_probs(all_ops, n, noise)
-    probs = _confuse_readout(probs, n, noise.readout_flip)
+    probs = np.abs(_evolve(zero_state(n), all_ops, n)) ** 2
+    if noise.depol_1q > 0.0 or noise.depol_ctrl > 0.0:
+        probs = _confuse_readout(probs, _gate_noise_flips(all_ops, n, noise))
+    probs = _confuse_readout(probs, [noise.readout_flip] * n)
     dim = 1 << n
     hist = np.zeros(dim, dtype=np.int64)
     prefixes = {}

@@ -200,8 +200,10 @@ def state_tomography(circuit: Circuit, shots: int = 20000, noise: NoiseModel | N
                      seed: int = 0, mitigate: bool = False) -> StateTomographyResult:
     """Reconstruct qubit 0's state with ``estimate_qubit`` from its marginal
     in three basis-sampled jobs of ``shots * 2**n`` each, n being the number
-    of other (control) qubits. Raises NumericError when the estimate has no
-    direction (|r| < MIN_BLOCH_NORM)."""
+    of other (control) qubits. Under gate noise those qubits must be
+    controls in ``simulator.sample``'s sense (each prepared by one
+    uncontrolled H, only a control after it), else DomainError. Raises
+    NumericError when the estimate has no direction (|r| < MIN_BLOCH_NORM)."""
     return _state_series(circuit, [shots], noise, seed, mitigate)[0]
 
 

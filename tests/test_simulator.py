@@ -92,6 +92,22 @@ class TestApply:
             Circuit(13, ())
 
 
+class TestGateOp:
+    # Each used to pass: int() truncated the control pair to ((1, 1),), and a
+    # fractional target passed Circuit and escaped sample as a TypeError.
+    def test_non_integer_target_rejected(self):
+        with pytest.raises(DomainError, match="integer"):
+            GateOp("H", 0.5)
+
+    def test_non_integer_control_qubit_rejected(self):
+        with pytest.raises(DomainError, match="integers"):
+            GateOp("RY", 0, 0.3, ((1.7, 1),))
+
+    def test_non_integer_trigger_rejected(self):
+        with pytest.raises(DomainError, match="integers"):
+            GateOp("RY", 0, 0.3, ((1, 0.9),))
+
+
 class TestSample:
     def test_ground_state_z_basis(self):
         res = sample(Circuit(1, ()), ("Z",), 1000, seed=1)
@@ -196,8 +212,8 @@ class TestNoise:
         assert a.counts == b.counts
 
     def test_inert_trajectory_path_matches_born_statistics(self):
-        # depol_ctrl > 0 forces the density-matrix path, but a circuit
-        # without controlled gates meets no noise; frequencies must match the
+        # depol_ctrl > 0 switches gate noise on, but a circuit without
+        # controlled gates meets no noise; frequencies must match the
         # exact Born probability within 5 sigma.
         circuit = Circuit(1, (GateOp("RY", 0, 0.9),))
         shots = 20000
@@ -234,20 +250,24 @@ class TestNoise:
     def test_depol_ctrl_applies_to_controlled_gates(self):
         # with certain depolarization after the (satisfied) controlled gate,
         # the data qubit's Bloch vector shrinks by the one-twirl factor -1/3:
-        # <Z> = -(-1)/3 = 1/3 for a pi rotation.
-        circuit = Circuit(2, (GateOp("X", 1), GateOp("RY", 0, math.pi, ((1, 1),))))
-        shots = 20000
+        # <Z> = -(-1)/3 = 1/3 for a pi rotation. The control is prepared by H,
+        # so branch 1 (row 1 of the tally) holds about half the shots.
+        circuit = Circuit(2, (GateOp("H", 1), GateOp("RY", 0, math.pi, ((1, 1),))))
+        shots = 40000
         res = sample(circuit, ("Z", "Z"), shots, NoiseModel(0.0, 1.0, 0.0), seed=13)
-        z = expectation_from_counts(res, 0)
-        assert abs(z - 1.0 / 3.0) <= 5.0 / math.sqrt(shots)
+        n0, n1 = res.hist.reshape(-1, 2)[1]
+        z = (n0 - n1) / (n0 + n1)
+        assert abs(z - 1.0 / 3.0) <= 5.0 / math.sqrt(shots / 2)
 
-    def test_density_trace_drift_raises(self, monkeypatch):
-        # A gate that is not unitary changes the trace; the density path
-        # refuses to sample from it instead of renormalizing.
+    @pytest.mark.parametrize("noise", [None, NoiseModel(depol_1q=0.1)],
+                             ids=["noiseless", "gate-noise"])
+    def test_norm_drift_raises(self, monkeypatch, noise):
+        # A gate that is not unitary changes the norm; sampling refuses it
+        # instead of renormalizing, with or without gate noise.
         monkeypatch.setattr(simulator, "_gate_matrix",
                             lambda op: 1.01 * np.eye(2, dtype=complex))
         with pytest.raises(NumericError):
-            sample(H, ("Z",), 10, NoiseModel(depol_1q=0.1), seed=1)
+            sample(H, ("Z",), 10, noise, seed=1)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,7 @@
 """Per-shot stochastic Pauli trajectories, kept as a test oracle.
 
-This is the sampler that the exact density-matrix path of
-``simulator.sample`` replaced. Every shot is its own statevector: after each
+This is the sampler that ``simulator.sample``'s exact outcome
+distribution replaced. Every shot is its own statevector: after each
 gate, a uniform ``fire`` below the gate's depolarizing probability applies
 one Pauli, picked by a second uniform from {X, Y, Z}, to the target; then
 one uniform per shot picks the Born outcome and readout flips are drawn per
