@@ -14,6 +14,11 @@ GATE_KINDS = ("RX", "RY", "RZ", "H", "X")
 MAX_QUBITS = 12
 
 
+def _is_int(x) -> bool:
+    """An integer index; bool is Integral but is no qubit index."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class GateOp:
     """One gate: a kind, a target qubit, an optional angle and control pattern.
@@ -33,13 +38,18 @@ class GateOp:
             raise DomainError(f"unknown gate kind {self.kind!r}; expected one of {GATE_KINDS}")
         if not math.isfinite(self.theta):
             raise DomainError("gate angle must be finite")
-        if not isinstance(self.target, Integral) or self.target < 0:
+        if not _is_int(self.target) or self.target < 0:
             raise DomainError(f"target qubit index must be a non-negative integer, "
                               f"got {self.target!r}")
-        if not all(isinstance(x, Integral) for pair in self.controls for x in pair):
+        try:
+            controls = tuple((q, t) for q, t in self.controls)
+        except (TypeError, ValueError):
+            raise DomainError(f"controls must be (qubit, trigger) pairs, "
+                              f"got {self.controls!r}") from None
+        if not all(_is_int(q) and _is_int(t) for q, t in controls):
             raise DomainError(f"control qubits and triggers must be integers, "
                               f"got {self.controls!r}")
-        controls = tuple((int(q), int(t)) for q, t in self.controls)
+        controls = tuple((int(q), int(t)) for q, t in controls)
         object.__setattr__(self, "controls", controls)
         seen = set()
         for q, t in controls:

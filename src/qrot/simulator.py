@@ -11,11 +11,18 @@ Conventions
 * Randomness comes from numpy's Philox counter-based generator keyed by a
   64-bit seed, so identical inputs give byte-identical counts. A sampling
   job computes its exact outcome distribution once and then draws one
-  uniform per shot, ``SAMPLE_CHUNK`` at a time, mapping each to its outcome
-  by inverse-CDF lookup in the cumulative distribution. Memory is therefore
-  independent of the shot count, merged counts do not depend on how shots
-  are chunked, and an s-shot job's outcomes are the first s outcomes of any
-  larger job at the same seed, with or without noise.
+  uniform u per shot, ``SAMPLE_CHUNK`` at a time. A shot reads outcome
+  min(#{cum <= u}, 2^n - 1), cum being the cumulative distribution, but
+  the job only counts outcomes and never lists them: it splits [0, 1) into
+  K = 8 * 2^n buckets of width 1/K. A bucket that no cum value lies
+  strictly inside is pure, all of its shots read one outcome, and one
+  bincount over buckets tallies them. Only shots in the other buckets, at
+  most 2^n of the K, are looked up in cum one by one. K is a power of two,
+  so u * K and cum * K are exact and the histogram is bit-for-bit that of
+  a lookup per shot. Memory is therefore independent of the shot count,
+  merged counts do not depend on how shots are chunked, and an s-shot
+  job's outcomes are the first s outcomes of any larger job at the same
+  seed, with or without noise.
 * A job may name ``checkpoints``: shot counts at which the draw is also cut
   and the running histogram kept. ``ShotResult.prefix(s)`` then returns the
   result of the first s shots, which equals the result of an s-shot job at
@@ -64,8 +71,11 @@ from .rotation import gate_rx, gate_ry, gate_rz
 
 _MASK64 = (1 << 64) - 1
 
-# Shots drawn and looked up at a time.
+# Shots drawn and tallied at a time.
 SAMPLE_CHUNK = 1 << 16
+# Tally buckets per outcome. More buckets leave fewer shots in mixed
+# buckets to look up; this many cost a bool and an int64 per bucket.
+_BUCKETS_PER_OUTCOME = 8
 
 _CONST_GATES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
@@ -230,15 +240,50 @@ def marginal_counts(hist: np.ndarray, qubit: int) -> np.ndarray:
     return hist.reshape(-1, 2, 1 << qubit).sum(axis=(0, 2))
 
 
-def _outcomes(probs: np.ndarray, edges, rng: np.random.Generator):
-    """Yield (end, outcome indices) for the shots up to each of the increasing
-    ``edges`` in turn, drawn from ``probs`` with one uniform per shot;
-    ``side="right"`` counts the cumulative probabilities <= u."""
-    cum = np.cumsum(probs / probs.sum())
+def _tallies(probs: np.ndarray, edges, rng: np.random.Generator):
+    """Yield (end, histogram of the shots since the previous edge) for each
+    of the increasing ``edges`` in turn, drawn from ``probs`` with one
+    uniform u per shot. A shot reads outcome min(#{cum <= u}, dim - 1), as
+    ``searchsorted(cum, u, side="right")`` clamped to the last index would.
+
+    The count runs over buckets [k/K, (k+1)/K), K the power of two of at
+    least ``_BUCKETS_PER_OUTCOME`` * dim, so scaling cum and u by K is
+    exact. A bucket is pure when no cum value lies strictly inside it: every
+    u in it reads the same outcome, so its shots are tallied by one bincount
+    over buckets. Only the uniforms in the other, mixed buckets are looked
+    up one by one."""
+    dim = probs.size
+    k_buckets = _BUCKETS_PER_OUTCOME << (dim - 1).bit_length()
+    # Dropping the last cum value clamps every count to dim - 1.
+    cum = np.cumsum(probs / probs.sum())[:-1]
+    cum *= k_buckets
+    whole = np.floor(cum)
+    mixed = np.zeros(k_buckets, dtype=bool)
+    mixed[whole[(cum != whole) & (cum < k_buckets)].astype(np.intp)] = True
+    # A pure bucket k reads #{cum <= k}. That count steps up at each
+    # ceil(cum), so the buckets from one step to the next share an outcome,
+    # and a mixed bucket is the last of its run.
+    step = np.zeros(k_buckets, dtype=bool)
+    step[0] = True
+    step[np.ceil(cum[cum <= k_buckets - 1]).astype(np.intp)] = True
+    starts = np.flatnonzero(step)
+    owners = np.searchsorted(cum, starts, side="right")
+
+    # One chunk per call, so that its arrays are freed before the next draw.
+    def tally(u):
+        u *= k_buckets
+        bucket = u.astype(np.intp)
+        mixed_u = u[mixed[bucket]]
+        del u
+        counts = np.bincount(bucket, minlength=k_buckets)
+        counts[mixed] = 0
+        hist = np.bincount(np.searchsorted(cum, mixed_u, side="right"), minlength=dim)
+        hist[owners] += np.add.reduceat(counts, starts)
+        return hist
+
     start = 0
     for end in edges:
-        idx = np.searchsorted(cum, rng.random(end - start), side="right")
-        yield end, np.minimum(idx, cum.size - 1, out=idx)
+        yield end, tally(rng.random(end - start))
         start = end
 
 
@@ -315,8 +360,8 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     prefixes = {}
     edges = sorted({*range(SAMPLE_CHUNK, shots, SAMPLE_CHUNK), *map(int, checkpoints),
                     int(shots)})
-    for end, outcomes in _outcomes(probs, edges, _rng(seed)):
-        hist += np.bincount(outcomes, minlength=dim)
+    for end, chunk in _tallies(probs, edges, _rng(seed)):
+        hist += chunk
         if end in checkpoints:
             prefixes[end] = ShotResult(basis, hist, end)
     return ShotResult(basis=basis, hist=hist, shots=int(shots),

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from qrot import (Circuit, DomainError, GateOp, MultiRotationPlan, NoiseModel,
@@ -162,6 +162,84 @@ seeds = st.integers(0, 2**64 - 1)
 depol = st.sampled_from([0.0, 0.01, 0.3, 1.0])
 gate_noise = st.builds(NoiseModel, depol, depol)
 noises = st.builds(NoiseModel, depol, depol, st.sampled_from([0.0, 0.03, 0.5]))
+
+
+class _Uniforms:
+    """Stands in for a Generator: ``random(m)`` returns the next m of ``u``."""
+
+    def __init__(self, u):
+        self.u, self.used = np.asarray(u, dtype=float), 0
+
+    def random(self, m):
+        self.used += m
+        return self.u[self.used - m:self.used].copy()
+
+
+def assert_tallies_exact(probs, u, edges):
+    """``simulator._tallies`` gives, per edge, the bincount of
+    ``searchsorted(cum, u, side="right")`` clamped to dim - 1."""
+    dim = probs.size
+    cum = np.cumsum(probs / probs.sum())
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), dim - 1)
+    start = 0
+    tallies = list(simulator._tallies(probs, edges, _Uniforms(u)))
+    assert [end for end, _ in tallies] == list(edges)
+    for end, hist in tallies:
+        assert np.array_equal(hist, np.bincount(idx[start:end], minlength=dim))
+        start = end
+
+
+@st.composite
+def tally_cases(draw):
+    """Hand-built outcome probabilities with runs of zeros, and uniforms
+    that sit on every dyadic edge j / 2^16 (so on each bucket edge k/K of
+    any K <= 2^16), on cum values and just below them, or anywhere. Weights
+    of 0, 1 or 2 padded to a power-of-two total T <= 2^16 put every cum
+    value on a bucket edge too; a last weight of 1 puts cum[-2] on
+    (T - 1) / T, the lower edge of the top bucket when T = K."""
+    dim = draw(st.one_of(st.sampled_from([2, 4096]), st.integers(2, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dyadic = draw(st.booleans())
+    if dyadic:
+        probs = rng.integers(0, 3, dim).astype(float)
+    else:
+        probs = rng.random(dim) ** draw(st.sampled_from([1, 8, 40]))
+    for _ in range(draw(st.integers(0, 3))):
+        first = rng.integers(dim)
+        probs[first:first + rng.integers(1, dim + 1)] = 0.0
+    if not probs.any():
+        probs[rng.integers(dim)] = 1.0
+    if dyadic:
+        probs[-1] = 1.0
+        total = 2.0 ** max(math.ceil(math.log2(probs.sum())), draw(st.integers(1, 16)))
+        probs[np.flatnonzero(probs)[0]] += total - probs.sum()
+    cum = np.cumsum(probs / probs.sum())
+    shots = draw(st.integers(1, 3000))
+    on_cum = np.minimum(cum[rng.integers(dim, size=shots)], np.nextafter(1.0, 0.0))
+    pools = [rng.integers(0, 2**16, shots) / 2**16, on_cum, np.nextafter(on_cum, 0.0),
+             rng.random(shots)]
+    u = np.choose(rng.integers(len(pools), size=shots), pools)
+    edges = sorted({*rng.integers(1, shots + 1, size=draw(st.integers(0, 4))), shots})
+    return probs, u, edges
+
+
+# Seven equal weights of 0.3 sum to a cum that ends at 1 - 2^-52, below the
+# largest uniform 1 - 2^-53; six of 0.1 end at 1 + 2^-52.
+_BELOW_ONE, _ABOVE_ONE = np.full(7, 0.3), np.full(6, 0.1)
+_TOP_UNIFORMS = np.array([0.0, 0.5, 1.0 - 2**-52, 1.0 - 2**-53, 0.75, 1.0 - 2**-53])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tally_cases())
+@example(case=(_BELOW_ONE, _TOP_UNIFORMS, [2, 6]))
+@example(case=(_ABOVE_ONE, _TOP_UNIFORMS, [6]))
+def test_tallies_match_searchsorted(case):
+    assert_tallies_exact(*case)
+
+
+def test_tally_examples_end_off_one():
+    assert np.cumsum(_BELOW_ONE / _BELOW_ONE.sum())[-1] < 1.0 - 2**-53
+    assert np.cumsum(_ABOVE_ONE / _ABOVE_ONE.sum())[-1] > 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -400,3 +478,20 @@ def test_noisy_cli_maximum_sample_memory_bound():
         tracemalloc.stop()
     assert res.hist.sum() == 1000
     assert peak < 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_noiseless_full_chunk_sample_memory_bound():
+    # The widest circuit at more than two full SAMPLE_CHUNK draws: the
+    # bucket table and the chunk's temporaries must stay within the peak of
+    # the per-shot lookup they replaced, 1,709,803 bytes on this job.
+    circuit = _batch_circuit(2048, 6)
+    basis = ("X",) + ("Z",) * 11
+    shots = 2 * simulator.SAMPLE_CHUNK + 5
+    tracemalloc.start()
+    try:
+        res = sample(circuit, basis, shots, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.hist.sum() == shots
+    assert peak <= 1_709_803, f"peaked at {peak} bytes"

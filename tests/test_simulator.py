@@ -107,6 +107,17 @@ class TestGateOp:
         with pytest.raises(DomainError, match="integers"):
             GateOp("RY", 0, 0.3, ((1, 0.9),))
 
+    @pytest.mark.parametrize("target, controls", [
+        (0, (1, 1)), (0, ((1,),)), (0, ((1, 1, 0),)), (0, 5),
+        (True, ()), (0, ((True, 1),)), (0, ((1, False),)),
+    ], ids=["flat-pair", "one-tuple", "triple", "not-iterable",
+            "bool-target", "bool-control", "bool-trigger"])
+    def test_malformed_controls_and_bool_indices_rejected(self, target, controls):
+        # A flat pair or a short tuple used to escape as TypeError or
+        # ValueError, and bool passed as an integer index.
+        with pytest.raises(DomainError):
+            GateOp("RY", target, 0.3, controls)
+
 
 class TestSample:
     def test_ground_state_z_basis(self):
