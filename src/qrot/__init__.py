@@ -8,13 +8,12 @@ tomography on sampled counts recover the rotated vectors and the rotation
 parameters, cross-validated against the classical Rodrigues formulas.
 """
 
-from .bloch import (SphericalAngles, angle_between, angles_to_vec, normalize,
-                    state_to_bloch, vec_to_angles)
+from .bloch import (SphericalAngles, angle_between, normalize, state_to_bloch,
+                    vec_to_angles)
 from .circuit import Circuit, GateOp
 from .errors import DomainError, NumericError, ShapeError
-from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, align_global_phase,
-                     dagger, eig_hermitian, is_unitary, kron, matmul,
-                     polar_unitary, trace)
+from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, dagger, eig_hermitian,
+                     is_unitary, polar_unitary, trace)
 from .multirot import (ExtractedVector, MultiRotationPlan, VectorBatch,
                        build_encoding_circuit, build_rotation_layer, extract_all,
                        full_circuit)
@@ -23,12 +22,11 @@ from .rotation import (ErParams, RotationSpec, axis_rotation_sequence,
                        erp_from_unitary, gate_rx, gate_ry, gate_rz,
                        initialization_ops, rodrigues_matrix, rodrigues_rotate,
                        sequence_unitary)
-from .simulator import (NOISELESS, NoiseModel, ShotResult, apply, derive_seed,
-                        expectation_from_counts, sample, zero_state)
+from .simulator import (NOISELESS, NoiseModel, ShotResult, apply, derive_seed, sample,
+                        zero_state)
 from .tomography import (KrausSet, ProcessTomographyResult, StateTomographyResult,
                          calibrate_readout, erp_from_tomography, gate_fidelity,
-                         mitigate_counts, mitigate_frequencies,
-                         process_tomography, process_tomography_exact,
-                         smolin_project, state_tomography)
+                         mitigate_frequencies, process_tomography,
+                         process_tomography_exact, smolin_project, state_tomography)
 
 __version__ = "0.1.0"

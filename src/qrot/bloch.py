@@ -59,12 +59,6 @@ def vec_to_angles(v) -> SphericalAngles:
     return SphericalAngles(theta, phi)
 
 
-def angles_to_vec(theta: float, phi: float) -> np.ndarray:
-    """Cartesian unit vector for spherical angles (theta from +z, azimuth phi)."""
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
 def state_to_bloch(psi) -> np.ndarray:
     """Bloch vector (<X>, <Y>, <Z>) of a normalized single-qubit pure state.
 

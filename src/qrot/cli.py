@@ -88,11 +88,6 @@ def _write_json(path: str, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _check_format(args, expected: str) -> None:
-    if args.format is not None and args.format != expected:
-        raise DomainError(f"this command emits {expected} artifacts only")
-
-
 def _add_common(parser: argparse.ArgumentParser, shots_default: int | None) -> None:
     parser.add_argument("--seed", type=_seed, default=7, help="RNG seed (default 7)")
     parser.add_argument("--shots", type=int, default=shots_default,
@@ -103,8 +98,6 @@ def _add_common(parser: argparse.ArgumentParser, shots_default: int | None) -> N
     parser.add_argument("--mitigate", action="store_true",
                         help="apply readout calibration mitigation")
     parser.add_argument("--out", help="write the artifact to this path")
-    parser.add_argument("--format", choices=("json", "csv"),
-                        help="artifact format (fixed per command)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mitigate", action="store_true",
                          help="add readout mitigation on noisy backends")
     p_sweep.add_argument("--out", default="sweep.csv")
-    p_sweep.add_argument("--format", choices=("json", "csv"))
 
     p_multi = sub.add_parser("multi", help="rotate a batch of vectors in superposition")
     p_multi.add_argument("--vectors", required=True,
@@ -155,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_erp(args) -> int:
-    _check_format(args, "json")
     spec = RotationSpec(_unit_axis(args.axis), _angle_radians(args))
     noise = _parse_noise(args.noise)
     report = experiments.erp_report(spec, args.shots, noise, args.seed, args.mitigate)
@@ -173,7 +164,6 @@ def cmd_erp(args) -> int:
 
 
 def cmd_rotate(args) -> int:
-    _check_format(args, "json")
     spec = RotationSpec(_unit_axis(args.axis), _angle_radians(args))
     vector, norm = normalize(_parse_triple(args.vector, "vector"))
     if abs(norm - 1.0) > 1e-9:
@@ -194,7 +184,6 @@ def cmd_rotate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_format(args, "csv")
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     if not backends:
         raise DomainError("--backends names no backend")
@@ -251,7 +240,6 @@ def _load_vectors(path: str):
 
 
 def cmd_multi(args) -> int:
-    _check_format(args, "json")
     vectors = _load_vectors(args.vectors)
     spec = RotationSpec(_unit_axis(args.axis), _angle_radians(args))
     noise = _parse_noise(args.noise)
@@ -278,7 +266,6 @@ def cmd_multi(args) -> int:
 
 
 def cmd_example(args) -> int:
-    _check_format(args, "json")
     noise = _parse_noise(args.noise)
     report = experiments.example_report(args.shots, noise, args.seed, args.mitigate)
     print("worked example: rotate x by 90 deg about n")

@@ -10,4 +10,6 @@ class DomainError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """An iterative numerical procedure failed (non-convergence, singularity)."""
+    """A numerical result is undefined: a singular readout calibration or
+    polar factor, statevector norm drift, a state estimate with no direction,
+    or a mitigation that leaves an all-zero probability vector."""

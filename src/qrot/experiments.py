@@ -43,8 +43,10 @@ class SweepRecord:
 
 def log_shot_grid(lo: int = DEFAULT_SHOT_RANGE[0], hi: int = DEFAULT_SHOT_RANGE[1],
                   points: int = DEFAULT_GRID_POINTS) -> list[int]:
-    """Logarithmically spaced integer shot counts, duplicates removed."""
-    if lo < 1 or hi < lo or points < 1:
+    """Logarithmically spaced integer shot counts, duplicates removed. More
+    points than the hi - lo + 1 integers in the range are rejected before
+    anything is allocated."""
+    if lo < 1 or hi < lo or not 1 <= points <= hi - lo + 1:
         raise DomainError(f"invalid shot grid ({lo}, {hi}, {points})")
     grid = np.rint(np.geomspace(lo, hi, points)).astype(int)
     out: list[int] = []
@@ -162,9 +164,8 @@ def multi_report(plan: MultiRotationPlan, shots_per_vector: int,
     extracted = extract_all(plan, shots_per_vector, noise, seed, mitigate)
     entries = []
     for item in extracted:
-        spec = plan.rotations if plan.is_uniform else plan.rotations[item.index - 1]
         vec_in = plan.batch.vectors[item.index - 1]
-        oracle = rodrigues_rotate(spec, vec_in)
+        oracle = rodrigues_rotate(plan.rotation, vec_in)
         entry = {
             "index": item.index,
             "input": [float(x) for x in vec_in],

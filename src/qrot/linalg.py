@@ -16,7 +16,6 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
 
 def _as_matrix(m, name="matrix") -> np.ndarray:
@@ -35,26 +34,12 @@ def _finite_matrix(m) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = _as_matrix(a, "left operand")
-    b = _as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def trace(m) -> complex:
     """Sum of the diagonal of a square matrix."""
     m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"trace requires a square matrix, got {m.shape}")
     return complex(np.trace(m))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(_as_matrix(a, "left operand"), _as_matrix(b, "right operand"))
 
 
 def dagger(m) -> np.ndarray:
@@ -72,24 +57,6 @@ def is_unitary(m, tol: float = 1e-10) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return max_abs(dagger(m) @ m - np.eye(m.shape[0])) <= tol
-
-
-def align_global_phase(reference, m) -> np.ndarray:
-    """Multiply ``m`` by the unit phase that best matches ``reference``.
-
-    Comparing unitaries that may differ by an unobservable overall phase is
-    only meaningful after this alignment.
-    """
-    reference = _as_matrix(reference, "reference")
-    m = _as_matrix(m)
-    z = complex(np.sum(np.conj(reference) * m))
-    if abs(z) < 1e-12:
-        weights = np.abs(reference) * np.abs(m)
-        j = int(np.argmax(weights))
-        if weights.flat[j] < 1e-12:
-            return m
-        z = complex(np.conj(reference.flat[j]) * m.flat[j])
-    return m * (np.conj(z) / abs(z))
 
 
 def eig_hermitian(m):

@@ -5,20 +5,19 @@ binary representation of i - 1; control qubit c (1..n) carries bit c - 1, so
 the qubit adjacent to the data qubit holds the least significant bit. The
 data qubit is qubit 0. After Hadamards put the n control qubits in an equal
 superposition, a controlled RY/RZ pair per index writes each vector onto its
-branch; a rotation layer (uncontrolled for a uniform rotation, controlled
-per index otherwise) then rotates every branch at once. Extraction measures
-the control register in Z, groups shots by branch, and runs single-qubit
-state tomography per index on its share of the samples.
+branch; one uncontrolled five-gate rotation on the data qubit then rotates
+every branch at once. Extraction measures the control register in Z, groups
+shots by branch, and runs single-qubit state tomography per index on its
+share of the samples.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import require_unit, state_to_bloch, vec_to_angles
+from .bloch import require_unit, vec_to_angles
 from .circuit import MAX_QUBITS, Circuit, GateOp
 from .errors import DomainError
 from .rotation import RotationSpec, axis_rotation_sequence
@@ -45,13 +44,12 @@ class VectorBatch:
                 require_unit(row)
             except DomainError as exc:
                 raise DomainError(f"vector {k}: {exc}") from None
-        controls = max(1, math.ceil(math.log2(v.shape[0])))
-        if controls + 1 > MAX_QUBITS:
-            raise DomainError(
-                f"{v.shape[0]} vectors need {controls} control qubits; "
-                f"max circuit width is {MAX_QUBITS}")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
+        if self.n + 1 > MAX_QUBITS:
+            raise DomainError(
+                f"{self.p} vectors need {self.n} control qubits; "
+                f"max circuit width is {MAX_QUBITS}")
 
     @property
     def p(self) -> int:
@@ -59,28 +57,20 @@ class VectorBatch:
 
     @property
     def n(self) -> int:
-        return max(1, math.ceil(math.log2(self.p)))
+        return max(1, (self.p - 1).bit_length())
 
 
 @dataclass(frozen=True)
 class MultiRotationPlan:
-    """A batch plus either one rotation for all vectors or one per index."""
+    """A batch plus the one rotation applied to every vector in it."""
 
     batch: VectorBatch
-    rotations: RotationSpec | tuple[RotationSpec, ...]
+    rotation: RotationSpec
 
     def __post_init__(self):
-        if not isinstance(self.rotations, RotationSpec):
-            rotations = tuple(self.rotations)
-            if len(rotations) != self.batch.p:
-                raise DomainError(
-                    f"need one rotation per vector: got {len(rotations)} "
-                    f"for {self.batch.p} vectors")
-            object.__setattr__(self, "rotations", rotations)
-
-    @property
-    def is_uniform(self) -> bool:
-        return isinstance(self.rotations, RotationSpec)
+        if not isinstance(self.rotation, RotationSpec):
+            raise DomainError(f"a plan takes one RotationSpec for the whole batch, "
+                              f"got {type(self.rotation).__name__}")
 
 
 def _pattern(index0: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -104,41 +94,12 @@ def build_encoding_circuit(batch: VectorBatch) -> Circuit:
 
 def build_rotation_layer(plan: MultiRotationPlan) -> Circuit:
     """The rotation stage alone: the five-gate sequence on the data qubit,
-    uncontrolled for a uniform rotation or controlled on each index's branch
-    pattern otherwise."""
-    n = plan.batch.n
-    if plan.is_uniform:
-        ops = list(axis_rotation_sequence(plan.rotations))
-    else:
-        ops = []
-        for i0, spec in enumerate(plan.rotations):
-            ops.extend(axis_rotation_sequence(spec, controls=_pattern(i0, n)))
-    return Circuit(n + 1, ops)
+    uncontrolled, so that one layer rotates every branch at once."""
+    return Circuit(plan.batch.n + 1, axis_rotation_sequence(plan.rotation))
 
 
 def full_circuit(plan: MultiRotationPlan) -> Circuit:
     return build_encoding_circuit(plan.batch).extended(build_rotation_layer(plan).ops)
-
-
-def branch_blochs(plan_or_batch) -> np.ndarray:
-    """Exact per-branch Bloch vectors of the data qubit (diagnostic helper).
-
-    Accepts a batch (encoding only) or a plan (encoding plus rotation). Row i
-    is branch i's conditional data-qubit state; every branch of the uniform
-    superposition has equal weight, so the conditional states are exact.
-    """
-    from .simulator import apply, zero_state
-
-    if isinstance(plan_or_batch, VectorBatch):
-        circuit, n = build_encoding_circuit(plan_or_batch), plan_or_batch.n
-    else:
-        circuit, n = full_circuit(plan_or_batch), plan_or_batch.batch.n
-    state = apply(circuit, zero_state(n + 1))
-    out = np.empty((1 << n, 3))
-    for branch in range(1 << n):
-        amp = state[2 * branch: 2 * branch + 2]
-        out[branch] = state_to_bloch(amp / np.linalg.norm(amp))
-    return out
 
 
 @dataclass

@@ -144,9 +144,9 @@ def initialization_ops(vector) -> tuple[GateOp, ...]:
     return (GateOp("RY", 0, theta), GateOp("RZ", 0, phi))
 
 
-def axis_rotation_sequence(spec: RotationSpec, controls=()) -> tuple[GateOp, ...]:
+def axis_rotation_sequence(spec: RotationSpec) -> tuple[GateOp, ...]:
     """The five-gate realization of a rotation about an arbitrary axis, on
-    qubit 0 (controlled by ``controls``, if any).
+    qubit 0.
 
     In application order: RZ(-phi_n), RY(-theta_n), RZ(theta_r), RY(theta_n),
     RZ(phi_n), where (theta_n, phi_n) are the spherical angles of the axis.
@@ -154,13 +154,12 @@ def axis_rotation_sequence(spec: RotationSpec, controls=()) -> tuple[GateOp, ...
     the actual rotation.
     """
     theta_n, phi_n = vec_to_angles(spec.axis)
-    controls = tuple(controls)
     return (
-        GateOp("RZ", 0, -phi_n, controls),
-        GateOp("RY", 0, -theta_n, controls),
-        GateOp("RZ", 0, spec.angle_r, controls),
-        GateOp("RY", 0, theta_n, controls),
-        GateOp("RZ", 0, phi_n, controls),
+        GateOp("RZ", 0, -phi_n),
+        GateOp("RY", 0, -theta_n),
+        GateOp("RZ", 0, spec.angle_r),
+        GateOp("RY", 0, theta_n),
+        GateOp("RZ", 0, phi_n),
     )
 
 

@@ -19,10 +19,11 @@ Conventions
   bincount over buckets tallies them. Only shots in the other buckets, at
   most 2^n of the K, are looked up in cum one by one. K is a power of two,
   so u * K and cum * K are exact and the histogram is bit-for-bit that of
-  a lookup per shot. Memory is therefore independent of the shot count,
-  merged counts do not depend on how shots are chunked, and an s-shot
-  job's outcomes are the first s outcomes of any larger job at the same
-  seed, with or without noise.
+  a lookup per shot. Memory is therefore independent of the shot count
+  (chunk ends are made as the draw reaches them), merged counts do not
+  depend on how shots are chunked, and an s-shot job's outcomes are the
+  first s outcomes of any larger job at the same seed, with or without
+  noise.
 * A job may name ``checkpoints``: shot counts at which the draw is also cut
   and the running histogram kept. ``ShotResult.prefix(s)`` then returns the
   result of the first s shots, which equals the result of an s-shot job at
@@ -51,7 +52,7 @@ Conventions
 * ``readout_flip`` flips each measured bit independently; it is folded into
   the distribution as the per-qubit confusion map [[1-f, f], [f, 1-f]].
 * Counts are an integer histogram over the 2^n outcome indices
-  (``ShotResult.hist``); bitstring keys exist only as a view for display.
+  (``ShotResult.hist``).
 """
 
 from __future__ import annotations
@@ -138,13 +139,6 @@ class ShotResult:
             raise DomainError(f"{shots} shots is not a checkpoint of this "
                               f"{self.shots}-shot result")
         return self.prefixes[shots]
-
-    @property
-    def counts(self) -> MappingProxyType:
-        """Read-only bitstring view of the nonzero histogram entries."""
-        n = len(self.basis)
-        return MappingProxyType({format(j, f"0{n}b"): int(c)
-                                 for j, c in enumerate(self.hist) if c})
 
 
 def _splitmix64(x: int) -> int:
@@ -235,11 +229,6 @@ def _basis_change_ops(basis, n: int) -> list[GateOp]:
     return ops
 
 
-def marginal_counts(hist: np.ndarray, qubit: int) -> np.ndarray:
-    """Counts of bit 0 and bit 1 on one qubit, summed over all others."""
-    return hist.reshape(-1, 2, 1 << qubit).sum(axis=(0, 2))
-
-
 def _tallies(probs: np.ndarray, edges, rng: np.random.Generator):
     """Yield (end, histogram of the shots since the previous edge) for each
     of the increasing ``edges`` in turn, drawn from ``probs`` with one
@@ -285,6 +274,18 @@ def _tallies(probs: np.ndarray, edges, rng: np.random.Generator):
     for end in edges:
         yield end, tally(rng.random(end - start))
         start = end
+
+
+def _chunk_ends(shots: int, checkpoints):
+    """The multiples of ``SAMPLE_CHUNK`` below ``shots``, the sorted distinct
+    ``checkpoints`` and ``shots`` itself, in increasing order and each once,
+    made one at a time as the draw reaches them."""
+    last = 0
+    for stop in (*map(int, checkpoints), int(shots)):
+        yield from range((last // SAMPLE_CHUNK + 1) * SAMPLE_CHUNK, stop, SAMPLE_CHUNK)
+        if stop > last:
+            yield stop
+        last = stop
 
 
 def _confuse_readout(probs: np.ndarray, flips) -> np.ndarray:
@@ -358,25 +359,9 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     dim = 1 << n
     hist = np.zeros(dim, dtype=np.int64)
     prefixes = {}
-    edges = sorted({*range(SAMPLE_CHUNK, shots, SAMPLE_CHUNK), *map(int, checkpoints),
-                    int(shots)})
-    for end, chunk in _tallies(probs, edges, _rng(seed)):
+    for end, chunk in _tallies(probs, _chunk_ends(shots, checkpoints), _rng(seed)):
         hist += chunk
         if end in checkpoints:
             prefixes[end] = ShotResult(basis, hist, end)
     return ShotResult(basis=basis, hist=hist, shots=int(shots),
                       prefixes=MappingProxyType(prefixes))
-
-
-def expectation_from_counts(result: ShotResult, qubit: int) -> float:
-    """Expectation of the measured Pauli on one qubit: (N_plus - N_minus)/shots.
-
-    Outcome bit 0 counts as +1, bit 1 as -1.
-    """
-    if result.shots < 1:
-        raise DomainError("empty counts")
-    n = len(result.basis)
-    if not 0 <= qubit < n:
-        raise DomainError(f"qubit {qubit} out of range for {n} measured qubits")
-    pos = int(marginal_counts(result.hist, qubit)[0])
-    return (2 * pos - result.shots) / result.shots

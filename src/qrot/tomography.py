@@ -348,8 +348,3 @@ def mitigate_frequencies(freqs, cal) -> np.ndarray:
     if not all(np.all(np.isfinite(a) & (a >= 0.0)) for a in (cal, freqs)):
         raise DomainError("calibration entries and frequencies must be finite and nonnegative")
     return _nnls_frequencies(freqs, _conditioned(cal))
-
-
-def mitigate_counts(result: ShotResult, cal) -> np.ndarray:
-    """Readout-corrected outcome frequencies for a one-qubit shot result."""
-    return mitigate_frequencies(result.hist / result.shots, cal)

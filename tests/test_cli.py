@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -160,10 +163,19 @@ class TestSweepCommand:
         assert not (tmp_path / "s.csv").exists()
 
     def test_json_format_rejected(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "sweep", "--trials", "1", "--points", "1",
-                         "--shots-min", "200", "--shots-max", "200",
-                         "--format", "json", "--out", str(tmp_path / "s.csv"))
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "sweep", "--trials", "1", "--points", "1",
+                "--shots-min", "200", "--shots-max", "200",
+                "--format", "json", "--out", str(tmp_path / "s.csv"))
+        assert exc.value.code == 2
+
+    def test_more_points_than_shot_counts_is_usage_error(self, capsys, tmp_path):
+        # np.geomspace would allocate all 10**12 points before deduplicating
+        code, _, err = run(capsys, "sweep", "--trials", "1", "--points", str(10**12),
+                           "--backends", "noiseless", "--out", str(tmp_path / "s.csv"))
         assert code == 2
+        assert "invalid shot grid" in err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestMultiCommand:
@@ -288,6 +300,14 @@ class TestSeedRange:
     def test_largest_seed_accepted(self, capsys, tmp_path, name):
         assert main(self._argv(tmp_path, name) + ["--seed", str(2**64 - 1)]) == 0
 
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_format_option_is_usage_error(self, capsys, tmp_path, name):
+        # each command writes one fixed format, so there is no --format option
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(tmp_path, name) + ["--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
 
 class TestExampleCommand:
     def test_report_values(self, capsys, tmp_path):
@@ -314,3 +334,19 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["align_global_phase", "angles_to_vec", "expectation_from_counts",
+                                  "kron", "matmul", "mitigate_counts"])
+def test_retired_helpers_not_exported(name):
+    assert not hasattr(qrot, name)
+
+
+def test_benchmark_trace_targets_resolve():
+    # bench/run.py --trace 1 wraps each (module, name) in bench/spans.py's
+    # TARGETS and binds sample's circuit, shots and noise by name.
+    spans = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "spans.py"))
+    for module_name, attr in spans["TARGETS"]:
+        module = importlib.import_module("qrot." + module_name)
+        assert callable(getattr(module, attr, None)), f"qrot.{module_name}.{attr}"
+    inspect.signature(qrot.simulator.sample).bind(circuit=None, basis=(), shots=1, noise=None)

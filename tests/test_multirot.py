@@ -7,9 +7,10 @@ from qrot import (DomainError, MultiRotationPlan, RotationSpec,
                   VectorBatch, apply, build_encoding_circuit, build_rotation_layer,
                   extract_all, full_circuit, rodrigues_rotate, zero_state)
 from qrot.bloch import angle_between
-from qrot.multirot import branch_blochs, index_estimate
+from qrot.multirot import index_estimate
 
-from conftest import WORKED_AXIS, random_unit
+from conftest import WORKED_AXIS
+from oracles import bitstring_counts, branch_blochs
 
 
 def unit_rows(rng, p):
@@ -45,10 +46,12 @@ class TestMultiRotationPlan:
         with pytest.raises(DomainError):
             MultiRotationPlan(batch, specs)
 
-    def test_uniform_flag(self):
+    def test_one_spec_per_vector_rejected(self):
+        # a plan takes one rotation for the whole batch, never one per index
         batch = VectorBatch(unit_rows(np.random.default_rng(2), 2))
-        plan = MultiRotationPlan(batch, RotationSpec(np.array([0.0, 0.0, 1.0]), 0.5))
-        assert plan.is_uniform
+        specs = (RotationSpec(WORKED_AXIS, 0.4), RotationSpec(WORKED_AXIS, 0.8))
+        with pytest.raises(DomainError):
+            MultiRotationPlan(batch, specs)
 
 
 class TestEncodingCircuit:
@@ -107,24 +110,6 @@ class TestRotationLayer:
             oracle = rodrigues_rotate(worked_spec, batch.vectors[i])
             assert np.max(np.abs(blochs[i] - oracle)) <= 1e-10
 
-    def test_per_index_rotations(self):
-        rng = np.random.default_rng(8)
-        batch = VectorBatch(unit_rows(rng, 2))
-        specs = (RotationSpec(random_unit(rng), 0.9),
-                 RotationSpec(random_unit(rng), -2.2))
-        plan = MultiRotationPlan(batch, specs)
-        blochs = branch_blochs(plan)
-        for i, spec in enumerate(specs):
-            oracle = rodrigues_rotate(spec, batch.vectors[i])
-            assert np.max(np.abs(blochs[i] - oracle)) <= 1e-10
-
-    def test_per_index_layer_is_controlled(self):
-        batch = VectorBatch(unit_rows(np.random.default_rng(9), 2))
-        specs = (RotationSpec(WORKED_AXIS, 0.4), RotationSpec(WORKED_AXIS, 0.8))
-        layer = build_rotation_layer(MultiRotationPlan(batch, specs))
-        assert len(layer.ops) == 10
-        assert all(op.controls for op in layer.ops)
-
 
 class TestExtraction:
     def test_single_vector_batch(self):
@@ -135,7 +120,7 @@ class TestExtraction:
         assert out[0].index == 1
         # half the register is an unused branch, so roughly 3 * 2000 samples land here
         assert abs(out[0].samples - 6000) <= 5.0 * math.sqrt(6000 * 0.5)
-        oracle = rodrigues_rotate(plan.rotations, np.array([1.0, 0.0, 0.0]))
+        oracle = rodrigues_rotate(plan.rotation, np.array([1.0, 0.0, 0.0]))
         assert math.degrees(angle_between(out[0].vector, oracle)) < 5.0
 
     def test_four_vectors_sample_share(self, worked_spec):
@@ -156,7 +141,7 @@ class TestExtraction:
         shots = 4 * 2000
         res = sample(full_circuit(plan), ("Z", "Z", "Z"), shots, seed=24)
         marg = np.zeros(4)
-        for bits, cnt in res.counts.items():
+        for bits, cnt in bitstring_counts(res).items():
             marg[int(bits[:2], 2)] += cnt
         band = 5.0 * math.sqrt(shots * 0.25 * 0.75)
         assert np.max(np.abs(marg - shots / 4)) <= band

@@ -495,3 +495,26 @@ def test_noiseless_full_chunk_sample_memory_bound():
         tracemalloc.stop()
     assert res.hist.sum() == shots
     assert peak <= 1_709_803, f"peaked at {peak} bytes"
+
+
+def test_chunk_ends_are_made_as_drawn(monkeypatch):
+    # 10**11 shots end 1.5 million chunks; listing those ends before the first
+    # draw held about 134 MB. The stub consumes the ends and credits every
+    # shot at the last one, so the peak is what sample holds besides draws.
+    def consume_edges(probs, edges, rng):
+        for end in edges:
+            pass
+        hist = np.zeros(probs.size, dtype=np.int64)
+        hist[0] = end
+        yield end, hist
+
+    monkeypatch.setattr(simulator, "_tallies", consume_edges)
+    shots = 10**11
+    tracemalloc.start()
+    try:
+        res = sample(Circuit(1), ("Z",), shots, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.hist.sum() == shots
+    assert peak < 2**20, f"peaked at {peak / 2**20:.1f} MiB"
