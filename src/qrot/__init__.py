@@ -14,8 +14,7 @@ from .circuit import Circuit, GateOp
 from .errors import DomainError, NumericError, ShapeError
 from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, dagger, eig_hermitian,
                      is_unitary, polar_unitary, trace)
-from .multirot import (ExtractedVector, MultiRotationPlan, VectorBatch,
-                       build_encoding_circuit, build_rotation_layer, extract_all,
+from .multirot import (ExtractedVector, VectorBatch, build_encoding_circuit, extract_all,
                        full_circuit)
 from .rotation import (ErParams, RotationSpec, axis_rotation_sequence,
                        axis_rotation_unitary, er_matrix, erp_from_spec,

@@ -80,7 +80,3 @@ class Circuit:
             for q in indices:
                 if q >= self.num_qubits:
                     raise DomainError(f"qubit index {q} out of range for width {self.num_qubits}")
-
-    def extended(self, more_ops) -> "Circuit":
-        """A new circuit with ``more_ops`` appended."""
-        return Circuit(self.num_qubits, self.ops + tuple(more_ops))

@@ -23,7 +23,7 @@ from . import experiments
 from .bloch import normalize
 from .circuit import MAX_QUBITS
 from .errors import DomainError, NumericError, ShapeError
-from .multirot import MultiRotationPlan, VectorBatch
+from .multirot import VectorBatch
 from .rotation import RotationSpec
 from .simulator import NoiseModel
 
@@ -243,11 +243,11 @@ def cmd_multi(args) -> int:
     vectors = _load_vectors(args.vectors)
     spec = RotationSpec(_unit_axis(args.axis), _angle_radians(args))
     noise = _parse_noise(args.noise)
-    plan = MultiRotationPlan(VectorBatch(vectors), spec)
-    entries = experiments.multi_report(plan, args.shots, noise, args.seed,
+    batch = VectorBatch(vectors)
+    entries = experiments.multi_report(batch, spec, args.shots, noise, args.seed,
                                        args.mitigate)
     print(f"rotated {len(entries)} vectors "
-          f"({plan.batch.n} control qubits, {args.shots} shots per vector)")
+          f"({batch.n} control qubits, {args.shots} shots per vector)")
     for e in entries:
         if e["extracted"] is None:
             print(f"  #{e['index']}: FAILED ({e['error']})")

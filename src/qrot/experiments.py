@@ -11,7 +11,7 @@ import numpy as np
 from .bloch import angle_between, vec_to_angles
 from .circuit import Circuit
 from .errors import DomainError
-from .multirot import MultiRotationPlan, extract_all
+from .multirot import VectorBatch, extract_all
 from .rotation import (RotationSpec, axis_rotation_sequence, axis_rotation_unitary,
                        erp_from_spec, erp_from_unitary, initialization_ops,
                        rodrigues_rotate)
@@ -157,15 +157,15 @@ def example_report(shots: int = 20000, noise: NoiseModel | None = None,
     return report
 
 
-def multi_report(plan: MultiRotationPlan, shots_per_vector: int,
+def multi_report(batch: VectorBatch, rotation: RotationSpec, shots_per_vector: int,
                  noise: NoiseModel | None, seed: int,
                  mitigate: bool = False) -> list[dict]:
     """Run the batched pipeline and pair each extraction with its oracle."""
-    extracted = extract_all(plan, shots_per_vector, noise, seed, mitigate)
+    extracted = extract_all(batch, rotation, shots_per_vector, noise, seed, mitigate)
     entries = []
     for item in extracted:
-        vec_in = plan.batch.vectors[item.index - 1]
-        oracle = rodrigues_rotate(plan.rotation, vec_in)
+        vec_in = batch.vectors[item.index - 1]
+        oracle = rodrigues_rotate(rotation, vec_in)
         entry = {
             "index": item.index,
             "input": [float(x) for x in vec_in],

@@ -6,9 +6,11 @@ the qubit adjacent to the data qubit holds the least significant bit. The
 data qubit is qubit 0. After Hadamards put the n control qubits in an equal
 superposition, a controlled RY/RZ pair per index writes each vector onto its
 branch; one uncontrolled five-gate rotation on the data qubit then rotates
-every branch at once. Extraction measures the control register in Z, groups
-shots by branch, and runs single-qubit state tomography per index on its
-share of the samples.
+every branch at once, so ``full_circuit(batch, rotation)`` takes one
+``RotationSpec`` for the whole batch. Extraction measures the control register
+in Z; ``tomography._grid_counts`` tallies the shots by branch into one
+(2**n, 3, 2) array, and each index runs single-qubit state tomography on its
+branch's (3, 2) row.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .bloch import require_unit, vec_to_angles
 from .circuit import MAX_QUBITS, Circuit, GateOp
 from .errors import DomainError
 from .rotation import RotationSpec, axis_rotation_sequence
-from .simulator import NoiseModel, derive_seed
+from .simulator import BASIS_LABELS, NoiseModel, derive_seed
 from .tomography import _grid_counts, estimate_qubit
 
 # Below this many samples in a basis, expectation estimates have standard
@@ -60,19 +62,6 @@ class VectorBatch:
         return max(1, (self.p - 1).bit_length())
 
 
-@dataclass(frozen=True)
-class MultiRotationPlan:
-    """A batch plus the one rotation applied to every vector in it."""
-
-    batch: VectorBatch
-    rotation: RotationSpec
-
-    def __post_init__(self):
-        if not isinstance(self.rotation, RotationSpec):
-            raise DomainError(f"a plan takes one RotationSpec for the whole batch, "
-                              f"got {type(self.rotation).__name__}")
-
-
 def _pattern(index0: int, n: int) -> tuple[tuple[int, int], ...]:
     """Control triggers for branch ``index0``: qubit c carries bit c - 1."""
     return tuple((c, (index0 >> (c - 1)) & 1) for c in range(1, n + 1))
@@ -92,14 +81,14 @@ def build_encoding_circuit(batch: VectorBatch) -> Circuit:
     return Circuit(n + 1, ops)
 
 
-def build_rotation_layer(plan: MultiRotationPlan) -> Circuit:
-    """The rotation stage alone: the five-gate sequence on the data qubit,
-    uncontrolled, so that one layer rotates every branch at once."""
-    return Circuit(plan.batch.n + 1, axis_rotation_sequence(plan.rotation))
-
-
-def full_circuit(plan: MultiRotationPlan) -> Circuit:
-    return build_encoding_circuit(plan.batch).extended(build_rotation_layer(plan).ops)
+def full_circuit(batch: VectorBatch, rotation: RotationSpec) -> Circuit:
+    """The encoding circuit, then the five-gate sequence of ``rotation`` on the
+    data qubit, uncontrolled, so that one layer rotates every branch at once."""
+    if not isinstance(rotation, RotationSpec):
+        raise DomainError(f"one RotationSpec rotates the whole batch, "
+                          f"got {type(rotation).__name__}")
+    encoding = build_encoding_circuit(batch)
+    return Circuit(batch.n + 1, encoding.ops + axis_rotation_sequence(rotation))
 
 
 @dataclass
@@ -114,7 +103,7 @@ class ExtractedVector:
     error: str | None = None
 
 
-def extract_all(plan: MultiRotationPlan, shots_per_vector: int,
+def extract_all(batch: VectorBatch, rotation: RotationSpec, shots_per_vector: int,
                 noise: NoiseModel | None = None, seed: int = 0,
                 mitigate: bool = False) -> list[ExtractedVector]:
     """Rotate the whole batch and read every vector back by post-selection.
@@ -122,30 +111,29 @@ def extract_all(plan: MultiRotationPlan, shots_per_vector: int,
     Draws the full circuit through ``tomography._grid_counts`` at the one
     grid point ``shots_per_vector`` (``shots_per_vector * 2**n`` shots in
     each basis of qubit 0, the readout calibration at ``shots_per_vector``)
-    and reconstructs each encoded index from its control branch's row of the
-    tally: about ``shots_per_vector`` per basis, since the control marginal
-    is uniform. Raises DomainError below ``tomography.MIN_SHOTS`` before any
+    and reconstructs each encoded index from its control branch's (3, 2) row
+    of the tally: about ``shots_per_vector`` per basis, since the control
+    marginal is uniform. Raises DomainError below ``tomography.MIN_SHOTS`` before any
     draw. Indices with fewer than 25 samples in some basis are flagged as
     under-sampled; an index with zero samples in some basis or a zero
     estimate gets an error entry rather than failing the whole extraction.
     """
-    [(cal, jobs)] = _grid_counts({0: (full_circuit(plan), seed)}, [shots_per_vector], noise,
-                                 derive_seed(seed, 3), mitigate)
-    tallies = {label: res.hist.reshape(-1, 2) for label, res in jobs[0].items()}
-    return [index_estimate(i0 + 1, {label: t[i0] for label, t in tallies.items()}, cal)
-            for i0 in range(plan.batch.p)]
+    [(cal, tallies)] = _grid_counts({0: (full_circuit(batch, rotation), seed)},
+                                    [shots_per_vector], noise, derive_seed(seed, 3), mitigate)
+    return [index_estimate(i0 + 1, tallies[0][i0], cal) for i0 in range(batch.p)]
 
 
-def index_estimate(index: int, tallies: dict, cal=None) -> ExtractedVector:
-    """Single-qubit tomography for one branch from its (n0, n1) tallies per
-    basis, with ``estimate_qubit``; ``cal`` is a checked readout calibration."""
-    basis_totals = {label: int(sum(pair)) for label, pair in tallies.items()}
-    empty = [label for label, tot in basis_totals.items() if tot == 0]
+def index_estimate(index: int, tally, cal=None) -> ExtractedVector:
+    """Single-qubit tomography for one branch from its (3, 2) tally, the
+    (n0, n1) of bases X, Y, Z, with ``estimate_qubit``; ``cal`` is a checked
+    readout calibration."""
+    tally = np.asarray(tally)
+    totals = tally.sum(axis=1)
+    empty = [label for label, total in zip(BASIS_LABELS, totals) if total == 0]
     if empty:
         vector, error = None, f"no samples in basis {','.join(empty)}"
     else:
-        _, _, vector = estimate_qubit(tallies, cal)
+        _, _, vector = estimate_qubit(tally, cal)
         error = None if vector is not None else "estimated Bloch vector has no direction"
-    return ExtractedVector(
-        index=index, vector=vector, samples=sum(basis_totals.values()),
-        under_sampled=min(basis_totals.values()) < UNDER_SAMPLE_THRESHOLD, error=error)
+    return ExtractedVector(index=index, vector=vector, samples=int(totals.sum()),
+                           under_sampled=int(totals.min()) < UNDER_SAMPLE_THRESHOLD, error=error)

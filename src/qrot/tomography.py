@@ -73,7 +73,7 @@ class StateTomographyResult:
     density: np.ndarray          # 2x2, PSD, trace 1
     bloch: np.ndarray            # r/|r|, the Bloch vector of density's dominant eigenvector
     expectations: dict[str, float]
-    counts: dict[str, ShotResult]
+    counts: np.ndarray           # the circuit's (2**n, 3, 2) tally from ``_grid_counts``
 
 
 @dataclass
@@ -130,22 +130,22 @@ def density_from_bloch(r) -> np.ndarray:
     return 0.5 * (PAULI_I + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z)
 
 
-def estimate_qubit(tallies, cal=None):
-    """Single-qubit state estimate (r, rho, direction) from the (n0, n1)
-    tallies of bases X, Y, Z. r is (n0 - n1)/N per basis, or p0 - p1 of the
-    NNLS-mitigated frequencies given a checked calibration ``cal``, and may
-    leave the unit ball; rho = ``smolin_project`` of (I + r . sigma)/2 and
-    direction = r/|r| (None below MIN_BLOCH_NORM), in closed form."""
-    r = np.empty(3)
-    for k, label in enumerate(BASIS_LABELS):
-        n0, n1 = tallies[label]
-        if n0 + n1 < 1:
-            raise DomainError(f"no samples in basis {label}")
-        if cal is None:
-            r[k] = (n0 - n1) / (n0 + n1)
-        else:
-            p = _nnls_frequencies(np.array([n0, n1], dtype=float) / (n0 + n1), cal)
-            r[k] = float(p[0] - p[1])
+def estimate_qubit(tally, cal=None):
+    """Single-qubit state estimate (r, rho, direction) from a (3, 2) tally:
+    row k holds the (n0, n1) of basis X, Y, Z. r is (n0 - n1)/N per basis, or
+    p0 - p1 of the NNLS-mitigated frequencies given a checked calibration
+    ``cal``, and may leave the unit ball; rho = ``smolin_project`` of
+    (I + r . sigma)/2 and direction = r/|r| (None below MIN_BLOCH_NORM), in
+    closed form."""
+    tally = np.asarray(tally)
+    totals = tally.sum(axis=1)
+    if totals.min() < 1:
+        raise DomainError(f"no samples in basis {BASIS_LABELS[int(np.argmin(totals))]}")
+    if cal is None:
+        r = (tally[:, 0] - tally[:, 1]) / totals
+    else:
+        r = np.array([p[0] - p[1] for p in (_nnls_frequencies(row / total, cal)
+                                             for row, total in zip(tally.astype(float), totals))])
     norm = float(np.linalg.norm(r))
     return (r, density_from_bloch(r / max(1.0, norm)),
             r / norm if norm >= MIN_BLOCH_NORM else None)
@@ -155,13 +155,13 @@ def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: 
                  mitigate: bool) -> list:
     """Per point s of the non-empty ``shot_grid``, in grid order: the checked
     readout calibration of s shots per run (None without mitigation) and, for
-    each key of ``circuits`` (key -> (circuit, seed)), its results in bases
-    X, Y, Z. Qubit 0 is the data qubit, measured in each basis; every other
-    qubit is a control bit read in Z. A circuit with n control qubits is
-    drawn at s * 2**n shots, about s per control branch, and its tally is
-    ``res.hist.reshape(-1, 2)``: row b holds branch b's (n0, n1). Every job,
-    the calibration's runs included, is drawn once at the largest point with
-    the grid as checkpoints; a smaller point reads its prefix."""
+    each key of ``circuits`` (key -> (circuit, seed)), its tally. Qubit 0 is
+    the data qubit, measured in bases X, Y, Z; every other qubit is a control
+    bit read in Z. A circuit with n control qubits is drawn at s * 2**n shots
+    per basis, about s per control branch, and its tally is one int64 array
+    of shape (2**n, 3, 2): branch b, then basis X/Y/Z, then (n0, n1). Every
+    job, the calibration's runs included, is drawn once at the largest point
+    with the grid as checkpoints; a smaller point reads its prefix."""
     if min(shot_grid) < MIN_SHOTS:
         raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {min(shot_grid)}")
     top, checkpoints = max(shot_grid), sorted(set(shot_grid))
@@ -169,13 +169,12 @@ def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: 
     jobs = {}
     for key, (circuit, seed) in circuits.items():
         n = circuit.num_qubits - 1
-        jobs[key] = {label: sample(circuit, (label,) + ("Z",) * n, top * 2**n, noise,
-                                   derive_seed(seed, bi),
-                                   checkpoints=[s * 2**n for s in checkpoints])
-                     for bi, label in enumerate(BASIS_LABELS)}
+        jobs[key] = n, [sample(circuit, (label,) + ("Z",) * n, top * 2**n, noise,
+                               derive_seed(seed, bi), checkpoints=[s * 2**n for s in checkpoints])
+                        for bi, label in enumerate(BASIS_LABELS)]
     return [(None if readout is None else _conditioned(_readout_matrix(readout, s)),
-             {key: {label: res.prefix(s * 2**(len(res.basis) - 1)) for label, res in bases.items()}
-              for key, bases in jobs.items()})
+             {key: np.stack([res.prefix(s * 2**n).hist.reshape(-1, 2) for res in results], axis=1)
+              for key, (n, results) in jobs.items()})
             for s in shot_grid]
 
 
@@ -184,15 +183,14 @@ def _state_series(circuit: Circuit, shot_grid, noise: NoiseModel | None, seed: i
     """``state_tomography`` at every point of ``shot_grid``, in grid order,
     from one draw at the largest point."""
     series = []
-    for cal, jobs in _grid_counts({0: (circuit, seed)}, shot_grid, noise, derive_seed(seed, 3),
-                                  mitigate):
-        r, rho, direction = estimate_qubit(
-            {label: res.hist.reshape(-1, 2).sum(axis=0) for label, res in jobs[0].items()}, cal)
+    for cal, tallies in _grid_counts({0: (circuit, seed)}, shot_grid, noise,
+                                     derive_seed(seed, 3), mitigate):
+        r, rho, direction = estimate_qubit(tallies[0].sum(axis=0), cal)
         if direction is None:
             raise NumericError("estimated Bloch vector is below MIN_BLOCH_NORM; it has no direction")
         series.append(StateTomographyResult(
             density=rho, bloch=direction,
-            expectations=dict(zip(BASIS_LABELS, (float(x) for x in r))), counts=jobs[0]))
+            expectations=dict(zip(BASIS_LABELS, (float(x) for x in r))), counts=tallies[0]))
     return series
 
 
@@ -231,10 +229,8 @@ def _process_series(spec: RotationSpec, shot_grid, noise: NoiseModel | None, see
     circuits = {prep: (Circuit(1, _PREP_OPS[prep] + rotation_ops), derive_seed(seed, 4 + k))
                 for k, prep in enumerate(PREP_LABELS)}
     series = []
-    for cal, jobs in _grid_counts(circuits, shot_grid, noise, derive_seed(seed, 12), mitigate):
-        outputs = {prep: density_from_bloch(estimate_qubit(
-                       {label: res.hist.reshape(-1, 2)[0] for label, res in jobs[prep].items()},
-                       cal)[0])
+    for cal, tallies in _grid_counts(circuits, shot_grid, noise, derive_seed(seed, 12), mitigate):
+        outputs = {prep: density_from_bloch(estimate_qubit(tallies[prep][0], cal)[0])
                    for prep in PREP_LABELS}
         series.append(_reconstruct_process(outputs))
     return series

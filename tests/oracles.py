@@ -56,17 +56,16 @@ def bitstring_counts(result: ShotResult) -> MappingProxyType:
                              for j, c in enumerate(result.hist) if c})
 
 
-def branch_blochs(plan_or_batch) -> np.ndarray:
+def branch_blochs(batch: VectorBatch, rotation=None) -> np.ndarray:
     """Exact per-branch Bloch vectors of the data qubit (diagnostic helper).
 
-    Accepts a batch (encoding only) or a plan (encoding plus rotation). Row i
-    is branch i's conditional data-qubit state; every branch of the uniform
+    Of the encoding alone, or of the encoding plus ``rotation``. Row i is
+    branch i's conditional data-qubit state; every branch of the uniform
     superposition has equal weight, so the conditional states are exact.
     """
-    if isinstance(plan_or_batch, VectorBatch):
-        circuit, n = build_encoding_circuit(plan_or_batch), plan_or_batch.n
-    else:
-        circuit, n = full_circuit(plan_or_batch), plan_or_batch.batch.n
+    circuit = (build_encoding_circuit(batch) if rotation is None
+               else full_circuit(batch, rotation))
+    n = batch.n
     state = apply(circuit, zero_state(n + 1))
     out = np.empty((1 << n, 3))
     for branch in range(1 << n):

@@ -31,7 +31,7 @@ import time
 import numpy as np
 import pytest
 
-from qrot import (Circuit, MultiRotationPlan, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
+from qrot import (Circuit, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
                   RotationSpec, VectorBatch, axis_rotation_unitary,
                   calibrate_readout, dagger, erp_from_spec, erp_from_unitary,
                   extract_all, gate_fidelity, process_tomography, process_tomography_exact,
@@ -197,9 +197,8 @@ def test_criterion_7_multi_vector_pipeline():
                         [0.0, 1.0, 0.0],
                         [0.0, 0.0, 1.0],
                         [1.0, 1.0, 1.0] / np.sqrt(3.0)])
-    plan = MultiRotationPlan(VectorBatch(vectors), spec)
     k = 20000
-    results = extract_all(plan, k, seed=MULTI_SEED)
+    results = extract_all(VectorBatch(vectors), spec, k, seed=MULTI_SEED)
     elapsed = time.perf_counter() - start
 
     angles = [math.degrees(angle_between(item.vector, rodrigues_rotate(spec, v)))

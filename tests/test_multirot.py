@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qrot import (DomainError, MultiRotationPlan, RotationSpec,
-                  VectorBatch, apply, build_encoding_circuit, build_rotation_layer,
-                  extract_all, full_circuit, rodrigues_rotate, zero_state)
+from qrot import (Circuit, DomainError, RotationSpec, VectorBatch, apply,
+                  axis_rotation_sequence, build_encoding_circuit, extract_all,
+                  full_circuit, rodrigues_rotate, zero_state)
 from qrot.bloch import angle_between
 from qrot.multirot import index_estimate
 
@@ -39,19 +39,19 @@ class TestVectorBatch:
             VectorBatch(unit_rows(rng, 2049))  # needs 12 controls + data
 
 
-class TestMultiRotationPlan:
+class TestFullCircuit:
     def test_per_index_length_mismatch(self):
         batch = VectorBatch(unit_rows(np.random.default_rng(1), 4))
         specs = (RotationSpec(np.array([0.0, 0.0, 1.0]), 0.5),)
         with pytest.raises(DomainError):
-            MultiRotationPlan(batch, specs)
+            full_circuit(batch, specs)
 
     def test_one_spec_per_vector_rejected(self):
-        # a plan takes one rotation for the whole batch, never one per index
+        # one rotation for the whole batch, never one per index
         batch = VectorBatch(unit_rows(np.random.default_rng(2), 2))
         specs = (RotationSpec(WORKED_AXIS, 0.4), RotationSpec(WORKED_AXIS, 0.8))
         with pytest.raises(DomainError):
-            MultiRotationPlan(batch, specs)
+            full_circuit(batch, specs)
 
 
 class TestEncodingCircuit:
@@ -94,8 +94,7 @@ class TestEncodingCircuit:
 class TestRotationLayer:
     def test_uniform_identity_rotation(self):
         batch = VectorBatch(unit_rows(np.random.default_rng(5), 2))
-        plan = MultiRotationPlan(batch, RotationSpec(WORKED_AXIS, 0.0))
-        layer = build_rotation_layer(plan)
+        layer = Circuit(batch.n + 1, axis_rotation_sequence(RotationSpec(WORKED_AXIS, 0.0)))
         rng = np.random.default_rng(6)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
@@ -104,8 +103,7 @@ class TestRotationLayer:
     def test_uniform_rotation_rotates_every_branch(self, worked_spec):
         rng = np.random.default_rng(7)
         batch = VectorBatch(unit_rows(rng, 4))
-        plan = MultiRotationPlan(batch, worked_spec)
-        blochs = branch_blochs(plan)
+        blochs = branch_blochs(batch, worked_spec)
         for i in range(4):
             oracle = rodrigues_rotate(worked_spec, batch.vectors[i])
             assert np.max(np.abs(blochs[i] - oracle)) <= 1e-10
@@ -113,20 +111,19 @@ class TestRotationLayer:
 
 class TestExtraction:
     def test_single_vector_batch(self):
-        plan = MultiRotationPlan(VectorBatch(np.array([1.0, 0.0, 0.0])),
-                                 RotationSpec(np.array([0.0, 0.0, 1.0]), math.pi / 2.0))
-        out = extract_all(plan, 2000, seed=20)
+        spec = RotationSpec(np.array([0.0, 0.0, 1.0]), math.pi / 2.0)
+        out = extract_all(VectorBatch(np.array([1.0, 0.0, 0.0])), spec, 2000, seed=20)
         assert len(out) == 1
         assert out[0].index == 1
         # half the register is an unused branch, so roughly 3 * 2000 samples land here
         assert abs(out[0].samples - 6000) <= 5.0 * math.sqrt(6000 * 0.5)
-        oracle = rodrigues_rotate(plan.rotation, np.array([1.0, 0.0, 0.0]))
+        oracle = rodrigues_rotate(spec, np.array([1.0, 0.0, 0.0]))
         assert math.degrees(angle_between(out[0].vector, oracle)) < 5.0
 
     def test_four_vectors_sample_share(self, worked_spec):
         rng = np.random.default_rng(21)
         batch = VectorBatch(unit_rows(rng, 4))
-        out = extract_all(MultiRotationPlan(batch, worked_spec), 1000, seed=22)
+        out = extract_all(batch, worked_spec, 1000, seed=22)
         total = 3 * 1000 * 4
         for item in out:
             assert not item.under_sampled
@@ -137,9 +134,8 @@ class TestExtraction:
         from qrot.simulator import sample
         rng = np.random.default_rng(23)
         batch = VectorBatch(unit_rows(rng, 4))
-        plan = MultiRotationPlan(batch, worked_spec)
         shots = 4 * 2000
-        res = sample(full_circuit(plan), ("Z", "Z", "Z"), shots, seed=24)
+        res = sample(full_circuit(batch, worked_spec), ("Z", "Z", "Z"), shots, seed=24)
         marg = np.zeros(4)
         for bits, cnt in bitstring_counts(res).items():
             marg[int(bits[:2], 2)] += cnt
@@ -147,13 +143,12 @@ class TestExtraction:
         assert np.max(np.abs(marg - shots / 4)) <= band
 
     def test_small_batch_rejected(self, worked_spec):
-        plan = MultiRotationPlan(VectorBatch(np.array([1.0, 0.0, 0.0])), worked_spec)
         with pytest.raises(DomainError):
-            extract_all(plan, 50)
+            extract_all(VectorBatch(np.array([1.0, 0.0, 0.0])), worked_spec, 50)
 
     def test_zero_sample_branch_reports_error(self):
-        tallies = {"X": (0, 0), "Y": (30, 10), "Z": (25, 15)}
-        item = index_estimate(3, tallies)
+        tally = np.array([(0, 0), (30, 10), (25, 15)])
+        item = index_estimate(3, tally)
         assert item.index == 3
         assert item.vector is None
         assert item.error is not None and "X" in item.error
@@ -161,15 +156,15 @@ class TestExtraction:
 
     @pytest.mark.parametrize("cal", [None, [[0.9, 0.1], [0.1, 0.9]]])
     def test_zero_estimate_reports_error(self, cal):
-        item = index_estimate(2, {"X": (50, 50), "Y": (50, 50), "Z": (50, 50)}, cal)
+        item = index_estimate(2, np.full((3, 2), 50), cal)
         assert item.vector is None
         assert item.error is not None and "no direction" in item.error
         assert item.samples == 300 and not item.under_sampled
 
     def test_under_sampled_flag(self):
-        tallies = {"X": (20, 4), "Y": (30, 10), "Z": (25, 15)}
-        item = index_estimate(1, tallies)
+        tally = np.array([(20, 4), (30, 10), (25, 15)])
+        item = index_estimate(1, tally)
         assert item.vector is not None
         assert item.under_sampled
-        well = {"X": (200, 40), "Y": (300, 100), "Z": (250, 150)}
+        well = np.array([(200, 40), (300, 100), (250, 150)])
         assert not index_estimate(1, well).under_sampled

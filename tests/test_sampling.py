@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
-from qrot import (Circuit, DomainError, GateOp, MultiRotationPlan, NoiseModel,
+from qrot import (Circuit, DomainError, GateOp, NoiseModel,
                   RotationSpec, VectorBatch, apply, full_circuit, sample, zero_state)
 from qrot import simulator
 from qrot.circuit import GATE_KINDS
@@ -389,7 +389,7 @@ def _batch_circuit(count, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(count, 3))
     batch = VectorBatch(v / np.linalg.norm(v, axis=1, keepdims=True))
-    return full_circuit(MultiRotationPlan(batch, RotationSpec(np.array([0.0, 0.6, 0.8]), 1.0)))
+    return full_circuit(batch, RotationSpec(np.array([0.0, 0.6, 0.8]), 1.0))
 
 
 @pytest.mark.parametrize("data_basis", "XYZ")

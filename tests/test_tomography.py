@@ -17,8 +17,8 @@ from qrot.rotation import gate_ry, gate_rz
 from qrot.tomography import (MIN_BLOCH_NORM, _reconstruct_process, density_from_bloch,
                              estimate_qubit)
 from qrot.experiments import rotation_circuit
-from qrot.multirot import MultiRotationPlan, VectorBatch, extract_all
-from qrot.simulator import sample
+from qrot.multirot import VectorBatch, extract_all
+from qrot.simulator import derive_seed, sample
 
 from conftest import WORKED_ROTATED, WORKED_VECTOR, random_spec
 from oracles import align_global_phase, expectation_from_counts
@@ -81,18 +81,18 @@ class TestSmolinProject:
             smolin_project(np.eye(2))
 
 
-# (n0, n1) per basis; r = (n0 - n1)/N reaches |r| = sqrt(3), so both the
-# inside and the outside of the unit ball are drawn.
+# (n0, n1) per basis X, Y, Z; r = (n0 - n1)/N reaches |r| = sqrt(3), so both
+# the inside and the outside of the unit ball are drawn.
 _tally = st.tuples(st.integers(0, 5000), st.integers(0, 5000)).filter(lambda t: sum(t) > 0)
-_tallies = st.fixed_dictionaries({basis: _tally for basis in "XYZ"})
+_tallies = st.tuples(_tally, _tally, _tally).map(np.array)
 
 
 class TestEstimateQubit:
     @settings(max_examples=300, deadline=None)
     @given(tallies=_tallies)
-    @example(tallies={"X": (60, 40), "Y": (50, 50), "Z": (70, 30)})    # |r| < 1
-    @example(tallies={"X": (100, 0), "Y": (100, 0), "Z": (0, 100)})    # |r| = sqrt(3)
-    @example(tallies={"X": (90, 100), "Y": (90, 100), "Z": (1, 1)})    # |r| = 0.074
+    @example(tallies=np.array([(60, 40), (50, 50), (70, 30)]))    # |r| < 1
+    @example(tallies=np.array([(100, 0), (100, 0), (0, 100)]))    # |r| = sqrt(3)
+    @example(tallies=np.array([(90, 100), (90, 100), (1, 1)]))    # |r| = 0.074
     def test_matches_jacobi_reference(self, tallies):
         r, rho, direction = estimate_qubit(tallies)
         # The reference eigenvectors are only as accurate as eps / |r|, the
@@ -109,22 +109,21 @@ class TestEstimateQubit:
         cal = np.array([[0.93, 0.05], [0.07, 0.95]])
         r, _, _ = estimate_qubit(tallies)
         r_mitigated, _, _ = estimate_qubit(tallies, cal)
-        for k, basis in enumerate("XYZ"):
-            n0, n1 = tallies[basis]
+        for k, (n0, n1) in enumerate(tallies):
             assert r[k] == (n0 - n1) / (n0 + n1)
             p = mitigate_frequencies(np.array([n0, n1]) / (n0 + n1), cal)
             assert r_mitigated[k] == p[0] - p[1]
 
     @pytest.mark.parametrize("cal", [None, [[0.9, 0.1], [0.1, 0.9]]])
     def test_zero_vector_has_no_direction(self, cal):
-        r, rho, direction = estimate_qubit({basis: (50, 50) for basis in "XYZ"}, cal)
+        r, rho, direction = estimate_qubit(np.full((3, 2), 50), cal)
         assert np.linalg.norm(r) < MIN_BLOCH_NORM
         assert direction is None
         assert max_abs(rho - np.eye(2) / 2.0) <= 1e-15
 
     def test_empty_basis_rejected(self):
         with pytest.raises(DomainError):
-            estimate_qubit({"X": (0, 0), "Y": (3, 1), "Z": (2, 2)})
+            estimate_qubit(np.array([(0, 0), (3, 1), (2, 2)]))
 
 
 def even_sample(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
@@ -169,24 +168,26 @@ class TestSharedCore:
         return calls
 
     def test_batched_extraction(self, calls, worked_spec):
-        plan = MultiRotationPlan(VectorBatch(np.tile([0.0, 0.0, 1.0], (5, 1))), worked_spec)
-        out = extract_all(plan, 200, NoiseModel(readout_flip=0.02), seed=3, mitigate=True)
+        batch = VectorBatch(np.tile([0.0, 0.0, 1.0], (5, 1)))
+        out = extract_all(batch, worked_spec, 200, NoiseModel(readout_flip=0.02), seed=3,
+                          mitigate=True)
         assert len(out) == 5
         # two calibration runs at 200 shots, then X, Y, Z over 3 controls at 200 * 8
         assert calls == [(1, 200, (200,))] * 2 + [(4, 1600, (1600,))] * 3
 
     def test_batched_extraction_rejects_few_shots_before_drawing(self, calls, worked_spec):
-        plan = MultiRotationPlan(VectorBatch(np.tile([0.0, 0.0, 1.0], (5, 1))), worked_spec)
         with pytest.raises(DomainError):
-            extract_all(plan, 50)
+            extract_all(VectorBatch(np.tile([0.0, 0.0, 1.0], (5, 1))), worked_spec, 50)
         assert calls == []
 
     def test_two_qubit_state_reads_qubit_0_marginal(self, calls):
         circuit = Circuit(2, (GateOp("H", 1), GateOp("RY", 0, 0.7)))
         result = state_tomography(circuit, shots=500, seed=5)
         assert calls == [(2, 1000, (1000,))] * 3
-        for label, res in result.counts.items():
-            assert res.shots == 1000
+        assert result.counts.shape == (2, 3, 2)
+        for bi, label in enumerate("XYZ"):
+            res = sample(circuit, (label, "Z"), 1000, seed=derive_seed(5, bi))
+            assert result.counts[:, bi].tolist() == res.hist.reshape(-1, 2).tolist()
             assert result.expectations[label] == expectation_from_counts(res, 0)
         expected = [math.sin(0.7), 0.0, math.cos(0.7)]
         assert math.degrees(angle_between(result.bloch, expected)) < 10.0
