@@ -22,17 +22,27 @@ def normalize(v):
     """Return ``(unit_vector, original_norm)``; zero vectors are rejected.
 
     Callers that accept arbitrary-length vectors normalize explicitly and can
-    use the returned norm to rescale results.
+    use the returned norm to rescale results. Where |v|^2 may not be a normal
+    float, v is first scaled by an exact power of two, so every finite
+    nonzero vector comes back unit length; the norm is inf only when |v|
+    itself exceeds the largest float.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise DomainError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    top = float(np.max(np.abs(v)))
+    if not math.isfinite(top):
         raise DomainError("vector components must be finite")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    if 2.0**-511 <= top <= 2.0**510:
+        norm = float(np.linalg.norm(v))
+        return v / norm, norm
+    if top == 0.0:
         raise DomainError("zero vector has no direction")
-    return v / norm, norm
+    exponent = math.frexp(top)[1]
+    scaled = np.ldexp(v, -exponent)
+    scaled_norm = np.linalg.norm(scaled)
+    with np.errstate(over="ignore"):
+        return scaled / scaled_norm, float(np.ldexp(scaled_norm, exponent))
 
 
 def require_unit(v, tol: float = UNIT_TOL) -> np.ndarray:

@@ -72,8 +72,9 @@ class Circuit:
     ops: tuple[GateOp, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise DomainError(f"num_qubits must be in [1, {MAX_QUBITS}], got {self.num_qubits}")
+        if not (_is_int(self.num_qubits) and 1 <= self.num_qubits <= MAX_QUBITS):
+            raise DomainError(f"num_qubits must be an integer in [1, {MAX_QUBITS}], "
+                              f"got {self.num_qubits!r}")
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             indices = [op.target] + [q for q, _ in op.controls]

@@ -24,7 +24,7 @@ from .circuit import MAX_QUBITS, Circuit, GateOp
 from .errors import DomainError
 from .rotation import RotationSpec, axis_rotation_sequence
 from .simulator import BASIS_LABELS, NoiseModel, derive_seed
-from .tomography import _grid_counts, estimate_qubit
+from .tomography import _checked_tally, _grid_counts, estimate_qubit
 
 # Below this many samples in a basis, expectation estimates have standard
 # error above 0.2 and the per-index tomography is not meaningful.
@@ -126,8 +126,8 @@ def extract_all(batch: VectorBatch, rotation: RotationSpec, shots_per_vector: in
 def index_estimate(index: int, tally, cal=None) -> ExtractedVector:
     """Single-qubit tomography for one branch from its (3, 2) tally, the
     (n0, n1) of bases X, Y, Z, with ``estimate_qubit``; ``cal`` is a checked
-    readout calibration."""
-    tally = np.asarray(tally)
+    readout calibration. The tally is checked as ``estimate_qubit`` checks it."""
+    tally = _checked_tally(tally)
     totals = tally.sum(axis=1)
     empty = [label for label, total in zip(BASIS_LABELS, totals) if total == 0]
     if empty:

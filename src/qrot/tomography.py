@@ -130,14 +130,25 @@ def density_from_bloch(r) -> np.ndarray:
     return 0.5 * (PAULI_I + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z)
 
 
+def _checked_tally(tally) -> np.ndarray:
+    """``tally`` as an int64 array, once it is a (3, 2) tally of nonnegative
+    integers: ShapeError for another shape, DomainError for other entries."""
+    tally = np.asarray(tally)
+    if tally.shape != (3, 2):
+        raise ShapeError(f"expected a (3, 2) tally of bases X, Y, Z, got shape {tally.shape}")
+    if tally.dtype.kind not in "iu" or tally.min() < 0:
+        raise DomainError(f"tally entries must be nonnegative integers, got {tally.tolist()}")
+    return tally.astype(np.int64, copy=False)
+
+
 def estimate_qubit(tally, cal=None):
     """Single-qubit state estimate (r, rho, direction) from a (3, 2) tally:
     row k holds the (n0, n1) of basis X, Y, Z. r is (n0 - n1)/N per basis, or
     p0 - p1 of the NNLS-mitigated frequencies given a checked calibration
     ``cal``, and may leave the unit ball; rho = ``smolin_project`` of
     (I + r . sigma)/2 and direction = r/|r| (None below MIN_BLOCH_NORM), in
-    closed form."""
-    tally = np.asarray(tally)
+    closed form. The tally is checked by ``_checked_tally``."""
+    tally = _checked_tally(tally)
     totals = tally.sum(axis=1)
     if totals.min() < 1:
         raise DomainError(f"no samples in basis {BASIS_LABELS[int(np.argmin(totals))]}")

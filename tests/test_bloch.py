@@ -103,6 +103,12 @@ class TestAngleBetween:
     def test_forty_five_degrees(self):
         assert angle_between([1, 0, 0], [1, 1, 0]) == pytest.approx(math.pi / 4.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-320])
+    def test_extreme_scales(self, scale):
+        assert angle_between([scale, 0, 0], [0, scale, 0]) == pytest.approx(math.pi / 2.0)
+        assert angle_between([scale, 0, 0], [scale, scale, 0]) == pytest.approx(math.pi / 4.0)
+
     def test_antiparallel_clamped(self):
         v = np.array([0.6, -0.3, 0.5])
         assert angle_between(v, -v) == pytest.approx(math.pi)
@@ -149,3 +155,21 @@ class TestNormalize:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             normalize([1.0, float("nan"), 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-320])
+    def test_extreme_scales_come_back_unit(self, scale):
+        # |v|^2 overflows or underflows here; v used to come back as zeros
+        # with norm inf, or be rejected as a zero vector.
+        v = np.array([scale, scale, 0.0])
+        unit, norm = normalize(v)
+        assert abs(np.linalg.norm(unit) - 1.0) <= 2e-16
+        assert unit == pytest.approx([math.sqrt(0.5), math.sqrt(0.5), 0.0], rel=1e-15)
+        assert norm == pytest.approx(math.hypot(scale, scale), rel=1e-15, abs=5e-324)
+
+    def test_ordinary_inputs_keep_their_bits(self):
+        rng = np.random.default_rng(8)
+        for v in rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-100, 100, size=(200, 1)):
+            unit, norm = normalize(v)
+            assert norm == np.linalg.norm(v)
+            assert np.array_equal(unit, v / np.linalg.norm(v))

@@ -109,6 +109,17 @@ class TestRotateCommand:
         assert code == 0
 
 
+    @pytest.mark.parametrize("flag", ["--axis", "--vector"])
+    def test_huge_components_normalize(self, capsys, flag):
+        # |v|^2 overflowed: "normalized from length inf", then exit 2 with
+        # "zero vector has no direction".
+        args = {"--axis": "0,0,1", "--vector": "1,0,0", flag: "1e200,1e200,0"}
+        code, out, err = run(capsys, "rotate", "--axis", args["--axis"], "--angle", "1",
+                             "--vector", args["--vector"], "--shots", "1000")
+        assert code == 0, err
+        assert "normalized from length 1414213562373095" in out
+
+
 class TestSweepCommand:
     def test_small_sweep_csv(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -350,3 +361,6 @@ def test_benchmark_trace_targets_resolve():
         module = importlib.import_module("qrot." + module_name)
         assert callable(getattr(module, attr, None)), f"qrot.{module_name}.{attr}"
     inspect.signature(qrot.simulator.sample).bind(circuit=None, basis=(), shots=1, noise=None)
+    # spans.py reads .vector off every index_estimate result.
+    result = qrot.multirot.index_estimate(1, np.array([(60, 40), (50, 50), (70, 30)]))
+    assert result.vector is not None

@@ -91,6 +91,13 @@ class TestApply:
         with pytest.raises(DomainError):
             Circuit(13, ())
 
+    @pytest.mark.parametrize("width", [2.0, True, 1.5])
+    def test_non_integer_width_rejected(self, width):
+        # 2.0 used to fail in sample as a TypeError, True to pass as one
+        # qubit, 1.5 to fail later on the number of basis labels.
+        with pytest.raises(DomainError, match="integer"):
+            Circuit(width, ())
+
 
 class TestGateOp:
     # Each used to pass: int() truncated the control pair to ((1, 1),), and a

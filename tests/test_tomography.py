@@ -17,7 +17,7 @@ from qrot.rotation import gate_ry, gate_rz
 from qrot.tomography import (MIN_BLOCH_NORM, _reconstruct_process, density_from_bloch,
                              estimate_qubit)
 from qrot.experiments import rotation_circuit
-from qrot.multirot import VectorBatch, extract_all
+from qrot.multirot import VectorBatch, extract_all, index_estimate
 from qrot.simulator import derive_seed, sample
 
 from conftest import WORKED_ROTATED, WORKED_VECTOR, random_spec
@@ -124,6 +124,21 @@ class TestEstimateQubit:
     def test_empty_basis_rejected(self):
         with pytest.raises(DomainError):
             estimate_qubit(np.array([(0, 0), (3, 1), (2, 2)]))
+
+    @pytest.mark.parametrize("estimate", [estimate_qubit, lambda t: index_estimate(1, t)],
+                             ids=["estimate_qubit", "index_estimate"])
+    @pytest.mark.parametrize("tally, error", [
+        (np.full((2, 2), 50), ShapeError),
+        (np.full(6, 50), ShapeError),
+        (np.full((3, 2), 50.0), DomainError),
+        (np.full((3, 2), True), DomainError),
+        (np.array([(60, 40), (51, -1), (70, 30)]), DomainError),
+    ], ids=["two-bases", "flat", "float", "bool", "negative"])
+    def test_malformed_tally_rejected(self, estimate, tally, error):
+        # A (2, 2) tally used to reach density_from_bloch as an IndexError;
+        # float and negative tallies were estimated silently.
+        with pytest.raises(error):
+            estimate(tally)
 
 
 def even_sample(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
