@@ -22,10 +22,8 @@ def normalize(v):
     """Return ``(unit_vector, original_norm)``; zero vectors are rejected.
 
     Callers that accept arbitrary-length vectors normalize explicitly and can
-    use the returned norm to rescale results. Where |v|^2 may not be a normal
-    float, v is first scaled by an exact power of two, so every finite
-    nonzero vector comes back unit length; the norm is inf only when |v|
-    itself exceeds the largest float.
+    use the returned norm to rescale results. Where |v|^2 may leave the normal
+    floats, v is first scaled by an exact power of two.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):

@@ -6,11 +6,10 @@ the qubit adjacent to the data qubit holds the least significant bit. The
 data qubit is qubit 0. After Hadamards put the n control qubits in an equal
 superposition, a controlled RY/RZ pair per index writes each vector onto its
 branch; one uncontrolled five-gate rotation on the data qubit then rotates
-every branch at once, so ``full_circuit(batch, rotation)`` takes one
-``RotationSpec`` for the whole batch. Extraction measures the control register
-in Z; ``tomography._grid_counts`` tallies the shots by branch into one
-(2**n, 3, 2) array, and each index runs single-qubit state tomography on its
-branch's (3, 2) row.
+every branch at once, so ``full_circuit`` takes one ``RotationSpec`` for the
+whole batch. Extraction reads the controls in Z; ``tomography._grid_counts``
+tallies the shots into one (2**n, 3, 2) array, and each index runs
+single-qubit state tomography on its branch's (3, 2) row.
 """
 
 from __future__ import annotations
