@@ -131,14 +131,14 @@ def density_from_bloch(r) -> np.ndarray:
 
 
 def _checked_tally(tally) -> np.ndarray:
-    """``tally`` as an int64 array, once it is a (3, 2) tally of nonnegative
+    """``tally`` as an array, once it is a (3, 2) tally of nonnegative
     integers: ShapeError for another shape, DomainError for other entries."""
     tally = np.asarray(tally)
     if tally.shape != (3, 2):
         raise ShapeError(f"expected a (3, 2) tally of bases X, Y, Z, got shape {tally.shape}")
     if tally.dtype.kind not in "iu" or tally.min() < 0:
         raise DomainError(f"tally entries must be nonnegative integers, got {tally.tolist()}")
-    return tally.astype(np.int64, copy=False)
+    return tally
 
 
 def estimate_qubit(tally, cal=None):
@@ -148,15 +148,15 @@ def estimate_qubit(tally, cal=None):
     ``cal``, and may leave the unit ball; rho = ``smolin_project`` of
     (I + r . sigma)/2 and direction = r/|r| (None below MIN_BLOCH_NORM), in
     closed form. The tally is checked by ``_checked_tally``."""
-    tally = _checked_tally(tally)
-    totals = tally.sum(axis=1)
-    if totals.min() < 1:
-        raise DomainError(f"no samples in basis {BASIS_LABELS[int(np.argmin(totals))]}")
-    if cal is None:
-        r = (tally[:, 0] - tally[:, 1]) / totals
-    else:
-        r = np.array([p[0] - p[1] for p in (_nnls_frequencies(row / total, cal)
-                                             for row, total in zip(tally.astype(float), totals))])
+    r = np.empty(3)
+    for k, (n0, n1) in enumerate(_checked_tally(tally).tolist()):
+        if n0 + n1 < 1:
+            raise DomainError(f"no samples in basis {BASIS_LABELS[k]}")
+        if cal is None:
+            r[k] = (n0 - n1) / (n0 + n1)
+        else:
+            p = _nnls_frequencies(np.array([n0, n1], dtype=float) / (n0 + n1), cal)
+            r[k] = float(p[0] - p[1])
     norm = float(np.linalg.norm(r))
     return (r, density_from_bloch(r / max(1.0, norm)),
             r / norm if norm >= MIN_BLOCH_NORM else None)
@@ -184,7 +184,8 @@ def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: 
                                derive_seed(seed, bi), checkpoints=[s * 2**n for s in checkpoints])
                         for bi, label in enumerate(BASIS_LABELS)]
     return [(None if readout is None else _conditioned(_readout_matrix(readout, s)),
-             {key: np.stack([res.prefix(s * 2**n).hist.reshape(-1, 2) for res in results], axis=1)
+             {key: np.array([res.prefix(s * 2**n).hist.reshape(-1, 2)
+                             for res in results]).swapaxes(0, 1)
               for key, (n, results) in jobs.items()})
             for s in shot_grid]
 
