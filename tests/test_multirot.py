@@ -39,7 +39,7 @@ class TestVectorBatch:
             VectorBatch(unit_rows(rng, 2049))  # needs 12 controls + data
 
 
-class TestFullCircuit:
+class TestMultiRotationPlan:
     def test_per_index_length_mismatch(self):
         batch = VectorBatch(unit_rows(np.random.default_rng(1), 4))
         specs = (RotationSpec(np.array([0.0, 0.0, 1.0]), 0.5),)
