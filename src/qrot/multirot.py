@@ -110,9 +110,9 @@ def extract_all(batch: VectorBatch, rotation: RotationSpec, shots_per_vector: in
     Draws the full circuit through ``tomography._grid_counts`` at the one
     grid point ``shots_per_vector`` (``shots_per_vector * 2**n`` shots in
     each basis of qubit 0, the readout calibration at ``shots_per_vector``)
-    and reconstructs each encoded index from its control branch's (3, 2) row
-    of the tally: about ``shots_per_vector`` per basis, since the control
-    marginal is uniform. Raises DomainError below ``tomography.MIN_SHOTS`` before any
+    and reconstructs each encoded index from its control branch's row of the
+    tally: about ``shots_per_vector`` per basis, since the control marginal
+    is uniform. Raises DomainError below ``tomography.MIN_SHOTS`` before any
     draw. Indices with fewer than 25 samples in some basis are flagged as
     under-sampled; an index with zero samples in some basis or a zero
     estimate gets an error entry rather than failing the whole extraction.
@@ -126,13 +126,12 @@ def index_estimate(index: int, tally, cal=None) -> ExtractedVector:
     """Single-qubit tomography for one branch from its (3, 2) tally, the
     (n0, n1) of bases X, Y, Z, with ``estimate_qubit``; ``cal`` is a checked
     readout calibration. The tally is checked as ``estimate_qubit`` checks it."""
-    tally = _checked_tally(tally)
-    totals = tally.sum(axis=1)
+    totals = _checked_tally(tally).sum(axis=1).tolist()
     empty = [label for label, total in zip(BASIS_LABELS, totals) if total == 0]
     if empty:
         vector, error = None, f"no samples in basis {','.join(empty)}"
     else:
         _, _, vector = estimate_qubit(tally, cal)
         error = None if vector is not None else "estimated Bloch vector has no direction"
-    return ExtractedVector(index=index, vector=vector, samples=int(totals.sum()),
-                           under_sampled=int(totals.min()) < UNDER_SAMPLE_THRESHOLD, error=error)
+    return ExtractedVector(index=index, vector=vector, samples=sum(totals),
+                           under_sampled=min(totals) < UNDER_SAMPLE_THRESHOLD, error=error)
