@@ -63,7 +63,7 @@ def _parse_noise(text: str) -> NoiseModel:
 def _unit_axis(text: str) -> np.ndarray:
     axis, norm = normalize(_parse_triple(text, "axis"))
     if abs(norm - 1.0) > 1e-9:
-        print(f"note: axis normalized from length {norm:.6f}")
+        print(f"note: axis normalized from length {norm:.6g}")
     return axis
 
 
@@ -167,7 +167,7 @@ def cmd_rotate(args) -> int:
     spec = RotationSpec(_unit_axis(args.axis), _angle_radians(args))
     vector, norm = normalize(_parse_triple(args.vector, "vector"))
     if abs(norm - 1.0) > 1e-9:
-        print(f"warning: input vector normalized from length {norm:.6f}")
+        print(f"warning: input vector normalized from length {norm:.6g}")
     noise = _parse_noise(args.noise)
     report = experiments.rotate_report(spec, vector, args.shots, noise,
                                        args.seed, args.mitigate)
@@ -234,7 +234,7 @@ def _load_vectors(path: str):
                               f"for a float") from None
         unit, norm = normalize(vector)
         if abs(norm - 1.0) > 1e-9:
-            print(f"warning: vector {idx} normalized from length {norm:.6f}")
+            print(f"warning: vector {idx} normalized from length {norm:.6g}")
         vectors.append(unit)
     return np.array(vectors)
 

@@ -196,9 +196,10 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
     fluctuates far less, which is what makes point-to-point comparisons
     along it meaningful. Each trial therefore runs ``_process_series`` and
     ``_state_series``, which draw every circuit once, at the largest grid
-    point, and read every smaller point as its prefix tally
-    (``ShotResult.prefix``); the records equal those of ``process_tomography``
-    and ``state_tomography`` run at each point.
+    point, with every grid point as a checkpoint, and read each point as its
+    row of the draw's prefix table (``ShotResult.table``); the records equal
+    those of ``process_tomography`` and ``state_tomography`` run at each
+    point.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")

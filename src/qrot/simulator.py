@@ -24,8 +24,12 @@ Conventions
   depend on how shots are chunked, and an s-shot job's outcomes are the
   first s outcomes of any larger job at the same seed, with or without
   noise.
-* A job may name ``checkpoints``: shot counts at which the draw is also cut
-  and the running histogram kept. ``ShotResult.prefix(s)`` then returns the
+* A job may name ``checkpoints``: shot counts whose running histograms it
+  keeps, one row each of ``ShotResult.table``, tallied in the same pass over
+  the draw. A chunk that checkpoints cut is still drawn by one Generator
+  call; each of its shots gets its outcome and is counted in the segment
+  between checkpoints that holds it, and each row is the running sum of the
+  segments up to its checkpoint. ``ShotResult.prefix(s)`` returns the
   result of the first s shots, which equals the result of an s-shot job at
   the same seed, so one job at the largest count stands for every smaller
   one.
@@ -57,11 +61,10 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from numbers import Integral
-from types import MappingProxyType
 
 import numpy as np
 
@@ -109,36 +112,59 @@ NOISELESS = NoiseModel()
 class ShotResult:
     """Outcome histogram for one measurement basis: ``hist[j]`` counts the
     shots that read basis-state index j (int64, length 2^n, read-only).
-    ``prefixes[s]`` is the result of the job's first s shots, for each
-    checkpoint s it was drawn with; read it through ``prefix``."""
+    ``table[i]`` is the histogram of the job's first ``checkpoints[i]``
+    shots, for each checkpoint it was drawn with (int64, one row per
+    checkpoint, read-only); ``prefix`` reads a row as a result of its own."""
 
     basis: tuple[str, ...]
     hist: np.ndarray
     shots: int
-    prefixes: Mapping[int, ShotResult] = field(default_factory=dict, repr=False)
+    checkpoints: tuple[int, ...] = ()
+    table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        hist = np.asarray(self.hist)
-        if hist.dtype.kind not in "iu":
-            raise DomainError(f"histogram entries must be integers, got dtype {hist.dtype}")
-        hist = hist.astype(np.int64)
+        hist = _int64_counts(self.hist, "histogram")
         if hist.shape != (1 << len(self.basis),):
             raise ShapeError(f"histogram of shape {hist.shape} does not match "
                              f"{len(self.basis)} measured qubits")
         if hist.min() < 0 or hist.sum() != self.shots:
             raise DomainError(f"histogram must be nonnegative and sum to {self.shots} shots")
+        checkpoints = tuple(self.checkpoints)
+        table = _int64_counts(np.zeros((0, hist.size), dtype=np.int64)
+                              if self.table is None else self.table, "prefix table")
+        if table.shape != (len(checkpoints), hist.size):
+            raise ShapeError(f"prefix table of shape {table.shape} does not match "
+                             f"{len(checkpoints)} checkpoints of {hist.size} outcomes")
+        if table.sum(axis=1).tolist() != list(checkpoints):
+            raise DomainError(f"prefix table rows must sum to the checkpoints {checkpoints}")
+        if table.size and ((table[0] < 0).any() or (table[1:] < table[:-1]).any()
+                           or (table[-1] > hist).any()):
+            raise DomainError("prefix table rows must be nonnegative, must not decrease "
+                              "and must stay within hist")
         hist.setflags(write=False)
+        table.setflags(write=False)
         object.__setattr__(self, "hist", hist)
+        object.__setattr__(self, "checkpoints", checkpoints)
+        object.__setattr__(self, "table", table)
 
     def prefix(self, shots: int) -> ShotResult:
         """The result of the job's first ``shots`` shots: itself at its full
-        size, else the snapshot taken at that checkpoint."""
+        size, else its row of ``table``."""
         if shots == self.shots:
             return self
-        if shots not in self.prefixes:
+        if shots not in self.checkpoints:
             raise DomainError(f"{shots} shots is not a checkpoint of this "
                               f"{self.shots}-shot result")
-        return self.prefixes[shots]
+        return ShotResult(self.basis, self.table[self.checkpoints.index(shots)], shots)
+
+
+def _int64_counts(counts, name: str) -> np.ndarray:
+    """A fresh int64 copy of ``counts``; DomainError unless its dtype is an
+    integer one."""
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise DomainError(f"{name} entries must be integers, got dtype {counts.dtype}")
+    return counts.astype(np.int64)
 
 
 def _splitmix64(x: int) -> int:
@@ -229,10 +255,11 @@ def _basis_change_ops(basis, n: int) -> list[GateOp]:
     return ops
 
 
-def _tallies(probs: np.ndarray, edges, rng: np.random.Generator):
-    """Yield (end, histogram of the shots since the previous edge) for each
-    of the increasing ``edges`` in turn, drawn from ``probs`` with one
-    uniform u per shot. A shot reads outcome min(#{cum <= u}, dim - 1), as
+def _tallies(probs: np.ndarray, chunks, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """The running histograms of a draw from ``probs`` with one uniform u per
+    shot, as a (rows, dim) int64 array: row r counts the shots up to stop r
+    of ``chunks``, which ``_chunks`` makes. Each chunk is one ``rng.random``
+    call. A shot reads outcome min(#{cum <= u}, dim - 1), as
     ``searchsorted(cum, u, side="right")`` clamped to the last index would.
 
     The count runs over buckets [k/K, (k+1)/K), K the power of two of at
@@ -240,7 +267,10 @@ def _tallies(probs: np.ndarray, edges, rng: np.random.Generator):
     exact. A bucket is pure when no cum value lies strictly inside it: every
     u in it reads the same outcome, so its shots are tallied by one bincount
     over buckets. Only the uniforms in the other, mixed buckets are looked
-    up one by one."""
+    up one by one. A chunk that stops cut into segments instead gives every
+    shot its outcome, its pure bucket's or its own lookup in a mixed one, and
+    counts it in its segment's row; a running sum over the rows at the end
+    turns each into the histogram up to its stop."""
     dim = probs.size
     k_buckets = _BUCKETS_PER_OUTCOME << (dim - 1).bit_length()
     # Dropping the last cum value clamps every count to dim - 1.
@@ -259,33 +289,60 @@ def _tallies(probs: np.ndarray, edges, rng: np.random.Generator):
     owners = np.searchsorted(cum, starts, side="right")
 
     # One chunk per call, so that its arrays are freed before the next draw.
-    def tally(u):
+    def tally(u, lengths, out):
         u *= k_buckets
         bucket = u.astype(np.intp)
-        mixed_u = u[mixed[bucket]]
+        if len(lengths) == 1:
+            mixed_u = u[mixed[bucket]]
+            del u
+            counts = np.bincount(bucket, minlength=k_buckets)
+            counts[mixed] = 0
+            out[0] += np.bincount(np.searchsorted(cum, mixed_u, side="right"), minlength=dim)
+            out[0, owners] += np.add.reduceat(counts, starts)
+            return
+        at_mixed = np.flatnonzero(mixed[bucket])
+        mixed_u = u[at_mixed]
         del u
-        counts = np.bincount(bucket, minlength=k_buckets)
-        counts[mixed] = 0
-        hist = np.bincount(np.searchsorted(cum, mixed_u, side="right"), minlength=dim)
-        hist[owners] += np.add.reduceat(counts, starts)
-        return hist
+        # mode="clip" writes in place; the default buffers a copy of ``out``.
+        outcome = np.take(np.repeat(owners, np.diff(starts, append=k_buckets)), bucket,
+                          out=bucket, mode="clip")
+        outcome[at_mixed] = np.searchsorted(cum, mixed_u, side="right")
+        outcome += np.repeat(np.arange(0, len(lengths) * dim, dim), lengths)
+        np.add.at(out.reshape(-1), outcome, 1)
 
-    start = 0
-    for end in edges:
-        yield end, tally(rng.random(end - start))
+    counts = np.zeros((rows, dim), dtype=np.int64)
+    for row, lengths in chunks:
+        tally(rng.random(sum(lengths)), lengths, counts[row:row + len(lengths)])
+    return np.cumsum(counts, axis=0, out=counts)
+
+
+def _chunks(shots: int, checkpoints):
+    """The draw's chunks of at most ``SAMPLE_CHUNK`` shots, in order, made
+    as the draw reaches them. Stop r is the r-th of the sorted distinct
+    ``(*checkpoints, shots)``. A chunk is (row, lengths): the stops strictly
+    inside it cut it into segments of ``lengths`` shots, and its first
+    segment's shots are those up to stop ``row``, the next segment's up to
+    stop ``row + 1``, and so on."""
+    shots = int(shots)
+    stops = sorted({*map(int, checkpoints), shots})
+    row = start = 0
+    while start < shots:
+        # The uncut chunks up to stop ``row`` share one (row, lengths) pair,
+        # so a long draw makes no object per chunk.
+        whole = (stops[row] - start) // SAMPLE_CHUNK
+        yield from itertools.repeat((row, (SAMPLE_CHUNK,)), whole)
+        start += whole * SAMPLE_CHUNK
+        if start == stops[row]:
+            row += 1
+            continue
+        end = min(start + SAMPLE_CHUNK, shots)
+        first, lengths = row, [stops[row] - start]
+        while stops[row] < end:
+            row += 1
+            lengths.append(min(stops[row], end) - stops[row - 1])
+        yield first, lengths
+        row += stops[row] == end
         start = end
-
-
-def _chunk_ends(shots: int, checkpoints):
-    """The multiples of ``SAMPLE_CHUNK`` below ``shots``, the sorted distinct
-    ``checkpoints`` and ``shots`` itself, in increasing order and each once,
-    made one at a time as the draw reaches them."""
-    last = 0
-    for stop in (*map(int, checkpoints), int(shots)):
-        yield from range((last // SAMPLE_CHUNK + 1) * SAMPLE_CHUNK, stop, SAMPLE_CHUNK)
-        if stop > last:
-            yield stop
-        last = stop
 
 
 def _confuse_readout(probs: np.ndarray, flips) -> np.ndarray:
@@ -330,7 +387,7 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     ``basis`` gives one Pauli label per qubit (index order). Deterministic
     for fixed ``(circuit, basis, shots, noise, seed)``. ``checkpoints``, sorted
     distinct ints in [1, shots], are the shot counts whose prefix histograms
-    the result keeps for ``ShotResult.prefix``.
+    the result keeps in ``ShotResult.table``, read by ``ShotResult.prefix``.
 
     Noiseless and readout-only sampling accept any circuit. Under gate noise
     (``depol_1q`` or ``depol_ctrl`` above 0) the circuit with its
@@ -356,12 +413,6 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     if noise.depol_1q > 0.0 or noise.depol_ctrl > 0.0:
         probs = _confuse_readout(probs, _gate_noise_flips(all_ops, n, noise))
     probs = _confuse_readout(probs, [noise.readout_flip] * n)
-    dim = 1 << n
-    hist = np.zeros(dim, dtype=np.int64)
-    prefixes = {}
-    for end, chunk in _tallies(probs, _chunk_ends(shots, checkpoints), _rng(seed)):
-        hist += chunk
-        if end in checkpoints:
-            prefixes[end] = ShotResult(basis, hist, end)
-    return ShotResult(basis=basis, hist=hist, shots=int(shots),
-                      prefixes=MappingProxyType(prefixes))
+    counts = _tallies(probs, _chunks(shots, checkpoints), len({*checkpoints, shots}),
+                      _rng(seed))
+    return ShotResult(basis, counts[-1], int(shots), checkpoints, counts[:len(checkpoints)])

@@ -172,22 +172,27 @@ def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: 
     per basis, about s per control branch, and its tally is one int64 array
     of shape (2**n, 3, 2): branch b, then basis X/Y/Z, then (n0, n1). Every
     job, the calibration's runs included, is drawn once at the largest point
-    with the grid as checkpoints; a smaller point reads its prefix."""
+    with the distinct points as checkpoints. The three bases' prefix tables
+    stack into one (points, 2**n, 3, 2) array per circuit, and each point
+    reads its row."""
     if min(shot_grid) < MIN_SHOTS:
         raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {min(shot_grid)}")
-    top, checkpoints = max(shot_grid), sorted(set(shot_grid))
-    readout = _readout_runs(noise, top, cal_seed, checkpoints) if mitigate else None
-    jobs = {}
+    checkpoints = sorted(set(shot_grid))
+    rows = [checkpoints.index(s) for s in shot_grid]
+    top = checkpoints[-1]
+    readout = (_readout_matrix(_readout_runs(noise, top, cal_seed, checkpoints))
+               if mitigate else None)
+    tables = {}
     for key, (circuit, seed) in circuits.items():
         n = circuit.num_qubits - 1
-        jobs[key] = n, [sample(circuit, (label,) + ("Z",) * n, top * 2**n, noise,
-                               derive_seed(seed, bi), checkpoints=[s * 2**n for s in checkpoints])
-                        for bi, label in enumerate(BASIS_LABELS)]
-    return [(None if readout is None else _conditioned(_readout_matrix(readout, s)),
-             {key: np.array([res.prefix(s * 2**n).hist.reshape(-1, 2)
-                             for res in results]).swapaxes(0, 1)
-              for key, (n, results) in jobs.items()})
-            for s in shot_grid]
+        results = [sample(circuit, (label,) + ("Z",) * n, top * 2**n, noise,
+                          derive_seed(seed, bi), checkpoints=[s * 2**n for s in checkpoints])
+                   for bi, label in enumerate(BASIS_LABELS)]
+        tables[key] = np.stack([res.table.reshape(len(checkpoints), 2**n, 2)
+                                for res in results], axis=2)
+    return [(None if readout is None else _conditioned(readout[row]),
+             {key: table[row] for key, table in tables.items()})
+            for row in rows]
 
 
 def _state_series(circuit: Circuit, shot_grid, noise: NoiseModel | None, seed: int,
@@ -299,20 +304,23 @@ def calibrate_readout(noise: NoiseModel | None, shots: int, seed: int = 0) -> np
     Column j holds the outcome frequencies observed when |j> is prepared;
     columns sum to 1 exactly.
     """
-    return _readout_matrix(_readout_runs(noise, shots, seed), shots)
+    return _readout_matrix(_readout_runs(noise, shots, seed, [shots]))[0]
 
 
 def _readout_runs(noise: NoiseModel | None, shots: int, seed: int,
-                  checkpoints=()) -> list[ShotResult]:
+                  checkpoints) -> list[ShotResult]:
     """The prepare-|0> and prepare-|1> runs behind ``calibrate_readout``."""
     return [sample(Circuit(1, prep), ("Z",), shots, noise, derive_seed(seed, j),
                    checkpoints=checkpoints)
             for j, prep in enumerate(((), (GateOp("X", 0),)))]
 
 
-def _readout_matrix(runs, shots: int) -> np.ndarray:
-    """The confusion matrix of the first ``shots`` shots of ``_readout_runs``."""
-    return np.column_stack([run.prefix(shots).hist for run in runs]) / shots
+def _readout_matrix(runs) -> np.ndarray:
+    """The confusion matrices of ``_readout_runs`` at each of their
+    checkpoints, as one (checkpoints, 2, 2) array read off the runs' prefix
+    tables."""
+    checkpoints = np.array(runs[0].checkpoints)
+    return np.stack([run.table for run in runs], axis=-1) / checkpoints[:, None, None]
 
 
 def _conditioned(cal: np.ndarray) -> np.ndarray:

@@ -75,7 +75,7 @@ class TestRotateCommand:
                            "--degrees", "--vector", "1,1,1", "--shots", "20000",
                            "--seed", "7", "--out", str(out_path))
         assert code == 0
-        assert "warning: input vector normalized from length 1.732051" in out
+        assert "warning: input vector normalized from length 1.73205\n" in out
         payload = json.loads(out_path.read_text())
         assert payload["angle_deg"] < 1.5
         assert abs(payload["oracle"][0] - 0.7698) < 1e-3
@@ -117,7 +117,21 @@ class TestRotateCommand:
         code, out, err = run(capsys, "rotate", "--axis", args["--axis"], "--angle", "1",
                              "--vector", args["--vector"], "--shots", "1000")
         assert code == 0, err
-        assert "normalized from length 1414213562373095" in out
+        assert "normalized from length 1.41421e+200\n" in out
+
+    @pytest.mark.parametrize("flag, line", [
+        ("--axis", "note: axis normalized from length 1.41421e-200\n"),
+        ("--vector", "warning: input vector normalized from length 1.41421e+200\n"),
+    ], ids=["axis-note", "rotate-warning"])
+    def test_length_printed_to_six_significant_digits(self, capsys, flag, line):
+        # With {:.6f} a 1e-200-scale axis printed "0.000000" and a 1e200-scale
+        # vector all 201 digits of its length.
+        args = {"--axis": "0,0,1", "--vector": "1,0,0",
+                flag: "1e-200,1e-200,0" if flag == "--axis" else "1e200,1e200,0"}
+        code, out, err = run(capsys, "rotate", "--axis", args["--axis"], "--angle", "1",
+                             "--vector", args["--vector"], "--shots", "1000")
+        assert code == 0, err
+        assert line in out
 
 
 class TestSweepCommand:
@@ -220,7 +234,15 @@ class TestMultiCommand:
         code, out, _ = run(capsys, "multi", "--vectors", vecs, "--axis", "0,0,1",
                            "--angle", "0.5", "--shots", "500")
         assert code == 0
-        assert "warning: vector 1 normalized from length 2.000000" in out
+        assert "warning: vector 1 normalized from length 2\n" in out
+
+    def test_tiny_vector_length_printed_to_six_significant_digits(self, capsys, tmp_path):
+        # With {:.6f} the warning read "normalized from length 0.000000".
+        vecs = self._vector_file(tmp_path, [[1e-200, 1e-200, 0]])
+        code, out, err = run(capsys, "multi", "--vectors", vecs, "--axis", "0,0,1",
+                             "--angle", "0.5", "--shots", "500")
+        assert code == 0, err
+        assert "warning: vector 1 normalized from length 1.41421e-200\n" in out
 
     def test_malformed_file_reports_line(self, capsys, tmp_path):
         vecs = self._vector_file(tmp_path, '[[1, 0, 0],\n [0, bad, 0]]')

@@ -5,6 +5,7 @@ Noiseless and readout-only jobs range over all circuits (``jobs``); jobs
 under gate noise range over the shape that ``sample`` accepts there
 (``shaped_jobs``)."""
 
+import itertools
 import math
 import tracemalloc
 from functools import reduce
@@ -176,17 +177,17 @@ class _Uniforms:
 
 
 def assert_tallies_exact(probs, u, edges):
-    """``simulator._tallies`` gives, per edge, the bincount of
-    ``searchsorted(cum, u, side="right")`` clamped to dim - 1."""
+    """``simulator._tallies``, drawing ``edges[-1]`` shots with the other
+    edges as checkpoints, gives per edge the bincount of the shots up to it
+    of ``searchsorted(cum, u, side="right")`` clamped to dim - 1."""
     dim = probs.size
     cum = np.cumsum(probs / probs.sum())
     idx = np.minimum(np.searchsorted(cum, u, side="right"), dim - 1)
-    start = 0
-    tallies = list(simulator._tallies(probs, edges, _Uniforms(u)))
-    assert [end for end, _ in tallies] == list(edges)
-    for end, hist in tallies:
-        assert np.array_equal(hist, np.bincount(idx[start:end], minlength=dim))
-        start = end
+    uniforms = _Uniforms(u)
+    table = simulator._tallies(probs, simulator._chunks(edges[-1], edges), len(edges), uniforms)
+    assert table.shape == (len(edges), dim) and uniforms.used == edges[-1]
+    for end, hist in zip(edges, table):
+        assert np.array_equal(hist, np.bincount(idx[:end], minlength=dim))
 
 
 @st.composite
@@ -497,18 +498,34 @@ def test_noiseless_full_chunk_sample_memory_bound():
     assert peak <= 1_709_803, f"peaked at {peak} bytes"
 
 
+def test_checkpoint_sample_memory_bound():
+    # The job above with 32 checkpoints inside its first chunk: on top of
+    # that job's bound, it may hold its prefix table and nothing more.
+    circuit = _batch_circuit(2048, 6)
+    basis = ("X",) + ("Z",) * 11
+    shots = 2 * simulator.SAMPLE_CHUNK + 5
+    checkpoints = [2000 * k for k in range(1, 33)]
+    tracemalloc.start()
+    try:
+        res = sample(circuit, basis, shots, seed=4, checkpoints=checkpoints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.table.shape == (32, 4096) and checkpoints[-1] < simulator.SAMPLE_CHUNK
+    assert peak <= res.table.nbytes + 1_709_803, f"peaked at {peak} bytes"
+
+
 def test_chunk_ends_are_made_as_drawn(monkeypatch):
     # 10**11 shots end 1.5 million chunks; listing those ends before the first
-    # draw held about 134 MB. The stub consumes the ends and credits every
-    # shot at the last one, so the peak is what sample holds besides draws.
-    def consume_edges(probs, edges, rng):
-        for end in edges:
-            pass
-        hist = np.zeros(probs.size, dtype=np.int64)
-        hist[0] = end
-        yield end, hist
+    # draw held about 134 MB. The stub consumes the chunks and credits every
+    # shot drawn to the last stop, so the peak is what sample holds besides
+    # draws.
+    def consume_chunks(probs, chunks, rows, rng):
+        counts = np.zeros((rows, probs.size), dtype=np.int64)
+        counts[-1, 0] = sum(itertools.chain.from_iterable(lengths for _, lengths in chunks))
+        return counts
 
-    monkeypatch.setattr(simulator, "_tallies", consume_edges)
+    monkeypatch.setattr(simulator, "_tallies", consume_chunks)
     shots = 10**11
     tracemalloc.start()
     try:

@@ -192,6 +192,27 @@ class TestSample:
         with pytest.raises(DomainError, match="integers"):
             ShotResult(("Z",), hist, 1)
 
+    # hist [5, 5] of 10 shots with checkpoints 3 and 7; each table breaks
+    # one rule.
+    @pytest.mark.parametrize("table, error", [
+        ([[2, 1, 0, 0], [4, 3, 0, 0]], ShapeError),
+        ([[2, 1]], ShapeError),
+        ([[3, 0], [2, 5]], DomainError),
+        ([[4, -1], [4, 3]], DomainError),
+        ([[2, 1], [4, 2]], DomainError),
+        ([[2, 1], [6, 1]], DomainError),
+        ([[2.0, 1.0], [4.0, 3.0]], DomainError),
+    ], ids=["wide", "short", "decreasing", "negative", "wrong-sum", "above-hist", "float"])
+    def test_malformed_prefix_table_rejected(self, table, error):
+        with pytest.raises(error):
+            ShotResult(("Z",), [5, 5], 10, (3, 7), np.array(table))
+
+    def test_prefix_reads_a_table_row(self):
+        res = ShotResult(("Z",), [5, 5], 10, (3, 7), np.array([[2, 1], [4, 3]]))
+        assert res.prefix(7).hist.tolist() == [4, 3] and res.prefix(7).shots == 7
+        assert res.prefix(10) is res
+        assert not res.table.flags.writeable
+
     def test_bitstring_order_most_significant_first(self):
         # flip only qubit 1 of three: outcome index 2 prints as "010"
         circuit = Circuit(3, (GateOp("X", 1),))

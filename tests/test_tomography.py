@@ -146,8 +146,13 @@ def even_sample(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
     (no gate, or one X) read back through an exact symmetric 10% flip, every
     other circuit gives equal counts of 0 and 1 in every basis."""
     kinds = tuple(op.kind for op in circuit.ops)
-    ones = {(): shots // 10, ("X",): shots - shots // 10}.get(kinds, shots // 2)
-    return ShotResult(tuple(basis), [shots - ones, ones], shots)
+
+    def hist(s):
+        ones = {(): s // 10, ("X",): s - s // 10}.get(kinds, s // 2)
+        return [s - ones, ones]
+
+    return ShotResult(tuple(basis), hist(shots), shots, tuple(checkpoints),
+                      np.array([hist(s) for s in checkpoints], dtype=np.int64).reshape(-1, 2))
 
 
 class TestZeroEstimate:
