@@ -43,11 +43,11 @@ def normalize(v):
         return scaled / scaled_norm, float(np.ldexp(scaled_norm, exponent))
 
 
-def require_unit(v, tol: float = UNIT_TOL) -> np.ndarray:
+def require_unit(v) -> np.ndarray:
     """Validate ``v`` through ``normalize``, require unit length, return ``v``."""
     v = np.asarray(v, dtype=float)
     _, norm = normalize(v)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > UNIT_TOL:
         raise DomainError(f"vector must be unit length (|v| = {norm!r}); normalize explicitly")
     return v
 

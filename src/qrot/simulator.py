@@ -12,18 +12,18 @@ Conventions
   64-bit seed, so identical inputs give byte-identical counts. A sampling
   job computes its exact outcome distribution once and then draws one
   uniform u per shot, ``SAMPLE_CHUNK`` at a time. A shot reads outcome
-  min(#{cum <= u}, 2^n - 1), cum being the cumulative distribution, but
-  the job only counts outcomes and never lists them: it splits [0, 1) into
-  K = 8 * 2^n buckets of width 1/K. A bucket that no cum value lies
-  strictly inside is pure, all of its shots read one outcome, and one
-  bincount over buckets tallies them. Only shots in the other buckets, at
-  most 2^n of the K, are looked up in cum one by one. K is a power of two,
-  so u * K and cum * K are exact and the histogram is bit-for-bit that of
-  a lookup per shot. Memory is therefore independent of the shot count
-  (chunk ends are made as the draw reaches them), merged counts do not
-  depend on how shots are chunked, and an s-shot job's outcomes are the
-  first s outcomes of any larger job at the same seed, with or without
-  noise.
+  min(#{cum <= u}, 2^n - 1), cum being the cumulative distribution. The
+  job splits [0, 1) into K = 8 * 2^n buckets of width 1/K. A bucket that
+  no cum value lies strictly inside is pure: all of its shots read one
+  outcome, which a table made once per job gives them. Only shots in the
+  other buckets, at most 2^n of the K, are looked up in cum one by one.
+  K is a power of two, so u * K and cum * K are exact and the histogram is
+  bit-for-bit that of a lookup per shot. A chunk's outcomes are counted as
+  soon as they are read and never kept. Memory is therefore independent of
+  the shot count (chunk ends are made as the draw reaches them), merged
+  counts do not depend on how shots are chunked, and an s-shot job's
+  outcomes are the first s outcomes of any larger job at the same seed,
+  with or without noise.
 * A job may name ``checkpoints``: shot counts whose running histograms it
   keeps, one row each of ``ShotResult.table``, tallied in the same pass over
   the draw. A chunk that checkpoints cut is still drawn by one Generator
@@ -262,15 +262,15 @@ def _tallies(probs: np.ndarray, chunks, rows: int, rng: np.random.Generator) -> 
     call. A shot reads outcome min(#{cum <= u}, dim - 1), as
     ``searchsorted(cum, u, side="right")`` clamped to the last index would.
 
-    The count runs over buckets [k/K, (k+1)/K), K the power of two of at
-    least ``_BUCKETS_PER_OUTCOME`` * dim, so scaling cum and u by K is
-    exact. A bucket is pure when no cum value lies strictly inside it: every
-    u in it reads the same outcome, so its shots are tallied by one bincount
-    over buckets. Only the uniforms in the other, mixed buckets are looked
-    up one by one. A chunk that stops cut into segments instead gives every
-    shot its outcome, its pure bucket's or its own lookup in a mixed one, and
-    counts it in its segment's row; a running sum over the rows at the end
-    turns each into the histogram up to its stop."""
+    Each shot finds its outcome through buckets [k/K, (k+1)/K), K the power
+    of two of at least ``_BUCKETS_PER_OUTCOME`` * dim, so scaling cum and u
+    by K is exact. A bucket is pure when no cum value lies strictly inside
+    it: every u in it reads the same outcome, which one table made per job
+    holds. Only the uniforms in the other, mixed buckets are looked up in
+    cum one by one. An uncut chunk is counted by one bincount over
+    outcomes; a chunk that stops cut into segments counts each shot in its
+    segment's row, and a running sum over the rows at the end turns each
+    into the histogram up to its stop."""
     dim = probs.size
     k_buckets = _BUCKETS_PER_OUTCOME << (dim - 1).bit_length()
     # Dropping the last cum value clamps every count to dim - 1.
@@ -279,34 +279,23 @@ def _tallies(probs: np.ndarray, chunks, rows: int, rng: np.random.Generator) -> 
     whole = np.floor(cum)
     mixed = np.zeros(k_buckets, dtype=bool)
     mixed[whole[(cum != whole) & (cum < k_buckets)].astype(np.intp)] = True
-    # A pure bucket k reads #{cum <= k}. That count steps up at each
-    # ceil(cum), so the buckets from one step to the next share an outcome,
-    # and a mixed bucket is the last of its run.
-    step = np.zeros(k_buckets, dtype=bool)
-    step[0] = True
-    step[np.ceil(cum[cum <= k_buckets - 1]).astype(np.intp)] = True
-    starts = np.flatnonzero(step)
-    owners = np.searchsorted(cum, starts, side="right")
+    # A pure bucket k reads #{cum <= k}, the number of ceil(cum) <= k.
+    owner = np.cumsum(np.bincount(np.ceil(cum).astype(np.intp),
+                                  minlength=k_buckets)[:k_buckets])
 
     # One chunk per call, so that its arrays are freed before the next draw.
     def tally(u, lengths, out):
         u *= k_buckets
         bucket = u.astype(np.intp)
-        if len(lengths) == 1:
-            mixed_u = u[mixed[bucket]]
-            del u
-            counts = np.bincount(bucket, minlength=k_buckets)
-            counts[mixed] = 0
-            out[0] += np.bincount(np.searchsorted(cum, mixed_u, side="right"), minlength=dim)
-            out[0, owners] += np.add.reduceat(counts, starts)
-            return
         at_mixed = np.flatnonzero(mixed[bucket])
         mixed_u = u[at_mixed]
         del u
         # mode="clip" writes in place; the default buffers a copy of ``out``.
-        outcome = np.take(np.repeat(owners, np.diff(starts, append=k_buckets)), bucket,
-                          out=bucket, mode="clip")
+        outcome = np.take(owner, bucket, out=bucket, mode="clip")
         outcome[at_mixed] = np.searchsorted(cum, mixed_u, side="right")
+        if len(lengths) == 1:
+            out[0] += np.bincount(outcome, minlength=dim)
+            return
         outcome += np.repeat(np.arange(0, len(lengths) * dim, dim), lengths)
         np.add.at(out.reshape(-1), outcome, 1)
 

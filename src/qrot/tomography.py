@@ -178,7 +178,7 @@ def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: 
     if min(shot_grid) < MIN_SHOTS:
         raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {min(shot_grid)}")
     checkpoints = sorted(set(shot_grid))
-    rows = [checkpoints.index(s) for s in shot_grid]
+    row_of = {s: row for row, s in enumerate(checkpoints)}
     top = checkpoints[-1]
     readout = (_readout_matrix(_readout_runs(noise, top, cal_seed, checkpoints))
                if mitigate else None)
@@ -192,7 +192,7 @@ def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: 
                                 for res in results], axis=2)
     return [(None if readout is None else _conditioned(readout[row]),
              {key: table[row] for key, table in tables.items()})
-            for row in rows]
+            for row in (row_of[s] for s in shot_grid)]
 
 
 def _state_series(circuit: Circuit, shot_grid, noise: NoiseModel | None, seed: int,

@@ -92,6 +92,12 @@ class TestStateToBloch:
         with pytest.raises(DomainError):
             state_to_bloch([1.0, 1.0])
 
+    @pytest.mark.parametrize("psi", [[1.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]]],
+                             ids=["one", "four", "matrix"])
+    def test_rejects_wrong_shape(self, psi):
+        with pytest.raises(DomainError, match="2 amplitudes"):
+            state_to_bloch(psi)
+
 
 class TestAngleBetween:
     def test_equal_vectors(self):

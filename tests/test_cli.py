@@ -110,6 +110,14 @@ class TestRotateCommand:
 
 
     @pytest.mark.parametrize("flag", ["--axis", "--vector"])
+    def test_non_numeric_triple_is_usage_error(self, capsys, flag):
+        args = {"--axis": "0,0,1", "--vector": "1,0,0", flag: "1,one,0"}
+        code, _, err = run(capsys, "rotate", "--axis", args["--axis"], "--angle", "1",
+                           "--vector", args["--vector"])
+        assert code == 2
+        assert f"{flag[2:]} must be numeric" in err
+
+    @pytest.mark.parametrize("flag", ["--axis", "--vector"])
     def test_huge_components_normalize(self, capsys, flag):
         # |v|^2 overflowed: "normalized from length inf", then exit 2 with
         # "zero vector has no direction".
@@ -250,6 +258,14 @@ class TestMultiCommand:
                            "--angle", "0.5")
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("payload", [{"x": [0, 0, 1]}, [], 3], ids=["object", "empty", "number"])
+    def test_not_a_non_empty_array_is_usage_error(self, capsys, tmp_path, payload):
+        vecs = self._vector_file(tmp_path, payload)
+        code, _, err = run(capsys, "multi", "--vectors", vecs, "--axis", "0,0,1",
+                           "--angle", "0.5")
+        assert code == 2
+        assert "expected a non-empty JSON array" in err
 
     def test_wrong_shape_entry(self, capsys, tmp_path):
         vecs = self._vector_file(tmp_path, [[1, 0], [0, 1, 0]])

@@ -45,6 +45,20 @@ def test_sweep_equals_per_point_tomography(backend, mitigate, shot_grid):
     assert records == reference_sweep([backend], 3, shot_grid, 17, mitigate)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_no_trials_rejected(trials):
+    with pytest.raises(DomainError, match="trials"):
+        sweep_records(["noiseless"], trials, [1000])
+
+
+@pytest.mark.parametrize("backend, mitigate", [("noiseless", False), ("nisq-lite", True)])
+def test_empty_grid_gives_no_records(monkeypatch, backend, mitigate):
+    calls = []
+    monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))
+    assert sweep_records([backend], 2, [], mitigate=mitigate) == []
+    assert calls == []
+
+
 def test_grid_point_below_min_shots_rejected(monkeypatch):
     # rejected before any draw, the readout calibration's included
     calls = []

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qrot import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DomainError, NumericError,
                   ShapeError, dagger, eig_hermitian, polar_unitary, smolin_project, trace)
+from qrot.linalg import is_unitary
 from qrot.rotation import gate_ry, gate_rz
 
 import jacobi
@@ -57,12 +58,23 @@ class TestTrace:
         with pytest.raises(ShapeError):
             trace(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2,)], ids=["3-d", "1-d"])
+    def test_not_a_matrix(self, shape):
+        with pytest.raises(ShapeError, match="2-dimensional"):
+            trace(np.ones(shape))
+
     def test_cyclicity(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             assert abs(trace(a @ b) - trace(b @ a)) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [np.eye(2, 3), np.eye(2)[None], PAULI_X[0]],
+                         ids=["non-square", "3-d", "1-d"])
+def test_only_square_matrices_are_unitary(m):
+    assert not is_unitary(m)
 
 
 class TestKron:

@@ -33,6 +33,12 @@ class TestVectorBatch:
         with pytest.raises(DomainError):
             VectorBatch(np.array([[1.0, 1.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 4), (0, 3), (1, 1, 3)],
+                             ids=["pairs", "quads", "empty", "3-d"])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(DomainError, match=r"\(p, 3\) array"):
+            VectorBatch(np.ones(shape))
+
     def test_width_cap(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):

@@ -107,6 +107,12 @@ class TestRodrigues:
             assert max_abs(r.T @ r - np.eye(3)) <= 1e-9
             assert abs(np.linalg.det(r) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("x", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]],
+                             ids=["two", "four", "row"])
+    def test_rotate_needs_a_3_vector(self, worked_spec, x):
+        with pytest.raises(DomainError, match="3-vector"):
+            rodrigues_rotate(worked_spec, x)
+
 
 class TestErParams:
     def test_worked_example_values(self, worked_spec):
@@ -276,6 +282,12 @@ class TestErpFromUnitary:
     def test_non_unitary_rejected(self):
         with pytest.raises(DomainError):
             erp_from_unitary(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("u", [np.eye(3), np.eye(2)[None], np.ones(4)],
+                             ids=["3x3", "3-d", "flat"])
+    def test_wrong_shape_rejected(self, u):
+        with pytest.raises(DomainError, match="2x2 matrix"):
+            erp_from_unitary(u)
 
 
 class TestInitialization:

@@ -98,6 +98,12 @@ class TestApply:
         with pytest.raises(DomainError, match="integer"):
             Circuit(width, ())
 
+    @pytest.mark.parametrize("op", [GateOp("H", 2), GateOp("RY", 0, 0.3, ((2, 1),))],
+                             ids=["target", "control"])
+    def test_qubit_out_of_range_rejected(self, op):
+        with pytest.raises(DomainError, match="out of range"):
+            Circuit(2, (op,))
+
 
 class TestGateOp:
     # Each used to pass: int() truncated the control pair to ((1, 1),), and a
@@ -124,6 +130,20 @@ class TestGateOp:
         # ValueError, and bool passed as an integer index.
         with pytest.raises(DomainError):
             GateOp("RY", target, 0.3, controls)
+
+    @pytest.mark.parametrize("kind, theta, controls, match", [
+        ("CNOT", 0.0, (), "unknown gate kind"),
+        ("RY", math.nan, (), "finite"),
+        ("RY", math.inf, (), "finite"),
+        ("RY", 0.3, ((1, 2),), "trigger must be 0 or 1"),
+        ("RY", 0.3, ((0, 1),), "both control and target"),
+        ("RY", 0.3, ((-1, 1),), "non-negative"),
+        ("RY", 0.3, ((1, 1), (1, 0)), "duplicate control"),
+    ], ids=["unknown-kind", "nan-angle", "infinite-angle", "trigger-2", "control-is-target",
+            "negative-control", "duplicate-control"])
+    def test_invalid_gate_rejected(self, kind, theta, controls, match):
+        with pytest.raises(DomainError, match=match):
+            GateOp(kind, 0, theta, controls)
 
 
 class TestSample:
@@ -190,6 +210,14 @@ class TestSample:
     def test_non_integer_histogram_rejected(self, hist):
         # [1.5, 0.5] used to be stored as [1, 0]
         with pytest.raises(DomainError, match="integers"):
+            ShotResult(("Z",), hist, 1)
+
+    @pytest.mark.parametrize("hist, error", [
+        ([1, 0, 0, 0], ShapeError), ([[1, 0]], ShapeError), ([1, 1], DomainError),
+        ([2, -1], DomainError),
+    ], ids=["wide", "2-d", "wrong-sum", "negative"])
+    def test_malformed_histogram_rejected(self, hist, error):
+        with pytest.raises(error):
             ShotResult(("Z",), hist, 1)
 
     # hist [5, 5] of 10 shots with checkpoints 3 and 7; each table breaks

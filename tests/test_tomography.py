@@ -80,6 +80,11 @@ class TestSmolinProject:
         with pytest.raises(DomainError):
             smolin_project(np.eye(2))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (2,)], ids=["non-square", "3-d", "1-d"])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ShapeError, match="square matrix"):
+            smolin_project(np.ones(shape))
+
 
 # (n0, n1) per basis X, Y, Z; r = (n0 - n1)/N reaches |r| = sqrt(3), so both
 # the inside and the outside of the unit ball are drawn.
@@ -144,15 +149,19 @@ class TestEstimateQubit:
 def even_sample(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
     """Stand-in for ``sample``: the calibration's prepare-and-measure runs
     (no gate, or one X) read back through an exact symmetric 10% flip, every
-    other circuit gives equal counts of 0 and 1 in every basis."""
+    other circuit spreads its shots evenly over its outcomes in every basis,
+    so each control branch reads equal counts of 0 and 1."""
     kinds = tuple(op.kind for op in circuit.ops)
+    dim = 1 << len(basis)
 
     def hist(s):
-        ones = {(): s // 10, ("X",): s - s // 10}.get(kinds, s // 2)
-        return [s - ones, ones]
+        ones = {(): s // 10, ("X",): s - s // 10}.get(kinds)
+        if ones is not None:
+            return [s - ones, ones]
+        return [s - s // dim * (dim - 1)] + [s // dim] * (dim - 1)
 
     return ShotResult(tuple(basis), hist(shots), shots, tuple(checkpoints),
-                      np.array([hist(s) for s in checkpoints], dtype=np.int64).reshape(-1, 2))
+                      np.array([hist(s) for s in checkpoints], dtype=np.int64).reshape(-1, dim))
 
 
 class TestZeroEstimate:
@@ -169,6 +178,19 @@ class TestZeroEstimate:
                 "--shots", "1000"] + (["--mitigate"] if mitigate else [])
         assert main(argv) == 4
         assert "no direction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_cli_multi_reports_failed(self, monkeypatch, capsys, tmp_path, mitigate):
+        # multi reports a direction-less index and carries on with the rest
+        monkeypatch.setattr(tomography, "sample", even_sample)
+        path = tmp_path / "vectors.json"
+        path.write_text("[[0, 0, 1], [1, 0, 0]]")
+        argv = ["multi", "--vectors", str(path), "--axis", "0,0,1", "--angle", "1",
+                "--shots", "500"] + (["--mitigate"] if mitigate else [])
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for index in (1, 2):
+            assert f"#{index}: FAILED (estimated Bloch vector has no direction)\n" in out
 
 
 class TestSharedCore:
@@ -305,6 +327,12 @@ class TestProcessTomography:
         with pytest.raises(DomainError):
             process_tomography_exact(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("u", [np.eye(4), np.eye(2)[None], np.ones(4)],
+                             ids=["4x4", "3-d", "flat"])
+    def test_wrong_shape_rejected_in_exact_path(self, u):
+        with pytest.raises(ShapeError, match="2x2 matrix"):
+            process_tomography_exact(u)
+
 
 class TestGateFidelity:
     def test_self_fidelity(self, worked_spec):
@@ -413,6 +441,11 @@ class TestMitigation:
     def test_two_qubit_calibration_rejected(self):
         with pytest.raises(ShapeError):
             mitigate_frequencies(np.full(4, 0.25), np.eye(4))
+
+    @pytest.mark.parametrize("freqs", [[1.0], [0.5, 0.3, 0.2]], ids=["one", "three"])
+    def test_wrong_frequency_count_rejected(self, freqs):
+        with pytest.raises(ShapeError, match="2 outcome frequencies"):
+            mitigate_frequencies(np.array(freqs), np.eye(2))
 
     def test_both_unconstrained_parts_negative(self):
         # Only inputs with negative entries make both parts of the unconstrained
