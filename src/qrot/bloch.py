@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, row_dot
 
 UNIT_TOL = 1e-9
 
@@ -84,10 +84,41 @@ def state_to_bloch(psi) -> np.ndarray:
     ])
 
 
-def angle_between(u, v) -> float:
+def _units(v):
+    """``normalize`` of each 3-vector of a (..., 3) stack: (units, norms), the
+    same bytes row by row. Where a row's largest component lies outside
+    [2^-511, 2^510], the rows are scaled by exact powers of two first;
+    ``ldexp`` by 0 leaves the rows inside as they are."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise DomainError(f"expected a 3-vector, got shape {v.shape}")
+    top = np.abs(v).max(axis=-1)
+    if not np.isfinite(top).all():
+        raise DomainError("vector components must be finite")
+    inside = (top >= 2.0**-511) & (top <= 2.0**510)
+    if inside.all():
+        norm = np.sqrt(row_dot(v, v))
+        return v / norm[..., None], norm
+    if (top == 0.0).any():
+        raise DomainError("zero vector has no direction")
+    exponent = np.where(inside, 0, np.frexp(top)[1])
+    scaled = np.ldexp(v, -exponent[..., None])
+    scaled_norm = np.sqrt(row_dot(scaled, scaled))
+    with np.errstate(over="ignore"):
+        return scaled / scaled_norm[..., None], np.ldexp(scaled_norm, exponent)
+
+
+def angle_between(u, v):
     """Angle in [0, pi] between two nonzero vectors: atan2(|u x v|, u . v) of
     their unit vectors, well conditioned at every angle, where acos of the dot
-    product loses all precision near 0 and pi."""
-    uu, _ = normalize(u)
-    vv, _ = normalize(v)
-    return math.atan2(float(np.linalg.norm(np.cross(uu, vv))), float(np.dot(uu, vv)))
+    product loses all precision near 0 and pi. Either side may be a (..., 3)
+    stack; the angles then come back as an array of the stack's shape."""
+    uu, _ = _units(u)
+    vv, _ = _units(v)
+    cross = uu[..., [1, 2, 0]] * vv[..., [2, 0, 1]] - uu[..., [2, 0, 1]] * vv[..., [1, 2, 0]]
+    sin, cos = np.sqrt(row_dot(cross, cross)), row_dot(uu, vv)
+    # math.atan2 (libm) per angle: np.arctan2 may use a SIMD kernel that
+    # rounds differently.
+    angles = np.array([math.atan2(s, c) for s, c in zip(np.ravel(sin).tolist(),
+                                                         np.ravel(cos).tolist())])
+    return float(angles[0]) if np.ndim(sin) == 0 else angles.reshape(np.shape(sin))

@@ -196,8 +196,12 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
     fluctuates far less, which is what makes point-to-point comparisons
     along it meaningful. Each trial therefore runs ``_process_series`` and
     ``_state_series``, which draw every circuit once, at the largest grid
-    point, with every grid point as a checkpoint, and read each point as its
-    row of the draw's prefix table (``ShotResult.table``); the records equal
+    point, with every grid point as a checkpoint, read each point as its
+    row of the draw's prefix table (``ShotResult.table``), and reconstruct
+    the whole grid in one pass over stacked arrays: one estimate, one Choi
+    eigendecomposition and one polar factor call per trial, then one
+    ``gate_fidelity`` and one ``angle_between`` call. The one-point
+    functions run the same code on a stack of one, so the records equal
     those of ``process_tomography`` and ``state_tomography`` run at each
     point.
     """
@@ -220,12 +224,12 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
                                     use_mitigation)
             states = _state_series(rotation_circuit(vector, spec), shot_grid, noise,
                                    derive_seed(seed, trial, 4), use_mitigation)
-            for shots, proc, state in zip(shot_grid, procs, states):
-                records.append(SweepRecord(label, trial, shots, "gate_fidelity",
-                                           gate_fidelity(exact, proc.unitary)))
-                records.append(SweepRecord(
-                    label, trial, shots, "angle_deg",
-                    math.degrees(angle_between(state.bloch, oracle))))
+            fidelities = gate_fidelity(exact, np.array([proc.unitary for proc in procs]))
+            angles = angle_between(np.array([state.bloch for state in states]), oracle)
+            for shots, fidelity, angle in zip(shot_grid, fidelities.tolist(), angles.tolist()):
+                records.append(SweepRecord(label, trial, shots, "gate_fidelity", fidelity))
+                records.append(SweepRecord(label, trial, shots, "angle_deg",
+                                           math.degrees(angle)))
     return records
 
 

@@ -8,8 +8,8 @@ superposition, a controlled RY/RZ pair per index writes each vector onto its
 branch; one uncontrolled five-gate rotation on the data qubit then rotates
 every branch at once, so ``full_circuit`` takes one ``RotationSpec`` for the
 whole batch. Extraction reads the controls in Z; ``tomography._grid_counts``
-tallies the shots into one (2**n, 3, 2) array, and each index runs
-single-qubit state tomography on its branch's (3, 2) row.
+tallies the shots into one (2**n, 3, 2) array for its one grid point, and
+each index runs single-qubit state tomography on its branch's (3, 2) row.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .circuit import MAX_QUBITS, Circuit, GateOp
 from .errors import DomainError
 from .rotation import RotationSpec, axis_rotation_sequence
 from .simulator import BASIS_LABELS, NoiseModel, derive_seed
-from .tomography import _checked_tally, _grid_counts, estimate_qubit
+from .linalg import row_dot
+from .tomography import MIN_BLOCH_NORM, _bloch_vectors, _checked_tally, _grid_counts
 
 # Below this many samples in a basis, expectation estimates have standard
 # error above 0.2 and the per-index tomography is not meaningful.
@@ -117,21 +118,26 @@ def extract_all(batch: VectorBatch, rotation: RotationSpec, shots_per_vector: in
     under-sampled; an index with zero samples in some basis or a zero
     estimate gets an error entry rather than failing the whole extraction.
     """
-    [(cal, tallies)] = _grid_counts({0: (full_circuit(batch, rotation), seed)},
-                                    [shots_per_vector], noise, derive_seed(seed, 3), mitigate)
-    return [index_estimate(i0 + 1, tallies[0][i0], cal) for i0 in range(batch.p)]
+    cal, tables = _grid_counts({0: (full_circuit(batch, rotation), seed)},
+                               [shots_per_vector], noise, derive_seed(seed, 3), mitigate)
+    cal = None if cal is None else cal[0]
+    return [index_estimate(i0 + 1, tables[0][0, i0], cal) for i0 in range(batch.p)]
 
 
 def index_estimate(index: int, tally, cal=None) -> ExtractedVector:
     """Single-qubit tomography for one branch from its (3, 2) tally, the
-    (n0, n1) of bases X, Y, Z, with ``estimate_qubit``; ``cal`` is a checked
-    readout calibration. The tally is checked as ``estimate_qubit`` checks it."""
+    (n0, n1) of bases X, Y, Z: the direction r/|r| that ``estimate_qubit``
+    returns, from the same stacked estimator on one row, without the density
+    matrix; ``cal`` is a checked readout calibration. The tally is checked as
+    ``estimate_qubit`` checks it."""
     totals = _checked_tally(tally).sum(axis=1).tolist()
     empty = [label for label, total in zip(BASIS_LABELS, totals) if total == 0]
     if empty:
         vector, error = None, f"no samples in basis {','.join(empty)}"
     else:
-        _, _, vector = estimate_qubit(tally, cal)
+        r = _bloch_vectors(tally, cal)
+        norm = np.sqrt(row_dot(r, r))
+        vector = r / norm if norm >= MIN_BLOCH_NORM else None
         error = None if vector is not None else "estimated Bloch vector has no direction"
     return ExtractedVector(index=index, vector=vector, samples=sum(totals),
                            under_sampled=min(totals) < UNDER_SAMPLE_THRESHOLD, error=error)

@@ -1,5 +1,11 @@
 """State and process reconstruction from sampled counts.
 
+Every step below works on stacks: a sweep hands it the tallies of all its
+grid points at once, as the (points, 2**n, 3, 2) arrays of ``_grid_counts``,
+and gets one estimate, one Choi projection and one polar factor per point
+from a single call each. The public one-point functions run the same code
+on a stack of one, so a sweep's values equal theirs.
+
 State tomography measures the data qubit, qubit 0, in the three Pauli bases
 (any other qubit is a control read in Z; see ``_grid_counts``), forms the
 linear-inversion Bloch vector r, and projects (I + r . sigma)/2 onto the
@@ -11,7 +17,8 @@ of Bloch vector r / max(1, |r|), whose dominant eigenvector is r/|r|;
 Process tomography (single qubit) prepares the four spanning inputs
 |0>, |1>, |+>, |+i>, reconstructs each output state by plain linear
 inversion, assembles the Choi matrix block-wise, projects it to positive
-semidefinite at trace 2, and reads the channel's Kraus operators off the
+semidefinite at trace 2 (the same eigenvalue floor, on a stack of 4x4
+matrices), and reads the channel's Kraus operators off the
 eigendecomposition: K_i = sqrt(lambda_i) * column-major reshape of the i-th
 eigenvector. The reconstructed unitary is the polar-unitary factor of the
 dominant Kraus operator.
@@ -31,8 +38,9 @@ import numpy as np
 
 from .circuit import Circuit, GateOp
 from .errors import DomainError, NumericError, ShapeError
-from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, dagger, eig_hermitian,
-                     is_unitary, max_abs, polar_unitary, svd_invariants, trace)
+from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, _entries, abs_complex, dagger,
+                     eig_hermitian, is_unitary, max_abs, polar_unitary, row_dot,
+                     svd_invariants, trace, unitarity_error)
 from .rotation import RotationSpec, ErParams, axis_rotation_sequence, erp_from_unitary
 from .simulator import BASIS_LABELS, NoiseModel, ShotResult, derive_seed, sample
 
@@ -84,28 +92,35 @@ class ProcessTomographyResult:
     degenerate: bool             # True when the dominant Choi eigenvalue is nearly tied
 
 
-def _floor_spectrum(values_desc: np.ndarray) -> np.ndarray:
+def _floor_spectrum(values_desc) -> np.ndarray:
     """Zero out eigenvalues that would stay negative and spread the deficit
-    over the remaining ones; preserves the total exactly."""
-    out = np.asarray(values_desc, dtype=float).copy()
-    acc = 0.0
-    for i in range(out.size - 1, -1, -1):
-        if out[i] + acc / (i + 1) < 0.0:
-            acc += out[i]
-            out[i] = 0.0
-        else:
-            out[: i + 1] += acc / (i + 1)
-            break
+    over the remaining ones, for a descending spectrum or each spectrum of a
+    (..., k) stack; keeps each total, exactly where the arithmetic is exact
+    and otherwise up to rounding, and leaves no eigenvalue negative. Step i,
+    from the smallest eigenvalue up, floors eigenvalue i of every spectrum
+    still open, or spreads that spectrum's deficit over eigenvalues 0..i and
+    closes it."""
+    out = np.array(values_desc, dtype=float)
+    rows = out.reshape(-1, out.shape[-1])
+    acc = np.zeros(len(rows))
+    still_open = np.ones(len(rows), dtype=bool)
+    for i in range(rows.shape[1] - 1, -1, -1):
+        floor = still_open & (rows[:, i] + acc / (i + 1) < 0.0)
+        close = still_open & ~floor
+        acc[floor] += rows[floor, i]
+        rows[floor, i] = 0.0
+        rows[close, : i + 1] += (acc[close] / (i + 1))[:, None]
+        still_open = floor
     return out
 
 
 def _floor_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(floored eigenvalues descending, eigenvectors as columns, projection)
-    of a Hermitian ``m``: its spectrum floored by ``_floor_spectrum`` on the
-    same eigenvectors, symmetrized."""
+    of a Hermitian ``m``, or of each matrix of a stack: its spectrum floored
+    by ``_floor_spectrum`` on the same eigenvectors, symmetrized."""
     values, vectors = eig_hermitian(m)
     floored = _floor_spectrum(values)
-    rho = vectors @ np.diag(floored) @ dagger(vectors)
+    rho = (vectors * floored[..., None, :]) @ dagger(vectors)
     return floored, vectors, (rho + dagger(rho)) / 2.0
 
 
@@ -127,18 +142,48 @@ def smolin_project(mu) -> np.ndarray:
 
 
 def density_from_bloch(r) -> np.ndarray:
-    return 0.5 * (PAULI_I + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z)
+    """(I + r . sigma)/2 of a Bloch vector, or of each row of an (..., 3) stack."""
+    r = np.asarray(r)
+    # X, Y, Z flattened as the rows of a (3, 4) matrix, so r @ sigma is r . sigma
+    sigma = np.array([PAULI_X, PAULI_Y, PAULI_Z]).reshape(3, 4)
+    return 0.5 * (PAULI_I + (r @ sigma).reshape(r.shape[:-1] + (2, 2)))
 
 
 def _checked_tally(tally) -> np.ndarray:
     """``tally`` as an array, once it is a (3, 2) tally of nonnegative
-    integers: ShapeError for another shape, DomainError for other entries."""
+    integers, or an (..., 3, 2) stack of them: ShapeError for another shape,
+    DomainError for other entries."""
     tally = np.asarray(tally)
-    if tally.shape != (3, 2):
+    if tally.shape[-2:] != (3, 2):
         raise ShapeError(f"expected a (3, 2) tally of bases X, Y, Z, got shape {tally.shape}")
     if tally.dtype.kind not in "iu" or tally.min() < 0:
         raise DomainError(f"tally entries must be nonnegative integers, got {tally.tolist()}")
     return tally
+
+
+def _bloch_vectors(tallies, cal=None) -> np.ndarray:
+    """The raw Bloch vector of each tally of an (..., 3, 2) stack, as an
+    (..., 3) array: (n0 - n1)/N per basis, or p0 - p1 of the NNLS-mitigated
+    frequencies given checked calibrations ``cal``, one (2, 2) matrix or one
+    per tally. The tallies are checked by ``_checked_tally``; DomainError
+    names the first empty basis of the first tally that has one."""
+    tallies = _checked_tally(tallies)
+    totals = tallies.sum(axis=-1)
+    if (totals < 1).any():
+        raise DomainError(f"no samples in basis {BASIS_LABELS[np.argwhere(totals < 1)[0][-1]]}")
+    if cal is None:
+        return (tallies[..., 0] - tallies[..., 1]) / totals
+    p = _nnls_frequencies(tallies / totals[..., None], np.asarray(cal)[..., None, :, :])
+    return p[..., 0] - p[..., 1]
+
+
+def _state_estimates(tallies, cal=None):
+    """(r, rho, |r|) of each tally of an (..., 3, 2) stack: r from
+    ``_bloch_vectors`` and rho = ``smolin_project`` of (I + r . sigma)/2, in
+    closed form."""
+    r = _bloch_vectors(tallies, cal)
+    norm = np.sqrt(row_dot(r, r))
+    return r, density_from_bloch(r / np.maximum(1.0, norm)[..., None]), norm
 
 
 def estimate_qubit(tally, cal=None):
@@ -147,41 +192,36 @@ def estimate_qubit(tally, cal=None):
     p0 - p1 of the NNLS-mitigated frequencies given a checked calibration
     ``cal``, and may leave the unit ball; rho = ``smolin_project`` of
     (I + r . sigma)/2 and direction = r/|r| (None below MIN_BLOCH_NORM), in
-    closed form. The tally is checked by ``_checked_tally``."""
-    r = np.empty(3)
-    for k, (n0, n1) in enumerate(_checked_tally(tally).tolist()):
-        if n0 + n1 < 1:
-            raise DomainError(f"no samples in basis {BASIS_LABELS[k]}")
-        if cal is None:
-            r[k] = (n0 - n1) / (n0 + n1)
-        else:
-            p = _nnls_frequencies(np.array([n0, n1], dtype=float) / (n0 + n1), cal)
-            r[k] = float(p[0] - p[1])
-    norm = float(np.linalg.norm(r))
-    return (r, density_from_bloch(r / max(1.0, norm)),
-            r / norm if norm >= MIN_BLOCH_NORM else None)
+    closed form, by ``_state_estimates``. The tally is checked by
+    ``_checked_tally`` and must be a single one."""
+    tally = np.asarray(tally)
+    if tally.ndim != 2:
+        raise ShapeError(f"expected one (3, 2) tally, got shape {tally.shape}")
+    r, rho, norm = _state_estimates(tally, cal)
+    return r, rho, r / norm if norm >= MIN_BLOCH_NORM else None
 
 
 def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: int,
-                 mitigate: bool) -> list:
-    """Per point s of the non-empty ``shot_grid``, in grid order: the checked
-    readout calibration of s shots per run (None without mitigation) and, for
-    each key of ``circuits`` (key -> (circuit, seed)), its tally. Qubit 0 is
-    the data qubit, measured in bases X, Y, Z; every other qubit is a control
-    bit read in Z. A circuit with n control qubits is drawn at s * 2**n shots
-    per basis, about s per control branch, and its tally is one int64 array
-    of shape (2**n, 3, 2): branch b, then basis X/Y/Z, then (n0, n1). Every
-    job, the calibration's runs included, is drawn once at the largest point
-    with the distinct points as checkpoints. The three bases' prefix tables
-    stack into one (points, 2**n, 3, 2) array per circuit, and each point
-    reads its row."""
+                 mitigate: bool) -> tuple[np.ndarray | None, dict]:
+    """(cal, tables) over the points s of the non-empty ``shot_grid``, in
+    grid order: cal stacks the checked readout calibrations of s shots per
+    run as one (points, 2, 2) array (None without mitigation), and tables
+    maps each key of ``circuits`` (key -> (circuit, seed)) to its tallies.
+    Qubit 0 is the data qubit, measured in bases X, Y, Z; every other qubit
+    is a control bit read in Z. A circuit with n control qubits is drawn at
+    s * 2**n shots per basis, about s per control branch, and its tallies
+    are one int64 array of shape (points, 2**n, 3, 2): point, branch b, then
+    basis X/Y/Z, then (n0, n1). Every job, the calibration's runs included,
+    is drawn once at the largest point with the distinct points as
+    checkpoints, and the three bases' prefix tables stack into that array."""
     if min(shot_grid) < MIN_SHOTS:
         raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {min(shot_grid)}")
     checkpoints = sorted(set(shot_grid))
     row_of = {s: row for row, s in enumerate(checkpoints)}
+    rows = [row_of[s] for s in shot_grid]
     top = checkpoints[-1]
-    readout = (_readout_matrix(_readout_runs(noise, top, cal_seed, checkpoints))
-               if mitigate else None)
+    cal = (_conditioned(_readout_matrix(_readout_runs(noise, top, cal_seed, checkpoints))[rows])
+           if mitigate else None)
     tables = {}
     for key, (circuit, seed) in circuits.items():
         n = circuit.num_qubits - 1
@@ -189,31 +229,31 @@ def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: 
                           derive_seed(seed, bi), checkpoints=[s * 2**n for s in checkpoints])
                    for bi, label in enumerate(BASIS_LABELS)]
         tables[key] = np.stack([res.table.reshape(len(checkpoints), 2**n, 2)
-                                for res in results], axis=2)
-    return [(None if readout is None else _conditioned(readout[row]),
-             {key: table[row] for key, table in tables.items()})
-            for row in (row_of[s] for s in shot_grid)]
+                                for res in results], axis=2)[rows]
+    return cal, tables
 
 
 def _state_series(circuit: Circuit, shot_grid, noise: NoiseModel | None, seed: int,
                   mitigate: bool) -> list[StateTomographyResult]:
     """``state_tomography`` at every point of ``shot_grid``, in grid order,
-    from one draw at the largest point."""
-    series = []
-    for cal, tallies in _grid_counts({0: (circuit, seed)}, shot_grid, noise,
-                                     derive_seed(seed, 3), mitigate):
-        r, rho, direction = estimate_qubit(tallies[0].sum(axis=0), cal)
-        if direction is None:
-            raise NumericError("estimated Bloch vector is below MIN_BLOCH_NORM; it has no direction")
-        series.append(StateTomographyResult(
-            density=rho, bloch=direction,
-            expectations=dict(zip(BASIS_LABELS, (float(x) for x in r))), counts=tallies[0]))
-    return series
+    from one draw at the largest point and one ``_state_estimates`` call.
+    Raises NumericError when any point's estimate has no direction."""
+    cal, tables = _grid_counts({0: (circuit, seed)}, shot_grid, noise, derive_seed(seed, 3),
+                               mitigate)
+    counts = tables[0]
+    r, rho, norm = _state_estimates(counts.sum(axis=1), cal)
+    if np.any(norm < MIN_BLOCH_NORM):
+        raise NumericError("estimated Bloch vector is below MIN_BLOCH_NORM; it has no direction")
+    direction = r / norm[:, None]
+    return [StateTomographyResult(density=rho[k], bloch=direction[k],
+                                  expectations=dict(zip(BASIS_LABELS, r[k].tolist())),
+                                  counts=counts[k])
+            for k in range(len(counts))]
 
 
 def state_tomography(circuit: Circuit, shots: int = 20000, noise: NoiseModel | None = None,
                      seed: int = 0, mitigate: bool = False) -> StateTomographyResult:
-    """Reconstruct qubit 0's state with ``estimate_qubit`` from its marginal
+    """Reconstruct qubit 0's state as ``estimate_qubit`` does from its marginal
     in three basis-sampled jobs of ``shots * 2**n`` each, n being the number
     of other (control) qubits. Under gate noise those qubits must be
     controls in ``simulator.sample``'s sense (each prepared by one
@@ -222,35 +262,35 @@ def state_tomography(circuit: Circuit, shots: int = 20000, noise: NoiseModel | N
     return _state_series(circuit, [shots], noise, seed, mitigate)[0]
 
 
-def _reconstruct_process(outputs: dict[str, np.ndarray]) -> ProcessTomographyResult:
+def _reconstruct_process(outputs: dict[str, np.ndarray]) -> list[ProcessTomographyResult]:
     """Assemble and project the Choi matrix from the four output states, then
-    extract Kraus operators and the closest unitary."""
+    extract Kraus operators and the closest unitary, for every point of the
+    (points, 2, 2) output-state stacks at once."""
     e00, e11 = outputs["0"], outputs["1"]
     e01 = outputs["+"] + 1j * outputs["+i"] - (1.0 + 1.0j) / 2.0 * (e00 + e11)
     choi = np.block([[e00, e01], [dagger(e01), e11]])
-    floored, vectors, choi = _floor_psd(choi)
-    weights = [float(max(w, 0.0)) for w in floored]
-    operators = [math.sqrt(w) * vectors[:, k].reshape(2, 2, order="F")
-                 for k, w in enumerate(weights)]
-    degenerate = bool(floored[0] - floored[1] < 1e-6 and floored[1] > 0.1)
-    unitary = polar_unitary(operators[0])
-    return ProcessTomographyResult(choi=choi, kraus=KrausSet(operators, weights),
-                                   unitary=unitary, degenerate=degenerate)
+    weights, vectors, choi = _floor_psd(choi)
+    # K_k: eigenvector k (column k), reshaped column-major to 2x2
+    columns = np.swapaxes(vectors, -1, -2).reshape(vectors.shape[:-1] + (2, 2))
+    operators = np.sqrt(weights)[..., None, None] * np.swapaxes(columns, -1, -2)
+    degenerate = (weights[:, 0] - weights[:, 1] < 1e-6) & (weights[:, 1] > 0.1)
+    unitary = polar_unitary(operators[:, 0])
+    return [ProcessTomographyResult(choi=choi[k],
+                                    kraus=KrausSet(list(operators[k]), weights[k].tolist()),
+                                    unitary=unitary[k], degenerate=bool(degenerate[k]))
+            for k in range(len(choi))]
 
 
 def _process_series(spec: RotationSpec, shot_grid, noise: NoiseModel | None, seed: int,
                     mitigate: bool) -> list[ProcessTomographyResult]:
     """``process_tomography`` at every point of ``shot_grid``, in grid order,
-    from one draw at the largest point."""
+    from one draw at the largest point and one ``_reconstruct_process`` call."""
     rotation_ops = axis_rotation_sequence(spec)
     circuits = {prep: (Circuit(1, _PREP_OPS[prep] + rotation_ops), derive_seed(seed, 4 + k))
                 for k, prep in enumerate(PREP_LABELS)}
-    series = []
-    for cal, tallies in _grid_counts(circuits, shot_grid, noise, derive_seed(seed, 12), mitigate):
-        outputs = {prep: density_from_bloch(estimate_qubit(tallies[prep][0], cal)[0])
-                   for prep in PREP_LABELS}
-        series.append(_reconstruct_process(outputs))
-    return series
+    cal, tables = _grid_counts(circuits, shot_grid, noise, derive_seed(seed, 12), mitigate)
+    return _reconstruct_process({prep: density_from_bloch(_bloch_vectors(tables[prep][:, 0], cal))
+                                 for prep in PREP_LABELS})
 
 
 def process_tomography(spec: RotationSpec, shots: int = 20000,
@@ -272,21 +312,26 @@ def process_tomography_exact(u) -> ProcessTomographyResult:
     outputs = {}
     for prep, psi in _PREP_STATES.items():
         out = u @ psi
-        outputs[prep] = np.outer(out, out.conj())
-    return _reconstruct_process(outputs)
+        outputs[prep] = np.outer(out, out.conj())[None]
+    return _reconstruct_process(outputs)[0]
 
 
-def gate_fidelity(u_exact, u_rec) -> float:
-    """Phase-invariant overlap |Tr(U^dag V)|^2 / 4 between two 2x2 unitaries."""
+def gate_fidelity(u_exact, u_rec):
+    """Phase-invariant overlap |Tr(U^dag V)|^2 / 4 between two 2x2 unitaries,
+    as a float. Either side may be an (..., 2, 2) stack; the overlaps then
+    come back as an array of the stack's shape."""
     u_exact = np.asarray(u_exact, dtype=complex)
     u_rec = np.asarray(u_rec, dtype=complex)
-    if u_exact.shape != (2, 2) or u_rec.shape != (2, 2):
+    if u_exact.shape[-2:] != (2, 2) or u_rec.shape[-2:] != (2, 2):
         raise ShapeError(
             f"expected 2x2 matrices, got {u_exact.shape} and {u_rec.shape}")
     for m in (u_exact, u_rec):
-        if not is_unitary(m, 1e-3):
+        if not np.all(unitarity_error(m) <= 1e-3):
             raise DomainError("inputs must be unitary within 1e-3")
-    return float(abs(np.trace(dagger(u_exact) @ u_rec)) ** 2 / 4.0)
+    overlap = np.trace(dagger(u_exact) @ u_rec, axis1=-2, axis2=-1)
+    # libm's pow, as ``** 2`` of a float scalar; ``** 2`` of an array multiplies
+    fidelity = np.float_power(abs_complex(overlap), 2) / 4.0
+    return float(fidelity) if fidelity.ndim == 0 else fidelity
 
 
 def erp_from_tomography(spec: RotationSpec, shots: int = 20000,
@@ -324,26 +369,28 @@ def _readout_matrix(runs) -> np.ndarray:
 
 
 def _conditioned(cal: np.ndarray) -> np.ndarray:
-    """``cal`` itself, once its condition number is checked to be below 1e8."""
+    """``cal`` itself, once its condition number, or that of each matrix of
+    a stack, is checked to be below 1e8."""
     det, _, smax2 = svd_invariants(cal)
-    if det == 0.0 or smax2 > 1e8 * abs(det):
+    if np.any((det == 0.0) | (smax2 > 1e8 * abs_complex(det))):
         raise NumericError("calibration matrix is numerically singular")
     return cal
 
 
 def _nnls_frequencies(freqs: np.ndarray, cal) -> np.ndarray:
     """min ||cal p - freqs|| over p >= 0 for a nonsingular 2x2 ``cal``, then
-    renormalized: the unconstrained solve clipped at 0. For nonnegative
-    ``cal`` and ``freqs`` at most one part of that solve is negative; freqs
-    then lies outside the cone of cal's columns, nearest the ray of the
-    other column, and the NNLS minimum on that ray renormalizes to the same
-    basis vector."""
-    (a, b), (c, d) = cal
-    det = a * d - b * c
-    p = np.array([d * freqs[0] - b * freqs[1], a * freqs[1] - c * freqs[0]]) / det
+    renormalized: the unconstrained solve clipped at 0. ``freqs`` may be an
+    (..., 2) stack of frequency pairs and ``cal`` a stack that broadcasts
+    against it. For nonnegative ``cal`` and ``freqs`` at most one part of
+    that solve is negative; freqs then lies outside the cone of cal's
+    columns, nearest the ray of the other column, and the NNLS minimum on
+    that ray renormalizes to the same basis vector."""
+    (a, b), (c, d) = _entries(cal)
+    f0, f1 = freqs[..., 0], freqs[..., 1]
+    p = np.stack([d * f0 - b * f1, a * f1 - c * f0], axis=-1) / (a * d - b * c)[..., None]
     p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total <= 0.0:
+    total = p.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise NumericError("mitigation produced an all-zero probability vector")
     return p / total
 

@@ -115,6 +115,18 @@ class TestAngleBetween:
         assert angle_between([scale, 0, 0], [0, scale, 0]) == pytest.approx(math.pi / 2.0)
         assert angle_between([scale, 0, 0], [scale, scale, 0]) == pytest.approx(math.pi / 4.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_stack_rows_equal_one_point_calls(self):
+        # rows from 1e-300 to 1e300, so some take normalize's scaled path
+        rng = np.random.default_rng(11)
+        stack = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-300, 300, size=(12, 1))
+        v = np.array([0.3, -0.5, 0.8])
+        angles, flipped = angle_between(stack, v), angle_between(v, stack)
+        assert angles.shape == flipped.shape == (12,)
+        for k, row in enumerate(stack):
+            assert angles[k] == angle_between(row, v)
+            assert flipped[k] == angle_between(v, row)
+
     def test_antiparallel_clamped(self):
         v = np.array([0.6, -0.3, 0.5])
         assert angle_between(v, -v) == pytest.approx(math.pi)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qrot import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DomainError, NumericError,
                   ShapeError, dagger, eig_hermitian, polar_unitary, smolin_project, trace)
-from qrot.linalg import is_unitary
+from qrot.linalg import is_unitary, row_dot
 from qrot.rotation import gate_ry, gate_rz
 
 import jacobi
@@ -214,3 +215,53 @@ class TestPolarUnitary:
         delta = 1e-12 * max(1.0, sigma[0] ** 2)
         reference_error = sigma[0] * delta / (2.0 * sigma[1] ** 3)
         assert max_abs(u - eig_polar_reference(m)) <= 1e-14 * cond + reference_error
+
+
+def complex_stacks(n):
+    """Stacks of 1 to 6 complex n x n matrices with parts in [-1, 1]."""
+    return st.integers(1, 6).flatmap(
+        lambda count: arrays(np.float64, (2, count, n, n), elements=st.floats(-1.0, 1.0))
+    ).map(lambda parts: parts[0] + 1j * parts[1])
+
+
+class TestStacks:
+    """Each matrix of a stack gets exactly the result it gets alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.sampled_from([2, 4]).flatmap(complex_stacks))
+    def test_eig_hermitian_rows(self, m):
+        stack = m + dagger(m)
+        values, vectors = eig_hermitian(stack)
+        for k, matrix in enumerate(stack):
+            one_values, one_vectors = eig_hermitian(matrix)
+            assert np.array_equal(values[k], one_values)
+            assert np.array_equal(vectors[k], one_vectors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=complex_stacks(2))
+    def test_polar_unitary_rows(self, m):
+        assume(np.all(np.linalg.svd(m, compute_uv=False)[:, 1] >= 1e-6))
+        stack = polar_unitary(m)
+        for k, matrix in enumerate(m):
+            assert np.array_equal(stack[k], polar_unitary(matrix))
+
+    @settings(max_examples=100, deadline=None)
+    @given(u=arrays(np.float64, (6, 3), elements=st.floats(-1.0, 1.0)),
+           v=arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)))
+    def test_row_dot_rounds_as_np_dot(self, u, v):
+        dots = row_dot(u, v)
+        for k, row in enumerate(u):
+            assert dots[k] == np.dot(row, v)
+
+    @pytest.mark.parametrize("fn, bad, error", [
+        (polar_unitary, [[1.0, 0.0], [0.0, 0.0]], NumericError),
+        (eig_hermitian, [[0.0, 1.0], [0.0, 0.0]], DomainError),
+    ], ids=["singular", "non-hermitian"])
+    def test_bad_row_raises_as_alone(self, fn, bad, error):
+        stack = np.array([np.eye(2), bad, 2.0 * np.eye(2)], dtype=complex)
+        with pytest.raises(error) as alone:
+            fn(stack[1])
+        with pytest.raises(error) as stacked:
+            fn(stack)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
 
 from qrot import (Circuit, DomainError, GateOp, NoiseModel, NumericError,
@@ -14,9 +15,10 @@ from qrot import state_to_bloch, tomography
 from qrot.bloch import angle_between
 from qrot.cli import main
 from qrot.rotation import gate_ry, gate_rz
-from qrot.tomography import (MIN_BLOCH_NORM, _reconstruct_process, density_from_bloch,
-                             estimate_qubit)
-from qrot.experiments import rotation_circuit
+from qrot.tomography import (MIN_BLOCH_NORM, _bloch_vectors, _floor_spectrum,
+                             _reconstruct_process, _state_estimates, _state_series,
+                             density_from_bloch, estimate_qubit)
+from qrot.experiments import rotation_circuit, sweep_records
 from qrot.multirot import VectorBatch, extract_all, index_estimate
 from qrot.simulator import derive_seed, sample
 
@@ -144,6 +146,122 @@ class TestEstimateQubit:
         # float and negative tallies were estimated silently.
         with pytest.raises(error):
             estimate(tally)
+
+
+class TestFloorSpectrum:
+    # Multiples of 12, so that every deficit share acc / (i + 1) is an integer
+    # and the arithmetic, the sum included, is exact.
+    @pytest.mark.parametrize("spectrum, expected", [
+        ([12, 6, 3, 3], [12, 6, 3, 3]),
+        ([18, 6, 3, -3], [17, 5, 2, 0]),
+        ([24, 6, -3, -3], [21, 3, 0, 0]),
+        ([30, 0, -3, -3], [24, 0, 0, 0]),
+    ], ids=["none-floored", "one-floored", "two-floored", "three-floored"])
+    def test_floored_spectra(self, spectrum, expected):
+        # each spectrum as the last row of a stack whose other rows differ
+        stack = np.array([[24, 12, -6, -6], [12, 12, 0, 0], spectrum], dtype=float)
+        out = _floor_spectrum(stack)
+        assert out[-1].tolist() == expected
+        assert out[-1].sum() == stack[-1].sum()
+        for k, spectrum in enumerate(stack):
+            assert np.array_equal(out[k], _floor_spectrum(spectrum))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.integers(1, 8).flatmap(
+        lambda count: st.sampled_from([2, 4]).flatmap(
+            lambda k: arrays(np.int64, (count, k), elements=st.integers(-40, 40)))))
+    def test_rows_equal_one_point_calls(self, values):
+        spectra = -np.sort(-values, axis=1)
+        spectra[:, 0] += np.maximum(0, -spectra.sum(axis=1)) + 1   # positive total
+        spectra = 12.0 * spectra
+        out = _floor_spectrum(spectra)
+        for k, spectrum in enumerate(spectra):
+            assert np.array_equal(out[k], _floor_spectrum(spectrum))
+        assert np.array_equal(out.sum(axis=1), spectra.sum(axis=1))
+        assert np.all(out >= 0.0)
+
+
+def column_stochastic(errors):
+    """Calibrations [[1 - e0, e1], [e0, 1 - e1]], one per row (e0, e1)."""
+    return np.array([[[1.0 - e0, e1], [e0, 1.0 - e1]] for e0, e1 in errors])
+
+
+class TestStackedEstimates:
+    @settings(max_examples=200, deadline=None)
+    @given(tallies=st.lists(_tallies, min_size=1, max_size=8).map(np.array),
+           mitigate=st.booleans(), data=st.data())
+    def test_rows_equal_one_point_calls(self, tallies, mitigate, data):
+        cal = None
+        if mitigate:
+            cal = column_stochastic(data.draw(
+                arrays(np.float64, (len(tallies), 2), elements=st.floats(0.0, 0.3))))
+        r, rho, norm = _state_estimates(tallies, cal)
+        for k, tally in enumerate(tallies):
+            one_r, one_rho, direction = estimate_qubit(tally, None if cal is None else cal[k])
+            assert np.array_equal(r[k], one_r)
+            assert np.array_equal(rho[k], one_rho)
+            assert (direction is None) == (norm[k] < MIN_BLOCH_NORM)
+
+
+def raises_as(error, call, *args):
+    """The exception ``call(*args)`` raises, which must be an ``error``."""
+    with pytest.raises(error) as caught:
+        call(*args)
+    return type(caught.value), str(caught.value)
+
+
+def even_until(limit):
+    """Stand-in for ``sample`` on one-qubit circuits: the first ``limit``
+    shots split evenly between 0 and 1 and every later shot reads 0, in
+    every basis, so a checkpoint of at most ``limit`` (even) shots has a
+    zero Bloch vector and every later one a nonzero vector."""
+    def hist(s):
+        half = min(s, limit) // 2
+        return [s - half, half]
+
+    def fake(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
+        return ShotResult(tuple(basis), hist(shots), shots, tuple(checkpoints),
+                          np.array([hist(s) for s in checkpoints], dtype=np.int64).reshape(-1, 2))
+    return fake
+
+
+class TestStackErrors:
+    """A stack with one bad row raises the exception, class and message, of
+    the one-point call on that row."""
+
+    def test_empty_basis(self):
+        tallies = np.array([[(5, 5), (3, 1), (2, 2)],
+                            [(5, 5), (0, 0), (2, 2)],
+                            [(0, 0), (0, 0), (1, 1)]])
+        alone = raises_as(DomainError, estimate_qubit, tallies[1])
+        assert alone == (DomainError, "no samples in basis Y")
+        assert raises_as(DomainError, _bloch_vectors, tallies) == alone
+        assert raises_as(DomainError, _state_estimates, tallies) == alone
+
+    def test_singular_kraus_operator(self):
+        # A unitary channel, then the reset to |0>: every output is |0><0|, the
+        # Choi matrix is diag(1, 0, 1, 0) and each dominant Kraus operator,
+        # |0><0| or |0><1|, is singular.
+        reset = np.diag([1.0, 0.0]).astype(complex)
+        outputs = {prep: np.stack([np.outer(psi, psi.conj()), reset])
+                   for prep, psi in tomography._PREP_STATES.items()}
+        alone = raises_as(NumericError, _reconstruct_process,
+                          {prep: stack[1:] for prep, stack in outputs.items()})
+        assert raises_as(NumericError, _reconstruct_process, outputs) == alone
+
+    def test_bloch_vector_below_min_norm(self, monkeypatch):
+        monkeypatch.setattr(tomography, "sample", even_until(200))
+        circuit = Circuit(1, ())
+        alone = raises_as(NumericError, state_tomography, circuit, 200)
+        assert "MIN_BLOCH_NORM" in alone[1]
+        assert raises_as(NumericError, _state_series, circuit, [400, 200, 800], None, 0,
+                         False) == alone
+        assert state_tomography(circuit, 400).expectations == {"X": 0.5, "Y": 0.5, "Z": 0.5}
+
+    def test_sweep_raises_before_any_record(self, monkeypatch):
+        monkeypatch.setattr(tomography, "sample", even_until(200))
+        with pytest.raises(NumericError):
+            sweep_records(["noiseless"], 2, [400, 200, 800])
 
 
 def even_sample(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
@@ -315,8 +433,8 @@ class TestProcessTomography:
                            ("+", plus),
                            ("+i", np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0))):
             rho = np.outer(psi, psi.conj())
-            outputs[label] = (rho + x @ rho @ x) / 2.0
-        result = _reconstruct_process(outputs)
+            outputs[label] = ((rho + x @ rho @ x) / 2.0)[None]
+        [result] = _reconstruct_process(outputs)
         assert result.degenerate
 
     def test_too_few_shots_rejected(self, worked_spec):
