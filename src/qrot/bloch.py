@@ -56,7 +56,12 @@ def vec_to_angles(v) -> SphericalAngles:
     """Spherical angles (theta, phi) of a unit vector. theta = atan2(|(x, y)|, z)
     stays accurate near the poles, where acos(z) does not; at the poles phi is
     conventionally 0, which removes the atan2(0, 0) ambiguity."""
-    x, y, z = (float(c) for c in require_unit(v))
+    return _spherical_angles(*(float(c) for c in require_unit(v)))
+
+
+def _spherical_angles(x: float, y: float, z: float) -> SphericalAngles:
+    """``vec_to_angles`` of a unit vector's components, which it does not
+    check again; for a batch that was validated as a whole."""
     transverse = math.hypot(x, y)
     theta = math.atan2(transverse, z)
     if transverse < 1e-15:

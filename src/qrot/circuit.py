@@ -15,8 +15,9 @@ MAX_QUBITS = 12
 
 
 def _is_int(x) -> bool:
-    """An integer index; bool is Integral but is no qubit index."""
-    return isinstance(x, Integral) and not isinstance(x, bool)
+    """An integer index; bool is Integral but is no qubit index. A plain int,
+    the common case, skips the slower ``Integral`` check."""
+    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,15 @@ class GateOp:
             raise DomainError(f"target qubit index must be a non-negative integer, "
                               f"got {self.target!r}")
         try:
-            controls = tuple((q, t) for q, t in self.controls)
+            pairs = [(q, t) for q, t in self.controls]
         except (TypeError, ValueError):
             raise DomainError(f"controls must be (qubit, trigger) pairs, "
                               f"got {self.controls!r}") from None
-        if not all(_is_int(q) and _is_int(t) for q, t in controls):
-            raise DomainError(f"control qubits and triggers must be integers, "
-                              f"got {self.controls!r}")
-        controls = tuple((int(q), int(t)) for q, t in controls)
+        for q, t in pairs:
+            if not (_is_int(q) and _is_int(t)):
+                raise DomainError(f"control qubits and triggers must be integers, "
+                                  f"got {self.controls!r}")
+        controls = tuple([(int(q), int(t)) for q, t in pairs])
         object.__setattr__(self, "controls", controls)
         seen = set()
         for q, t in controls:

@@ -160,25 +160,31 @@ def example_report(shots: int = 20000, noise: NoiseModel | None = None,
 def multi_report(batch: VectorBatch, rotation: RotationSpec, shots_per_vector: int,
                  noise: NoiseModel | None, seed: int,
                  mitigate: bool = False) -> list[dict]:
-    """Run the batched pipeline and pair each extraction with its oracle."""
+    """Run the batched pipeline and pair each extraction with its oracle.
+
+    The oracle rotates the whole batch in one ``rodrigues_rotate`` call, and
+    one ``angle_between`` call compares every extracted vector with its
+    oracle; both give each row the bytes it gets alone. An index whose
+    extraction failed (``vector`` None) has no angle."""
     extracted = extract_all(batch, rotation, shots_per_vector, noise, seed, mitigate)
-    entries = []
-    for item in extracted:
-        vec_in = batch.vectors[item.index - 1]
-        oracle = rodrigues_rotate(rotation, vec_in)
-        entry = {
-            "index": item.index,
-            "input": [float(x) for x in vec_in],
-            "oracle": [float(x) for x in oracle],
-            "extracted": None if item.vector is None else [float(x) for x in item.vector],
-            "angle_deg": None if item.vector is None
-            else math.degrees(angle_between(item.vector, oracle)),
-            "samples": item.samples,
-            "under_sampled": item.under_sampled,
-            "error": item.error,
-        }
-        entries.append(entry)
-    return entries
+    oracles = rodrigues_rotate(rotation, batch.vectors)
+    found = [i0 for i0, item in enumerate(extracted) if item.vector is not None]
+    angles = [None] * len(extracted)
+    if found:
+        between = angle_between(np.array([extracted[i0].vector for i0 in found]), oracles[found])
+        for i0, angle in zip(found, between.tolist()):
+            angles[i0] = math.degrees(angle)
+    return [{
+        "index": item.index,
+        "input": vec_in,
+        "oracle": oracle,
+        "extracted": None if item.vector is None else item.vector.tolist(),
+        "angle_deg": angle,
+        "samples": item.samples,
+        "under_sampled": item.under_sampled,
+        "error": item.error,
+    } for item, vec_in, oracle, angle in zip(extracted, batch.vectors.tolist(),
+                                              oracles.tolist(), angles)]
 
 
 def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,

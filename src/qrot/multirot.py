@@ -7,9 +7,13 @@ data qubit is qubit 0. After Hadamards put the n control qubits in an equal
 superposition, a controlled RY/RZ pair per index writes each vector onto its
 branch; one uncontrolled five-gate rotation on the data qubit then rotates
 every branch at once, so ``full_circuit`` takes one ``RotationSpec`` for the
-whole batch. Extraction reads the controls in Z; ``tomography._grid_counts``
-tallies the shots into one (2**n, 3, 2) array for its one grid point, and
-each index runs single-qubit state tomography on its branch's (3, 2) row.
+whole batch. ``VectorBatch`` checks the whole (p, 3) stack in one pass and
+names the first bad row only when there is one; the encoding reads each
+row's spherical angles without checking it again. Extraction reads the
+controls in Z; ``tomography._grid_counts`` draws the circuit in its three
+bases from one evolution (``sample`` reuses it) and tallies the shots into
+one (2**n, 3, 2) array for its one grid point, and each index runs
+single-qubit state tomography on its branch's (3, 2) row.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import require_unit, vec_to_angles
+from .bloch import UNIT_TOL, _spherical_angles, _units, require_unit
 from .circuit import MAX_QUBITS, Circuit, GateOp
 from .errors import DomainError
 from .rotation import RotationSpec, axis_rotation_sequence
@@ -41,11 +45,13 @@ class VectorBatch:
         v = np.atleast_2d(np.asarray(self.vectors, dtype=float))
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 1:
             raise DomainError(f"expected a (p, 3) array of vectors, got shape {v.shape}")
-        for k, row in enumerate(v, start=1):
-            try:
-                require_unit(row)
-            except DomainError as exc:
-                raise DomainError(f"vector {k}: {exc}") from None
+        if not _all_unit(v):
+            # The row-by-row check names the first bad row.
+            for k, row in enumerate(v, start=1):
+                try:
+                    require_unit(row)
+                except DomainError as exc:
+                    raise DomainError(f"vector {k}: {exc}") from None
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
         if self.n + 1 > MAX_QUBITS:
@@ -62,9 +68,19 @@ class VectorBatch:
         return max(1, (self.p - 1).bit_length())
 
 
+def _all_unit(v: np.ndarray) -> bool:
+    """``require_unit`` of every row of a (p, 3) stack in one pass: the
+    norms of ``bloch._units`` are those of ``normalize``, row by row."""
+    try:
+        _, norms = _units(v)
+    except DomainError:
+        return False
+    return bool((np.abs(norms - 1.0) <= UNIT_TOL).all())
+
+
 def _pattern(index0: int, n: int) -> tuple[tuple[int, int], ...]:
     """Control triggers for branch ``index0``: qubit c carries bit c - 1."""
-    return tuple((c, (index0 >> (c - 1)) & 1) for c in range(1, n + 1))
+    return tuple([(c, (index0 >> (c - 1)) & 1) for c in range(1, n + 1)])
 
 
 def build_encoding_circuit(batch: VectorBatch) -> Circuit:
@@ -73,8 +89,8 @@ def build_encoding_circuit(batch: VectorBatch) -> Circuit:
     receive no gates and keep the data qubit at |0>."""
     n = batch.n
     ops = [GateOp("H", q) for q in range(1, n + 1)]
-    for i0 in range(batch.p):
-        theta, phi = vec_to_angles(batch.vectors[i0])
+    for i0, (x, y, z) in enumerate(batch.vectors.tolist()):
+        theta, phi = _spherical_angles(x, y, z)
         controls = _pattern(i0, n)
         ops.append(GateOp("RY", 0, theta, controls))
         ops.append(GateOp("RZ", 0, phi, controls))

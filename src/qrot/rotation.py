@@ -19,7 +19,7 @@ import numpy as np
 from .bloch import require_unit, vec_to_angles
 from .circuit import GateOp
 from .errors import DomainError
-from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, is_unitary
+from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, is_unitary, row_dot
 
 # |a| below this is treated as zero when fixing the sign of an ErParams tuple.
 _SIGN_TOL = 1e-9
@@ -87,14 +87,17 @@ def rodrigues_rotate(spec: RotationSpec, x) -> np.ndarray:
     """Rotate ``x`` about the axis: u (u.x) + cos(t) (u x x) x u + sin(t) (u x x).
 
     Deliberately a different formula from ``rodrigues_matrix`` so the two can
-    cross-check each other. Preserves the norm of ``x``.
+    cross-check each other. Preserves the norm of ``x``. ``x`` is one 3-vector
+    or an (..., 3) stack of them; each row of a stack gets the bytes it gets
+    alone, since u.x is taken by ``row_dot`` (a plain ``x @ u`` may round
+    differently).
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
+    if x.shape[-1:] != (3,):
         raise DomainError(f"expected a 3-vector, got shape {x.shape}")
     u = spec.axis
     uxx = np.cross(u, x)
-    return u * np.dot(u, x) + math.cos(spec.angle_r) * np.cross(uxx, u) \
+    return u * row_dot(u, x)[..., None] + math.cos(spec.angle_r) * np.cross(uxx, u) \
         + math.sin(spec.angle_r) * uxx
 
 

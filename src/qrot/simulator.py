@@ -36,8 +36,11 @@ Conventions
 * Every gate is applied by one in-place kernel with no batch axis: on the
   slice where each control axis holds its trigger, the target's axis is
   viewed as the middle of (left, 2, right) and multiplied by the 2x2 gate.
-  Every job evolves one statevector; a norm drift beyond 1e-10 raises
-  NumericError.
+  A circuit is evolved once for all of its bases: ``sample`` keeps the
+  read-only final state of the circuit object it sampled last (the object
+  itself, not an equal one) and applies each basis's change gates to a copy,
+  so a tomography job's X, Y and Z draws share one evolution. A norm drift
+  beyond 1e-10 raises NumericError.
 * Gate noise: after each gate, with the configured depolarizing probability
   (``depol_ctrl`` for controlled gates, ``depol_1q`` otherwise), one Pauli
   chosen uniformly from {X, Y, Z} hits the gate's target qubit. That uniform
@@ -368,6 +371,28 @@ def _gate_noise_flips(ops, n: int, noise: NoiseModel) -> np.ndarray:
     return (1.0 - lam) / 2.0
 
 
+# The circuit sampled last and its read-only final state from |0...0>, as one
+# tuple so that a reader never pairs a circuit with another's state. A job
+# samples one circuit in each of its bases in a row, and each basis reuses
+# the evolution. The key is the object itself, never an equal one: circuits
+# that compare equal (an angle of 0.0 against -0.0) may give states that
+# differ in the sign of a zero amplitude.
+_last_evolved: tuple = (None, None)
+
+
+def _final_state(circuit: Circuit) -> np.ndarray:
+    """The read-only final state of ``circuit.ops`` from |0...0>, evolved
+    once for consecutive calls on the same circuit object."""
+    global _last_evolved
+    memo_circuit, state = _last_evolved
+    if memo_circuit is not circuit:
+        n = circuit.num_qubits
+        state = _evolve(zero_state(n), circuit.ops, n)
+        state.setflags(write=False)
+        _last_evolved = (circuit, state)
+    return state
+
+
 def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
            seed: int = 0, *, checkpoints=()) -> ShotResult:
     """Run the circuit from |0...0>, measure every qubit, return the outcome
@@ -383,6 +408,9 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     basis-change gates must have the module docstring's shape: each control
     qubit prepared by one uncontrolled H, only a control afterwards and
     measured in Z. Any other noisy circuit raises DomainError.
+
+    Consecutive calls on the same circuit object evolve ``circuit.ops`` once
+    (see the module docstring); the result is the same as without that reuse.
     """
     noise = NOISELESS if noise is None else noise
     if not isinstance(shots, Integral) or shots < 1:
@@ -397,10 +425,11 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     basis = tuple(str(b).upper() for b in basis)
     if len(basis) != n:
         raise DomainError(f"expected {n} basis labels, got {len(basis)}")
-    all_ops = list(circuit.ops) + _basis_change_ops(basis, n)
-    probs = np.abs(_evolve(zero_state(n), all_ops, n)) ** 2
+    basis_ops = _basis_change_ops(basis, n)
+    probs = np.abs(_evolve(_final_state(circuit).copy(), basis_ops, n)) ** 2
     if noise.depol_1q > 0.0 or noise.depol_ctrl > 0.0:
-        probs = _confuse_readout(probs, _gate_noise_flips(all_ops, n, noise))
+        probs = _confuse_readout(probs, _gate_noise_flips(circuit.ops + tuple(basis_ops),
+                                                          n, noise))
     probs = _confuse_readout(probs, [noise.readout_flip] * n)
     counts = _tallies(probs, _chunks(shots, checkpoints), len({*checkpoints, shots}),
                       _rng(seed))

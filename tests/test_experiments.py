@@ -3,12 +3,16 @@ tallies; its records must equal a loop that runs tomography at every point."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qrot import DomainError, axis_rotation_unitary, rodrigues_rotate, tomography
+from qrot import (DomainError, ExtractedVector, RotationSpec, VectorBatch, axis_rotation_unitary,
+                  extract_all, rodrigues_rotate, tomography)
+from qrot import experiments
 from qrot.bloch import angle_between
-from qrot.experiments import (NOISE_PRESETS, SweepRecord, log_shot_grid, rotation_circuit,
-                              seeded_rotations, seeded_vectors, sweep_records)
+from qrot.experiments import (NOISE_PRESETS, SweepRecord, log_shot_grid, multi_report,
+                              rotation_circuit, seeded_rotations, seeded_vectors, sweep_records)
 from qrot.simulator import derive_seed
 from qrot.tomography import gate_fidelity, process_tomography, state_tomography
 
@@ -67,3 +71,59 @@ def test_grid_point_below_min_shots_rejected(monkeypatch):
         with pytest.raises(DomainError):
             sweep_records([backend], 2, [500, 99], mitigate=mitigate)
     assert calls == []
+
+
+def reference_entries(batch, rotation, extracted):
+    """``multi_report``'s entries computed one index at a time."""
+    entries = []
+    for item in extracted:
+        vec_in = batch.vectors[item.index - 1]
+        oracle = rodrigues_rotate(rotation, vec_in)
+        entries.append({
+            "index": item.index,
+            "input": [float(x) for x in vec_in],
+            "oracle": [float(x) for x in oracle],
+            "extracted": None if item.vector is None else [float(x) for x in item.vector],
+            "angle_deg": None if item.vector is None
+            else math.degrees(angle_between(item.vector, oracle)),
+            "samples": item.samples,
+            "under_sampled": item.under_sampled,
+            "error": item.error,
+        })
+    return entries
+
+
+@pytest.mark.parametrize("p, noise, mitigate", [(1, None, False), (5, None, False),
+                                                (4, NOISE_PRESETS["nisq-lite"], True)])
+def test_multi_report_equals_per_entry_recomputation(p, noise, mitigate):
+    rng = np.random.default_rng(p)
+    vectors = rng.normal(size=(p, 3))
+    batch = VectorBatch(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+    rotation = RotationSpec(np.array([0.0, 0.6, 0.8]), 1.1)
+    extracted = extract_all(batch, rotation, 300, noise, 5, mitigate)
+    # entry dicts compare every value with float ==
+    assert (multi_report(batch, rotation, 300, noise, 5, mitigate)
+            == reference_entries(batch, rotation, extracted))
+
+
+_unit_rows = (st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+              .filter(lambda v: np.linalg.norm(v) >= 1e-3)
+              .map(lambda v: np.array(v) / np.linalg.norm(v)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(_unit_rows, st.one_of(st.none(), _unit_rows)),
+                     min_size=1, max_size=9),
+       axis=_unit_rows, angle=st.floats(-7.0, 7.0))
+def test_multi_report_with_failed_indices(rows, axis, angle):
+    # Indices whose extraction failed (vector None) sit anywhere in the
+    # batch, all of them included; the others still get their own angles.
+    batch = VectorBatch(np.array([vec for vec, _ in rows]))
+    rotation = RotationSpec(axis, angle)
+    extracted = [ExtractedVector(i0 + 1, found, 10 * i0, i0 % 2 == 0,
+                                 None if found is not None else "no direction")
+                 for i0, (_, found) in enumerate(rows)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "extract_all", lambda *args: extracted)
+        entries = multi_report(batch, rotation, 100, None, 0)
+    assert entries == reference_entries(batch, rotation, extracted)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrot import (Circuit, DomainError, RotationSpec, VectorBatch, apply,
                   axis_rotation_sequence, build_encoding_circuit, extract_all,
                   full_circuit, rodrigues_rotate, zero_state)
-from qrot.bloch import angle_between
+from qrot.bloch import angle_between, require_unit
 from qrot.multirot import index_estimate
 
 from conftest import WORKED_AXIS
@@ -38,6 +39,41 @@ class TestVectorBatch:
     def test_wrong_shape_rejected(self, shape):
         with pytest.raises(DomainError, match=r"\(p, 3\) array"):
             VectorBatch(np.ones(shape))
+
+    # What each kind of bad row does to a unit vector.
+    BAD_ROWS = {
+        "zero": lambda v: 0.0 * v,
+        "nan": lambda v: np.array([v[0], np.nan, v[2]]),
+        "inf": lambda v: np.array([-np.inf, v[1], v[2]]),
+        "long": lambda v: 2.0 * v,
+        "short": lambda v: (1.0 - 4e-9) * v,
+        "huge": lambda v: 1e300 * v,
+        "tiny": lambda v: 1e-310 * v,
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           bad=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(sorted(BAD_ROWS))),
+                        min_size=1, max_size=3))
+    def test_first_bad_row_named(self, p, seed, bad):
+        # The whole stack is checked at once; the error is the one a check
+        # of each row in turn raises, and names the first bad row.
+        units = unit_rows(np.random.default_rng(seed), p)
+        vectors = units.copy()
+        for k, kind in bad:
+            vectors[k % p] = self.BAD_ROWS[kind](units[k % p])
+        first = min(k % p for k, _ in bad)
+        with pytest.raises(DomainError) as expected:
+            require_unit(vectors[first])
+        with pytest.raises(DomainError) as raised:
+            VectorBatch(vectors)
+        assert str(raised.value) == f"vector {first + 1}: {expected.value}"
+
+    @pytest.mark.parametrize("scale", [1.0 + 5e-10, 1.0 - 5e-10])
+    def test_rows_within_unit_tolerance_accepted(self, scale):
+        vectors = unit_rows(np.random.default_rng(9), 6)
+        vectors[3] *= scale
+        assert np.array_equal(VectorBatch(vectors).vectors, vectors)
 
     def test_width_cap(self):
         rng = np.random.default_rng(0)

@@ -107,11 +107,27 @@ class TestRodrigues:
             assert max_abs(r.T @ r - np.eye(3)) <= 1e-9
             assert abs(np.linalg.det(r) - 1.0) <= 1e-9
 
-    @pytest.mark.parametrize("x", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]],
-                             ids=["two", "four", "row"])
+    @pytest.mark.parametrize("x", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0]], 1.0],
+                             ids=["two", "four", "row-of-two", "scalar"])
     def test_rotate_needs_a_3_vector(self, worked_spec, x):
+        # A stack's rows must be 3-vectors too; a row of one 3-vector is a
+        # stack of one.
         with pytest.raises(DomainError, match="3-vector"):
             rodrigues_rotate(worked_spec, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_specs, stack=st.integers(1, 6).flatmap(lambda p: st.lists(
+        st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3), min_size=p, max_size=p)),
+        shape=st.sampled_from(["flat", "nested"]))
+    def test_stack_rows_equal_one_vector_calls(self, spec, stack, shape):
+        # Exact: each row of a stacked call is == the call on that row alone.
+        x = np.array(stack)
+        if shape == "nested" and len(x) % 2 == 0:
+            x = x.reshape(2, -1, 3)
+        rotated = rodrigues_rotate(spec, x)
+        assert rotated.shape == x.shape
+        for row, out in zip(x.reshape(-1, 3), rotated.reshape(-1, 3)):
+            assert np.array_equal(out, rodrigues_rotate(spec, row))
 
 
 class TestErParams:

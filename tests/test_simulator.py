@@ -123,13 +123,26 @@ class TestGateOp:
     @pytest.mark.parametrize("target, controls", [
         (0, (1, 1)), (0, ((1,),)), (0, ((1, 1, 0),)), (0, 5),
         (True, ()), (0, ((True, 1),)), (0, ((1, False),)),
+        (np.bool_(True), ()), (0, ((np.bool_(True), 1),)), (0, ((1, np.bool_(False)),)),
+        (1.0, ()), (0, ((1.0, 1),)), (np.float64(1.0), ()), (0, ((1, np.float64(1.0)),)),
     ], ids=["flat-pair", "one-tuple", "triple", "not-iterable",
-            "bool-target", "bool-control", "bool-trigger"])
+            "bool-target", "bool-control", "bool-trigger",
+            "np-bool-target", "np-bool-control", "np-bool-trigger",
+            "float-target", "float-control", "np-float64-target", "np-float64-trigger"])
     def test_malformed_controls_and_bool_indices_rejected(self, target, controls):
         # A flat pair or a short tuple used to escape as TypeError or
-        # ValueError, and bool passed as an integer index.
+        # ValueError, and bool passed as an integer index. Float values
+        # are no index even when integral.
         with pytest.raises(DomainError):
             GateOp("RY", target, 0.3, controls)
+
+    @pytest.mark.parametrize("integer", [int, np.int64, np.int32, np.uint8],
+                             ids=["int", "np-int64", "np-int32", "np-uint8"])
+    def test_integer_indices_accepted(self, integer):
+        op = GateOp("RY", integer(0), 0.3, ((integer(2), integer(1)), (integer(1), integer(0))))
+        assert op.controls == ((2, 1), (1, 0))
+        assert all(type(x) is int for pair in op.controls for x in pair)
+        assert Circuit(integer(3), (op,)).num_qubits == 3
 
     @pytest.mark.parametrize("kind, theta, controls, match", [
         ("CNOT", 0.0, (), "unknown gate kind"),
@@ -248,6 +261,81 @@ class TestSample:
         assert bitstring_counts(res) == {"010": 50}
 
 
+def _same_result(a, b):
+    return (a.basis == b.basis and a.shots == b.shots and a.checkpoints == b.checkpoints
+            and np.array_equal(a.hist, b.hist) and np.array_equal(a.table, b.table))
+
+
+# Two circuits that compare equal (RX(0.0) == RX(-0.0)) but whose final
+# states differ in the sign of a zero amplitude.
+_SIGNED_ZERO_OPS = [GateOp("X", 0, controls=((1, 1),)), GateOp("X", 0), GateOp("RX", 1, 0.7),
+                    GateOp("RX", 0, 0.7, ((1, 1),))]
+_POSITIVE_ZERO = Circuit(2, _SIGNED_ZERO_OPS + [GateOp("RX", 1, 0.0)])
+_NEGATIVE_ZERO = Circuit(2, _SIGNED_ZERO_OPS + [GateOp("RX", 1, -0.0)])
+
+
+class TestEvolutionMemo:
+    """``sample`` evolves a circuit object once for consecutive calls and
+    applies each basis change to a copy of the final state."""
+
+    CIRCUIT = Circuit(3, (GateOp("H", 1), GateOp("H", 2), GateOp("RY", 0, 0.4, ((1, 1),)),
+                          GateOp("RZ", 0, 1.1, ((1, 1), (2, 0))), GateOp("RX", 0, -0.8)))
+    BASES = (("X", "Z", "Z"), ("Y", "Z", "Z"), ("Z", "Z", "Z"))
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel(0.02, 0.05, 0.03)],
+                             ids=["noiseless", "noisy"])
+    def test_basis_after_basis_equals_fresh_sample(self, noise):
+        def draw(basis):
+            return sample(self.CIRCUIT, basis, 3000, noise, seed=11, checkpoints=(100, 2000))
+
+        fresh = []
+        for basis in self.BASES:
+            sample(H, ("Z",), 10)   # evicts CIRCUIT
+            fresh.append(draw(basis))
+        for order in ((0, 1, 2), (2, 1, 0), (1, 1, 0, 2, 2)):
+            for i in order:
+                assert _same_result(draw(self.BASES[i]), fresh[i])
+
+    def test_equal_circuit_object_is_evolved_again(self):
+        assert _POSITIVE_ZERO == _NEGATIVE_ZERO
+        positive = apply(_POSITIVE_ZERO, zero_state(2))
+        negative = apply(_NEGATIVE_ZERO, zero_state(2))
+        assert positive.tobytes() != negative.tobytes()
+        for circuit, state in ((_POSITIVE_ZERO, positive), (_NEGATIVE_ZERO, negative),
+                               (Circuit(2, _NEGATIVE_ZERO.ops), negative)):
+            res = sample(circuit, ("X", "Z"), 500, seed=3)
+            memo_circuit, memo_state = simulator._last_evolved
+            assert memo_circuit is circuit
+            assert memo_state.tobytes() == state.tobytes()
+            sample(H, ("Z",), 10)
+            assert _same_result(res, sample(circuit, ("X", "Z"), 500, seed=3))
+
+    def test_memoised_state_is_read_only_and_kept_apart(self):
+        res = sample(self.CIRCUIT, ("Z", "Z", "Z"), 1000, seed=2)
+        memo_circuit, state = simulator._last_evolved
+        assert memo_circuit is self.CIRCUIT and not state.flags.writeable
+        with pytest.raises(ValueError):
+            state[0] = 0.0
+        before = state.tobytes()
+        results = [res] + [sample(self.CIRCUIT, basis, 1000, NoiseModel(0.01, 0.0, 0.02),
+                                  seed=2) for basis in self.BASES]
+        assert simulator._last_evolved[1] is state and state.tobytes() == before
+        for r in results:
+            assert not np.shares_memory(r.hist, state) and not np.shares_memory(r.table, state)
+
+    def test_apply_is_unaffected(self):
+        sample(self.CIRCUIT, ("X", "Z", "Z"), 100, seed=1)
+        memo = simulator._last_evolved
+        psi = np.zeros(8, dtype=complex)
+        psi[5] = 1.0
+        out = apply(self.CIRCUIT, psi)
+        assert simulator._last_evolved is memo
+        assert out.flags.writeable and not np.shares_memory(out, memo[1])
+        assert np.array_equal(out, simulator._evolve(psi.copy(), self.CIRCUIT.ops, 3))
+        assert apply(self.CIRCUIT, zero_state(3)).tobytes() == memo[1].tobytes()
+        assert psi[5] == 1.0 and np.count_nonzero(psi) == 1
+
+
 class TestExpectationFromCounts:
     def test_all_zero(self):
         res = ShotResult(("Z",), [100, 0], 100)
@@ -333,8 +421,10 @@ class TestNoise:
         # instead of renormalizing, with or without gate noise.
         monkeypatch.setattr(simulator, "_gate_matrix",
                             lambda op: 1.01 * np.eye(2, dtype=complex))
+        # A new circuit object: sample reuses the final state of the circuit
+        # object it sampled last, which another test may have left as H.
         with pytest.raises(NumericError):
-            sample(H, ("Z",), 10, noise, seed=1)
+            sample(Circuit(1, H.ops), ("Z",), 10, noise, seed=1)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(DomainError):
