@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from .bloch import normalize
+from .bloch import _units, normalize
 from .circuit import MAX_QUBITS
 from .errors import DomainError, NumericError, ShapeError
 from .multirot import VectorBatch
@@ -221,22 +221,34 @@ def _load_vectors(path: str):
     if len(data) > MAX_BATCH_VECTORS:
         raise DomainError(f"{path}: at most {MAX_BATCH_VECTORS} vectors supported, "
                           f"got {len(data)}")
-    vectors = []
+    # The first bad entry wins, and every entry before it prints its warning
+    # first: the triples up to the first malformed one are normalized in one
+    # pass, cut at the first zero or non-finite row.
+    rows, error = [], None
     for idx, entry in enumerate(data, start=1):
         if (not isinstance(entry, list) or len(entry) != 3
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                            for x in entry)):
-            raise DomainError(f"{path}: entry {idx} is not an [x, y, z] triple")
+            error = DomainError(f"{path}: entry {idx} is not an [x, y, z] triple")
+            break
         try:
-            vector = np.array(entry, dtype=float)
+            rows.append([float(x) for x in entry])
         except OverflowError:
-            raise DomainError(f"{path}: entry {idx} has a component too large "
-                              f"for a float") from None
-        unit, norm = normalize(vector)
+            error = DomainError(f"{path}: entry {idx} has a component too large for a float")
+            break
+    vectors = np.array(rows).reshape(-1, 3)
+    top = np.abs(vectors).max(axis=1)
+    unfit = np.flatnonzero(~np.isfinite(top) | (top == 0.0))
+    cut = unfit[0] if unfit.size else len(vectors)
+    units, norms = _units(vectors[:cut])
+    for idx, norm in enumerate(norms.tolist(), start=1):
         if abs(norm - 1.0) > 1e-9:
             print(f"warning: vector {idx} normalized from length {norm:.6g}")
-        vectors.append(unit)
-    return np.array(vectors)
+    if cut < len(vectors):
+        normalize(vectors[cut])  # raises: the row is zero or not finite
+    if error is not None:
+        raise error
+    return units
 
 
 def cmd_multi(args) -> int:

@@ -78,3 +78,14 @@ def angles_to_vec(theta: float, phi: float) -> np.ndarray:
     """Cartesian unit vector for spherical angles (theta from +z, azimuth phi)."""
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+def confuse_readout_unskipped(probs: np.ndarray, flips) -> np.ndarray:
+    """``simulator._confuse_readout`` without its skip of zero flips: every
+    qubit's confusion map (1 - f) t + f flip(t) is applied, f = 0 included."""
+    n = len(flips)
+    t = probs.reshape((2,) * n)
+    for axis in range(n):
+        f = flips[n - 1 - axis]
+        t = (1.0 - f) * t + f * np.flip(t, axis)
+    return t.reshape(-1)

@@ -13,7 +13,8 @@ import pytest
 import numpy as np
 
 import qrot
-from qrot import tomography
+from qrot import cli, tomography
+from qrot.bloch import normalize
 from qrot.circuit import MAX_QUBITS
 from qrot.cli import MAX_BATCH_VECTORS, main
 from qrot.multirot import VectorBatch
@@ -309,6 +310,56 @@ class TestMultiCommand:
         assert code == 2
         assert "at most 2048 vectors" in err
         assert calls == []
+
+    @pytest.mark.parametrize("payload, out, err", [
+        ("[[2, 0, 0], [0, 0, 0], [1, 0], [0, 3, 0]]",
+         "warning: vector 1 normalized from length 2\n", "zero vector has no direction"),
+        ("[[2, 0, 0], [1, 0], [0, 0, 0]]",
+         "warning: vector 1 normalized from length 2\n",
+         "<path>: entry 2 is not an [x, y, z] triple"),
+        ("[[0, 0, 3], [1e400, 0, 0], [0, 0, 0]]",
+         "warning: vector 1 normalized from length 3\n", "vector components must be finite"),
+        ("[[0, 0, 1], [1" + "0" * 400 + ", 0, 0], [0, 0, 0]]",
+         "", "<path>: entry 2 has a component too large for a float"),
+        ("[[0.5, 0, 0], [0, 0, 0.25], [NaN, 0, 0], [1, 0]]",
+         "warning: vector 1 normalized from length 0.5\n"
+         "warning: vector 2 normalized from length 0.25\n", "vector components must be finite"),
+        ("[[0, 0, 0], [1, 0]]", "", "zero vector has no direction"),
+        ("[[3, 0, 0], [0, 0, 1], [0, 4, 0], [true, 0, 0]]",
+         "warning: vector 1 normalized from length 3\n"
+         "warning: vector 3 normalized from length 4\n",
+         "<path>: entry 4 is not an [x, y, z] triple"),
+        ("[[1e-200, 0, 0], [-1e-320, 0, 0], [0, 0, 0]]",
+         "warning: vector 1 normalized from length 1e-200\n"
+         "warning: vector 2 normalized from length 9.99989e-321\n",
+         "zero vector has no direction"),
+        ("[[1e300, 1e300, 0], [0, 0, 1], \"x\"]",
+         "warning: vector 1 normalized from length 1.41421e+300\n",
+         "<path>: entry 3 is not an [x, y, z] triple"),
+    ], ids=["zero-before-malformed", "malformed-before-zero", "inf-before-zero",
+            "overflow-before-zero", "nan-after-two-warnings", "zero-first",
+            "bool-after-two-warnings", "tiny-then-zero", "huge-then-malformed"])
+    def test_first_bad_entry_wins_after_earlier_warnings(self, capsys, tmp_path, payload,
+                                                         out, err):
+        # As if each entry were loaded in turn: earlier warnings, then the first error.
+        vecs = self._vector_file(tmp_path, payload)
+        code, stdout, stderr = run(capsys, "multi", "--vectors", vecs, "--axis", "0,0,1",
+                                   "--angle", "0.5", "--shots", "200")
+        assert (code, stdout, stderr) == (2, out, f"error: {err.replace('<path>', vecs)}\n")
+
+    def test_loaded_vectors_equal_one_normalize_each(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-320, 300, size=(40, 1))
+        unit = rng.normal(size=(6, 3))
+        rows[::7] = unit / np.linalg.norm(unit, axis=1, keepdims=True)
+        vecs = self._vector_file(tmp_path, rows.tolist())
+        loaded = cli._load_vectors(vecs)
+        warned = capsys.readouterr().out.splitlines()
+        expected = [normalize(row) for row in rows]
+        assert loaded.tobytes() == np.array([unit for unit, _ in expected]).tobytes()
+        assert warned == [f"warning: vector {k} normalized from length {norm:.6g}"
+                          for k, (_, norm) in enumerate(expected, start=1)
+                          if abs(norm - 1.0) > 1e-9]
 
     def test_boolean_components_rejected(self, capsys, tmp_path):
         vecs = self._vector_file(tmp_path, [[0, 1, 0], [True, False, False]])

@@ -23,6 +23,7 @@ from qrot.circuit import GATE_KINDS
 from qrot.experiments import NOISE_PRESETS
 from qrot.linalg import PAULI_X, PAULI_Y, PAULI_Z
 
+from oracles import confuse_readout_unskipped
 from trajectories import trajectory_hist
 
 _BASIS_OPS = {"X": (("H", 0.0),), "Y": (("RZ", -math.pi / 2.0), ("H", 0.0)), "Z": ()}
@@ -197,8 +198,12 @@ def tally_cases(draw):
     any K <= 2^16), on cum values and just below them, or anywhere. Weights
     of 0, 1 or 2 padded to a power-of-two total T <= 2^16 put every cum
     value on a bucket edge too; a last weight of 1 puts cum[-2] on
-    (T - 1) / T, the lower edge of the top bucket when T = K."""
-    dim = draw(st.one_of(st.sampled_from([2, 4096]), st.integers(2, 300)))
+    (T - 1) / T, the lower edge of the top bucket when T = K. The sizes
+    drawn include both sides of the crossover between the compare and
+    bucket kernels."""
+    dim = draw(st.one_of(st.sampled_from([2, simulator._COMPARE_MAX,
+                                          simulator._COMPARE_MAX + 1, 4096]),
+                         st.integers(2, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dyadic = draw(st.booleans())
     if dyadic:
@@ -252,8 +257,15 @@ def test_counts_match_broadcast_sampler(case, shots, seed):
     assert np.array_equal(sample(circuit, basis, shots, noise, seed).hist, expected)
 
 
+# One-qubit jobs, so that chunks of 1 and 7 shots go through the compare
+# kernel; the drawn jobs reach it up to three qubits and the buckets above.
+_ONE_QUBIT = (Circuit(1, (GateOp("RY", 0, 1.1),)), ("X",))
+
+
 @settings(max_examples=30, deadline=None)
 @given(case=noisy_jobs(noises), shots=st.integers(1, 700), seed=seeds)
+@example(case=(_ONE_QUBIT, simulator.NOISELESS), shots=700, seed=3)
+@example(case=(_ONE_QUBIT, NoiseModel(0.01, 0.0, 0.03)), shots=699, seed=2**64 - 1)
 def test_counts_do_not_depend_on_chunk_size(case, shots, seed):
     (circuit, basis), noise = case
     hists = []
@@ -303,6 +315,43 @@ def test_checkpoints_around_chunk_edges(job, edges, extra, noise, seed):
         result = sample(*job, checkpoints[-1] + extra, noise, seed, checkpoints=checkpoints)
     for s in checkpoints:
         assert np.array_equal(result.prefix(s).hist, sample(*job, s, noise, seed).hist)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shots=st.integers(1, 400), cuts=st.lists(st.integers(1, 400), max_size=12),
+       chunk=st.integers(1, 40))
+def test_chunks_never_yield_an_empty_segment(shots, cuts, chunk):
+    # The compare kernel counts each segment with np.add.reduceat, which
+    # returns the element at an empty segment's start instead of 0.
+    checkpoints = sorted({s for s in cuts if s <= shots})
+    stops = sorted({*checkpoints, shots})
+    with mock.patch.object(simulator, "SAMPLE_CHUNK", chunk):
+        chunks = list(simulator._chunks(shots, checkpoints))
+    assert all(0 < length for _, lengths in chunks for length in lengths)
+    assert all(sum(lengths) <= chunk for _, lengths in chunks)
+    # Segments run stop to stop, so their running total meets every stop.
+    ends, total = [], 0
+    for row, lengths in chunks:
+        for r, length in enumerate(lengths, start=row):
+            total += length
+            ends.append((r, total))
+    assert total == shots
+    assert all(end <= stops[r] for r, end in ends)
+    assert {stops[r] for r, end in ends if end == stops[r]} == set(stops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_zero_flips_are_skipped_bit_for_bit(n, data):
+    flips = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                               min_size=n, max_size=n))
+    weights = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                                 min_size=1 << n, max_size=1 << n))
+    probs = np.array(weights)
+    if probs.any():
+        probs /= probs.sum()
+    expected = confuse_readout_unskipped(probs, flips)
+    assert simulator._confuse_readout(probs, flips).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("checkpoints", [(0,), (101,), (50, 20), (20, 20, 50), (2.5,)])
@@ -513,6 +562,27 @@ def test_checkpoint_sample_memory_bound():
         tracemalloc.stop()
     assert res.table.shape == (32, 4096) and checkpoints[-1] < simulator.SAMPLE_CHUNK
     assert peak <= res.table.nbytes + 1_709_803, f"peaked at {peak} bytes"
+
+
+def test_one_qubit_checkpoint_sample_memory_bound():
+    # A sweep-shaped draw through the compare kernel: one qubit, more than
+    # two full SAMPLE_CHUNK draws and 19 checkpoints cutting both full chunks.
+    # It must peak no higher than the bucket kernel it replaced on this job,
+    # 1,151,400 bytes; the compare kernel peaks at 1,119,699 (a chunk of
+    # uniforms, its comparison mask, and reduceat's int64 cast of the mask).
+    # A one-shot draw first loads what numpy imports on its first Generator.
+    circuit = _ONE_QUBIT[0]
+    shots = 2 * simulator.SAMPLE_CHUNK + 5
+    checkpoints = [6800 * k for k in range(1, 20)]
+    sample(circuit, ("X",), 1, seed=4)
+    tracemalloc.start()
+    try:
+        res = sample(circuit, ("X",), shots, seed=4, checkpoints=checkpoints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.table.shape == (19, 2) and res.hist.sum() == shots
+    assert peak <= 1_151_400, f"peaked at {peak} bytes"
 
 
 def test_chunk_ends_are_made_as_drawn(monkeypatch):
