@@ -29,14 +29,14 @@ Conventions
   an s-shot job's outcomes are the first s outcomes of any larger job at
   the same seed, with or without noise.
 * A job may name ``checkpoints``: shot counts whose running histograms it
-  keeps, one row each of ``ShotResult.table``, tallied in the same pass over
-  the draw. A chunk that checkpoints cut is still drawn by one Generator
-  call; each of its shots gets its outcome and is counted in the segment
-  between checkpoints that holds it, and each row is the running sum of the
-  segments up to its checkpoint. ``ShotResult.prefix(s)`` returns the
-  result of the first s shots, which equals the result of an s-shot job at
-  the same seed, so one job at the largest count stands for every smaller
-  one.
+  keeps besides the whole job's. The draw stops at each of them and at the
+  job's shot count, and ``ShotResult.table`` holds one row per stop, all
+  tallied in the same pass over the draw. A chunk that stops cut is still
+  drawn by one Generator call; each of its shots gets its outcome and is
+  counted in the segment between stops that holds it, and each row is the
+  running sum of the segments up to its stop. The row of s shots equals
+  the histogram of an s-shot job at the same seed, so one job at the
+  largest count stands for every smaller one.
 * Every gate is applied by one in-place kernel with no batch axis: on the
   slice where each control axis holds its trigger, the target's axis is
   viewed as the middle of (left, 2, right) and multiplied by the 2x2 gate.
@@ -62,8 +62,9 @@ Conventions
   statevector with those flips folded in.
 * ``readout_flip`` flips each measured bit independently; it is folded into
   the distribution as the per-qubit confusion map [[1-f, f], [f, 1-f]].
-* Counts are an integer histogram over the 2^n outcome indices
-  (``ShotResult.hist``).
+* Counts are integer histograms over the 2^n outcome indices, one row of
+  ``ShotResult.table`` per stop; the last, ``ShotResult.hist``, is the
+  whole job's.
 """
 
 from __future__ import annotations
@@ -71,11 +72,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .circuit import Circuit, GateOp
+from .circuit import Circuit, GateOp, _is_int
 from .errors import DomainError, NumericError, ShapeError
 from .linalg import PAULI_X
 from .rotation import gate_rx, gate_ry, gate_rz
@@ -122,61 +122,44 @@ NOISELESS = NoiseModel()
 
 @dataclass(frozen=True, eq=False)
 class ShotResult:
-    """Outcome histogram for one measurement basis: ``hist[j]`` counts the
-    shots that read basis-state index j (int64, length 2^n, read-only).
-    ``table[i]`` is the histogram of the job's first ``checkpoints[i]``
-    shots, for each checkpoint it was drawn with (int64, one row per
-    checkpoint, read-only); ``prefix`` reads a row as a result of its own."""
+    """Running outcome histograms for one measurement basis: ``table[i, j]``
+    counts the shots among the job's first ``checkpoints[i]`` that read
+    basis-state index j (int64, one row of length 2^n per checkpoint,
+    read-only). The last checkpoint is the job's shot count, ``shots``, and
+    the last row its histogram, ``hist``."""
 
     basis: tuple[str, ...]
-    hist: np.ndarray
-    shots: int
-    checkpoints: tuple[int, ...] = ()
-    table: np.ndarray | None = field(default=None, repr=False)
+    checkpoints: tuple[int, ...]
+    table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        hist = _int64_counts(self.hist, "histogram")
-        if hist.shape != (1 << len(self.basis),):
-            raise ShapeError(f"histogram of shape {hist.shape} does not match "
-                             f"{len(self.basis)} measured qubits")
-        if hist.min() < 0 or hist.sum() != self.shots:
-            raise DomainError(f"histogram must be nonnegative and sum to {self.shots} shots")
-        checkpoints = tuple(self.checkpoints)
-        table = _int64_counts(np.zeros((0, hist.size), dtype=np.int64)
-                              if self.table is None else self.table, "prefix table")
-        if table.shape != (len(checkpoints), hist.size):
-            raise ShapeError(f"prefix table of shape {table.shape} does not match "
-                             f"{len(checkpoints)} checkpoints of {hist.size} outcomes")
-        if table.sum(axis=1).tolist() != list(checkpoints):
-            raise DomainError(f"prefix table rows must sum to the checkpoints {checkpoints}")
-        if table.size and ((table[0] < 0).any() or (table[1:] < table[:-1]).any()
-                           or (table[-1] > hist).any()):
-            raise DomainError("prefix table rows must be nonnegative, must not decrease "
-                              "and must stay within hist")
-        hist.setflags(write=False)
+        table = np.asarray(self.table)
+        if table.dtype.kind not in "iu":
+            raise DomainError(f"count table entries must be integers, got dtype {table.dtype}")
+        table = table.astype(np.int64)
+        checkpoints = list(self.checkpoints)
+        rows, dim = len(checkpoints), 1 << len(self.basis)
+        if rows < 1 or table.shape != (rows, dim):
+            raise ShapeError(f"count table of shape {table.shape} does not match {rows} "
+                             f"checkpoints (at least one) of {dim} outcomes")
+        sums = table.sum(axis=1).tolist()
+        if sums != checkpoints:
+            raise DomainError(f"count table rows must sum to the checkpoints {checkpoints}")
+        if (table[0] < 0).any() or (table[1:] < table[:-1]).any():
+            raise DomainError("count table rows must be nonnegative and must not decrease")
         table.setflags(write=False)
-        object.__setattr__(self, "hist", hist)
-        object.__setattr__(self, "checkpoints", checkpoints)
+        object.__setattr__(self, "checkpoints", tuple(sums))
         object.__setattr__(self, "table", table)
 
-    def prefix(self, shots: int) -> ShotResult:
-        """The result of the job's first ``shots`` shots: itself at its full
-        size, else its row of ``table``."""
-        if shots == self.shots:
-            return self
-        if shots not in self.checkpoints:
-            raise DomainError(f"{shots} shots is not a checkpoint of this "
-                              f"{self.shots}-shot result")
-        return ShotResult(self.basis, self.table[self.checkpoints.index(shots)], shots)
+    @property
+    def shots(self) -> int:
+        """The job's shot count, its last checkpoint."""
+        return self.checkpoints[-1]
 
-
-def _int64_counts(counts, name: str) -> np.ndarray:
-    """A fresh int64 copy of ``counts``; DomainError unless its dtype is an
-    integer one."""
-    counts = np.asarray(counts)
-    if counts.dtype.kind not in "iu":
-        raise DomainError(f"{name} entries must be integers, got dtype {counts.dtype}")
-    return counts.astype(np.int64)
+    @property
+    def hist(self) -> np.ndarray:
+        """The job's outcome histogram, the last row of ``table``."""
+        return self.table[-1]
 
 
 def _splitmix64(x: int) -> int:
@@ -267,11 +250,11 @@ def _basis_change_ops(basis, n: int) -> list[GateOp]:
     return ops
 
 
-def _tallies(probs: np.ndarray, chunks, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """The running histograms of a draw from ``probs`` with one uniform u per
-    shot, as a (rows, dim) int64 array: row r counts the shots up to stop r
-    of ``chunks``, which ``_chunks`` makes. Each chunk is one ``rng.random``
-    call. A shot reads outcome min(#{cum <= u}, dim - 1), as
+def _tallies(probs: np.ndarray, stops, rng: np.random.Generator) -> np.ndarray:
+    """The running histograms of a draw of ``stops[-1]`` shots from ``probs``
+    with one uniform u per shot, as a (len(stops), dim) int64 array: row r
+    counts the shots up to ``stops[r]``. Each chunk of ``_chunks(stops)`` is
+    one ``rng.random`` call. A shot reads outcome min(#{cum <= u}, dim - 1), as
     ``searchsorted(cum, u, side="right")`` clamped to the last index would.
 
     Each chunk adds its segments' histograms to their rows of the table,
@@ -281,8 +264,8 @@ def _tallies(probs: np.ndarray, chunks, rows: int, rng: np.random.Generator) -> 
     # Dropping the last cum value clamps every count to dim - 1.
     cum = np.cumsum(probs / probs.sum())[:-1]
     tally = _compare_tally(cum) if probs.size <= _COMPARE_MAX else _bucket_tally(cum)
-    counts = np.zeros((rows, probs.size), dtype=np.int64)
-    for row, lengths in chunks:
+    counts = np.zeros((len(stops), probs.size), dtype=np.int64)
+    for row, lengths in _chunks(stops):
         tally(rng.random(sum(lengths)), lengths, counts[row:row + len(lengths)])
     return np.cumsum(counts, axis=0, out=counts)
 
@@ -346,15 +329,14 @@ def _bucket_tally(cum: np.ndarray):
     return tally
 
 
-def _chunks(shots: int, checkpoints):
-    """The draw's chunks of at most ``SAMPLE_CHUNK`` shots, in order, made
-    as the draw reaches them. Stop r is the r-th of the sorted distinct
-    ``(*checkpoints, shots)``. A chunk is (row, lengths): the stops strictly
-    inside it cut it into segments of ``lengths`` shots, and its first
-    segment's shots are those up to stop ``row``, the next segment's up to
-    stop ``row + 1``, and so on."""
-    shots = int(shots)
-    stops = sorted({*map(int, checkpoints), shots})
+def _chunks(stops):
+    """The chunks of at most ``SAMPLE_CHUNK`` shots of a draw of
+    ``stops[-1]`` shots, in order, made as the draw reaches them; ``stops``
+    are sorted distinct positive ints. A chunk is (row, lengths): the stops
+    strictly inside it cut it into segments of ``lengths`` shots, and its
+    first segment's shots are those up to ``stops[row]``, the next
+    segment's up to ``stops[row + 1]``, and so on."""
+    shots = stops[-1]
     row = start = 0
     while start < shots:
         # The uncut chunks up to stop ``row`` share one (row, lengths) pair,
@@ -436,12 +418,14 @@ def _final_state(circuit: Circuit) -> np.ndarray:
 def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
            seed: int = 0, *, checkpoints=()) -> ShotResult:
     """Run the circuit from |0...0>, measure every qubit, return the outcome
-    histogram.
+    histograms.
 
     ``basis`` gives one Pauli label per qubit (index order). Deterministic
     for fixed ``(circuit, basis, shots, noise, seed)``. ``checkpoints``, sorted
     distinct ints in [1, shots], are the shot counts whose prefix histograms
-    the result keeps in ``ShotResult.table``, read by ``ShotResult.prefix``.
+    the result keeps besides the whole job's: its ``checkpoints`` are these
+    with ``shots`` appended unless it is the last one already, and
+    ``ShotResult.table`` holds one histogram per entry.
 
     Noiseless and readout-only sampling accept any circuit. Under gate noise
     (``depol_1q`` or ``depol_ctrl`` above 0) the circuit with its
@@ -453,15 +437,16 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     (see the module docstring); the result is the same as without that reuse.
     """
     noise = NOISELESS if noise is None else noise
-    if not isinstance(shots, Integral) or shots < 1:
+    if not _is_int(shots) or shots < 1:
         raise DomainError(f"shots must be an integer >= 1, got {shots!r}")
     checkpoints = tuple(checkpoints)
-    # A plain int, the common case, skips the slower ``Integral`` check.
-    if (not all(type(s) is int or isinstance(s, Integral) for s in checkpoints)
-            or list(checkpoints) != sorted(set(checkpoints))
+    if (not all(map(_is_int, checkpoints)) or list(checkpoints) != sorted(set(checkpoints))
             or not all(1 <= s <= shots for s in checkpoints)):
         raise DomainError(f"checkpoints must be sorted distinct integers in "
                           f"[1, {shots}], got {checkpoints}")
+    stops = [*map(int, checkpoints)]
+    if not stops or stops[-1] != shots:
+        stops.append(int(shots))
     n = circuit.num_qubits
     basis = tuple(str(b).upper() for b in basis)
     if len(basis) != n:
@@ -472,6 +457,4 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
         probs = _confuse_readout(probs, _gate_noise_flips(circuit.ops + tuple(basis_ops),
                                                           n, noise))
     probs = _confuse_readout(probs, [noise.readout_flip] * n)
-    counts = _tallies(probs, _chunks(shots, checkpoints), len({*checkpoints, shots}),
-                      _rng(seed))
-    return ShotResult(basis, counts[-1], int(shots), checkpoints, counts[:len(checkpoints)])
+    return ShotResult(basis, stops, _tallies(probs, stops, _rng(seed)))

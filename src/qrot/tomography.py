@@ -349,7 +349,7 @@ def calibrate_readout(noise: NoiseModel | None, shots: int, seed: int = 0) -> np
     Column j holds the outcome frequencies observed when |j> is prepared;
     columns sum to 1 exactly.
     """
-    return _readout_matrix(_readout_runs(noise, shots, seed, [shots]))[0]
+    return _readout_matrix(_readout_runs(noise, shots, seed, ()))[0]
 
 
 def _readout_runs(noise: NoiseModel | None, shots: int, seed: int,

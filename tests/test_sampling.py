@@ -178,14 +178,14 @@ class _Uniforms:
 
 
 def assert_tallies_exact(probs, u, edges):
-    """``simulator._tallies``, drawing ``edges[-1]`` shots with the other
-    edges as checkpoints, gives per edge the bincount of the shots up to it
-    of ``searchsorted(cum, u, side="right")`` clamped to dim - 1."""
+    """``simulator._tallies``, drawing ``edges[-1]`` shots with stops at
+    ``edges``, gives per edge the bincount of the shots up to it of
+    ``searchsorted(cum, u, side="right")`` clamped to dim - 1."""
     dim = probs.size
     cum = np.cumsum(probs / probs.sum())
     idx = np.minimum(np.searchsorted(cum, u, side="right"), dim - 1)
     uniforms = _Uniforms(u)
-    table = simulator._tallies(probs, simulator._chunks(edges[-1], edges), len(edges), uniforms)
+    table = simulator._tallies(probs, edges, uniforms)
     assert table.shape == (len(edges), dim) and uniforms.used == edges[-1]
     for end, hist in zip(edges, table):
         assert np.array_equal(hist, np.bincount(idx[:end], minlength=dim))
@@ -298,10 +298,11 @@ def test_checkpoint_prefix_is_the_smaller_job(job, checkpoints, extra, noise, se
     checkpoints = sorted(checkpoints)
     shots = checkpoints[-1] + extra
     result = sample(*job, shots, noise, seed, checkpoints=checkpoints)
+    assert result.checkpoints[-1] == result.shots == shots
+    assert result.checkpoints == tuple(sorted({*checkpoints, shots}))
     for s in (*checkpoints, shots):
-        prefix = result.prefix(s)
-        assert prefix.shots == s and prefix.basis == result.basis
-        assert np.array_equal(prefix.hist, sample(*job, s, noise, seed).hist)
+        row = result.table[result.checkpoints.index(s)]
+        assert np.array_equal(row, sample(*job, s, noise, seed).hist)
 
 
 @settings(max_examples=30, deadline=None)
@@ -314,7 +315,8 @@ def test_checkpoints_around_chunk_edges(job, edges, extra, noise, seed):
     with mock.patch.object(simulator, "SAMPLE_CHUNK", 7):
         result = sample(*job, checkpoints[-1] + extra, noise, seed, checkpoints=checkpoints)
     for s in checkpoints:
-        assert np.array_equal(result.prefix(s).hist, sample(*job, s, noise, seed).hist)
+        assert np.array_equal(result.table[result.checkpoints.index(s)],
+                              sample(*job, s, noise, seed).hist)
 
 
 @settings(max_examples=200, deadline=None)
@@ -323,10 +325,9 @@ def test_checkpoints_around_chunk_edges(job, edges, extra, noise, seed):
 def test_chunks_never_yield_an_empty_segment(shots, cuts, chunk):
     # The compare kernel counts each segment with np.add.reduceat, which
     # returns the element at an empty segment's start instead of 0.
-    checkpoints = sorted({s for s in cuts if s <= shots})
-    stops = sorted({*checkpoints, shots})
+    stops = sorted({*(s for s in cuts if s <= shots), shots})
     with mock.patch.object(simulator, "SAMPLE_CHUNK", chunk):
-        chunks = list(simulator._chunks(shots, checkpoints))
+        chunks = list(simulator._chunks(stops))
     assert all(0 < length for _, lengths in chunks for length in lengths)
     assert all(sum(lengths) <= chunk for _, lengths in chunks)
     # Segments run stop to stop, so their running total meets every stop.
@@ -354,21 +355,10 @@ def test_zero_flips_are_skipped_bit_for_bit(n, data):
     assert simulator._confuse_readout(probs, flips).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("checkpoints", [(0,), (101,), (50, 20), (20, 20, 50), (2.5,)])
+@pytest.mark.parametrize("checkpoints", [(0,), (101,), (50, 20), (20, 20, 50), (2.5,), (True, 50)])
 def test_invalid_checkpoints_rejected(checkpoints):
     with pytest.raises(DomainError):
         sample(Circuit(1, (GateOp("H", 0),)), ("Z",), 100, checkpoints=checkpoints)
-
-
-def test_prefix_needs_a_checkpoint():
-    circuit = Circuit(1, (GateOp("H", 0),))
-    result = sample(circuit, ("Z",), 100, seed=1, checkpoints=(10, 50))
-    assert result.prefix(100) is result
-    for s in (0, 11, 99, 101):
-        with pytest.raises(DomainError):
-            result.prefix(s)
-    with pytest.raises(DomainError):
-        sample(circuit, ("Z",), 100, seed=1).prefix(50)
 
 
 @settings(max_examples=100, deadline=None)
@@ -549,7 +539,9 @@ def test_noiseless_full_chunk_sample_memory_bound():
 
 def test_checkpoint_sample_memory_bound():
     # The job above with 32 checkpoints inside its first chunk: on top of
-    # that job's bound, it may hold its prefix table and nothing more.
+    # that job's bound, it may hold the 32 rows of its prefix table and
+    # nothing more, 1,048,576 + 1,709,803 bytes. The table's 33rd row is the
+    # histogram that the job above holds too.
     circuit = _batch_circuit(2048, 6)
     basis = ("X",) + ("Z",) * 11
     shots = 2 * simulator.SAMPLE_CHUNK + 5
@@ -560,8 +552,8 @@ def test_checkpoint_sample_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.table.shape == (32, 4096) and checkpoints[-1] < simulator.SAMPLE_CHUNK
-    assert peak <= res.table.nbytes + 1_709_803, f"peaked at {peak} bytes"
+    assert res.table.shape == (33, 4096) and checkpoints[-1] < simulator.SAMPLE_CHUNK
+    assert peak <= 2_758_379, f"peaked at {peak} bytes"
 
 
 def test_one_qubit_checkpoint_sample_memory_bound():
@@ -581,7 +573,7 @@ def test_one_qubit_checkpoint_sample_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.table.shape == (19, 2) and res.hist.sum() == shots
+    assert res.table.shape == (20, 2) and res.hist.sum() == shots
     assert peak <= 1_151_400, f"peaked at {peak} bytes"
 
 
@@ -590,8 +582,9 @@ def test_chunk_ends_are_made_as_drawn(monkeypatch):
     # draw held about 134 MB. The stub consumes the chunks and credits every
     # shot drawn to the last stop, so the peak is what sample holds besides
     # draws.
-    def consume_chunks(probs, chunks, rows, rng):
-        counts = np.zeros((rows, probs.size), dtype=np.int64)
+    def consume_chunks(probs, stops, rng):
+        counts = np.zeros((len(stops), probs.size), dtype=np.int64)
+        chunks = simulator._chunks(stops)
         counts[-1, 0] = sum(itertools.chain.from_iterable(lengths for _, lengths in chunks))
         return counts
 

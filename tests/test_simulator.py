@@ -219,40 +219,61 @@ class TestSample:
         with pytest.raises(DomainError, match="integer"):
             process_tomography(worked_spec, 1000.0)
 
+    def test_bool_shots_rejected(self):
+        # bool is an Integral, but True used to run a one-shot job
+        with pytest.raises(DomainError, match="integer"):
+            sample(H, ("Z",), True)
+        with pytest.raises(DomainError, match="integer"):
+            calibrate_readout(None, True)
+
     @pytest.mark.parametrize("hist", [[1.5, 0.5], [1.0, 0.0], ["1", "0"]])
     def test_non_integer_histogram_rejected(self, hist):
         # [1.5, 0.5] used to be stored as [1, 0]
         with pytest.raises(DomainError, match="integers"):
-            ShotResult(("Z",), hist, 1)
+            ShotResult(("Z",), (1,), [hist])
 
     @pytest.mark.parametrize("hist, error", [
         ([1, 0, 0, 0], ShapeError), ([[1, 0]], ShapeError), ([1, 1], DomainError),
         ([2, -1], DomainError),
     ], ids=["wide", "2-d", "wrong-sum", "negative"])
     def test_malformed_histogram_rejected(self, hist, error):
+        # a one-shot job's table is its histogram alone
         with pytest.raises(error):
-            ShotResult(("Z",), hist, 1)
+            ShotResult(("Z",), (1,), [hist])
 
-    # hist [5, 5] of 10 shots with checkpoints 3 and 7; each table breaks
-    # one rule.
+    # Rows of 3, 7 and 10 shots ending in hist [5, 5]; each table breaks one
+    # rule. "above-hist" has a row above the last one, which decreases.
     @pytest.mark.parametrize("table, error", [
-        ([[2, 1, 0, 0], [4, 3, 0, 0]], ShapeError),
-        ([[2, 1]], ShapeError),
-        ([[3, 0], [2, 5]], DomainError),
-        ([[4, -1], [4, 3]], DomainError),
-        ([[2, 1], [4, 2]], DomainError),
-        ([[2, 1], [6, 1]], DomainError),
-        ([[2.0, 1.0], [4.0, 3.0]], DomainError),
+        ([[2, 1, 0, 0], [4, 3, 0, 0], [5, 5, 0, 0]], ShapeError),
+        ([[2, 1], [4, 3]], ShapeError),
+        ([[3, 0], [2, 5], [5, 5]], DomainError),
+        ([[4, -1], [4, 3], [5, 5]], DomainError),
+        ([[2, 1], [4, 2], [5, 5]], DomainError),
+        ([[2, 1], [6, 1], [5, 5]], DomainError),
+        ([[2.0, 1.0], [4.0, 3.0], [5.0, 5.0]], DomainError),
     ], ids=["wide", "short", "decreasing", "negative", "wrong-sum", "above-hist", "float"])
     def test_malformed_prefix_table_rejected(self, table, error):
         with pytest.raises(error):
-            ShotResult(("Z",), [5, 5], 10, (3, 7), np.array(table))
+            ShotResult(("Z",), (3, 7, 10), np.array(table))
 
-    def test_prefix_reads_a_table_row(self):
-        res = ShotResult(("Z",), [5, 5], 10, (3, 7), np.array([[2, 1], [4, 3]]))
-        assert res.prefix(7).hist.tolist() == [4, 3] and res.prefix(7).shots == 7
-        assert res.prefix(10) is res
-        assert not res.table.flags.writeable
+    def test_empty_table_rejected(self):
+        with pytest.raises(ShapeError):
+            ShotResult(("Z",), (), np.zeros((0, 2), dtype=np.int64))
+
+    def test_checkpoints_are_stored_as_ints(self):
+        # float checkpoints used to be stored as given, and a shot count of 7.0
+        # read back as 7.0
+        res = ShotResult(("Z",), (3.0, 7.0, 10.0), [[2, 1], [4, 3], [5, 5]])
+        assert res.checkpoints == (3, 7, 10) and res.shots == 10
+        assert all(type(s) is int for s in res.checkpoints)
+
+    def test_hist_and_shots_read_the_last_row(self):
+        table = np.array([[2, 1], [4, 3], [5, 5]], dtype=np.int32)
+        res = ShotResult(("Z",), (3, 7, 10), table)
+        assert res.table.dtype == np.int64 and not np.shares_memory(res.table, table)
+        assert res.hist.tolist() == [5, 5] and res.shots == 10
+        assert np.shares_memory(res.hist, res.table) and np.array_equal(res.hist, res.table[-1])
+        assert not res.table.flags.writeable and not res.hist.flags.writeable
 
     def test_bitstring_order_most_significant_first(self):
         # flip only qubit 1 of three: outcome index 2 prints as "010"
@@ -338,26 +359,26 @@ class TestEvolutionMemo:
 
 class TestExpectationFromCounts:
     def test_all_zero(self):
-        res = ShotResult(("Z",), [100, 0], 100)
+        res = ShotResult(("Z",), (100,), [[100, 0]])
         assert expectation_from_counts(res, 0) == 1.0
 
     def test_all_one(self):
-        res = ShotResult(("Z",), [0, 100], 100)
+        res = ShotResult(("Z",), (100,), [[0, 100]])
         assert expectation_from_counts(res, 0) == -1.0
 
     def test_three_to_one_split(self):
-        res = ShotResult(("Z",), [750, 250], 1000)
+        res = ShotResult(("Z",), (1000,), [[750, 250]])
         assert expectation_from_counts(res, 0) == 0.5
 
     def test_addresses_correct_bit(self):
         # index 2 is "10": qubit 1 reads 1, qubit 0 reads 0
-        res = ShotResult(("Z", "Z"), [40, 0, 60, 0], 100)
+        res = ShotResult(("Z", "Z"), (100,), [[40, 0, 60, 0]])
         assert expectation_from_counts(res, 1) == pytest.approx(-0.2)
         assert expectation_from_counts(res, 0) == 1.0
 
     def test_empty_counts_rejected(self):
         with pytest.raises(DomainError):
-            expectation_from_counts(ShotResult(("Z",), [0, 0], 0), 0)
+            expectation_from_counts(ShotResult(("Z",), (0,), [[0, 0]]), 0)
 
 
 class TestNoise:

@@ -220,8 +220,8 @@ def even_until(limit):
         return [s - half, half]
 
     def fake(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
-        return ShotResult(tuple(basis), hist(shots), shots, tuple(checkpoints),
-                          np.array([hist(s) for s in checkpoints], dtype=np.int64).reshape(-1, 2))
+        stops = sorted({*checkpoints, shots})
+        return ShotResult(tuple(basis), stops, [hist(s) for s in stops])
     return fake
 
 
@@ -278,8 +278,8 @@ def even_sample(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
             return [s - ones, ones]
         return [s - s // dim * (dim - 1)] + [s // dim] * (dim - 1)
 
-    return ShotResult(tuple(basis), hist(shots), shots, tuple(checkpoints),
-                      np.array([hist(s) for s in checkpoints], dtype=np.int64).reshape(-1, dim))
+    stops = sorted({*checkpoints, shots})
+    return ShotResult(tuple(basis), stops, [hist(s) for s in stops])
 
 
 class TestZeroEstimate:
