@@ -10,7 +10,7 @@ parameters, cross-validated against the classical Rodrigues formulas.
 
 from .bloch import (SphericalAngles, angle_between, normalize, state_to_bloch,
                     vec_to_angles)
-from .circuit import Circuit, GateOp
+from .circuit import BranchRotation, Circuit, GateOp
 from .errors import DomainError, NumericError, ShapeError
 from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, dagger, eig_hermitian,
                      is_unitary, polar_unitary, trace)

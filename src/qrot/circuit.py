@@ -65,13 +65,57 @@ class GateOp:
                 raise DomainError(f"duplicate control on qubit {q}")
             seen.add(q)
 
+    @property
+    def control_qubits(self) -> tuple[int, ...]:
+        return tuple([q for q, _ in self.controls])
+
+
+@dataclass(frozen=True)
+class BranchRotation:
+    """A uniformly controlled rotation: one RY or RZ on the target per control
+    branch, ``thetas[b]`` on branch b, and no gate on branches at or beyond
+    ``len(thetas)`` (Mottonen et al., PRL 93, 130502, 2004).
+
+    It equals ``len(thetas)`` fully controlled ``GateOp``s, where the k-th
+    qubit of ``controls`` carries bit k of the branch index. Only the shape
+    of a batch encoding is allowed: target 0, and controls 1, 2, ..., n in
+    order, which ``Circuit`` requires to be every other qubit. Branch b is
+    then the amplitude pair 2b, 2b + 1 of the statevector.
+    """
+
+    kind: str
+    target: int
+    thetas: tuple[float, ...]
+    controls: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.kind not in ("RY", "RZ"):
+            raise DomainError(f"a branch rotation is RY or RZ, got {self.kind!r}")
+        thetas, controls = tuple(self.thetas), tuple(self.controls)
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "controls", controls)
+        if not all(map(math.isfinite, thetas)):
+            raise DomainError("gate angle must be finite")
+        if not (_is_int(self.target) and self.target == 0):
+            raise DomainError(f"a branch rotation targets qubit 0, got {self.target!r}")
+        if (not controls or not all(map(_is_int, controls))
+                or controls != tuple(range(1, len(controls) + 1))):
+            raise DomainError(f"a branch rotation is controlled by qubits 1, 2, ..., n "
+                              f"in order, got {controls!r}")
+        if len(thetas) > 1 << len(controls):
+            raise DomainError(f"{len(thetas)} angles for {1 << len(controls)} branches")
+
+    @property
+    def control_qubits(self) -> tuple[int, ...]:
+        return self.controls
+
 
 @dataclass(frozen=True)
 class Circuit:
     """An ordered list of gates on ``num_qubits`` qubits."""
 
     num_qubits: int
-    ops: tuple[GateOp, ...] = field(default_factory=tuple)
+    ops: tuple[GateOp | BranchRotation, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if not (_is_int(self.num_qubits) and 1 <= self.num_qubits <= MAX_QUBITS):
@@ -79,7 +123,10 @@ class Circuit:
                               f"got {self.num_qubits!r}")
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
-            indices = [op.target] + [q for q, _ in op.controls]
-            for q in indices:
+            if isinstance(op, BranchRotation) and len(op.controls) != self.num_qubits - 1:
+                raise DomainError(f"a branch rotation must be controlled by every qubit "
+                                  f"but 0; {len(op.controls)} controls at width "
+                                  f"{self.num_qubits}")
+            for q in (op.target, *op.control_qubits):
                 if q >= self.num_qubits:
                     raise DomainError(f"qubit index {q} out of range for width {self.num_qubits}")

@@ -4,16 +4,18 @@ Vector i (1-based, i <= p) lives on the control branch whose bits equal the
 binary representation of i - 1; control qubit c (1..n) carries bit c - 1, so
 the qubit adjacent to the data qubit holds the least significant bit. The
 data qubit is qubit 0. After Hadamards put the n control qubits in an equal
-superposition, a controlled RY/RZ pair per index writes each vector onto its
-branch; one uncontrolled five-gate rotation on the data qubit then rotates
-every branch at once, so ``full_circuit`` takes one ``RotationSpec`` for the
-whole batch. ``VectorBatch`` checks the whole (p, 3) stack in one pass and
-names the first bad row only when there is one; the encoding reads each
-row's spherical angles without checking it again. Extraction reads the
-controls in Z; ``tomography._grid_counts`` draws the circuit in its three
-bases from one evolution (``sample`` reuses it) and tallies the shots into
-one (2**n, 3, 2) array for its one grid point, and each index runs
-single-qubit state tomography on its branch's (3, 2) row.
+superposition, two uniformly controlled rotations, ``BranchRotation``s of
+kind RY and RZ with one angle per index, write each vector onto its branch;
+the simulator applies each as one stacked (p, 2, 2) product. One
+uncontrolled five-gate rotation on the data qubit then rotates every branch
+at once, so ``full_circuit`` takes one ``RotationSpec`` for the whole batch.
+``VectorBatch`` checks the whole (p, 3) stack in one pass and names the
+first bad row only when there is one; the encoding reads each row's
+spherical angles without checking it again. Extraction reads the controls
+in Z; ``tomography._grid_counts`` draws the circuit in its three bases from
+one evolution (``sample`` reuses it) and tallies the shots into one
+(2**n, 3, 2) array for its one grid point, and one stacked single-qubit
+estimate reads every index from its branch's (3, 2) row.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import UNIT_TOL, _spherical_angles, _units, require_unit
-from .circuit import MAX_QUBITS, Circuit, GateOp
-from .errors import DomainError
+from .circuit import MAX_QUBITS, BranchRotation, Circuit, GateOp
+from .errors import DomainError, ShapeError
 from .rotation import RotationSpec, axis_rotation_sequence
 from .simulator import BASIS_LABELS, NoiseModel, derive_seed
 from .linalg import row_dot
@@ -78,23 +80,18 @@ def _all_unit(v: np.ndarray) -> bool:
     return bool((np.abs(norms - 1.0) <= UNIT_TOL).all())
 
 
-def _pattern(index0: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Control triggers for branch ``index0``: qubit c carries bit c - 1."""
-    return tuple([(c, (index0 >> (c - 1)) & 1) for c in range(1, n + 1)])
-
-
 def build_encoding_circuit(batch: VectorBatch) -> Circuit:
-    """Hadamards on the controls, then per index a controlled RY(theta_i)
-    followed by a controlled RZ(phi_i) on the data qubit. Branches beyond p
-    receive no gates and keep the data qubit at |0>."""
+    """Hadamards on the n controls, then two branch rotations on the data
+    qubit: RY(theta_i) on every branch i - 1, then RZ(phi_i), (theta_i, phi_i)
+    being the spherical angles of vector i. They equal a controlled RY and
+    RZ per index. Branches beyond p receive no gates and keep the data qubit
+    at |0>."""
     n = batch.n
-    ops = [GateOp("H", q) for q in range(1, n + 1)]
-    for i0, (x, y, z) in enumerate(batch.vectors.tolist()):
-        theta, phi = _spherical_angles(x, y, z)
-        controls = _pattern(i0, n)
-        ops.append(GateOp("RY", 0, theta, controls))
-        ops.append(GateOp("RZ", 0, phi, controls))
-    return Circuit(n + 1, ops)
+    controls = tuple(range(1, n + 1))
+    thetas, phis = zip(*[_spherical_angles(*row) for row in batch.vectors.tolist()])
+    return Circuit(n + 1, [GateOp("H", q) for q in controls]
+                   + [BranchRotation("RY", 0, thetas, controls),
+                      BranchRotation("RZ", 0, phis, controls)])
 
 
 def full_circuit(batch: VectorBatch, rotation: RotationSpec) -> Circuit:
@@ -130,14 +127,15 @@ def extract_all(batch: VectorBatch, rotation: RotationSpec, shots_per_vector: in
     and reconstructs each encoded index from its control branch's row of the
     tally: about ``shots_per_vector`` per basis, since the control marginal
     is uniform. Raises DomainError below ``tomography.MIN_SHOTS`` before any
-    draw. Indices with fewer than 25 samples in some basis are flagged as
+    draw. The first p rows are read back by ``_index_estimates`` as one
+    stack. Indices with fewer than 25 samples in some basis are flagged as
     under-sampled; an index with zero samples in some basis or a zero
     estimate gets an error entry rather than failing the whole extraction.
     """
     cal, tables = _grid_counts({0: (full_circuit(batch, rotation), seed)},
                                [shots_per_vector], noise, derive_seed(seed, 3), mitigate)
     cal = None if cal is None else cal[0]
-    return [index_estimate(i0 + 1, tables[0][0, i0], cal) for i0 in range(batch.p)]
+    return _index_estimates(range(1, batch.p + 1), tables[0][0, :batch.p], cal)
 
 
 def index_estimate(index: int, tally, cal=None) -> ExtractedVector:
@@ -145,15 +143,36 @@ def index_estimate(index: int, tally, cal=None) -> ExtractedVector:
     (n0, n1) of bases X, Y, Z: the direction r/|r| that ``estimate_qubit``
     returns, from the same stacked estimator on one row, without the density
     matrix; ``cal`` is a checked readout calibration. The tally is checked as
-    ``estimate_qubit`` checks it."""
-    totals = _checked_tally(tally).sum(axis=1).tolist()
-    empty = [label for label, total in zip(BASIS_LABELS, totals) if total == 0]
-    if empty:
-        vector, error = None, f"no samples in basis {','.join(empty)}"
-    else:
-        r = _bloch_vectors(tally, cal)
-        norm = np.sqrt(row_dot(r, r))
-        vector = r / norm if norm >= MIN_BLOCH_NORM else None
-        error = None if vector is not None else "estimated Bloch vector has no direction"
-    return ExtractedVector(index=index, vector=vector, samples=sum(totals),
-                           under_sampled=min(totals) < UNDER_SAMPLE_THRESHOLD, error=error)
+    ``estimate_qubit`` checks it. The one-row case of ``extract_all``'s
+    read-back."""
+    tally = _checked_tally(tally)
+    if tally.ndim != 2:
+        raise ShapeError(f"expected one (3, 2) tally, got shape {tally.shape}")
+    return _index_estimates([index], tally[None], cal)[0]
+
+
+def _index_estimates(indices, tallies, cal=None) -> list[ExtractedVector]:
+    """``index_estimate`` of each (3, 2) tally of a checked (k, 3, 2) stack,
+    with the matching one of ``indices``: one ``_bloch_vectors`` call and one
+    norm over the rows with no empty basis. Each row gets the bytes it gets
+    alone."""
+    totals = tallies.sum(axis=-1)
+    r = _bloch_vectors(tallies[(totals > 0).all(axis=-1)], cal)
+    norm = np.sqrt(row_dot(r, r))
+    directed = norm >= MIN_BLOCH_NORM
+    # A row with no direction is divided by 1 and dropped.
+    estimates = zip(r / np.where(directed, norm, 1.0)[:, None], directed.tolist())
+    out = []
+    for index, row in zip(indices, totals.tolist()):
+        vector = error = None
+        if 0 in row:
+            empty = [label for label, total in zip(BASIS_LABELS, row) if total == 0]
+            error = f"no samples in basis {','.join(empty)}"
+        else:
+            vector, ok = next(estimates)
+            if not ok:
+                vector, error = None, "estimated Bloch vector has no direction"
+        out.append(ExtractedVector(index=index, vector=vector, samples=sum(row),
+                                   under_sampled=min(row) < UNDER_SAMPLE_THRESHOLD,
+                                   error=error))
+    return out

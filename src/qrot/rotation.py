@@ -128,16 +128,26 @@ def gate_rx(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-def gate_ry(theta: float) -> np.ndarray:
-    """Rotation about y: exp(-i Y theta/2)."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def gate_ry(theta) -> np.ndarray:
+    """Rotation about y: exp(-i Y theta/2). An array of k angles gives a
+    contiguous (k, 2, 2) stack, each matrix with the bytes of its angle's
+    own call."""
+    half = np.asarray(theta, dtype=float) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    out = np.empty(half.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1], out[..., 1, 0] = -s, s
+    return out
 
 
-def gate_rz(theta: float) -> np.ndarray:
-    """Rotation about z: exp(-i Z theta/2)."""
-    return np.array([[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]],
-                    dtype=complex)
+def gate_rz(theta) -> np.ndarray:
+    """Rotation about z: exp(-i Z theta/2). An array of k angles gives a
+    contiguous (k, 2, 2) stack, each matrix with the bytes of its angle's
+    own call."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros(theta.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = np.exp(-0.5j * theta), np.exp(0.5j * theta)
+    return out
 
 
 def initialization_ops(vector) -> tuple[GateOp, ...]:

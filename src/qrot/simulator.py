@@ -37,23 +37,29 @@ Conventions
   running sum of the segments up to its stop. The row of s shots equals
   the histogram of an s-shot job at the same seed, so one job at the
   largest count stands for every smaller one.
-* Every gate is applied by one in-place kernel with no batch axis: on the
+* A ``GateOp`` is applied by one in-place kernel with no batch axis: on the
   slice where each control axis holds its trigger, the target's axis is
   viewed as the middle of (left, 2, right) and multiplied by the 2x2 gate.
-  A circuit is evolved once for all of its bases: ``sample`` keeps the
-  read-only final state of the circuit object it sampled last (the object
-  itself, not an equal one) and applies each basis's change gates to a copy,
-  so a tomography job's X, Y and Z draws share one evolution. A norm drift
-  beyond 1e-10 raises NumericError.
+  A ``BranchRotation`` is one stacked product: the statevector is viewed as
+  (branches, 2, 1), branch b being amplitudes 2b and 2b + 1, and its first
+  k = len(thetas) branches are multiplied by the (k, 2, 2) stack of their
+  gates, built from all k angles at once. Each branch gets the bytes that
+  its own controlled gate gives it. A circuit is evolved once for all of
+  its bases: ``sample`` keeps the read-only final state of the circuit
+  object it sampled last (the object itself, not an equal one) and applies
+  each basis's change gates to a copy, so a tomography job's X, Y and Z
+  draws share one evolution. A norm drift beyond 1e-10 raises NumericError.
 * Gate noise: after each gate, with the configured depolarizing probability
   (``depol_ctrl`` for controlled gates, ``depol_1q`` otherwise), one Pauli
   chosen uniformly from {X, Y, Z} hits the gate's target qubit. That uniform
   Pauli channel is the depolarizing channel rho -> lam rho + (1 - lam) I/2
-  with lam = 1 - 4p/3, which commutes with every gate on its qubit. Under
-  gate noise a circuit (basis-change gates included) must have this shape:
-  a qubit that is ever a control is touched first by an uncontrolled H and
-  afterwards only as a control, so it is read in Z; every other qubit may
-  be a target anywhere. Any other circuit raises DomainError. In that
+  with lam = 1 - 4p/3, which commutes with every gate on its qubit. A
+  ``BranchRotation`` counts as the len(thetas) controlled gates on qubit 0
+  that it stands for. Under gate noise a circuit (basis-change gates
+  included) must have this shape: a qubit that is ever a control is touched
+  first by an uncontrolled H and afterwards only as a control, so it is
+  read in Z; every other qubit may be a target anywhere. Any other circuit
+  raises DomainError. In that
   shape, every gate is block-diagonal in the controls, the Z diagonal of
   each control stays uniform whatever the noise on its H, and each other
   qubit's noise moves to the end of the circuit, where it is a flip of
@@ -75,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, GateOp, _is_int
+from .circuit import BranchRotation, Circuit, GateOp, _is_int
 from .errors import DomainError, NumericError, ShapeError
 from .linalg import PAULI_X
 from .rotation import gate_rx, gate_ry, gate_rz
@@ -213,6 +219,11 @@ def _evolve(state: np.ndarray, ops, n: int) -> np.ndarray:
     NumericError if the norm has drifted beyond 1e-10."""
     t = state.reshape((2,) * n)
     for op in ops:
+        if isinstance(op, BranchRotation):
+            # Branch b is the amplitude pair 2b, 2b + 1; each gets its own 2x2.
+            branches = state.reshape(-1, 2, 1)[:len(op.thetas)]
+            branches[...] = _PARAM_GATES[op.kind](op.thetas) @ branches
+            continue
         index = [slice(None)] * n
         for q, trig in op.controls:
             index[n - 1 - q] = slice(trig, trig + 1)
@@ -375,14 +386,18 @@ def _gate_noise_flips(ops, n: int, noise: NoiseModel) -> np.ndarray:
     """Per-qubit bit-flip probabilities equal to the gate noise of ``ops``
     on the outcome distribution, for the shape in the module docstring;
     raises DomainError for any other circuit."""
-    controls = {q for op in ops for q, _ in op.controls}
+    controls = {q for op in ops for q in op.control_qubits}
     prepared = set()
     lam = np.ones(n)
     for op in ops:
-        in_shape = prepared.issuperset(q for q, _ in op.controls)
+        in_shape = prepared.issuperset(op.control_qubits)
         if op.target in controls:
             in_shape &= op.kind == "H" and not op.controls and op.target not in prepared
             prepared.add(op.target)
+        elif isinstance(op, BranchRotation):
+            # One controlled gate per angle, each factor applied in turn.
+            for _ in op.thetas:
+                lam[op.target] *= 1.0 - 4.0 * noise.depol_ctrl / 3.0
         else:
             p = noise.depol_ctrl if op.controls else noise.depol_1q
             lam[op.target] *= 1.0 - 4.0 * p / 3.0

@@ -156,7 +156,7 @@ def _checked_tally(tally) -> np.ndarray:
     tally = np.asarray(tally)
     if tally.shape[-2:] != (3, 2):
         raise ShapeError(f"expected a (3, 2) tally of bases X, Y, Z, got shape {tally.shape}")
-    if tally.dtype.kind not in "iu" or tally.min() < 0:
+    if tally.dtype.kind not in "iu" or (tally < 0).any():
         raise DomainError(f"tally entries must be nonnegative integers, got {tally.tolist()}")
     return tally
 

@@ -7,7 +7,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from qrot import DomainError, ShotResult, VectorBatch, apply, state_to_bloch, zero_state
+from qrot import (BranchRotation, Circuit, DomainError, GateOp, ShotResult, VectorBatch, apply,
+                  state_to_bloch, zero_state)
 from qrot.linalg import _as_matrix
 from qrot.multirot import build_encoding_circuit, full_circuit
 
@@ -89,3 +90,19 @@ def confuse_readout_unskipped(probs: np.ndarray, flips) -> np.ndarray:
         f = flips[n - 1 - axis]
         t = (1.0 - f) * t + f * np.flip(t, axis)
     return t.reshape(-1)
+
+
+def expand_branch_rotations(circuit: Circuit) -> Circuit:
+    """``circuit`` with each ``BranchRotation`` replaced by the fully controlled
+    ``GateOp``s it stands for: one per angle, in branch order, where the k-th
+    control carries bit k of the branch index. This is the per-index encoding
+    the branch rotations replaced."""
+    ops = []
+    for op in circuit.ops:
+        if not isinstance(op, BranchRotation):
+            ops.append(op)
+            continue
+        for branch, theta in enumerate(op.thetas):
+            triggers = tuple([(q, (branch >> k) & 1) for k, q in enumerate(op.controls)])
+            ops.append(GateOp(op.kind, op.target, theta, triggers))
+    return Circuit(circuit.num_qubits, ops)

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrot import (Circuit, DomainError, RotationSpec, VectorBatch, apply,
+from qrot import (BranchRotation, Circuit, DomainError, RotationSpec, VectorBatch, apply,
                   axis_rotation_sequence, build_encoding_circuit, extract_all,
-                  full_circuit, rodrigues_rotate, zero_state)
+                  full_circuit, rodrigues_rotate, vec_to_angles, zero_state)
+from qrot import multirot, simulator
 from qrot.bloch import angle_between, require_unit
+from qrot.experiments import NOISE_PRESETS
 from qrot.multirot import index_estimate
 
 from conftest import WORKED_AXIS
-from oracles import bitstring_counts, branch_blochs
+from oracles import bitstring_counts, branch_blochs, expand_branch_rotations
+from tiers import dispatch_target, run_at_baseline_tier
 
 
 def unit_rows(rng, p):
@@ -96,22 +99,67 @@ class TestMultiRotationPlan:
             full_circuit(batch, specs)
 
 
+def check_encoding_against_reference(p):
+    """``apply`` and the gate-noise flips of the batch circuits of p vectors
+    equal, in bytes, those of the per-index controlled gates the branch
+    rotations stand for, in branch order and interleaved RY, RZ per index.
+    Rows 1, 5, ... (from 0) are +z, rows 2, 6, ... are -z (phi = 0 at both)
+    and rows 3, 7, ... have a y of -0.0; every p below a power of two leaves
+    unused branches."""
+    vectors = unit_rows(np.random.default_rng(p), p)
+    vectors[1::4], vectors[2::4], vectors[3::4] = (0, 0, 1), (0, 0, -1), (0.6, -0.0, 0.8)
+    batch = VectorBatch(vectors)
+    encoding = build_encoding_circuit(batch)
+    n = encoding.num_qubits
+    per_index = expand_branch_rotations(encoding).ops
+    heads, ry, rz = per_index[:n - 1], per_index[n - 1:n - 1 + p], per_index[n - 1 + p:]
+    interleaved = Circuit(n, heads + tuple(g for pair in zip(ry, rz) for g in pair))
+    full = full_circuit(batch, RotationSpec(WORKED_AXIS, 1.1))
+    basis_ops = tuple(simulator._basis_change_ops(("Y",) + ("Z",) * (n - 1), n))
+    noise = NOISE_PRESETS["nisq-lite"]
+    for circuit, reference in ((encoding, expand_branch_rotations(encoding)),
+                               (encoding, interleaved), (full, expand_branch_rotations(full))):
+        assert apply(circuit, zero_state(n)).tobytes() \
+            == apply(reference, zero_state(n)).tobytes()
+        flips = simulator._gate_noise_flips(circuit.ops + basis_ops, n, noise)
+        assert flips.tobytes() == simulator._gate_noise_flips(reference.ops + basis_ops,
+                                                              n, noise).tobytes()
+
+
+ENCODING_SIZES = (1, 2, 3, 5, 16, 256)
+
+
 class TestEncodingCircuit:
     def test_four_vector_layout(self):
         batch = VectorBatch(unit_rows(np.random.default_rng(3), 4))
         circuit = build_encoding_circuit(batch)
         assert circuit.num_qubits == 3
+        assert len(circuit.ops) == 4
         assert [op.kind for op in circuit.ops[:2]] == ["H", "H"]
         assert [op.target for op in circuit.ops[:2]] == [1, 2]
-        rest = circuit.ops[2:]
-        assert len(rest) == 8
-        assert [op.kind for op in rest] == ["RY", "RZ"] * 4
+        assert all(not op.controls for op in circuit.ops[:2])
+        ry, rz = circuit.ops[2:]
+        assert isinstance(ry, BranchRotation) and isinstance(rz, BranchRotation)
+        assert (ry.kind, rz.kind) == ("RY", "RZ")
+        assert ry.target == rz.target == 0
         # index i sits on the branch spelling i-1 in binary: qubit c holds bit c-1
-        for i0 in range(4):
-            expected = ((1, i0 & 1), (2, (i0 >> 1) & 1))
-            assert rest[2 * i0].controls == expected
-            assert rest[2 * i0 + 1].controls == expected
-            assert rest[2 * i0].target == 0
+        assert ry.controls == rz.controls == (1, 2)
+        angles = [vec_to_angles(v) for v in batch.vectors]
+        assert ry.thetas == tuple(theta for theta, _ in angles)
+        assert rz.thetas == tuple(phi for _, phi in angles)
+
+    @pytest.mark.parametrize("p", ENCODING_SIZES)
+    def test_matches_per_index_gates_in_bytes(self, p):
+        check_encoding_against_reference(p)
+
+    def test_matches_per_index_gates_at_baseline_tier(self):
+        # Each tier compares with its own per-index reference.
+        out = run_at_baseline_tier("import test_multirot as t, tiers\n"
+                                   f"for p in {ENCODING_SIZES}:\n"
+                                   "    t.check_encoding_against_reference(p)\n"
+                                   "print(tiers.dispatch_target())\n")
+        target = out.strip()
+        assert target.startswith("baseline") or target == dispatch_target()
 
     def test_branch_states_match_inputs(self):
         rng = np.random.default_rng(4)
@@ -125,8 +173,8 @@ class TestEncodingCircuit:
 
     def test_single_trivial_vector_keeps_data_qubit_idle(self):
         circuit = build_encoding_circuit(VectorBatch(np.array([0.0, 0.0, 1.0])))
-        rotations = [op for op in circuit.ops if op.kind != "H"]
-        assert all(op.theta == 0.0 for op in rotations)
+        assert [op.kind for op in circuit.ops] == ["H", "RY", "RZ"]
+        assert [op.thetas for op in circuit.ops[1:]] == [(0.0,), (0.0,)]
         state = apply(circuit, zero_state(2))
         expected = np.zeros(4, dtype=complex)
         expected[0] = expected[2] = 1.0 / math.sqrt(2.0)
@@ -187,6 +235,47 @@ class TestExtraction:
     def test_small_batch_rejected(self, worked_spec):
         with pytest.raises(DomainError):
             extract_all(VectorBatch(np.array([1.0, 0.0, 0.0])), worked_spec, 50)
+
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_stacked_readback_equals_index_estimate(self, monkeypatch, worked_spec, mitigate):
+        # One stack mixes every kind of row; extract_all reads each as
+        # index_estimate reads it alone, in bytes, fields and error strings.
+        cal = np.array([[0.9, 0.1], [0.1, 0.9]])
+        rows = np.array([
+            [(200, 40), (300, 100), (250, 150)],      # normal
+            [(0, 0), (30, 10), (0, 0)],               # no samples in X and Z
+            [(50, 50), (40, 40), (70, 70)],           # n0 = n1 in every basis
+            [(20, 4), (30, 10), (25, 15)],            # under-sampled
+            [(90, 110), (0, 0), (120, 80)],           # no samples in Y
+            [(7, 3), (250, 250), (1, 0)],             # directed but under-sampled
+            [(400, 0), (0, 400), (400, 0)],           # unused branches
+            [(1, 1), (1, 1), (1, 1)],
+        ], dtype=np.int64)
+
+        def fake_counts(circuits, shot_grid, noise, cal_seed, mitigate):
+            return (cal[None] if mitigate else None), {0: rows[None]}
+
+        monkeypatch.setattr(multirot, "_grid_counts", fake_counts)
+        batch = VectorBatch(unit_rows(np.random.default_rng(30), 6))
+        out = extract_all(batch, worked_spec, 200, mitigate=mitigate)
+        assert len(out) == 6
+        for k, item in enumerate(out):
+            alone = index_estimate(k + 1, rows[k], cal if mitigate else None)
+            assert (item.index, item.samples, item.under_sampled, item.error) \
+                == (alone.index, alone.samples, alone.under_sampled, alone.error)
+            assert (item.vector is None) == (alone.vector is None)
+            if item.vector is not None:
+                assert item.vector.tobytes() == alone.vector.tobytes()
+        assert [item.error for item in out] == [
+            None, "no samples in basis X,Z", "estimated Bloch vector has no direction", None,
+            "no samples in basis Y", None]
+        assert [item.under_sampled for item in out] == [False, True, False, True, True, True]
+
+    def test_all_rows_without_samples(self, monkeypatch, worked_spec):
+        monkeypatch.setattr(multirot, "_grid_counts",
+                            lambda *args: (None, {0: np.zeros((1, 2, 3, 2), dtype=np.int64)}))
+        out = extract_all(VectorBatch(np.array([1.0, 0.0, 0.0])), worked_spec, 200)
+        assert [(item.vector, item.error) for item in out] == [(None, "no samples in basis X,Y,Z")]
 
     def test_zero_sample_branch_reports_error(self):
         tally = np.array([(0, 0), (30, 10), (25, 15)])

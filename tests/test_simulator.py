@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qrot import (Circuit, DomainError, GateOp, NoiseModel, NumericError,
+from qrot import (BranchRotation, Circuit, DomainError, GateOp, NoiseModel, NumericError,
                   ShapeError, ShotResult, apply, axis_rotation_sequence,
                   calibrate_readout, derive_seed, initialization_ops, process_tomography,
                   rodrigues_rotate, sample, state_to_bloch, zero_state)
@@ -157,6 +157,45 @@ class TestGateOp:
     def test_invalid_gate_rejected(self, kind, theta, controls, match):
         with pytest.raises(DomainError, match=match):
             GateOp(kind, 0, theta, controls)
+
+
+class TestBranchRotation:
+    @pytest.mark.parametrize("width, kind, target, thetas, controls, match", [
+        (3, "RX", 0, (0.1,), (1, 2), "RY or RZ"),
+        (3, "H", 0, (0.1,), (1, 2), "RY or RZ"),
+        (3, "RY", 1, (0.1,), (1, 2), "targets qubit 0"),
+        (3, "RY", True, (0.1,), (1, 2), "targets qubit 0"),
+        (3, "RY", 0, (0.1,), (2, 1), "in order"),
+        (3, "RZ", 0, (0.1,), (1, 3), "in order"),
+        (3, "RY", 0, (0.1,), (True, 2), "in order"),
+        (1, "RY", 0, (0.1,), (), "in order"),
+        (3, "RY", 0, (0.1,) * 5, (1, 2), "5 angles for 4 branches"),
+        (3, "RZ", 0, (0.1, math.nan), (1, 2), "finite"),
+        (3, "RY", 0, (math.inf,), (1, 2), "finite"),
+        (4, "RY", 0, (0.1,), (1, 2), "every qubit but 0"),
+        (2, "RY", 0, (0.1,), (1, 2), "every qubit but 0"),
+    ], ids=["rx", "h", "target-1", "bool-target", "reversed-controls", "gap-in-controls",
+            "bool-control", "no-controls", "too-many-angles", "nan-angle", "infinite-angle",
+            "too-wide", "too-narrow"])
+    def test_malformed_branch_rotation_rejected(self, width, kind, target, thetas, controls,
+                                                match):
+        with pytest.raises(DomainError, match=match):
+            Circuit(width, (BranchRotation(kind, target, thetas, controls),))
+
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    def test_up_to_one_angle_per_branch_accepted(self, count):
+        op = BranchRotation("RZ", 0, [0.5] * count, [1, 2])
+        assert Circuit(3, (op,)).ops == (op,)
+        assert op.thetas == (0.5,) * count and op.controls == (1, 2)
+
+    def test_noisy_sample_needs_prepared_controls(self):
+        noise = NoiseModel(depol_ctrl=0.01)
+        op = BranchRotation("RY", 0, (0.3, 1.2, 2.0), (1, 2))
+        ready = Circuit(3, (GateOp("H", 1), GateOp("H", 2), op))
+        assert sample(ready, ("Z",) * 3, 100, noise).shots == 100
+        for ops in ((GateOp("H", 1), op), (op, GateOp("H", 1), GateOp("H", 2))):
+            with pytest.raises(DomainError, match="uncontrolled H"):
+                sample(Circuit(3, ops), ("Z",) * 3, 100, noise)
 
 
 class TestSample:

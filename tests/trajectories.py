@@ -16,6 +16,8 @@ from qrot import Circuit
 from qrot import simulator
 from qrot.linalg import PAULI_X, PAULI_Y, PAULI_Z
 
+from oracles import expand_branch_rotations
+
 
 def _matmul_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     moved = np.moveaxis(arr, axis, -1)
@@ -78,9 +80,10 @@ def sample_trajectories(ops, n: int, shots: int, noise, rng) -> np.ndarray:
 
 
 def trajectory_hist(circuit: Circuit, basis, shots: int, noise, seed: int) -> np.ndarray:
-    """Outcome histogram of the trajectory sampler, as ``sample`` measures it."""
+    """Outcome histogram of the trajectory sampler, as ``sample`` measures it.
+    Branch rotations run as the controlled gates they stand for."""
     n = circuit.num_qubits
-    ops = list(circuit.ops) + simulator._basis_change_ops(basis, n)
+    ops = list(expand_branch_rotations(circuit).ops) + simulator._basis_change_ops(basis, n)
     rng = simulator._rng(seed)
     outcomes = sample_trajectories(ops, n, shots, noise, rng)
     if noise.readout_flip > 0.0:
