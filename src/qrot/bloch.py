@@ -19,28 +19,14 @@ class SphericalAngles(NamedTuple):
 
 
 def normalize(v):
-    """Return ``(unit_vector, original_norm)``; zero vectors are rejected.
-
-    Callers that accept arbitrary-length vectors normalize explicitly and can
-    use the returned norm to rescale results. Where |v|^2 may leave the normal
-    floats, v is first scaled by an exact power of two.
-    """
+    """Return ``(unit_vector, original_norm)`` of one 3-vector: the one-row
+    case of ``_units``. Callers that accept arbitrary-length vectors
+    normalize explicitly and can use the returned norm to rescale results."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise DomainError(f"expected a 3-vector, got shape {v.shape}")
-    top = float(np.max(np.abs(v)))
-    if not math.isfinite(top):
-        raise DomainError("vector components must be finite")
-    if 2.0**-511 <= top <= 2.0**510:
-        norm = float(np.linalg.norm(v))
-        return v / norm, norm
-    if top == 0.0:
-        raise DomainError("zero vector has no direction")
-    exponent = math.frexp(top)[1]
-    scaled = np.ldexp(v, -exponent)
-    scaled_norm = np.linalg.norm(scaled)
-    with np.errstate(over="ignore"):
-        return scaled / scaled_norm, float(np.ldexp(scaled_norm, exponent))
+    unit, norm = _units(v)
+    return unit, float(norm)
 
 
 def require_unit(v) -> np.ndarray:
@@ -90,10 +76,11 @@ def state_to_bloch(psi) -> np.ndarray:
 
 
 def _units(v):
-    """``normalize`` of each 3-vector of a (..., 3) stack: (units, norms), the
-    same bytes row by row. Where a row's largest component lies outside
-    [2^-511, 2^510], the rows are scaled by exact powers of two first;
-    ``ldexp`` by 0 leaves the rows inside as they are."""
+    """The normalizer: (units, norms) of each 3-vector of a (..., 3) stack,
+    each row the bytes it gets alone; zero and non-finite rows are rejected.
+    Where a row's largest component lies outside [2^-511, 2^510], the rows
+    are scaled by exact powers of two first; ``ldexp`` by 0 leaves the rows
+    inside as they are."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (3,):
         raise DomainError(f"expected a 3-vector, got shape {v.shape}")

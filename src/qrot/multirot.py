@@ -29,8 +29,7 @@ from .circuit import MAX_QUBITS, BranchRotation, Circuit, GateOp
 from .errors import DomainError, ShapeError
 from .rotation import RotationSpec, axis_rotation_sequence
 from .simulator import BASIS_LABELS, NoiseModel, derive_seed
-from .linalg import row_dot
-from .tomography import MIN_BLOCH_NORM, _bloch_vectors, _checked_tally, _grid_counts
+from .tomography import MIN_BLOCH_NORM, _checked_tally, _grid_counts, _state_estimates
 
 # Below this many samples in a basis, expectation estimates have standard
 # error above 0.2 and the per-index tomography is not meaningful.
@@ -71,8 +70,8 @@ class VectorBatch:
 
 
 def _all_unit(v: np.ndarray) -> bool:
-    """``require_unit`` of every row of a (p, 3) stack in one pass: the
-    norms of ``bloch._units`` are those of ``normalize``, row by row."""
+    """``require_unit`` of every row of a (p, 3) stack in one pass, since
+    ``normalize`` is the one-row case of ``bloch._units``."""
     try:
         _, norms = _units(v)
     except DomainError:
@@ -153,12 +152,11 @@ def index_estimate(index: int, tally, cal=None) -> ExtractedVector:
 
 def _index_estimates(indices, tallies, cal=None) -> list[ExtractedVector]:
     """``index_estimate`` of each (3, 2) tally of a checked (k, 3, 2) stack,
-    with the matching one of ``indices``: one ``_bloch_vectors`` call and one
-    norm over the rows with no empty basis. Each row gets the bytes it gets
-    alone."""
+    with the matching one of ``indices``: r and |r| from one
+    ``tomography._state_estimates`` call over the rows with no empty basis.
+    Each row gets the bytes it gets alone."""
     totals = tallies.sum(axis=-1)
-    r = _bloch_vectors(tallies[(totals > 0).all(axis=-1)], cal)
-    norm = np.sqrt(row_dot(r, r))
+    r, _, norm = _state_estimates(tallies[(totals > 0).all(axis=-1)], cal)
     directed = norm >= MIN_BLOCH_NORM
     # A row with no direction is divided by 1 and dropped.
     estimates = zip(r / np.where(directed, norm, 1.0)[:, None], directed.tolist())

@@ -75,7 +75,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -341,25 +340,17 @@ def _bucket_tally(cum: np.ndarray):
 
 
 def _chunks(stops):
-    """The chunks of at most ``SAMPLE_CHUNK`` shots of a draw of
-    ``stops[-1]`` shots, in order, made as the draw reaches them; ``stops``
-    are sorted distinct positive ints. A chunk is (row, lengths): the stops
-    strictly inside it cut it into segments of ``lengths`` shots, and its
-    first segment's shots are those up to ``stops[row]``, the next
-    segment's up to ``stops[row + 1]``, and so on."""
+    """The chunks of a draw of ``stops[-1]`` shots, in order, made as the
+    draw reaches them; ``stops`` are sorted distinct positive ints. Every
+    chunk but the last holds ``SAMPLE_CHUNK`` shots. A chunk is (row,
+    lengths): the stops strictly inside it cut it into segments of
+    ``lengths`` shots, and its first segment's shots are those up to
+    ``stops[row]``, the next segment's up to ``stops[row + 1]``, and so on."""
     shots = stops[-1]
     row = start = 0
     while start < shots:
-        # The uncut chunks up to stop ``row`` share one (row, lengths) pair,
-        # so a long draw makes no object per chunk.
-        whole = (stops[row] - start) // SAMPLE_CHUNK
-        yield from itertools.repeat((row, (SAMPLE_CHUNK,)), whole)
-        start += whole * SAMPLE_CHUNK
-        if start == stops[row]:
-            row += 1
-            continue
         end = min(start + SAMPLE_CHUNK, shots)
-        first, lengths = row, [stops[row] - start]
+        first, lengths = row, [min(stops[row], end) - start]
         while stops[row] < end:
             row += 1
             lengths.append(min(stops[row], end) - stops[row - 1])

@@ -1,14 +1,36 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from qrot import DomainError, angle_between, normalize, state_to_bloch, vec_to_angles
-from qrot.bloch import require_unit
+from qrot.bloch import _units, require_unit
 from qrot.rotation import gate_ry, gate_rz
 
 from conftest import WORKED_AXIS, WORKED_VECTOR, random_unit
 from oracles import angles_to_vec
+from tiers import run_at_baseline_tier
+
+
+def check_normalize_against_units() -> str:
+    """Assert that ``normalize`` of each row of a stack from 1e-320 to 1e308,
+    zero components and -0.0 among them, equals that row of one ``_units``
+    call in bytes; return the sha256 of those bytes."""
+    rng = np.random.default_rng(21)
+    # Scaled by exact powers of two, 2^-1063 ~ 1e-320 to 2^1023 ~ 1e308, so
+    # the inputs do not depend on the tier's power kernel.
+    v = np.ldexp(rng.uniform(-1.0, 1.0, size=(4000, 3)),
+                 rng.integers(-1063, 1024, size=(4000, 1)))
+    v[rng.random(v.shape) < 0.1] = 0.0
+    v[rng.random(v.shape) < 0.05] = -0.0
+    v = v[np.abs(v).max(axis=1) > 0.0]
+    units, norms = _units(v)
+    for row, unit_k, norm_k in zip(v, units, norms):
+        unit, norm = normalize(row)
+        assert unit.tobytes() == unit_k.tobytes()
+        assert np.float64(norm).tobytes() == norm_k.tobytes()
+    return hashlib.sha256(units.tobytes() + norms.tobytes()).hexdigest()
 
 
 class TestVecToAngles:
@@ -191,3 +213,9 @@ class TestNormalize:
             unit, norm = normalize(v)
             assert norm == np.linalg.norm(v)
             assert np.array_equal(unit, v / np.linalg.norm(v))
+        check_normalize_against_units()
+
+    def test_ordinary_inputs_keep_their_bits_at_baseline_tier(self):
+        out = run_at_baseline_tier("import test_bloch as t\n"
+                                   "print(t.check_normalize_against_units())\n")
+        assert out.strip() == check_normalize_against_units()

@@ -6,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from qrot import cli, tomography
 from qrot.bloch import normalize
 from qrot.circuit import MAX_QUBITS
 from qrot.cli import MAX_BATCH_VECTORS, main
+from qrot.experiments import MAX_SWEEP_RECORDS
 from qrot.multirot import VectorBatch
 
 
@@ -209,6 +211,28 @@ class TestSweepCommand:
                            "--backends", "noiseless", "--out", str(tmp_path / "s.csv"))
         assert code == 2
         assert "invalid shot grid" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("size", [
+        # 10**12 grid points would reach np.geomspace as 8 TB.
+        ("--shots-max", "2000000000000", "--points", "1000000000000"),
+        # 10**12 trials of the default grid would reach the draws.
+        ("--trials", "1000000000000")])
+    def test_oversized_sweep_is_usage_error(self, capsys, tmp_path, monkeypatch, size):
+        calls = []
+        monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "sweep", *size, "--backends", "noiseless",
+                                 "--out", str(tmp_path / "s.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert f"the {MAX_SWEEP_RECORDS} records" in err
+        assert calls == []
+        assert peak < 2**20, f"peaked at {peak / 2**20:.1f} MiB"
         assert not (tmp_path / "s.csv").exists()
 
 

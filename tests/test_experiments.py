@@ -73,6 +73,21 @@ def test_grid_point_below_min_shots_rejected(monkeypatch):
     assert calls == []
 
 
+def test_sweep_size_is_bounded_before_any_draw(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))
+    points = experiments.MAX_SWEEP_RECORDS // 2
+    assert log_shot_grid(1, 10**6, points)[-1] == 10**6
+    with pytest.raises(DomainError, match="records"):
+        log_shot_grid(1, 10**6, points + 1)
+    # Repeated grid points make records too.
+    with pytest.raises(DomainError, match="records"):
+        sweep_records(["noiseless", "nisq-lite"], 1, [1000] * (points // 2 + 1))
+    with pytest.raises(DomainError, match="records"):
+        sweep_records(["noiseless"], points + 1, [1000])
+    assert calls == []
+
+
 def reference_entries(batch, rotation, extracted):
     """``multi_report``'s entries computed one index at a time."""
     entries = []

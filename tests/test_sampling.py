@@ -329,7 +329,9 @@ def test_chunks_never_yield_an_empty_segment(shots, cuts, chunk):
     with mock.patch.object(simulator, "SAMPLE_CHUNK", chunk):
         chunks = list(simulator._chunks(stops))
     assert all(0 < length for _, lengths in chunks for length in lengths)
-    assert all(sum(lengths) <= chunk for _, lengths in chunks)
+    # A full chunk is one Generator call of SAMPLE_CHUNK uniforms.
+    assert all(sum(lengths) == chunk for _, lengths in chunks[:-1])
+    assert 0 < sum(chunks[-1][1]) <= chunk
     # Segments run stop to stop, so their running total meets every stop.
     ends, total = [], 0
     for row, lengths in chunks:
