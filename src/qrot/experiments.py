@@ -47,19 +47,19 @@ class SweepRecord:
 
 def log_shot_grid(lo: int = DEFAULT_SHOT_RANGE[0], hi: int = DEFAULT_SHOT_RANGE[1],
                   points: int = DEFAULT_GRID_POINTS) -> list[int]:
-    """Logarithmically spaced integer shot counts, duplicates removed. More
-    points than the hi - lo + 1 integers in the range, or than
-    ``MAX_SWEEP_RECORDS`` allows one backend and trial, are rejected before
-    anything is allocated."""
+    """Logarithmically spaced integer shot counts in [lo, hi], sorted with
+    duplicates removed. More points than the hi - lo + 1 integers in the
+    range, or than ``MAX_SWEEP_RECORDS`` allows one backend and trial, and
+    hi above 2**53, past which float64 skips integers, are rejected before
+    anything is allocated. Near 2**53 a rounded grid value may pass its
+    neighbour or leave the range, so the grid is clipped and sorted."""
     if lo < 1 or hi < lo or not 1 <= points <= hi - lo + 1:
         raise DomainError(f"invalid shot grid ({lo}, {hi}, {points})")
+    if hi > 2**53:
+        raise DomainError(f"shot grid must end at most at 2**53 = {2**53}, got {hi}")
     _check_sweep_size(1, 1, points)
-    grid = np.rint(np.geomspace(lo, hi, points)).astype(int)
-    out: list[int] = []
-    for s in grid:
-        if not out or s != out[-1]:
-            out.append(int(s))
-    return out
+    grid = np.rint(np.geomspace(lo, hi, points)).astype(np.int64)
+    return np.unique(np.clip(grid, lo, hi)).tolist()
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:

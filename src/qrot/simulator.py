@@ -18,25 +18,22 @@ Conventions
   ``_COMPARE_MAX`` outcomes, each cum value is compared with the whole
   chunk once: the shots at or above cum[j] are those that read outcome
   j + 1 or above, and the histogram is the difference of those counts. A
-  larger job splits [0, 1) into K = 8 * 2^n buckets of width 1/K. A
-  bucket that no cum value lies strictly inside is pure: all of its shots
-  read one outcome, which a table made once per job gives them. Only shots
-  in the other buckets, at most 2^n of the K, are looked up in cum one by
-  one. K is a power of two, so u * K and cum * K are exact. A chunk's
-  outcomes are counted as soon as they are read and never kept. Memory is
-  therefore independent of the shot count (chunk ends are made as the draw
-  reaches them), merged counts do not depend on how shots are chunked, and
-  an s-shot job's outcomes are the first s outcomes of any larger job at
-  the same seed, with or without noise.
+  larger job sorts the chunk's uniforms in place and counts, by binary
+  search, those below each cum value; the histogram is again the
+  difference of those counts. A chunk's outcomes are counted as soon as
+  they are read and never kept. Memory is therefore independent of the
+  shot count (chunk ends are made as the draw reaches them), merged counts
+  do not depend on how shots are chunked, and an s-shot job's outcomes are
+  the first s outcomes of any larger job at the same seed, with or without
+  noise.
 * A job may name ``checkpoints``: shot counts whose running histograms it
   keeps besides the whole job's. The draw stops at each of them and at the
   job's shot count, and ``ShotResult.table`` holds one row per stop, all
   tallied in the same pass over the draw. A chunk that stops cut is still
-  drawn by one Generator call; each of its shots gets its outcome and is
-  counted in the segment between stops that holds it, and each row is the
-  running sum of the segments up to its stop. The row of s shots equals
-  the histogram of an s-shot job at the same seed, so one job at the
-  largest count stands for every smaller one.
+  drawn by one Generator call; each segment between stops is counted on
+  its own, and each row is the running sum of the segments up to its
+  stop. The row of s shots equals the histogram of an s-shot job at the
+  same seed, so one job at the largest count stands for every smaller one.
 * A ``GateOp`` is applied by one in-place kernel with no batch axis: on the
   slice where each control axis holds its trigger, the target's axis is
   viewed as the middle of (left, 2, right) and multiplied by the 2x2 gate.
@@ -89,14 +86,13 @@ _MASK64 = (1 << 64) - 1
 
 # Shots drawn and tallied at a time.
 SAMPLE_CHUNK = 1 << 16
-# Outcome spaces up to this size are tallied by comparison, larger ones
-# through buckets. Comparison makes one pass over the chunk per outcome,
-# the buckets about six whatever the size; per 20,000-shot draw with 19
-# checkpoints the two cost the same at 16 outcomes.
+# Outcome spaces up to this size are tallied by comparison, larger ones by
+# sorting. Comparison makes one pass over the chunk per outcome; sorting
+# costs the same whatever the size. Per 20,000-shot draw (Xeon, numpy 2.4
+# at its AVX2 tier) comparison took 30/65/137 us at 2/4/8 outcomes and
+# sorting 125 us; cut by a sweep's 19 checkpoints, 35/70/145 us against
+# 220 us. The two cost the same at about 8 outcomes uncut and 16 cut.
 _COMPARE_MAX = 8
-# Tally buckets per outcome. More buckets leave fewer shots in mixed
-# buckets to look up; this many cost a bool and an int64 per bucket.
-_BUCKETS_PER_OUTCOME = 8
 
 _CONST_GATES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
@@ -269,11 +265,11 @@ def _tallies(probs: np.ndarray, stops, rng: np.random.Generator) -> np.ndarray:
 
     Each chunk adds its segments' histograms to their rows of the table,
     through ``_compare_tally`` for dim up to ``_COMPARE_MAX`` and
-    ``_bucket_tally`` above it; a running sum over the rows at the end turns
+    ``_sort_tally`` above it; a running sum over the rows at the end turns
     each into the histogram up to its stop."""
     # Dropping the last cum value clamps every count to dim - 1.
     cum = np.cumsum(probs / probs.sum())[:-1]
-    tally = _compare_tally(cum) if probs.size <= _COMPARE_MAX else _bucket_tally(cum)
+    tally = _compare_tally(cum) if probs.size <= _COMPARE_MAX else _sort_tally(cum)
     counts = np.zeros((len(stops), probs.size), dtype=np.int64)
     for row, lengths in _chunks(stops):
         tally(rng.random(sum(lengths)), lengths, counts[row:row + len(lengths)])
@@ -300,41 +296,25 @@ def _compare_tally(cum: np.ndarray):
     return tally
 
 
-def _bucket_tally(cum: np.ndarray):
+def _sort_tally(cum: np.ndarray):
     """The per-chunk kernel of ``_tallies`` for a large outcome space. Each
-    shot finds its outcome through buckets [k/K, (k+1)/K), K the power of
-    two of at least ``_BUCKETS_PER_OUTCOME`` * dim, so scaling cum and u by
-    K is exact. A bucket is pure when no cum value lies strictly inside it:
-    every u in it reads the same outcome, which one table made per job
-    holds. Only the uniforms in the other, mixed buckets are looked up in
-    cum one by one. An uncut chunk is counted by one bincount over
-    outcomes; a chunk that stops cut into segments counts each shot in its
-    segment's row."""
-    dim = cum.size + 1
-    k_buckets = _BUCKETS_PER_OUTCOME << (dim - 1).bit_length()
-    cum = cum * k_buckets
-    whole = np.floor(cum)
-    mixed = np.zeros(k_buckets, dtype=bool)
-    mixed[whole[(cum != whole) & (cum < k_buckets)].astype(np.intp)] = True
-    # A pure bucket k reads #{cum <= k}, the number of ceil(cum) <= k.
-    owner = np.cumsum(np.bincount(np.ceil(cum).astype(np.intp),
-                                  minlength=k_buckets)[:k_buckets])
+    segment of the chunk is sorted in place, and ``searchsorted`` counts its
+    uniforms below each cum value and below infinity: below[j] = #{u <
+    cum[j]}, the shots that read outcome j or less, and below[-1] the
+    segment's length. The segment's histogram is the difference of those
+    counts. Sorting and comparing are exact, so these are the counts of a
+    lookup per shot."""
+    ends = np.append(cum, np.inf)
 
-    # One chunk per call, so that its arrays are freed before the next draw.
     def tally(u, lengths, out):
-        u *= k_buckets
-        bucket = u.astype(np.intp)
-        at_mixed = np.flatnonzero(mixed[bucket])
-        mixed_u = u[at_mixed]
-        del u
-        # mode="clip" writes in place; the default buffers a copy of ``out``.
-        outcome = np.take(owner, bucket, out=bucket, mode="clip")
-        outcome[at_mixed] = np.searchsorted(cum, mixed_u, side="right")
-        if len(lengths) == 1:
-            out[0] += np.bincount(outcome, minlength=dim)
-            return
-        outcome += np.repeat(np.arange(0, len(lengths) * dim, dim), lengths)
-        np.add.at(out.reshape(-1), outcome, 1)
+        start = 0
+        for row, length in zip(out, lengths):
+            segment = u[start:start + length]
+            segment.sort()
+            below = np.searchsorted(segment, ends)
+            row += below
+            row[1:] -= below[:-1]
+            start += length
 
     return tally
 

@@ -7,6 +7,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,20 @@ class TestSweepCommand:
         assert f"the {MAX_SWEEP_RECORDS} records" in err
         assert calls == []
         assert peak < 2**20, f"peaked at {peak / 2**20:.1f} MiB"
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("shots_max", [str(2**53 + 1), str(2**63 - 1), "1" + "0" * 30])
+    def test_shot_grid_past_float64_integers_is_usage_error(self, capsys, tmp_path, shots_max):
+        # Past 2**53 the float64 grid would lose integers, overflow int64 or
+        # fail to convert at all.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sweep", "--shots-min", "200", "--shots-max", shots_max,
+                                 "--points", "3", "--trials", "1", "--backends", "noiseless",
+                                 "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "2**53" in err
         assert not (tmp_path / "s.csv").exists()
 
 

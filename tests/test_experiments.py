@@ -88,6 +88,17 @@ def test_sweep_size_is_bounded_before_any_draw(monkeypatch):
     assert calls == []
 
 
+def test_shot_grid_ends_at_most_at_two_to_the_53():
+    # float64 holds every integer up to 2**53, and geomspace computes in float64.
+    assert log_shot_grid(200, 2**53, 3)[-1] == 2**53
+    for hi in (2**53 + 1, 2**63 - 1, 10**30):
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            log_shot_grid(200, hi, 3)
+    # Near 2**53 a grid value may round past its neighbour or out of range.
+    grid = log_shot_grid(2**53 - 9, 2**53, 10)
+    assert grid == sorted(set(grid)) and grid[0] == 2**53 - 9 and grid[-1] == 2**53
+
+
 def reference_entries(batch, rotation, extracted):
     """``multi_report``'s entries computed one index at a time."""
     entries = []

@@ -5,6 +5,7 @@ Noiseless and readout-only jobs range over all circuits (``jobs``); jobs
 under gate noise range over the shape that ``sample`` accepts there
 (``shaped_jobs``)."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -24,6 +25,7 @@ from qrot.experiments import NOISE_PRESETS
 from qrot.linalg import PAULI_X, PAULI_Y, PAULI_Z
 
 from oracles import confuse_readout_unskipped
+from tiers import dispatch_target, run_at_baseline_tier
 from trajectories import trajectory_hist
 
 _BASIS_OPS = {"X": (("H", 0.0),), "Y": (("RZ", -math.pi / 2.0), ("H", 0.0)), "Z": ()}
@@ -194,13 +196,13 @@ def assert_tallies_exact(probs, u, edges):
 @st.composite
 def tally_cases(draw):
     """Hand-built outcome probabilities with runs of zeros, and uniforms
-    that sit on every dyadic edge j / 2^16 (so on each bucket edge k/K of
-    any K <= 2^16), on cum values and just below them, or anywhere. Weights
-    of 0, 1 or 2 padded to a power-of-two total T <= 2^16 put every cum
-    value on a bucket edge too; a last weight of 1 puts cum[-2] on
-    (T - 1) / T, the lower edge of the top bucket when T = K. The sizes
-    drawn include both sides of the crossover between the compare and
-    bucket kernels."""
+    that sit on dyadic points j / 2^16, on cum values and just below them,
+    or anywhere. Weights of 0, 1 or 2 padded to a power-of-two total
+    T <= 2^16 put every cum value on a dyadic point too, so that uniforms
+    equal to cum values test which side of each comparison counts them; a
+    last weight of 1 puts cum[-2] on (T - 1) / T. Dyadic uniforms repeat,
+    so the sort kernel also meets ties. The sizes drawn include both sides
+    of the crossover between the compare and sort kernels."""
     dim = draw(st.one_of(st.sampled_from([2, simulator._COMPARE_MAX,
                                           simulator._COMPARE_MAX + 1, 4096]),
                          st.integers(2, 300)))
@@ -258,7 +260,7 @@ def test_counts_match_broadcast_sampler(case, shots, seed):
 
 
 # One-qubit jobs, so that chunks of 1 and 7 shots go through the compare
-# kernel; the drawn jobs reach it up to three qubits and the buckets above.
+# kernel; the drawn jobs reach it up to three qubits and the sort kernel above.
 _ONE_QUBIT = (Circuit(1, (GateOp("RY", 0, 1.1),)), ("X",))
 
 
@@ -490,6 +492,32 @@ def test_several_default_chunks_with_readout_flips():
                           expected)
 
 
+def tier_tables() -> str:
+    """The sha256 of the count tables of a 512-outcome job, noiseless and
+    under nisq-lite, and of a 2-outcome job, each over two full chunks and a
+    short one, with checkpoints that cut both full chunks."""
+    digest = hashlib.sha256()
+    shots = 2 * simulator.SAMPLE_CHUNK + 5
+    checkpoints = (1, 1000, 65535, 65537, 100000)
+    circuit = _batch_circuit(256, 9)
+    for noise in (simulator.NOISELESS, NOISE_PRESETS["nisq-lite"]):
+        digest.update(sample(circuit, ("Y",) + ("Z",) * 8, shots, noise, 12,
+                             checkpoints=checkpoints).table.tobytes())
+    digest.update(sample(*_ONE_QUBIT, shots, seed=13, checkpoints=checkpoints).table.tobytes())
+    return digest.hexdigest()
+
+
+def test_tables_match_at_baseline_tier():
+    # numpy sorts and compares with other kernels at each SIMD tier; the
+    # counts of a lookup per shot must not depend on which.
+    out = run_at_baseline_tier("import test_sampling as t, tiers\n"
+                               "print(t.tier_tables())\n"
+                               "print(tiers.dispatch_target())\n")
+    tables, target = out.split()
+    assert target.startswith("baseline") or target == dispatch_target()
+    assert tables == tier_tables()
+
+
 def test_noiseless_sample_memory_does_not_grow_with_shots():
     circuit = _batch_circuit(256, 5)
     basis = ("X",) + ("Z",) * 8
@@ -524,8 +552,9 @@ def test_noisy_cli_maximum_sample_memory_bound():
 
 def test_noiseless_full_chunk_sample_memory_bound():
     # The widest circuit at more than two full SAMPLE_CHUNK draws: the
-    # bucket table and the chunk's temporaries must stay within the peak of
-    # the per-shot lookup they replaced, 1,709,803 bytes on this job.
+    # chunk's uniforms, sorted in place, and the kernel's temporaries must
+    # stay within the peak of an earlier per-shot lookup, 1,709,803 bytes
+    # on this job. Measured peak: 758,051 bytes.
     circuit = _batch_circuit(2048, 6)
     basis = ("X",) + ("Z",) * 11
     shots = 2 * simulator.SAMPLE_CHUNK + 5
@@ -543,7 +572,9 @@ def test_checkpoint_sample_memory_bound():
     # The job above with 32 checkpoints inside its first chunk: on top of
     # that job's bound, it may hold the 32 rows of its prefix table and
     # nothing more, 1,048,576 + 1,709,803 bytes. The table's 33rd row is the
-    # histogram that the job above holds too.
+    # histogram that the job above holds too. Each segment is counted into
+    # its own row, with no segments x outcomes array; measured peak:
+    # 2,398,552 bytes.
     circuit = _batch_circuit(2048, 6)
     basis = ("X",) + ("Z",) * 11
     shots = 2 * simulator.SAMPLE_CHUNK + 5
@@ -561,7 +592,7 @@ def test_checkpoint_sample_memory_bound():
 def test_one_qubit_checkpoint_sample_memory_bound():
     # A sweep-shaped draw through the compare kernel: one qubit, more than
     # two full SAMPLE_CHUNK draws and 19 checkpoints cutting both full chunks.
-    # It must peak no higher than the bucket kernel it replaced on this job,
+    # It must peak no higher than an earlier per-shot lookup on this job,
     # 1,151,400 bytes; the compare kernel peaks at 1,119,699 (a chunk of
     # uniforms, its comparison mask, and reduceat's int64 cast of the mask).
     # A one-shot draw first loads what numpy imports on its first Generator.
@@ -580,10 +611,10 @@ def test_one_qubit_checkpoint_sample_memory_bound():
 
 
 def test_chunk_ends_are_made_as_drawn(monkeypatch):
-    # 10**11 shots end 1.5 million chunks; listing those ends before the first
-    # draw held about 134 MB. The stub consumes the chunks and credits every
-    # shot drawn to the last stop, so the peak is what sample holds besides
-    # draws.
+    # 10**10 shots end 152,588 chunks; a _chunks that lists them all before
+    # the first draw peaks at 23,925,330 bytes. The stub consumes the
+    # chunks and credits every shot drawn to the last stop, so the peak is
+    # what sample holds besides draws.
     def consume_chunks(probs, stops, rng):
         counts = np.zeros((len(stops), probs.size), dtype=np.int64)
         chunks = simulator._chunks(stops)
@@ -591,7 +622,7 @@ def test_chunk_ends_are_made_as_drawn(monkeypatch):
         return counts
 
     monkeypatch.setattr(simulator, "_tallies", consume_chunks)
-    shots = 10**11
+    shots = 10**10
     tracemalloc.start()
     try:
         res = sample(Circuit(1), ("Z",), shots, seed=5)
