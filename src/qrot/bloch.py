@@ -78,21 +78,19 @@ def state_to_bloch(psi) -> np.ndarray:
 def _units(v):
     """The normalizer: (units, norms) of each 3-vector of a (..., 3) stack,
     each row the bytes it gets alone; zero and non-finite rows are rejected.
-    Where a row's largest component lies outside [2^-511, 2^510], the rows
-    are scaled by exact powers of two first; ``ldexp`` by 0 leaves the rows
-    inside as they are."""
+    Every row is scaled by an exact power of two before its norm is taken:
+    a row whose largest component lies outside [2^-511, 2^510] by 2^-e, e
+    being that component's binary exponent, and every other row by 2^0,
+    which ``ldexp`` returns unchanged."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (3,):
         raise DomainError(f"expected a 3-vector, got shape {v.shape}")
     top = np.abs(v).max(axis=-1)
     if not np.isfinite(top).all():
         raise DomainError("vector components must be finite")
-    inside = (top >= 2.0**-511) & (top <= 2.0**510)
-    if inside.all():
-        norm = np.sqrt(row_dot(v, v))
-        return v / norm[..., None], norm
     if (top == 0.0).any():
         raise DomainError("zero vector has no direction")
+    inside = (top >= 2.0**-511) & (top <= 2.0**510)
     exponent = np.where(inside, 0, np.frexp(top)[1])
     scaled = np.ldexp(v, -exponent[..., None])
     scaled_norm = np.sqrt(row_dot(scaled, scaled))

@@ -60,15 +60,13 @@ def _parse_noise(text: str) -> NoiseModel:
         f"{sorted(experiments.NOISE_PRESETS)} or a depol_1q,depol_ctrl,readout_flip triple")
 
 
-def _unit_axis(text: str) -> np.ndarray:
-    axis, norm = normalize(_parse_triple(text, "axis"))
+def _spec(args) -> RotationSpec:
+    """The rotation that --axis, --angle and --degrees name; prints a note
+    when the axis is normalized."""
+    axis, norm = normalize(_parse_triple(args.axis, "axis"))
     if abs(norm - 1.0) > 1e-9:
         print(f"note: axis normalized from length {norm:.6g}")
-    return axis
-
-
-def _angle_radians(args) -> float:
-    return math.radians(args.angle) if args.degrees else float(args.angle)
+    return RotationSpec(axis, math.radians(args.angle) if args.degrees else float(args.angle))
 
 
 def _fmt_vec(v) -> str:
@@ -86,6 +84,12 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_json(path: str, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _add_rotation(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--axis", required=True, help="rotation axis x,y,z")
+    parser.add_argument("--angle", type=float, required=True, help="rotation angle")
+    parser.add_argument("--degrees", action="store_true", help="angle is in degrees")
 
 
 def _add_common(parser: argparse.ArgumentParser, shots_default: int | None) -> None:
@@ -108,19 +112,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_erp = sub.add_parser("erp", help="Euler-Rodrigues parameters of a rotation")
-    p_erp.add_argument("--axis", required=True, help="rotation axis x,y,z")
-    p_erp.add_argument("--angle", type=float, required=True, help="rotation angle")
-    p_erp.add_argument("--degrees", action="store_true", help="angle is in degrees")
+    p_erp.set_defaults(run=cmd_erp)
+    _add_rotation(p_erp)
     _add_common(p_erp, shots_default=None)
 
     p_rot = sub.add_parser("rotate", help="rotate one vector and extract it")
-    p_rot.add_argument("--axis", required=True, help="rotation axis x,y,z")
-    p_rot.add_argument("--angle", type=float, required=True, help="rotation angle")
-    p_rot.add_argument("--degrees", action="store_true", help="angle is in degrees")
+    p_rot.set_defaults(run=cmd_rotate)
+    _add_rotation(p_rot)
     p_rot.add_argument("--vector", required=True, help="vector to rotate x,y,z")
     _add_common(p_rot, shots_default=20000)
 
     p_sweep = sub.add_parser("sweep", help="fidelity/angle curves vs shots (CSV)")
+    p_sweep.set_defaults(run=cmd_sweep)
     p_sweep.add_argument("--trials", type=int, default=experiments.DEFAULT_TRIALS)
     p_sweep.add_argument("--points", type=int, default=experiments.DEFAULT_GRID_POINTS)
     p_sweep.add_argument("--shots-min", type=int, default=experiments.DEFAULT_SHOT_RANGE[0])
@@ -133,21 +136,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="sweep.csv")
 
     p_multi = sub.add_parser("multi", help="rotate a batch of vectors in superposition")
+    p_multi.set_defaults(run=cmd_multi)
     p_multi.add_argument("--vectors", required=True,
                          help="JSON file with an array of [x, y, z] triples")
-    p_multi.add_argument("--axis", required=True, help="rotation axis x,y,z")
-    p_multi.add_argument("--angle", type=float, required=True, help="rotation angle")
-    p_multi.add_argument("--degrees", action="store_true", help="angle is in degrees")
+    _add_rotation(p_multi)
     _add_common(p_multi, shots_default=20000)
 
     p_ex = sub.add_parser("example", help="run the worked demonstration")
+    p_ex.set_defaults(run=cmd_example)
     _add_common(p_ex, shots_default=20000)
 
     return parser
 
 
-def cmd_erp(args) -> int:
-    spec = RotationSpec(_unit_axis(args.axis), _angle_radians(args))
+def cmd_erp(args) -> dict:
+    spec = _spec(args)
     noise = _parse_noise(args.noise)
     report = experiments.erp_report(spec, args.shots, noise, args.seed, args.mitigate)
     print(f"axis: {_fmt_vec(spec.axis)}  angle: {spec.angle_r:.6f} rad "
@@ -158,13 +161,11 @@ def cmd_erp(args) -> int:
         print(f"euler-rodrigues (tomography): {_fmt_erp(report['tomography'])}")
         print("delta vs classical:           "
               + "  ".join(f"d{n}={v:+.6f}" for n, v in zip("abcd", report["delta"])))
-    if args.out:
-        _write_json(args.out, report)
-    return 0
+    return report
 
 
-def cmd_rotate(args) -> int:
-    spec = RotationSpec(_unit_axis(args.axis), _angle_radians(args))
+def cmd_rotate(args) -> dict:
+    spec = _spec(args)
     vector, norm = normalize(_parse_triple(args.vector, "vector"))
     if abs(norm - 1.0) > 1e-9:
         print(f"warning: input vector normalized from length {norm:.6g}")
@@ -178,12 +179,10 @@ def cmd_rotate(args) -> int:
     print(f"tomography estimate: {_fmt_vec(report['extracted'])}  "
           f"[shots={args.shots}]")
     print(f"angle difference: {report['angle_deg']:.6f} deg")
-    if args.out:
-        _write_json(args.out, report)
-    return 0
+    return report
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     if not backends:
         raise DomainError("--backends names no backend")
@@ -203,7 +202,6 @@ def cmd_sweep(args) -> int:
         med = experiments.median_by_shots(records, "gate_fidelity", backend)
         top = max(med)
         print(f"{backend}: median gate fidelity {med[top]:.6f} at {top} shots")
-    return 0
 
 
 def _load_vectors(path: str):
@@ -251,9 +249,9 @@ def _load_vectors(path: str):
     return units
 
 
-def cmd_multi(args) -> int:
+def cmd_multi(args) -> dict:
     vectors = _load_vectors(args.vectors)
-    spec = RotationSpec(_unit_axis(args.axis), _angle_radians(args))
+    spec = _spec(args)
     noise = _parse_noise(args.noise)
     batch = VectorBatch(vectors)
     entries = experiments.multi_report(batch, spec, args.shots, noise, args.seed,
@@ -268,16 +266,13 @@ def cmd_multi(args) -> int:
             print(f"  #{e['index']}: {_fmt_vec(e['extracted'])} vs oracle "
                   f"{_fmt_vec(e['oracle'])}  diff {e['angle_deg']:.4f} deg "
                   f"({e['samples']} samples){flag}")
-    if args.out:
-        _write_json(args.out, {"rotation": {"axis": [float(x) for x in spec.axis],
-                                            "angle_r": spec.angle_r},
-                               "shots_per_vector": args.shots,
-                               "seed": args.seed,
-                               "vectors": entries})
-    return 0
+    return {"rotation": {"axis": [float(x) for x in spec.axis], "angle_r": spec.angle_r},
+            "shots_per_vector": args.shots,
+            "seed": args.seed,
+            "vectors": entries}
 
 
-def cmd_example(args) -> int:
+def cmd_example(args) -> dict:
     noise = _parse_noise(args.noise)
     report = experiments.example_report(args.shots, noise, args.seed, args.mitigate)
     print("worked example: rotate x by 90 deg about n")
@@ -295,24 +290,17 @@ def cmd_example(args) -> int:
     print(f"oracle rotation:     {_fmt_vec(report['oracle'])}")
     print(f"tomography estimate: {_fmt_vec(report['extracted'])}  [shots={args.shots}]")
     print(f"angle difference: {report['angle_diff_deg']:.6f} deg")
-    if args.out:
-        _write_json(args.out, report)
-    return 0
-
-
-_COMMANDS = {
-    "erp": cmd_erp,
-    "rotate": cmd_rotate,
-    "sweep": cmd_sweep,
-    "multi": cmd_multi,
-    "example": cmd_example,
-}
+    return report
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # A command returns its JSON artifact, or None when it writes its own.
+        report = args.run(args)
+        if report is not None and args.out:
+            _write_json(args.out, report)
+        return 0
     except (DomainError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -263,60 +263,55 @@ def _tallies(probs: np.ndarray, stops, rng: np.random.Generator) -> np.ndarray:
     one ``rng.random`` call. A shot reads outcome min(#{cum <= u}, dim - 1), as
     ``searchsorted(cum, u, side="right")`` clamped to the last index would.
 
-    Each chunk adds its segments' histograms to their rows of the table,
-    through ``_compare_tally`` for dim up to ``_COMPARE_MAX`` and
-    ``_sort_tally`` above it; a running sum over the rows at the end turns
-    each into the histogram up to its stop."""
+    One kernel counts every chunk: ``_compare_tally`` for dim up to
+    ``_COMPARE_MAX``, ``_sort_tally`` above it. It adds each segment's
+    histogram to the segment's row of the table, and a running sum over the
+    rows at the end turns each into the histogram up to its stop."""
     # Dropping the last cum value clamps every count to dim - 1.
     cum = np.cumsum(probs / probs.sum())[:-1]
-    tally = _compare_tally(cum) if probs.size <= _COMPARE_MAX else _sort_tally(cum)
+    tally = _compare_tally if probs.size <= _COMPARE_MAX else _sort_tally
     counts = np.zeros((len(stops), probs.size), dtype=np.int64)
     for row, lengths in _chunks(stops):
-        tally(rng.random(sum(lengths)), lengths, counts[row:row + len(lengths)])
+        tally(rng.random(sum(lengths)), lengths, cum, counts[row:row + len(lengths)])
     return np.cumsum(counts, axis=0, out=counts)
 
 
-def _compare_tally(cum: np.ndarray):
-    """The per-chunk kernel of ``_tallies`` for a small outcome space. Since
-    cum does not decrease, the shots of a segment that read outcome j or
-    above are those with u >= cum[j-1]. For each cum value, one comparison
-    pass over the chunk and one ``reduceat`` over its segment starts count
-    them, and a segment's histogram is the difference of those counts.
+def _compare_tally(u, lengths, cum, out) -> None:
+    """Add to row s of ``out`` the histogram of segment s of the chunk ``u``,
+    which ``lengths`` cuts into segments, for a small outcome space. Since cum
+    does not decrease, the shots of a segment that read outcome j or above
+    are those with u >= cum[j-1]. For each cum value, one comparison pass
+    over the chunk and one ``reduceat`` over its segment starts count them,
+    and a segment's histogram is the difference of those counts.
     ``reduceat`` would return an element, not 0, for an empty segment;
     ``_chunks`` makes none."""
-    def tally(u, lengths, out):
-        starts = np.cumsum((0, *lengths[:-1]))
-        # at_least[s, j]: the shots of segment s that read outcome j or above.
-        at_least = np.zeros((len(lengths), cum.size + 2), dtype=np.int64)
-        at_least[:, 0] = lengths
-        for j, c in enumerate(cum, start=1):
-            at_least[:, j] = np.add.reduceat(u >= c, starts, dtype=np.int64)
-        out += at_least[:, :-1] - at_least[:, 1:]
-
-    return tally
+    starts = np.cumsum((0, *lengths[:-1]))
+    # at_least[s, j]: the shots of segment s that read outcome j or above.
+    at_least = np.zeros((len(lengths), cum.size + 2), dtype=np.int64)
+    at_least[:, 0] = lengths
+    for j, c in enumerate(cum, start=1):
+        at_least[:, j] = np.add.reduceat(u >= c, starts, dtype=np.int64)
+    out += at_least[:, :-1] - at_least[:, 1:]
 
 
-def _sort_tally(cum: np.ndarray):
-    """The per-chunk kernel of ``_tallies`` for a large outcome space. Each
-    segment of the chunk is sorted in place, and ``searchsorted`` counts its
-    uniforms below each cum value and below infinity: below[j] = #{u <
-    cum[j]}, the shots that read outcome j or less, and below[-1] the
-    segment's length. The segment's histogram is the difference of those
-    counts. Sorting and comparing are exact, so these are the counts of a
-    lookup per shot."""
-    ends = np.append(cum, np.inf)
-
-    def tally(u, lengths, out):
-        start = 0
-        for row, length in zip(out, lengths):
-            segment = u[start:start + length]
-            segment.sort()
-            below = np.searchsorted(segment, ends)
-            row += below
-            row[1:] -= below[:-1]
-            start += length
-
-    return tally
+def _sort_tally(u, lengths, cum, out) -> None:
+    """Add to row s of ``out`` the histogram of segment s of the chunk ``u``,
+    which ``lengths`` cuts into segments, for a large outcome space. Each
+    segment is sorted in place, and ``searchsorted`` counts its uniforms
+    below each cum value: below[j] = #{u < cum[j]}, the shots that read
+    outcome j or less. Outcome 0 counts below[0], outcome j below[j] -
+    below[j-1], and the last outcome the segment's length less below[-1].
+    Sorting and comparing are exact, so these are the counts of a lookup per
+    shot."""
+    start = 0
+    for row, length in zip(out, lengths):
+        segment = u[start:start + length]
+        segment.sort()
+        below = np.searchsorted(segment, cum)
+        row[:-1] += below
+        row[-1] += length
+        row[1:] -= below
+        start += length
 
 
 def _chunks(stops):
