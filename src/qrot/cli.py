@@ -186,10 +186,7 @@ def cmd_sweep(args) -> None:
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     if not backends:
         raise DomainError("--backends names no backend")
-    for b in backends:
-        if b != "noiseless" and b not in experiments.NOISE_PRESETS:
-            raise DomainError(f"unknown backend {b!r}; expected 'noiseless' or one of "
-                              f"{sorted(experiments.NOISE_PRESETS)}")
+    experiments.check_backends(backends)
     grid = experiments.log_shot_grid(args.shots_min, args.shots_max, args.points)
     records = experiments.sweep_records(backends, args.trials, grid,
                                         args.seed, args.mitigate)

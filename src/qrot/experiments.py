@@ -214,9 +214,10 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
     ``gate_fidelity`` and one ``angle_between`` call. The one-point
     functions run the same code on a stack of one, so the records equal
     those of ``process_tomography`` and ``state_tomography`` run at each
-    point. A sweep of more than ``MAX_SWEEP_RECORDS`` records raises
-    DomainError before any draw.
+    point. An unknown backend name, or a sweep of more than
+    ``MAX_SWEEP_RECORDS`` records, raises DomainError before any draw.
     """
+    check_backends(backends)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     shot_grid = log_shot_grid() if shot_grid is None else [int(s) for s in shot_grid]
@@ -244,6 +245,14 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
                 records.append(SweepRecord(label, trial, shots, "angle_deg",
                                            math.degrees(angle)))
     return records
+
+
+def check_backends(backends) -> None:
+    """Raise DomainError unless every name is "noiseless" or a noise preset."""
+    for b in backends:
+        if b != "noiseless" and b not in NOISE_PRESETS:
+            raise DomainError(f"unknown backend {b!r}; expected 'noiseless' or one of "
+                              f"{sorted(NOISE_PRESETS)}")
 
 
 def _check_sweep_size(backends: int, trials: int, points: int) -> None:

@@ -157,6 +157,10 @@ class TestAngleBetween:
         with pytest.raises(DomainError):
             angle_between([0, 0, 0], [1, 0, 0])
 
+    def test_non_3_vector_rejected(self):
+        with pytest.raises(DomainError, match="3-vector"):
+            angle_between(np.ones(2), np.ones(2))
+
     def test_scale_invariance(self):
         assert angle_between([2, 0, 0], [5, 5, 0]) == pytest.approx(math.pi / 4.0)
 

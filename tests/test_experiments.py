@@ -73,6 +73,14 @@ def test_grid_point_below_min_shots_rejected(monkeypatch):
     assert calls == []
 
 
+def test_unknown_backend_rejected_before_any_draw(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(DomainError, match="unknown backend 'bogus'"):
+        sweep_records(["noiseless", "bogus"], 2, [200, 400], 1)
+    assert calls == []
+
+
 def test_sweep_size_is_bounded_before_any_draw(monkeypatch):
     calls = []
     monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))

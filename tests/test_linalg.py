@@ -164,6 +164,12 @@ def test_non_finite_input_rejected(fn, bad):
         fn(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("fn", [eig_hermitian, polar_unitary])
+def test_one_dimensional_input_rejected(fn):
+    with pytest.raises(ShapeError, match="at least 2-dimensional"):
+        fn(np.ones(2))
+
+
 class TestPhaseAlignment:
     def test_removes_global_phase(self):
         u = gate_ry(0.7) @ gate_rz(-1.2)

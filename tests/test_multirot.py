@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrot import (BranchRotation, Circuit, DomainError, RotationSpec, VectorBatch, apply,
-                  axis_rotation_sequence, build_encoding_circuit, extract_all,
-                  full_circuit, rodrigues_rotate, vec_to_angles, zero_state)
+from qrot import (BranchRotation, Circuit, DomainError, RotationSpec, ShapeError,
+                  VectorBatch, apply, axis_rotation_sequence, build_encoding_circuit,
+                  extract_all, full_circuit, rodrigues_rotate, vec_to_angles, zero_state)
 from qrot import multirot, simulator
 from qrot.bloch import angle_between, require_unit
 from qrot.experiments import NOISE_PRESETS
@@ -291,6 +291,10 @@ class TestExtraction:
         assert item.vector is None
         assert item.error is not None and "no direction" in item.error
         assert item.samples == 300 and not item.under_sampled
+
+    def test_tally_of_several_indices_rejected(self):
+        with pytest.raises(ShapeError, match="one \\(3, 2\\) tally"):
+            index_estimate(1, np.full((2, 3, 2), 50))
 
     def test_under_sampled_flag(self):
         tally = np.array([(20, 4), (30, 10), (25, 15)])

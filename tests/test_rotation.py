@@ -155,6 +155,8 @@ class TestErParams:
         assert ErParams(-0.5, 0.5, 0.5, 0.5).canonical().a == 0.5
         flipped = ErParams(0.0, -0.6, 0.0, -0.8).canonical()
         assert flipped.b == 0.6 and flipped.d == 0.8
+        zero = ErParams(0.0, 0.0, 0.0, 0.0)
+        assert zero.canonical() is zero
 
 
 class TestErMatrix:

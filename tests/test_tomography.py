@@ -547,6 +547,10 @@ class TestMitigation:
             mitigate_frequencies(np.array([0.5, 0.5]),
                                  np.array([[0.5, 0.5 - 5e-10], [0.5, 0.5 + 5e-10]]))
 
+    def test_all_zero_result_rejected(self):
+        with pytest.raises(NumericError, match="all-zero probability vector"):
+            mitigate_frequencies(np.array([0.0, 0.0]), np.array([[0.9, 0.1], [0.1, 0.9]]))
+
     @pytest.mark.parametrize("freqs, cal", [
         ([math.nan, 0.5], np.eye(2)),
         ([0.5, 0.5], [[0.9, math.nan], [0.1, 0.9]]),
