@@ -8,6 +8,13 @@ gets alone. 2x2 problems use closed forms: the polar unitary and the
 singular values behind it, which the readout-calibration conditioning check
 shares. The one eigensolver, ``eig_hermitian``, is LAPACK's ``eigh``; one
 call solves a whole stack of 4x4 Choi matrices.
+
+numpy picks its SIMD kernels at run time, by CPU, and its complex-array
+multiply and ``np.abs`` of a complex array round differently at different
+dispatch tiers. ``_times`` and ``abs_complex`` give the same bytes at every
+dispatch tier of one numpy version, and the complex products and moduli on
+the way to an artifact use them; a product by a real or purely imaginary
+factor rounds alike at every tier.
 """
 
 from __future__ import annotations
@@ -61,8 +68,8 @@ def max_abs(m):
 
 def abs_complex(z) -> np.ndarray:
     """|z| of each entry by libm's ``hypot``, as ``abs`` of a complex scalar
-    computes it; ``np.abs`` of a complex array may use a SIMD kernel that
-    rounds differently."""
+    computes it, with the same bytes at every dispatch tier; ``np.abs`` of a
+    complex array may use a SIMD kernel that rounds differently."""
     z = np.asarray(z)
     return np.hypot(z.real, z.imag)
 
@@ -115,8 +122,9 @@ def _entries(m):
 
 def _times(x, y) -> np.ndarray:
     """x * y of complex arrays from their real parts, as a complex scalar
-    multiplies; numpy's complex-array multiply may fuse the products (FMA)
-    and round differently."""
+    multiplies, with the same bytes at every dispatch tier; numpy's
+    complex-array multiply may fuse the products (FMA) and round
+    differently."""
     out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
@@ -133,7 +141,7 @@ def svd_invariants(m):
     """
     (a, b), (c, d) = _entries(m)
     det = _times(a, d) - _times(b, c)
-    fro2 = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+    fro2 = np.sum(m.real * m.real + m.imag * m.imag, axis=(-2, -1))
     abs_det = abs_complex(det)
     smax2 = 0.5 * (fro2 + np.sqrt(np.maximum(fro2 * fro2 - 4.0 * abs_det * abs_det, 0.0)))
     return det, fro2, smax2
@@ -157,4 +165,4 @@ def polar_unitary(m) -> np.ndarray:
     (a, b), (c, d) = _entries(m)
     adj_dagger = np.moveaxis(np.array([[d, -c], [-b, a]]), (0, 1), (-2, -1)).conj()
     phase = (det / abs_det)[..., None, None]
-    return (m + phase * adj_dagger) / np.sqrt(fro2 + 2.0 * abs_det)[..., None, None]
+    return (m + _times(phase, adj_dagger)) / np.sqrt(fro2 + 2.0 * abs_det)[..., None, None]

@@ -79,7 +79,7 @@ import numpy as np
 
 from .circuit import BranchRotation, Circuit, GateOp, _is_int
 from .errors import DomainError, NumericError, ShapeError
-from .linalg import PAULI_X
+from .linalg import PAULI_X, abs_complex
 from .rotation import gate_rx, gate_ry, gate_rz
 
 _MASK64 = (1 << 64) - 1
@@ -433,7 +433,7 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     if len(basis) != n:
         raise DomainError(f"expected {n} basis labels, got {len(basis)}")
     basis_ops = _basis_change_ops(basis, n)
-    probs = np.abs(_evolve(_final_state(circuit).copy(), basis_ops, n)) ** 2
+    probs = abs_complex(_evolve(_final_state(circuit).copy(), basis_ops, n)) ** 2
     if noise.depol_1q > 0.0 or noise.depol_ctrl > 0.0:
         probs = _confuse_readout(probs, _gate_noise_flips(circuit.ops + tuple(basis_ops),
                                                           n, noise))

@@ -38,8 +38,8 @@ import numpy as np
 
 from .circuit import Circuit, GateOp
 from .errors import DomainError, NumericError, ShapeError
-from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, _entries, abs_complex, dagger,
-                     eig_hermitian, is_unitary, max_abs, polar_unitary, row_dot,
+from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, _entries, _times, abs_complex,
+                     dagger, eig_hermitian, is_unitary, max_abs, polar_unitary, row_dot,
                      svd_invariants, trace, unitarity_error)
 from .rotation import RotationSpec, ErParams, axis_rotation_sequence, erp_from_unitary
 from .simulator import BASIS_LABELS, NoiseModel, ShotResult, derive_seed, sample
@@ -267,7 +267,7 @@ def _reconstruct_process(outputs: dict[str, np.ndarray]) -> list[ProcessTomograp
     extract Kraus operators and the closest unitary, for every point of the
     (points, 2, 2) output-state stacks at once."""
     e00, e11 = outputs["0"], outputs["1"]
-    e01 = outputs["+"] + 1j * outputs["+i"] - (1.0 + 1.0j) / 2.0 * (e00 + e11)
+    e01 = outputs["+"] + 1j * outputs["+i"] - _times((1.0 + 1.0j) / 2.0, e00 + e11)
     choi = np.block([[e00, e01], [dagger(e01), e11]])
     weights, vectors, choi = _floor_psd(choi)
     # K_k: eigenvector k (column k), reshaped column-major to 2x2

@@ -4,7 +4,9 @@ Each case runs one CLI invocation and compares its parsed artifact with the
 values pinned in ``golden/seed7.json``: integers, strings, booleans and None
 exactly, floats within ``FLOAT_TOL``. A change to the sampler or an
 estimator that alters any count or estimate fails here, whereas the
-reproducibility tests only compare a run with itself.
+reproducibility tests only compare a run with itself. The same artifacts,
+and those of a short mitigated sweep, must also have the same bytes at
+numpy's baseline dispatch tier as at this process's tier.
 
 Regenerate the fixture only when a change is meant to alter artifacts, and
 say so in the change log. Before it rewrites the fixture, the script prints
@@ -13,6 +15,7 @@ the worst |new - pinned| of every field name, for that log:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import json
 import math
 import os
@@ -21,6 +24,8 @@ import sys
 import pytest
 
 from qrot.cli import main
+
+from tiers import run_at_baseline_tier
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden", "seed7.json")
 FLOAT_TOL = 1e-12
@@ -68,6 +73,13 @@ CASES = {
 }
 
 
+# Its gate fidelities differed between numpy's dispatch tiers in 7 of 80
+# rows before the polar factor and the Choi assembly multiplied complex
+# arrays through ``linalg._times``.
+_TIER_SWEEP = ("sweep", "--trials", "2", "--points", "10", "--backends",
+               "noiseless,nisq-lite", "--mitigate", "--seed", "7")
+
+
 def _parse_csv(text: str) -> list:
     lines = text.splitlines()
     assert lines[0] == "backend,trial,shots,metric,value"
@@ -78,9 +90,8 @@ def _parse_csv(text: str) -> list:
     return rows
 
 
-def run_case(name: str, workdir: str):
-    """Run one case's CLI invocation in ``workdir``; returns the parsed artifact."""
-    argv, vectors = CASES[name]
+def _artifact_text(name: str, argv, vectors, workdir: str) -> str:
+    """Run one CLI invocation in ``workdir``; returns its artifact's text."""
     argv = list(argv)
     if vectors is not None:
         vec_path = os.path.join(workdir, f"{name}-vectors.json")
@@ -90,8 +101,22 @@ def run_case(name: str, workdir: str):
     out = os.path.join(workdir, f"{name}.out")
     assert main(argv + ["--out", out]) == 0
     with open(out) as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def run_case(name: str, workdir: str):
+    """Run one case's CLI invocation in ``workdir``; returns the parsed artifact."""
+    argv, vectors = CASES[name]
+    text = _artifact_text(name, argv, vectors, workdir)
     return _parse_csv(text) if argv[0] == "sweep" else json.loads(text)
+
+
+def artifact_texts(workdir: str) -> dict[str, str]:
+    """The artifact text of every case and of ``_TIER_SWEEP``, by name; the
+    CLI's stdout is discarded."""
+    jobs = {**CASES, "tier-sweep": (_TIER_SWEEP, None)}
+    with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
+        return {name: _artifact_text(name, *jobs[name], workdir) for name in sorted(jobs)}
 
 
 def assert_matches(expected, actual, path="artifact"):
@@ -160,8 +185,18 @@ def test_artifact_matches_golden(name, golden, tmp_path, capsys):
     assert_matches(golden[name], actual)
 
 
+def test_artifacts_equal_at_baseline_tier(tmp_path):
+    # On a CPU without AVX2 the child runs at this process's tier.
+    out = run_at_baseline_tier("import json, tempfile, test_golden as t\n"
+                               "with tempfile.TemporaryDirectory() as tmp:\n"
+                               "    print(json.dumps(t.artifact_texts(tmp)))\n")
+    baseline, default = json.loads(out), artifact_texts(str(tmp_path))
+    assert sorted(baseline) == sorted(default)
+    for name in sorted(default):
+        assert baseline[name] == default[name], name
+
+
 if __name__ == "__main__":
-    import contextlib
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as quiet, \
