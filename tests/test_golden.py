@@ -73,9 +73,9 @@ CASES = {
 }
 
 
-# Its gate fidelities differed between numpy's dispatch tiers in 7 of 80
-# rows before the polar factor and the Choi assembly multiplied complex
-# arrays through ``linalg._times``.
+# A sweep whose gate fidelities show a complex-array product that rounds by
+# dispatch tier: with numpy's multiply in ``polar_unitary``, 7 of its 80
+# rows differ between the default and the baseline tier.
 _TIER_SWEEP = ("sweep", "--trials", "2", "--points", "10", "--backends",
                "noiseless,nisq-lite", "--mitigate", "--seed", "7")
 
