@@ -3,6 +3,7 @@ example, and fidelity/angle sweeps over a logarithmic shot grid."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,8 +17,9 @@ from .rotation import (RotationSpec, axis_rotation_sequence, axis_rotation_unita
                        erp_from_spec, erp_from_unitary, initialization_ops,
                        rodrigues_rotate)
 from .simulator import NoiseModel, derive_seed
-from .tomography import (_process_series, _state_series, erp_from_tomography, gate_fidelity,
-                         state_tomography)
+from .tomography import (_directed_estimates, _process_counts, _process_outputs,
+                         _reconstruct_process, _state_counts, erp_from_tomography,
+                         gate_fidelity, state_tomography)
 
 NOISE_PRESETS = {
     "ideal": NoiseModel(),
@@ -31,8 +33,10 @@ DEFAULT_SHOT_RANGE = (200, 20000)
 DEFAULT_GRID_POINTS = 20
 DEFAULT_TRIALS = 20
 # Records a sweep may make, 2 per (backend, trial, grid point), for a budget
-# of 256 MiB: a one-trial sweep, whose stacks span its whole grid, peaks at
-# 195 MiB under tracemalloc (270 MiB RSS) at this cap, 65,536 points.
+# of 256 MiB. A backend reconstructs all of its trials and points as one
+# stack, so memory grows with trials x points. At this cap under nisq-lite
+# with mitigation, one trial of 65,536 points peaks at 138 MiB under
+# tracemalloc (192 MiB RSS) and 4,096 trials of 16 points at 143 MiB (187).
 MAX_SWEEP_RECORDS = 1 << 17
 
 
@@ -202,16 +206,17 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
     Grid points use common random numbers: within a trial, every shot count
     samples from the same counter-based stream. Each point keeps its exact
     marginal distribution. On every backend a larger job extends a smaller
-    one instead of resampling it, because ``sample`` draws one uniform per
-    shot from the job's exact outcome distribution, so the curve as a whole
-    fluctuates far less, which is what makes point-to-point comparisons
-    along it meaningful. Each trial therefore runs ``_process_series`` and
-    ``_state_series``, which draw every circuit once, at the largest grid
-    point, with every grid point as a checkpoint, read each point as its
-    row of the draw's prefix table (``ShotResult.table``), and reconstruct
-    the whole grid in one pass over stacked arrays: one estimate, one Choi
-    eigendecomposition and one polar factor call per trial, then one
-    ``gate_fidelity`` and one ``angle_between`` call. The one-point
+    one instead of resampling it, because each row of a draw takes one
+    uniform per shot from its exact outcome distribution, so the curve as a
+    whole fluctuates far less, which is what makes point-to-point comparisons
+    along it meaningful. Each trial therefore draws every circuit once, at
+    the largest grid point, with every grid point as a checkpoint
+    (``_process_counts`` and ``_state_counts``), and keeps only the tallies
+    that each point reads as its row of the draw's prefix table, with their
+    readout calibrations. Each backend then reconstructs the whole (trials x
+    points) stack in one pass: one process estimate, one Choi
+    eigendecomposition, one polar factor and one state estimate call, then
+    one ``gate_fidelity`` and one ``angle_between`` call. The one-point
     functions run the same code on a stack of one, so the records equal
     those of ``process_tomography`` and ``state_tomography`` run at each
     point. An unknown backend name, or a sweep of more than
@@ -226,25 +231,39 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
     _check_sweep_size(len(backends), trials, len(shot_grid))
     specs = seeded_rotations(seed, trials)
     vectors = seeded_vectors(seed, trials)
+    # the exact unitary and the oracle of each (trial, point), trial-major
+    exact = np.repeat([axis_rotation_unitary(spec) for spec in specs], len(shot_grid), axis=0)
+    oracles = np.repeat([rodrigues_rotate(spec, vector) for spec, vector in zip(specs, vectors)],
+                        len(shot_grid), axis=0)
     records: list[SweepRecord] = []
     for backend in backends:
         noise = None if backend == "noiseless" else NOISE_PRESETS[backend]
         use_mitigation = mitigate and backend != "noiseless"
         label = backend + "+mit" if use_mitigation else backend
+        procs, states = [], []
         for trial, (spec, vector) in enumerate(zip(specs, vectors)):
-            exact = axis_rotation_unitary(spec)
-            oracle = rodrigues_rotate(spec, vector)
-            procs = _process_series(spec, shot_grid, noise, derive_seed(seed, trial, 3),
-                                    use_mitigation)
-            states = _state_series(rotation_circuit(vector, spec), shot_grid, noise,
-                                   derive_seed(seed, trial, 4), use_mitigation)
-            fidelities = gate_fidelity(exact, np.array([proc.unitary for proc in procs]))
-            angles = angle_between(np.array([state.bloch for state in states]), oracle)
-            for shots, fidelity, angle in zip(shot_grid, fidelities.tolist(), angles.tolist()):
-                records.append(SweepRecord(label, trial, shots, "gate_fidelity", fidelity))
-                records.append(SweepRecord(label, trial, shots, "angle_deg",
-                                           math.degrees(angle)))
+            procs.append(_process_counts(spec, shot_grid, noise, derive_seed(seed, trial, 3),
+                                         use_mitigation))
+            states.append(_state_counts(rotation_circuit(vector, spec), shot_grid, noise,
+                                        derive_seed(seed, trial, 4), use_mitigation))
+        cal, tallies = _stacked(procs)
+        *_, unitary = _reconstruct_process(_process_outputs(tallies, cal))
+        cal, counts = _stacked(states)
+        *_, direction = _directed_estimates(counts.sum(axis=1), cal)
+        fidelities = gate_fidelity(exact, unitary).tolist()
+        angles = angle_between(direction, oracles).tolist()
+        for (trial, shots), fidelity, angle in zip(itertools.product(range(trials), shot_grid),
+                                                   fidelities, angles):
+            records.append(SweepRecord(label, trial, shots, "gate_fidelity", fidelity))
+            records.append(SweepRecord(label, trial, shots, "angle_deg", math.degrees(angle)))
     return records
+
+
+def _stacked(draws):
+    """The trial-by-trial (cal, counts) pairs of ``draws`` as one (trials x
+    points) stack of each; cal stays None without mitigation."""
+    cals, counts = zip(*draws)
+    return None if cals[0] is None else np.concatenate(cals), np.concatenate(counts)
 
 
 def check_backends(backends) -> None:

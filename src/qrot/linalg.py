@@ -12,9 +12,10 @@ call solves a whole stack of 4x4 Choi matrices.
 numpy picks its SIMD kernels at run time, by CPU, and its complex-array
 multiply and ``np.abs`` of a complex array round differently at different
 dispatch tiers. ``_times`` and ``abs_complex`` give the same bytes at every
-dispatch tier of one numpy version, and the complex products and moduli on
-the way to an artifact use them; a product by a real or purely imaginary
-factor rounds alike at every tier.
+dispatch tier of one numpy version. The complex products on the way to an
+artifact and every modulus of a complex array (``max_abs`` and the
+coefficient pick of ``rotation.erp_from_unitary`` included) use them; a
+product by a real or purely imaginary factor rounds alike at every tier.
 """
 
 from __future__ import annotations
@@ -60,18 +61,18 @@ def dagger(m) -> np.ndarray:
     return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
-def max_abs(m):
-    """Largest |entry| of a matrix, or of each matrix of a stack; 0 for an
-    empty matrix."""
-    return np.max(np.abs(m), axis=(-2, -1), initial=0.0)
-
-
 def abs_complex(z) -> np.ndarray:
     """|z| of each entry by libm's ``hypot``, as ``abs`` of a complex scalar
     computes it, with the same bytes at every dispatch tier; ``np.abs`` of a
     complex array may use a SIMD kernel that rounds differently."""
     z = np.asarray(z)
     return np.hypot(z.real, z.imag)
+
+
+def max_abs(m):
+    """Largest |entry| of a matrix, or of each matrix of a stack, by
+    ``abs_complex``; 0 for an empty matrix."""
+    return np.max(abs_complex(m), axis=(-2, -1), initial=0.0)
 
 
 def unitarity_error(m):

@@ -12,8 +12,8 @@ at once, so ``full_circuit`` takes one ``RotationSpec`` for the whole batch.
 ``VectorBatch`` checks the whole (p, 3) stack in one pass and names the
 first bad row only when there is one; the encoding reads each row's
 spherical angles without checking it again. Extraction reads the controls
-in Z; ``tomography._grid_counts`` draws the circuit in its three bases from
-one evolution (``sample`` reuses it) and tallies the shots into one
+in Z; ``tomography._grid_counts`` draws the circuit in its three bases as
+one row stack, from one evolution, and tallies the shots into one
 (2**n, 3, 2) array for its one grid point, and one stacked single-qubit
 estimate reads every index from its branch's (3, 2) row.
 """

@@ -19,7 +19,7 @@ import numpy as np
 from .bloch import require_unit, vec_to_angles
 from .circuit import GateOp
 from .errors import DomainError
-from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, is_unitary, row_dot
+from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, abs_complex, is_unitary, row_dot
 
 # |a| below this is treated as zero when fixing the sign of an ErParams tuple.
 _SIGN_TOL = 1e-9
@@ -223,7 +223,7 @@ def erp_from_unitary(u, unitarity_tol: float = 1e-6) -> ErParams:
     if abs(t0) > _SIGN_TOL:
         phase = t0 / abs(t0)
     else:
-        j = int(np.argmax(np.abs(comps)))
+        j = int(np.argmax(abs_complex(comps)))
         phase = comps[j] / abs(comps[j])
     comps = comps / phase
     return ErParams(*(float(c.real) for c in comps)).canonical()

@@ -41,11 +41,14 @@ Conventions
   (branches, 2, 1), branch b being amplitudes 2b and 2b + 1, and its first
   k = len(thetas) branches are multiplied by the (k, 2, 2) stack of their
   gates, built from all k angles at once. Each branch gets the bytes that
-  its own controlled gate gives it. A circuit is evolved once for all of
-  its bases: ``sample`` keeps the read-only final state of the circuit
-  object it sampled last (the object itself, not an equal one) and applies
-  each basis's change gates to a copy, so a tomography job's X, Y and Z
-  draws share one evolution. A norm drift beyond 1e-10 raises NumericError.
+  its own controlled gate gives it. A tomography job draws its circuits in
+  all of their bases as one stack of rows (``_sample_rows``): each circuit
+  object is evolved once and each of its rows applies its basis's change
+  gates to a copy of that final state, so a circuit's X, Y and Z draws
+  share one evolution. Only rows that hold the same object share it, never
+  an equal one: circuits that compare equal (an angle of 0.0 against -0.0)
+  may give states that differ in the sign of a zero amplitude. A norm
+  drift beyond 1e-10 raises NumericError.
 * Gate noise: after each gate, with the configured depolarizing probability
   (``depol_ctrl`` for controlled gates, ``depol_1q`` otherwise), one Pauli
   chosen uniformly from {X, Y, Z} hits the gate's target qubit. That uniform
@@ -138,18 +141,9 @@ class ShotResult:
         if table.dtype.kind not in "iu":
             raise DomainError(f"count table entries must be integers, got dtype {table.dtype}")
         table = table.astype(np.int64)
-        checkpoints = list(self.checkpoints)
-        rows, dim = len(checkpoints), 1 << len(self.basis)
-        if rows < 1 or table.shape != (rows, dim):
-            raise ShapeError(f"count table of shape {table.shape} does not match {rows} "
-                             f"checkpoints (at least one) of {dim} outcomes")
-        sums = table.sum(axis=1).tolist()
-        if sums != checkpoints:
-            raise DomainError(f"count table rows must sum to the checkpoints {checkpoints}")
-        if (table[0] < 0).any() or (table[1:] < table[:-1]).any():
-            raise DomainError("count table rows must be nonnegative and must not decrease")
+        sums = _check_tables(table, self.checkpoints, 1 << len(self.basis))
         table.setflags(write=False)
-        object.__setattr__(self, "checkpoints", tuple(sums))
+        object.__setattr__(self, "checkpoints", tuple(sums[0]))
         object.__setattr__(self, "table", table)
 
     @property
@@ -161,6 +155,24 @@ class ShotResult:
     def hist(self) -> np.ndarray:
         """The job's outcome histogram, the last row of ``table``."""
         return self.table[-1]
+
+
+def _check_tables(table: np.ndarray, checkpoints, dim: int, stack=()) -> list[list[int]]:
+    """The row sums of each count table of the int64 ``table``, a stack of
+    shape ``stack`` (ShapeError unless each is len(checkpoints) >= 1 rows of
+    ``dim`` outcomes), once its rows sum to ``checkpoints``, are nonnegative
+    and do not decrease (else DomainError)."""
+    checkpoints = list(checkpoints)
+    rows = len(checkpoints)
+    if rows < 1 or table.shape != (*stack, rows, dim):
+        raise ShapeError(f"count table of shape {table.shape} does not match {rows} "
+                         f"checkpoints (at least one) of {dim} outcomes")
+    sums = table.sum(axis=-1).reshape(-1, rows).tolist()
+    if any(row != checkpoints for row in sums):
+        raise DomainError(f"count table rows must sum to the checkpoints {checkpoints}")
+    if (table[..., 0, :] < 0).any() or (table[..., 1:, :] < table[..., :-1, :]).any():
+        raise DomainError("count table rows must be nonnegative and must not decrease")
+    return sums
 
 
 def _splitmix64(x: int) -> int:
@@ -374,26 +386,56 @@ def _gate_noise_flips(ops, n: int, noise: NoiseModel) -> np.ndarray:
     return (1.0 - lam) / 2.0
 
 
-# The circuit sampled last and its read-only final state from |0...0>, as one
-# tuple so that a reader never pairs a circuit with another's state. A job
-# samples one circuit in each of its bases in a row, and each basis reuses
-# the evolution. The key is the object itself, never an equal one: circuits
-# that compare equal (an angle of 0.0 against -0.0) may give states that
-# differ in the sign of a zero amplitude.
-_last_evolved: tuple = (None, None)
+def _sample_rows(rows, shots: int, noise: NoiseModel | None = None,
+                 checkpoints=()) -> np.ndarray:
+    """The count tables of a stack of jobs with one shot count, checkpoints
+    and noise model, as one read-only (len(rows), stops, 2^n) int64 array:
+    ``rows`` holds one (circuit, basis, seed) per job, every circuit n
+    qubits wide, and table r equals ``sample(circuit, basis, shots, noise,
+    seed, checkpoints=checkpoints).table`` of row r.
 
-
-def _final_state(circuit: Circuit) -> np.ndarray:
-    """The read-only final state of ``circuit.ops`` from |0...0>, evolved
-    once for consecutive calls on the same circuit object."""
-    global _last_evolved
-    memo_circuit, state = _last_evolved
-    if memo_circuit is not circuit:
+    Shots and checkpoints are validated once and every row's basis before
+    any draw. Each circuit object is evolved once, and its read-only final
+    state is shared only by the rows that hold that same object; each row
+    applies its basis's change gates to a copy. One list of stops serves
+    every row, and each row draws from its own ``Philox(key=seed)`` stream,
+    made when that row is drawn, one chunk of uniforms at a time. The tables
+    are checked as ``ShotResult`` checks one, once for the whole stack."""
+    noise = NOISELESS if noise is None else noise
+    if not _is_int(shots) or shots < 1:
+        raise DomainError(f"shots must be an integer >= 1, got {shots!r}")
+    checkpoints = tuple(checkpoints)
+    if (not all(map(_is_int, checkpoints)) or list(checkpoints) != sorted(set(checkpoints))
+            or not all(1 <= s <= shots for s in checkpoints)):
+        raise DomainError(f"checkpoints must be sorted distinct integers in "
+                          f"[1, {shots}], got {checkpoints}")
+    stops = [*map(int, checkpoints)]
+    if not stops or stops[-1] != shots:
+        stops.append(int(shots))
+    rows = [(circuit, tuple(str(b).upper() for b in basis), seed)
+            for circuit, basis, seed in rows]
+    for circuit, basis, _ in rows:
+        if len(basis) != circuit.num_qubits:
+            raise DomainError(f"expected {circuit.num_qubits} basis labels, got {len(basis)}")
+    gate_noise = noise.depol_1q > 0.0 or noise.depol_ctrl > 0.0
+    evolved, dists = {}, []
+    for circuit, basis, _ in rows:
         n = circuit.num_qubits
-        state = _evolve(zero_state(n), circuit.ops, n)
-        state.setflags(write=False)
-        _last_evolved = (circuit, state)
-    return state
+        basis_ops = _basis_change_ops(basis, n)
+        state = evolved.get(id(circuit))
+        if state is None:
+            state = evolved[id(circuit)] = _evolve(zero_state(n), circuit.ops, n)
+            state.setflags(write=False)
+        probs = abs_complex(_evolve(state.copy(), basis_ops, n)) ** 2
+        if gate_noise:
+            probs = _confuse_readout(probs, _gate_noise_flips(circuit.ops + tuple(basis_ops),
+                                                              n, noise))
+        dists.append(_confuse_readout(probs, [noise.readout_flip] * n))
+    tables = np.stack([_tallies(probs, stops, _rng(seed))
+                       for probs, (_, _, seed) in zip(dists, rows)])
+    _check_tables(tables, stops, 1 << rows[0][0].num_qubits, (len(rows),))
+    tables.setflags(write=False)
+    return tables
 
 
 def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
@@ -414,28 +456,7 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     qubit prepared by one uncontrolled H, only a control afterwards and
     measured in Z. Any other noisy circuit raises DomainError.
 
-    Consecutive calls on the same circuit object evolve ``circuit.ops`` once
-    (see the module docstring); the result is the same as without that reuse.
+    The one-row case of ``_sample_rows``, which tomography draws through.
     """
-    noise = NOISELESS if noise is None else noise
-    if not _is_int(shots) or shots < 1:
-        raise DomainError(f"shots must be an integer >= 1, got {shots!r}")
-    checkpoints = tuple(checkpoints)
-    if (not all(map(_is_int, checkpoints)) or list(checkpoints) != sorted(set(checkpoints))
-            or not all(1 <= s <= shots for s in checkpoints)):
-        raise DomainError(f"checkpoints must be sorted distinct integers in "
-                          f"[1, {shots}], got {checkpoints}")
-    stops = [*map(int, checkpoints)]
-    if not stops or stops[-1] != shots:
-        stops.append(int(shots))
-    n = circuit.num_qubits
-    basis = tuple(str(b).upper() for b in basis)
-    if len(basis) != n:
-        raise DomainError(f"expected {n} basis labels, got {len(basis)}")
-    basis_ops = _basis_change_ops(basis, n)
-    probs = abs_complex(_evolve(_final_state(circuit).copy(), basis_ops, n)) ** 2
-    if noise.depol_1q > 0.0 or noise.depol_ctrl > 0.0:
-        probs = _confuse_readout(probs, _gate_noise_flips(circuit.ops + tuple(basis_ops),
-                                                          n, noise))
-    probs = _confuse_readout(probs, [noise.readout_flip] * n)
-    return ShotResult(basis, stops, _tallies(probs, stops, _rng(seed)))
+    [table] = _sample_rows([(circuit, basis, seed)], shots, noise, checkpoints)
+    return ShotResult(tuple(str(b).upper() for b in basis), table.sum(axis=1).tolist(), table)

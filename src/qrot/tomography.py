@@ -1,10 +1,13 @@
 """State and process reconstruction from sampled counts.
 
-Every step below works on stacks: a sweep hands it the tallies of all its
-grid points at once, as the (points, 2**n, 3, 2) arrays of ``_grid_counts``,
-and gets one estimate, one Choi projection and one polar factor per point
-from a single call each. The public one-point functions run the same code
-on a stack of one, so a sweep's values equal theirs.
+Every step below works on stacks. ``_grid_counts`` draws all of a job's
+circuits, in all three bases, as one stack of rows of
+``simulator._sample_rows`` and returns each circuit's tallies as a
+(points, 2**n, 3, 2) array. A sweep draws trial by trial, stacks every
+trial's tallies and calibrations, and gets one estimate, one Choi
+projection and one polar factor per (trial, point) from a single call each
+per backend. The public one-point functions run the same code on a stack
+of one, so a sweep's values equal theirs.
 
 State tomography measures the data qubit, qubit 0, in the three Pauli bases
 (any other qubit is a control read in Z; see ``_grid_counts``), forms the
@@ -42,7 +45,7 @@ from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, _entries, _times, abs_c
                      dagger, eig_hermitian, is_unitary, max_abs, polar_unitary, row_dot,
                      svd_invariants, trace, unitarity_error)
 from .rotation import RotationSpec, ErParams, axis_rotation_sequence, erp_from_unitary
-from .simulator import BASIS_LABELS, NoiseModel, ShotResult, derive_seed, sample
+from .simulator import BASIS_LABELS, NoiseModel, _sample_rows, derive_seed
 
 MIN_SHOTS = 100
 # A Bloch vector estimate shorter than this has no direction.
@@ -207,13 +210,15 @@ def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: 
     grid order: cal stacks the checked readout calibrations of s shots per
     run as one (points, 2, 2) array (None without mitigation), and tables
     maps each key of ``circuits`` (key -> (circuit, seed)) to its tallies.
-    Qubit 0 is the data qubit, measured in bases X, Y, Z; every other qubit
-    is a control bit read in Z. A circuit with n control qubits is drawn at
-    s * 2**n shots per basis, about s per control branch, and its tallies
-    are one int64 array of shape (points, 2**n, 3, 2): point, branch b, then
-    basis X/Y/Z, then (n0, n1). Every job, the calibration's runs included,
-    is drawn once at the largest point with the distinct points as
-    checkpoints, and the three bases' prefix tables stack into that array."""
+    Every circuit has the same width. Qubit 0 is the data qubit, measured in
+    bases X, Y, Z; every other qubit is a control bit read in Z. Circuits
+    with n control qubits are drawn at s * 2**n shots per basis, about s per
+    control branch, and each circuit's tallies are one int64 array of shape
+    (points, 2**n, 3, 2): point, branch b, then basis X/Y/Z, then (n0, n1).
+    The calibration's two runs are one ``_sample_rows`` call and every
+    (circuit, basis) row of the data another, each drawn once at the largest
+    point with the distinct points as checkpoints; each row's prefix table
+    is its slice of the tallies."""
     if min(shot_grid) < MIN_SHOTS:
         raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {min(shot_grid)}")
     checkpoints = sorted(set(shot_grid))
@@ -222,33 +227,32 @@ def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: 
     top = checkpoints[-1]
     cal = (_conditioned(_readout_matrix(_readout_runs(noise, top, cal_seed, checkpoints))[rows])
            if mitigate else None)
-    tables = {}
-    for key, (circuit, seed) in circuits.items():
-        n = circuit.num_qubits - 1
-        results = [sample(circuit, (label,) + ("Z",) * n, top * 2**n, noise,
-                          derive_seed(seed, bi), checkpoints=[s * 2**n for s in checkpoints])
-                   for bi, label in enumerate(BASIS_LABELS)]
-        tables[key] = np.stack([res.table.reshape(len(checkpoints), 2**n, 2)
-                                for res in results], axis=2)[rows]
-    return cal, tables
+    n = next(iter(circuits.values()))[0].num_qubits - 1
+    jobs = [(circuit, (label,) + ("Z",) * n, derive_seed(seed, bi))
+            for circuit, seed in circuits.values() for bi, label in enumerate(BASIS_LABELS)]
+    tables = _sample_rows(jobs, top * 2**n, noise, [s * 2**n for s in checkpoints])
+    # (circuit, basis, checkpoint, branch, bit) to (circuit, point, branch, basis, bit)
+    tables = tables.reshape(len(circuits), 3, len(checkpoints), 2**n, 2)
+    return cal, dict(zip(circuits, tables.transpose(0, 2, 3, 1, 4)[:, rows]))
 
 
-def _state_series(circuit: Circuit, shot_grid, noise: NoiseModel | None, seed: int,
-                  mitigate: bool) -> list[StateTomographyResult]:
-    """``state_tomography`` at every point of ``shot_grid``, in grid order,
-    from one draw at the largest point and one ``_state_estimates`` call.
-    Raises NumericError when any point's estimate has no direction."""
+def _state_counts(circuit: Circuit, shot_grid, noise: NoiseModel | None, seed: int,
+                  mitigate: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """(cal, counts) of ``state_tomography`` at every point of ``shot_grid``,
+    in grid order: the ``_grid_counts`` of the circuit alone."""
     cal, tables = _grid_counts({0: (circuit, seed)}, shot_grid, noise, derive_seed(seed, 3),
                                mitigate)
-    counts = tables[0]
-    r, rho, norm = _state_estimates(counts.sum(axis=1), cal)
+    return cal, tables[0]
+
+
+def _directed_estimates(tallies, cal=None):
+    """(r, rho, r/|r|) of each tally of an (..., 3, 2) stack, from one
+    ``_state_estimates`` call. Raises NumericError when any estimate has no
+    direction."""
+    r, rho, norm = _state_estimates(tallies, cal)
     if np.any(norm < MIN_BLOCH_NORM):
         raise NumericError("estimated Bloch vector is below MIN_BLOCH_NORM; it has no direction")
-    direction = r / norm[:, None]
-    return [StateTomographyResult(density=rho[k], bloch=direction[k],
-                                  expectations=dict(zip(BASIS_LABELS, r[k].tolist())),
-                                  counts=counts[k])
-            for k in range(len(counts))]
+    return r, rho, r / norm[..., None]
 
 
 def state_tomography(circuit: Circuit, shots: int = 20000, noise: NoiseModel | None = None,
@@ -259,13 +263,18 @@ def state_tomography(circuit: Circuit, shots: int = 20000, noise: NoiseModel | N
     controls in ``simulator.sample``'s sense (each prepared by one
     uncontrolled H, only a control after it), else DomainError. Raises
     NumericError when the estimate has no direction (|r| < MIN_BLOCH_NORM)."""
-    return _state_series(circuit, [shots], noise, seed, mitigate)[0]
+    cal, counts = _state_counts(circuit, [shots], noise, seed, mitigate)
+    r, rho, direction = _directed_estimates(counts.sum(axis=1), cal)
+    return StateTomographyResult(density=rho[0], bloch=direction[0],
+                                 expectations=dict(zip(BASIS_LABELS, r[0].tolist())),
+                                 counts=counts[0])
 
 
-def _reconstruct_process(outputs: dict[str, np.ndarray]) -> list[ProcessTomographyResult]:
+def _reconstruct_process(outputs: dict[str, np.ndarray]):
     """Assemble and project the Choi matrix from the four output states, then
     extract Kraus operators and the closest unitary, for every point of the
-    (points, 2, 2) output-state stacks at once."""
+    (points, 2, 2) output-state stacks at once: (choi, Kraus weights, Kraus
+    operators, unitary) as stacks over the points."""
     e00, e11 = outputs["0"], outputs["1"]
     e01 = outputs["+"] + 1j * outputs["+i"] - _times((1.0 + 1.0j) / 2.0, e00 + e11)
     choi = np.block([[e00, e01], [dagger(e01), e11]])
@@ -273,24 +282,35 @@ def _reconstruct_process(outputs: dict[str, np.ndarray]) -> list[ProcessTomograp
     # K_k: eigenvector k (column k), reshaped column-major to 2x2
     columns = np.swapaxes(vectors, -1, -2).reshape(vectors.shape[:-1] + (2, 2))
     operators = np.sqrt(weights)[..., None, None] * np.swapaxes(columns, -1, -2)
-    degenerate = (weights[:, 0] - weights[:, 1] < 1e-6) & (weights[:, 1] > 0.1)
-    unitary = polar_unitary(operators[:, 0])
-    return [ProcessTomographyResult(choi=choi[k],
-                                    kraus=KrausSet(list(operators[k]), weights[k].tolist()),
-                                    unitary=unitary[k], degenerate=bool(degenerate[k]))
-            for k in range(len(choi))]
+    return choi, weights, operators, polar_unitary(operators[:, 0])
 
 
-def _process_series(spec: RotationSpec, shot_grid, noise: NoiseModel | None, seed: int,
-                    mitigate: bool) -> list[ProcessTomographyResult]:
-    """``process_tomography`` at every point of ``shot_grid``, in grid order,
-    from one draw at the largest point and one ``_reconstruct_process`` call."""
+def _process_result(outputs: dict[str, np.ndarray]) -> ProcessTomographyResult:
+    """``_reconstruct_process`` of output-state stacks of one point."""
+    choi, weights, operators, unitary = _reconstruct_process(outputs)
+    w = weights[0].tolist()
+    return ProcessTomographyResult(choi=choi[0], kraus=KrausSet(list(operators[0]), w),
+                                   unitary=unitary[0],
+                                   degenerate=w[0] - w[1] < 1e-6 and w[1] > 0.1)
+
+
+def _process_counts(spec: RotationSpec, shot_grid, noise: NoiseModel | None, seed: int,
+                    mitigate: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """(cal, tallies) of ``process_tomography`` at every point of
+    ``shot_grid``, in grid order, from one ``_grid_counts`` call: tallies
+    (points, 4, 3, 2) holds the tally of each input of ``PREP_LABELS``."""
     rotation_ops = axis_rotation_sequence(spec)
     circuits = {prep: (Circuit(1, _PREP_OPS[prep] + rotation_ops), derive_seed(seed, 4 + k))
                 for k, prep in enumerate(PREP_LABELS)}
     cal, tables = _grid_counts(circuits, shot_grid, noise, derive_seed(seed, 12), mitigate)
-    return _reconstruct_process({prep: density_from_bloch(_bloch_vectors(tables[prep][:, 0], cal))
-                                 for prep in PREP_LABELS})
+    return cal, np.stack([tables[prep][:, 0] for prep in PREP_LABELS], axis=1)
+
+
+def _process_outputs(tallies, cal=None) -> dict[str, np.ndarray]:
+    """The output states of each (4, 3, 2) tally of an (..., 4, 3, 2) stack,
+    by input, as ``_reconstruct_process`` takes them."""
+    return {prep: density_from_bloch(_bloch_vectors(tallies[..., k, :, :], cal))
+            for k, prep in enumerate(PREP_LABELS)}
 
 
 def process_tomography(spec: RotationSpec, shots: int = 20000,
@@ -298,7 +318,8 @@ def process_tomography(spec: RotationSpec, shots: int = 20000,
                        mitigate: bool = False) -> ProcessTomographyResult:
     """Sampled process tomography of the rotation circuit: 4 input states
     x 3 measurement bases, ``shots`` per circuit."""
-    return _process_series(spec, [shots], noise, seed, mitigate)[0]
+    cal, tallies = _process_counts(spec, [shots], noise, seed, mitigate)
+    return _process_result(_process_outputs(tallies, cal))
 
 
 def process_tomography_exact(u) -> ProcessTomographyResult:
@@ -313,7 +334,7 @@ def process_tomography_exact(u) -> ProcessTomographyResult:
     for prep, psi in _PREP_STATES.items():
         out = u @ psi
         outputs[prep] = np.outer(out, out.conj())[None]
-    return _reconstruct_process(outputs)[0]
+    return _process_result(outputs)
 
 
 def gate_fidelity(u_exact, u_rec):
@@ -353,19 +374,19 @@ def calibrate_readout(noise: NoiseModel | None, shots: int, seed: int = 0) -> np
 
 
 def _readout_runs(noise: NoiseModel | None, shots: int, seed: int,
-                  checkpoints) -> list[ShotResult]:
-    """The prepare-|0> and prepare-|1> runs behind ``calibrate_readout``."""
-    return [sample(Circuit(1, prep), ("Z",), shots, noise, derive_seed(seed, j),
-                   checkpoints=checkpoints)
-            for j, prep in enumerate(((), (GateOp("X", 0),)))]
+                  checkpoints) -> np.ndarray:
+    """The prepare-|0> and prepare-|1> runs behind ``calibrate_readout``, as
+    the (2, stops, 2) count tables of one ``_sample_rows`` call."""
+    return _sample_rows([(Circuit(1, prep), ("Z",), derive_seed(seed, j))
+                         for j, prep in enumerate(((), (GateOp("X", 0),)))],
+                        shots, noise, checkpoints)
 
 
-def _readout_matrix(runs) -> np.ndarray:
+def _readout_matrix(tables) -> np.ndarray:
     """The confusion matrices of ``_readout_runs`` at each of their
-    checkpoints, as one (checkpoints, 2, 2) array read off the runs' prefix
-    tables."""
-    checkpoints = np.array(runs[0].checkpoints)
-    return np.stack([run.table for run in runs], axis=-1) / checkpoints[:, None, None]
+    checkpoints, as one (checkpoints, 2, 2) array: column j of each holds
+    run j's frequencies."""
+    return np.moveaxis(tables, 0, -1) / tables[0].sum(axis=-1)[:, None, None]
 
 
 def _conditioned(cal: np.ndarray) -> np.ndarray:

@@ -221,7 +221,7 @@ class TestSweepCommand:
         ("--trials", "1000000000000")])
     def test_oversized_sweep_is_usage_error(self, capsys, tmp_path, monkeypatch, size):
         calls = []
-        monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(tomography, "_sample_rows", lambda *args, **kwargs: calls.append(args))
         tracemalloc.start()
         try:
             code, out, err = run(capsys, "sweep", *size, "--backends", "noiseless",
@@ -342,7 +342,7 @@ class TestMultiCommand:
         assert MAX_BATCH_VECTORS == 1 << (MAX_QUBITS - 1) == 2048
         VectorBatch(np.tile([0.0, 0.0, 1.0], (MAX_BATCH_VECTORS, 1)))
         calls = []
-        monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(tomography, "_sample_rows", lambda *args, **kwargs: calls.append(args))
         vecs = self._vector_file(tmp_path, [[0, 0, 1]] * (MAX_BATCH_VECTORS + 1))
         code, _, err = run(capsys, "multi", "--vectors", vecs, "--axis", "0,0,1",
                            "--angle", "0.5", "--shots", "500")

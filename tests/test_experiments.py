@@ -2,6 +2,7 @@
 tallies; its records must equal a loop that runs tomography at every point."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,18 @@ def test_sweep_equals_per_point_tomography(backend, mitigate, shot_grid):
     assert records == reference_sweep([backend], 3, shot_grid, 17, mitigate)
 
 
+@pytest.mark.parametrize("backend, mitigate", [("noiseless", False), ("nisq-lite", True)])
+def test_first_trials_equal_a_shorter_sweep(backend, mitigate):
+    # Each backend reconstructs all of its trials as one stack: a row that
+    # mixed into another trial would make the two sweeps differ.
+    shot_grid = [900, 100, 2500, 333]
+    short = sweep_records([backend], 2, shot_grid, seed=23, mitigate=mitigate)
+    long = sweep_records([backend], 5, shot_grid, seed=23, mitigate=mitigate)
+    assert len(short) == 2 * 2 * len(shot_grid) and len(long) == 5 * 2 * len(shot_grid)
+    # SweepRecord equality compares every value with float ==.
+    assert long[:len(short)] == short
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_no_trials_rejected(trials):
     with pytest.raises(DomainError, match="trials"):
@@ -58,7 +71,7 @@ def test_no_trials_rejected(trials):
 @pytest.mark.parametrize("backend, mitigate", [("noiseless", False), ("nisq-lite", True)])
 def test_empty_grid_gives_no_records(monkeypatch, backend, mitigate):
     calls = []
-    monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(tomography, "_sample_rows", lambda *args, **kwargs: calls.append(args))
     assert sweep_records([backend], 2, [], mitigate=mitigate) == []
     assert calls == []
 
@@ -66,7 +79,7 @@ def test_empty_grid_gives_no_records(monkeypatch, backend, mitigate):
 def test_grid_point_below_min_shots_rejected(monkeypatch):
     # rejected before any draw, the readout calibration's included
     calls = []
-    monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(tomography, "_sample_rows", lambda *args, **kwargs: calls.append(args))
     for backend, mitigate in (("noiseless", False), ("nisq-lite", True)):
         with pytest.raises(DomainError):
             sweep_records([backend], 2, [500, 99], mitigate=mitigate)
@@ -75,7 +88,7 @@ def test_grid_point_below_min_shots_rejected(monkeypatch):
 
 def test_unknown_backend_rejected_before_any_draw(monkeypatch):
     calls = []
-    monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(tomography, "_sample_rows", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(DomainError, match="unknown backend 'bogus'"):
         sweep_records(["noiseless", "bogus"], 2, [200, 400], 1)
     assert calls == []
@@ -83,7 +96,7 @@ def test_unknown_backend_rejected_before_any_draw(monkeypatch):
 
 def test_sweep_size_is_bounded_before_any_draw(monkeypatch):
     calls = []
-    monkeypatch.setattr(tomography, "sample", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(tomography, "_sample_rows", lambda *args, **kwargs: calls.append(args))
     points = experiments.MAX_SWEEP_RECORDS // 2
     assert log_shot_grid(1, 10**6, points)[-1] == 10**6
     with pytest.raises(DomainError, match="records"):
@@ -94,6 +107,25 @@ def test_sweep_size_is_bounded_before_any_draw(monkeypatch):
     with pytest.raises(DomainError, match="records"):
         sweep_records(["noiseless"], points + 1, [1000])
     assert calls == []
+
+
+def test_trial_heavy_sweep_stays_within_its_share_of_the_budget():
+    # MAX_SWEEP_RECORDS is set by a 256 MiB budget at the cap. A backend
+    # holds all of its trials' tallies and reconstructs them as one stack,
+    # so a scaled-down trial-heavy sweep must stay within its share of that
+    # budget: 64 trials x 16 points under nisq-lite with mitigation make
+    # 2,048 records, 4 MiB. Measured peak: 2.5 MiB.
+    shot_grid = log_shot_grid(100, 1000, 16)
+    sweep_records(["nisq-lite"], 1, shot_grid[:2], mitigate=True)  # first-draw imports
+    tracemalloc.start()
+    try:
+        records = sweep_records(["nisq-lite"], 64, shot_grid, seed=3, mitigate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    share = 256 * 2**20 * len(records) / experiments.MAX_SWEEP_RECORDS
+    assert len(records) == 2048 and share == 4 * 2**20
+    assert peak <= share, f"peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_shot_grid_ends_at_most_at_two_to_the_53():

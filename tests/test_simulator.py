@@ -6,8 +6,8 @@ import pytest
 from qrot import (BranchRotation, Circuit, DomainError, GateOp, NoiseModel, NumericError,
                   ShapeError, ShotResult, apply, axis_rotation_sequence,
                   calibrate_readout, derive_seed, initialization_ops, process_tomography,
-                  rodrigues_rotate, sample, state_to_bloch, zero_state)
-from qrot import simulator
+                  rodrigues_rotate, sample, state_to_bloch, state_tomography, zero_state)
+from qrot import simulator, tomography
 from qrot.rotation import gate_ry
 
 from conftest import WORKED_ROTATED, WORKED_VECTOR
@@ -321,12 +321,7 @@ class TestSample:
         assert bitstring_counts(res) == {"010": 50}
 
 
-def _same_result(a, b):
-    return (a.basis == b.basis and a.shots == b.shots and a.checkpoints == b.checkpoints
-            and np.array_equal(a.hist, b.hist) and np.array_equal(a.table, b.table))
-
-
-# Two circuits that compare equal (RX(0.0) == RX(-0.0)) but whose final
+# Two circuits that compare equal (an angle of 0.0 against -0.0) whose final
 # states differ in the sign of a zero amplitude.
 _SIGNED_ZERO_OPS = [GateOp("X", 0, controls=((1, 1),)), GateOp("X", 0), GateOp("RX", 1, 0.7),
                     GateOp("RX", 0, 0.7, ((1, 1),))]
@@ -334,66 +329,103 @@ _POSITIVE_ZERO = Circuit(2, _SIGNED_ZERO_OPS + [GateOp("RX", 1, 0.0)])
 _NEGATIVE_ZERO = Circuit(2, _SIGNED_ZERO_OPS + [GateOp("RX", 1, -0.0)])
 
 
-class TestEvolutionMemo:
-    """``sample`` evolves a circuit object once for consecutive calls and
-    applies each basis change to a copy of the final state."""
+class TestRowStack:
+    """``_sample_rows`` draws a stack of (circuit, basis, seed) rows: it
+    evolves each circuit object once, applies each row's basis change to a
+    copy of that final state, and each row's table is the lone ``sample``
+    table of that row."""
 
     CIRCUIT = Circuit(3, (GateOp("H", 1), GateOp("H", 2), GateOp("RY", 0, 0.4, ((1, 1),)),
                           GateOp("RZ", 0, 1.1, ((1, 1), (2, 0))), GateOp("RX", 0, -0.8)))
     BASES = (("X", "Z", "Z"), ("Y", "Z", "Z"), ("Z", "Z", "Z"))
 
+    @pytest.fixture
+    def evolved(self, monkeypatch):
+        """(ops, state returned) of every ``_evolve`` call."""
+        calls = []
+        evolve = simulator._evolve
+
+        def recording(state, ops, n):
+            out = evolve(state, ops, n)
+            calls.append((ops, out))
+            return out
+
+        monkeypatch.setattr(simulator, "_evolve", recording)
+        return calls
+
     @pytest.mark.parametrize("noise", [None, NoiseModel(0.02, 0.05, 0.03)],
                              ids=["noiseless", "noisy"])
-    def test_basis_after_basis_equals_fresh_sample(self, noise):
-        def draw(basis):
-            return sample(self.CIRCUIT, basis, 3000, noise, seed=11, checkpoints=(100, 2000))
+    def test_rows_equal_lone_samples(self, noise):
+        # bases in any order, repeated, and with other seeds in between
+        rows = [(self.CIRCUIT, self.BASES[i], seed)
+                for i, seed in ((2, 11), (0, 11), (1, 5), (1, 11), (2, 11), (0, 4))]
+        tables = simulator._sample_rows(rows, 3000, noise, (100, 2000))
+        assert tables.shape == (6, 3, 8) and not tables.flags.writeable
+        for table, (circuit, basis, seed) in zip(tables, rows):
+            lone = sample(circuit, basis, 3000, noise, seed, checkpoints=(100, 2000))
+            assert lone.checkpoints == (100, 2000, 3000)
+            assert table.tobytes() == lone.table.tobytes()
 
-        fresh = []
-        for basis in self.BASES:
-            sample(H, ("Z",), 10)   # evicts CIRCUIT
-            fresh.append(draw(basis))
-        for order in ((0, 1, 2), (2, 1, 0), (1, 1, 0, 2, 2)):
-            for i in order:
-                assert _same_result(draw(self.BASES[i]), fresh[i])
+    def test_each_circuit_object_is_evolved_once_per_grid_job(self, evolved):
+        circuits = {k: (Circuit(1, (GateOp("RY", 0, 0.3 * k), GateOp("RZ", 0, 0.1))), k)
+                    for k in range(4)}
+        tomography._grid_counts(circuits, [400, 200], NoiseModel(readout_flip=0.02), 9, True)
+        for circuit, _ in circuits.values():
+            assert sum(ops is circuit.ops for ops, _ in evolved) == 1
+        # and the two calibration circuits, then one basis change per row
+        assert len(evolved) == 4 + 2 + (4 * 3 + 2)
 
-    def test_equal_circuit_object_is_evolved_again(self):
+    def test_state_tomography_evolves_its_circuit_once(self, evolved):
+        state_tomography(self.CIRCUIT, 300, seed=2)
+        assert [ops is self.CIRCUIT.ops for ops, _ in evolved] == [True, False, False, False]
+
+    def test_equal_circuit_objects_are_evolved_apart(self, evolved):
         assert _POSITIVE_ZERO == _NEGATIVE_ZERO
         positive = apply(_POSITIVE_ZERO, zero_state(2))
         negative = apply(_NEGATIVE_ZERO, zero_state(2))
         assert positive.tobytes() != negative.tobytes()
-        for circuit, state in ((_POSITIVE_ZERO, positive), (_NEGATIVE_ZERO, negative),
-                               (Circuit(2, _NEGATIVE_ZERO.ops), negative)):
-            res = sample(circuit, ("X", "Z"), 500, seed=3)
-            memo_circuit, memo_state = simulator._last_evolved
-            assert memo_circuit is circuit
-            assert memo_state.tobytes() == state.tobytes()
-            sample(H, ("Z",), 10)
-            assert _same_result(res, sample(circuit, ("X", "Z"), 500, seed=3))
+        evolved.clear()
+        # Circuit keeps the ops tuple it is given, so the twin holds the same one.
+        twin = Circuit(2, _NEGATIVE_ZERO.ops)
+        rows = [(circuit, ("X", "Z"), 3)
+                for circuit in (_POSITIVE_ZERO, _NEGATIVE_ZERO, twin, _POSITIVE_ZERO)]
+        tables = simulator._sample_rows(rows, 500)
+        finals = [out.tobytes() for ops, out in evolved if ops is _POSITIVE_ZERO.ops
+                  or ops is _NEGATIVE_ZERO.ops]
+        assert finals == [positive.tobytes(), negative.tobytes(), negative.tobytes()]
+        for table, (circuit, basis, seed) in zip(tables, rows):
+            assert table.tobytes() == sample(circuit, basis, 500, seed=seed).table.tobytes()
 
-    def test_memoised_state_is_read_only_and_kept_apart(self):
-        res = sample(self.CIRCUIT, ("Z", "Z", "Z"), 1000, seed=2)
-        memo_circuit, state = simulator._last_evolved
-        assert memo_circuit is self.CIRCUIT and not state.flags.writeable
+    def test_final_state_is_read_only_and_kept_apart(self, evolved):
+        rows = [(self.CIRCUIT, basis, 2) for basis in self.BASES + self.BASES[::-1]]
+        tables = simulator._sample_rows(rows, 1000, NoiseModel(0.01, 0.0, 0.02))
+        [(_, state)] = [(ops, out) for ops, out in evolved if ops is self.CIRCUIT.ops]
+        assert not state.flags.writeable
         with pytest.raises(ValueError):
             state[0] = 0.0
-        before = state.tobytes()
-        results = [res] + [sample(self.CIRCUIT, basis, 1000, NoiseModel(0.01, 0.0, 0.02),
-                                  seed=2) for basis in self.BASES]
-        assert simulator._last_evolved[1] is state and state.tobytes() == before
-        for r in results:
-            assert not np.shares_memory(r.hist, state) and not np.shares_memory(r.table, state)
+        # every basis change evolved a copy: the shared state still holds the
+        # circuit's final state, and no table is a view of it
+        assert state.tobytes() == apply(self.CIRCUIT, zero_state(3)).tobytes()
+        assert not np.shares_memory(tables, state)
+        assert all(not np.shares_memory(out, state) for _, out in evolved[1:])
 
-    def test_apply_is_unaffected(self):
-        sample(self.CIRCUIT, ("X", "Z", "Z"), 100, seed=1)
-        memo = simulator._last_evolved
+    def test_apply_evolves_a_copy_of_its_input(self):
         psi = np.zeros(8, dtype=complex)
         psi[5] = 1.0
         out = apply(self.CIRCUIT, psi)
-        assert simulator._last_evolved is memo
-        assert out.flags.writeable and not np.shares_memory(out, memo[1])
+        assert out.flags.writeable and not np.shares_memory(out, psi)
         assert np.array_equal(out, simulator._evolve(psi.copy(), self.CIRCUIT.ops, 3))
-        assert apply(self.CIRCUIT, zero_state(3)).tobytes() == memo[1].tobytes()
         assert psi[5] == 1.0 and np.count_nonzero(psi) == 1
+
+    def test_every_row_is_validated_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(simulator, "_tallies",
+                            lambda probs, stops, rng: drawn.append(stops))
+        with pytest.raises(DomainError, match="invalid basis label"):
+            simulator._sample_rows([(H, ("Z",), 0), (H, ("W",), 0)], 10)
+        with pytest.raises(DomainError, match="expected 1 basis labels"):
+            simulator._sample_rows([(H, ("Z",), 0), (H, ("Z", "Z"), 0)], 10)
+        assert drawn == []
 
 
 class TestExpectationFromCounts:
@@ -481,10 +513,8 @@ class TestNoise:
         # instead of renormalizing, with or without gate noise.
         monkeypatch.setattr(simulator, "_gate_matrix",
                             lambda op: 1.01 * np.eye(2, dtype=complex))
-        # A new circuit object: sample reuses the final state of the circuit
-        # object it sampled last, which another test may have left as H.
         with pytest.raises(NumericError):
-            sample(Circuit(1, H.ops), ("Z",), 10, noise, seed=1)
+            sample(H, ("Z",), 10, noise, seed=1)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(DomainError):

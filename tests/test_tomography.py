@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
 
 from qrot import (Circuit, DomainError, GateOp, NoiseModel, NumericError,
-                  RotationSpec, ShapeError, ShotResult, axis_rotation_unitary,
+                  RotationSpec, ShapeError, axis_rotation_unitary,
                   calibrate_readout, dagger, eig_hermitian, erp_from_tomography,
                   gate_fidelity, mitigate_frequencies, process_tomography,
                   process_tomography_exact, smolin_project, state_tomography)
@@ -15,12 +15,13 @@ from qrot import state_to_bloch, tomography
 from qrot.bloch import angle_between
 from qrot.cli import main
 from qrot.rotation import gate_ry, gate_rz
-from qrot.tomography import (MIN_BLOCH_NORM, _bloch_vectors, _floor_spectrum,
-                             _reconstruct_process, _state_estimates, _state_series,
-                             density_from_bloch, estimate_qubit)
+from qrot.tomography import (MIN_BLOCH_NORM, _bloch_vectors, _directed_estimates,
+                             _floor_spectrum, _process_result, _reconstruct_process,
+                             _state_counts, _state_estimates, density_from_bloch,
+                             estimate_qubit)
 from qrot.experiments import rotation_circuit, sweep_records
 from qrot.multirot import VectorBatch, extract_all, index_estimate
-from qrot.simulator import derive_seed, sample
+from qrot.simulator import _sample_rows, derive_seed, sample
 
 from conftest import WORKED_ROTATED, WORKED_VECTOR, random_spec
 from oracles import align_global_phase, expectation_from_counts
@@ -211,17 +212,17 @@ def raises_as(error, call, *args):
 
 
 def even_until(limit):
-    """Stand-in for ``sample`` on one-qubit circuits: the first ``limit``
-    shots split evenly between 0 and 1 and every later shot reads 0, in
-    every basis, so a checkpoint of at most ``limit`` (even) shots has a
+    """Stand-in for ``_sample_rows`` on one-qubit circuits: the first
+    ``limit`` shots split evenly between 0 and 1 and every later shot reads
+    0, in every row, so a checkpoint of at most ``limit`` (even) shots has a
     zero Bloch vector and every later one a nonzero vector."""
     def hist(s):
         half = min(s, limit) // 2
         return [s - half, half]
 
-    def fake(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
+    def fake(rows, shots, noise=None, checkpoints=()):
         stops = sorted({*checkpoints, shots})
-        return ShotResult(tuple(basis), stops, [hist(s) for s in stops])
+        return np.array([[hist(s) for s in stops] for _ in rows])
     return fake
 
 
@@ -250,48 +251,47 @@ class TestStackErrors:
         assert raises_as(NumericError, _reconstruct_process, outputs) == alone
 
     def test_bloch_vector_below_min_norm(self, monkeypatch):
-        monkeypatch.setattr(tomography, "sample", even_until(200))
+        monkeypatch.setattr(tomography, "_sample_rows", even_until(200))
         circuit = Circuit(1, ())
         alone = raises_as(NumericError, state_tomography, circuit, 200)
         assert "MIN_BLOCH_NORM" in alone[1]
-        assert raises_as(NumericError, _state_series, circuit, [400, 200, 800], None, 0,
-                         False) == alone
+        cal, counts = _state_counts(circuit, [400, 200, 800], None, 0, False)
+        assert raises_as(NumericError, _directed_estimates, counts.sum(axis=1), cal) == alone
         assert state_tomography(circuit, 400).expectations == {"X": 0.5, "Y": 0.5, "Z": 0.5}
 
     def test_sweep_raises_before_any_record(self, monkeypatch):
-        monkeypatch.setattr(tomography, "sample", even_until(200))
+        monkeypatch.setattr(tomography, "_sample_rows", even_until(200))
         with pytest.raises(NumericError):
             sweep_records(["noiseless"], 2, [400, 200, 800])
 
 
-def even_sample(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
-    """Stand-in for ``sample``: the calibration's prepare-and-measure runs
-    (no gate, or one X) read back through an exact symmetric 10% flip, every
-    other circuit spreads its shots evenly over its outcomes in every basis,
-    so each control branch reads equal counts of 0 and 1."""
-    kinds = tuple(op.kind for op in circuit.ops)
-    dim = 1 << len(basis)
-
-    def hist(s):
+def even_rows(rows, shots, noise=None, checkpoints=()):
+    """Stand-in for ``_sample_rows``: the calibration's prepare-and-measure
+    runs (no gate, or one X) read back through an exact symmetric 10% flip,
+    every other circuit spreads its shots evenly over its outcomes in every
+    basis, so each control branch reads equal counts of 0 and 1."""
+    def hist(circuit, basis, s):
+        kinds = tuple(op.kind for op in circuit.ops)
+        dim = 1 << len(basis)
         ones = {(): s // 10, ("X",): s - s // 10}.get(kinds)
         if ones is not None:
             return [s - ones, ones]
         return [s - s // dim * (dim - 1)] + [s // dim] * (dim - 1)
 
     stops = sorted({*checkpoints, shots})
-    return ShotResult(tuple(basis), stops, [hist(s) for s in stops])
+    return np.array([[hist(circuit, basis, s) for s in stops] for circuit, basis, _ in rows])
 
 
 class TestZeroEstimate:
     @pytest.mark.parametrize("mitigate", [False, True])
     def test_state_tomography_raises(self, monkeypatch, mitigate):
-        monkeypatch.setattr(tomography, "sample", even_sample)
+        monkeypatch.setattr(tomography, "_sample_rows", even_rows)
         with pytest.raises(NumericError):
             state_tomography(Circuit(1, (GateOp("H", 0),)), shots=1000, mitigate=mitigate)
 
     @pytest.mark.parametrize("mitigate", [False, True])
     def test_cli_exits_4(self, monkeypatch, capsys, mitigate):
-        monkeypatch.setattr(tomography, "sample", even_sample)
+        monkeypatch.setattr(tomography, "_sample_rows", even_rows)
         argv = ["rotate", "--axis", "0,0,1", "--angle", "1", "--vector", "1,0,0",
                 "--shots", "1000"] + (["--mitigate"] if mitigate else [])
         assert main(argv) == 4
@@ -300,7 +300,7 @@ class TestZeroEstimate:
     @pytest.mark.parametrize("mitigate", [False, True])
     def test_cli_multi_reports_failed(self, monkeypatch, capsys, tmp_path, mitigate):
         # multi reports a direction-less index and carries on with the rest
-        monkeypatch.setattr(tomography, "sample", even_sample)
+        monkeypatch.setattr(tomography, "_sample_rows", even_rows)
         path = tmp_path / "vectors.json"
         path.write_text("[[0, 0, 1], [1, 0, 0]]")
         argv = ["multi", "--vectors", str(path), "--axis", "0,0,1", "--angle", "1",
@@ -320,11 +320,11 @@ class TestSharedCore:
     def calls(self, monkeypatch):
         calls = []
 
-        def recording_sample(circuit, basis, shots, noise=None, seed=0, *, checkpoints=()):
-            calls.append((circuit.num_qubits, shots, tuple(checkpoints)))
-            return sample(circuit, basis, shots, noise, seed, checkpoints=checkpoints)
+        def recording_rows(rows, shots, noise=None, checkpoints=()):
+            calls.extend((circuit.num_qubits, shots, tuple(checkpoints)) for circuit, _, _ in rows)
+            return _sample_rows(rows, shots, noise, checkpoints)
 
-        monkeypatch.setattr(tomography, "sample", recording_sample)
+        monkeypatch.setattr(tomography, "_sample_rows", recording_rows)
         return calls
 
     def test_batched_extraction(self, calls, worked_spec):
@@ -434,7 +434,7 @@ class TestProcessTomography:
                            ("+i", np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0))):
             rho = np.outer(psi, psi.conj())
             outputs[label] = ((rho + x @ rho @ x) / 2.0)[None]
-        [result] = _reconstruct_process(outputs)
+        result = _process_result(outputs)
         assert result.degenerate
 
     def test_too_few_shots_rejected(self, worked_spec):
