@@ -16,7 +16,7 @@ from .multirot import VectorBatch, extract_all
 from .rotation import (RotationSpec, axis_rotation_sequence, axis_rotation_unitary,
                        erp_from_spec, erp_from_unitary, initialization_ops,
                        rodrigues_rotate)
-from .simulator import NoiseModel, derive_seed
+from .simulator import NoiseModel, _rng, derive_seed
 from .tomography import (_directed_estimates, _process_counts, _process_outputs,
                          _reconstruct_process, _state_counts, erp_from_tomography,
                          gate_fidelity, state_tomography)
@@ -66,22 +66,15 @@ def log_shot_grid(lo: int = DEFAULT_SHOT_RANGE[0], hi: int = DEFAULT_SHOT_RANGE[
     return np.unique(np.clip(grid, lo, hi)).tolist()
 
 
-def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
-    return normalize(rng.normal(size=3))[0]
-
-
-def random_spec(rng: np.random.Generator) -> RotationSpec:
-    return RotationSpec(random_unit_vector(rng), float(rng.uniform(0.0, 2.0 * math.pi)))
-
-
 def seeded_rotations(seed: int, count: int) -> list[RotationSpec]:
-    rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, 1)))
-    return [random_spec(rng) for _ in range(count)]
+    rng = _rng(derive_seed(seed, 1))
+    return [RotationSpec(normalize(rng.normal(size=3))[0],
+                         float(rng.uniform(0.0, 2.0 * math.pi))) for _ in range(count)]
 
 
 def seeded_vectors(seed: int, count: int) -> list[np.ndarray]:
-    rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, 2)))
-    return [random_unit_vector(rng) for _ in range(count)]
+    rng = _rng(derive_seed(seed, 2))
+    return [normalize(rng.normal(size=3))[0] for _ in range(count)]
 
 
 def rotation_circuit(vector, spec: RotationSpec) -> Circuit:

@@ -12,10 +12,11 @@ at once, so ``full_circuit`` takes one ``RotationSpec`` for the whole batch.
 ``VectorBatch`` checks the whole (p, 3) stack in one pass and names the
 first bad row only when there is one; the encoding reads each row's
 spherical angles without checking it again. Extraction reads the controls
-in Z; ``tomography._grid_counts`` draws the circuit in its three bases as
+in Z; ``tomography._state_counts`` draws the circuit in its three bases as
 one row stack, from one evolution, and tallies the shots into one
 (2**n, 3, 2) array for its one grid point, and one stacked single-qubit
-estimate reads every index from its branch's (3, 2) row.
+estimate, ``tomography._state_estimates``, reads every index from its
+branch's (3, 2) row.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .bloch import UNIT_TOL, _spherical_angles, _units, require_unit
 from .circuit import MAX_QUBITS, BranchRotation, Circuit, GateOp
 from .errors import DomainError, ShapeError
 from .rotation import RotationSpec, axis_rotation_sequence
-from .simulator import BASIS_LABELS, NoiseModel, derive_seed
-from .tomography import MIN_BLOCH_NORM, _checked_tally, _grid_counts, _state_estimates
+from .simulator import BASIS_LABELS, NoiseModel
+from .tomography import MIN_BLOCH_NORM, _checked_tally, _state_counts, _state_estimates
 
 # Below this many samples in a basis, expectation estimates have standard
 # error above 0.2 and the per-index tomography is not meaningful.
@@ -120,7 +121,7 @@ def extract_all(batch: VectorBatch, rotation: RotationSpec, shots_per_vector: in
                 mitigate: bool = False) -> list[ExtractedVector]:
     """Rotate the whole batch and read every vector back by post-selection.
 
-    Draws the full circuit through ``tomography._grid_counts`` at the one
+    Draws the full circuit through ``tomography._state_counts`` at the one
     grid point ``shots_per_vector`` (``shots_per_vector * 2**n`` shots in
     each basis of qubit 0, the readout calibration at ``shots_per_vector``)
     and reconstructs each encoded index from its control branch's row of the
@@ -131,19 +132,19 @@ def extract_all(batch: VectorBatch, rotation: RotationSpec, shots_per_vector: in
     under-sampled; an index with zero samples in some basis or a zero
     estimate gets an error entry rather than failing the whole extraction.
     """
-    cal, tables = _grid_counts({0: (full_circuit(batch, rotation), seed)},
-                               [shots_per_vector], noise, derive_seed(seed, 3), mitigate)
+    cal, counts = _state_counts(full_circuit(batch, rotation), [shots_per_vector], noise, seed,
+                                mitigate)
     cal = None if cal is None else cal[0]
-    return _index_estimates(range(1, batch.p + 1), tables[0][0, :batch.p], cal)
+    return _index_estimates(range(1, batch.p + 1), counts[0, :batch.p], cal)
 
 
 def index_estimate(index: int, tally, cal=None) -> ExtractedVector:
     """Single-qubit tomography for one branch from its (3, 2) tally, the
-    (n0, n1) of bases X, Y, Z: the direction r/|r| that ``estimate_qubit``
-    returns, from the same stacked estimator on one row, without the density
-    matrix; ``cal`` is a checked readout calibration. The tally is checked as
-    ``estimate_qubit`` checks it. The one-row case of ``extract_all``'s
-    read-back."""
+    (n0, n1) of bases X, Y, Z: the direction r/|r| of the stacked estimator
+    ``tomography._state_estimates`` on one row, or None with an error entry
+    when a basis is empty or |r| < MIN_BLOCH_NORM; ``cal`` is a checked
+    readout calibration. The tally is checked by ``_checked_tally`` and must
+    be a single one. The one-row case of ``extract_all``'s read-back."""
     tally = _checked_tally(tally)
     if tally.ndim != 2:
         raise ShapeError(f"expected one (3, 2) tally, got shape {tally.shape}")
@@ -156,7 +157,7 @@ def _index_estimates(indices, tallies, cal=None) -> list[ExtractedVector]:
     ``tomography._state_estimates`` call over the rows with no empty basis.
     Each row gets the bytes it gets alone."""
     totals = tallies.sum(axis=-1)
-    r, _, norm = _state_estimates(tallies[(totals > 0).all(axis=-1)], cal)
+    r, norm = _state_estimates(tallies[(totals > 0).all(axis=-1)], cal)
     directed = norm >= MIN_BLOCH_NORM
     # A row with no direction is divided by 1 and dropped.
     estimates = zip(r / np.where(directed, norm, 1.0)[:, None], directed.tolist())

@@ -2,9 +2,9 @@
 
 Every step below works on stacks. ``_grid_counts`` draws all of a job's
 circuits, in all three bases, as one stack of rows of
-``simulator._sample_rows`` and returns each circuit's tallies as a
-(points, 2**n, 3, 2) array. A sweep draws trial by trial, stacks every
-trial's tallies and calibrations, and gets one estimate, one Choi
+``simulator._sample_rows`` and returns their tallies as one
+(points, circuits, 2**n, 3, 2) array. A sweep draws trial by trial, stacks
+every trial's tallies and calibrations, and gets one estimate, one Choi
 projection and one polar factor per (trial, point) from a single call each
 per backend. The public one-point functions run the same code on a stack
 of one, so a sweep's values equal theirs.
@@ -15,7 +15,7 @@ linear-inversion Bloch vector r, and projects (I + r . sigma)/2 onto the
 physical states by maximum likelihood (Smolin, Gambetta & Smith: floor the
 negative eigenvalue, keep the eigenvectors). For one qubit that is the state
 of Bloch vector r / max(1, |r|), whose dominant eigenvector is r/|r|;
-``estimate_qubit`` uses these closed forms.
+``_state_estimates`` and ``state_tomography`` use these closed forms.
 
 Process tomography (single qubit) prepares the four spanning inputs
 |0>, |1>, |+>, |+i>, reconstructs each output state by plain linear
@@ -51,20 +51,20 @@ MIN_SHOTS = 100
 # A Bloch vector estimate shorter than this has no direction.
 MIN_BLOCH_NORM = 1e-12
 
-# Gate realizations of the four spanning input states.
-_PREP_OPS = {
-    "0": (),
-    "1": (GateOp("X", 0),),
-    "+": (GateOp("RY", 0, math.pi / 2.0),),
-    "+i": (GateOp("RY", 0, math.pi / 2.0), GateOp("RZ", 0, math.pi / 2.0)),
-}
-_PREP_STATES = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "+": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-    "+i": np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
-}
 PREP_LABELS = ("0", "1", "+", "+i")
+# The four spanning input states, as gates and as vectors, in PREP_LABELS order.
+_PREP_OPS = (
+    (),
+    (GateOp("X", 0),),
+    (GateOp("RY", 0, math.pi / 2.0),),
+    (GateOp("RY", 0, math.pi / 2.0), GateOp("RZ", 0, math.pi / 2.0)),
+)
+_PREP_STATES = (
+    np.array([1.0, 0.0], dtype=complex),
+    np.array([0.0, 1.0], dtype=complex),
+    np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
+    np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
+)
 
 
 @dataclass
@@ -181,44 +181,28 @@ def _bloch_vectors(tallies, cal=None) -> np.ndarray:
 
 
 def _state_estimates(tallies, cal=None):
-    """(r, rho, |r|) of each tally of an (..., 3, 2) stack: r from
-    ``_bloch_vectors`` and rho = ``smolin_project`` of (I + r . sigma)/2, in
-    closed form."""
+    """(r, |r|) of each tally of an (..., 3, 2) stack: r from
+    ``_bloch_vectors``, which may leave the unit ball. The projected state
+    has Bloch vector r / max(1, |r|) and direction r/|r|."""
     r = _bloch_vectors(tallies, cal)
-    norm = np.sqrt(row_dot(r, r))
-    return r, density_from_bloch(r / np.maximum(1.0, norm)[..., None]), norm
+    return r, np.sqrt(row_dot(r, r))
 
 
-def estimate_qubit(tally, cal=None):
-    """Single-qubit state estimate (r, rho, direction) from a (3, 2) tally:
-    row k holds the (n0, n1) of basis X, Y, Z. r is (n0 - n1)/N per basis, or
-    p0 - p1 of the NNLS-mitigated frequencies given a checked calibration
-    ``cal``, and may leave the unit ball; rho = ``smolin_project`` of
-    (I + r . sigma)/2 and direction = r/|r| (None below MIN_BLOCH_NORM), in
-    closed form, by ``_state_estimates``. The tally is checked by
-    ``_checked_tally`` and must be a single one."""
-    tally = np.asarray(tally)
-    if tally.ndim != 2:
-        raise ShapeError(f"expected one (3, 2) tally, got shape {tally.shape}")
-    r, rho, norm = _state_estimates(tally, cal)
-    return r, rho, r / norm if norm >= MIN_BLOCH_NORM else None
-
-
-def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: int,
-                 mitigate: bool) -> tuple[np.ndarray | None, dict]:
-    """(cal, tables) over the points s of the non-empty ``shot_grid``, in
-    grid order: cal stacks the checked readout calibrations of s shots per
-    run as one (points, 2, 2) array (None without mitigation), and tables
-    maps each key of ``circuits`` (key -> (circuit, seed)) to its tallies.
-    Every circuit has the same width. Qubit 0 is the data qubit, measured in
-    bases X, Y, Z; every other qubit is a control bit read in Z. Circuits
-    with n control qubits are drawn at s * 2**n shots per basis, about s per
-    control branch, and each circuit's tallies are one int64 array of shape
-    (points, 2**n, 3, 2): point, branch b, then basis X/Y/Z, then (n0, n1).
-    The calibration's two runs are one ``_sample_rows`` call and every
-    (circuit, basis) row of the data another, each drawn once at the largest
-    point with the distinct points as checkpoints; each row's prefix table
-    is its slice of the tallies."""
+def _grid_counts(circuits, shot_grid, noise: NoiseModel | None, cal_seed: int,
+                 mitigate: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """(cal, tallies) over the points s of the non-empty ``shot_grid``, in
+    grid order, for a sequence of (circuit, seed) pairs: cal stacks the
+    checked readout calibrations of s shots per run as one (points, 2, 2)
+    array (None without mitigation). Every circuit has the same width.
+    Qubit 0 is the data qubit, measured in bases X, Y, Z; every other qubit
+    is a control bit read in Z. Circuits with n control qubits are drawn at
+    s * 2**n shots per basis, about s per control branch, and the tallies
+    are one int64 array of shape (points, circuits, 2**n, 3, 2): point,
+    circuit, branch b, then basis X/Y/Z, then (n0, n1). The calibration's
+    two runs are one ``_sample_rows`` call and every (circuit, basis) row of
+    the data another, each drawn once at the largest point with the
+    distinct points as checkpoints; each row's prefix table is its slice of
+    the tallies."""
     if min(shot_grid) < MIN_SHOTS:
         raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {min(shot_grid)}")
     checkpoints = sorted(set(shot_grid))
@@ -227,56 +211,61 @@ def _grid_counts(circuits: dict, shot_grid, noise: NoiseModel | None, cal_seed: 
     top = checkpoints[-1]
     cal = (_conditioned(_readout_matrix(_readout_runs(noise, top, cal_seed, checkpoints))[rows])
            if mitigate else None)
-    n = next(iter(circuits.values()))[0].num_qubits - 1
+    n = circuits[0][0].num_qubits - 1
     jobs = [(circuit, (label,) + ("Z",) * n, derive_seed(seed, bi))
-            for circuit, seed in circuits.values() for bi, label in enumerate(BASIS_LABELS)]
+            for circuit, seed in circuits for bi, label in enumerate(BASIS_LABELS)]
     tables = _sample_rows(jobs, top * 2**n, noise, [s * 2**n for s in checkpoints])
-    # (circuit, basis, checkpoint, branch, bit) to (circuit, point, branch, basis, bit)
+    # (circuit, basis, checkpoint, branch, bit) to (point, circuit, branch, basis, bit)
     tables = tables.reshape(len(circuits), 3, len(checkpoints), 2**n, 2)
-    return cal, dict(zip(circuits, tables.transpose(0, 2, 3, 1, 4)[:, rows]))
+    return cal, tables.transpose(2, 0, 3, 1, 4)[rows]
 
 
 def _state_counts(circuit: Circuit, shot_grid, noise: NoiseModel | None, seed: int,
                   mitigate: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """(cal, counts) of ``state_tomography`` at every point of ``shot_grid``,
-    in grid order: the ``_grid_counts`` of the circuit alone."""
-    cal, tables = _grid_counts({0: (circuit, seed)}, shot_grid, noise, derive_seed(seed, 3),
-                               mitigate)
-    return cal, tables[0]
+    """(cal, counts) of one circuit at every point of ``shot_grid``, in grid
+    order, as ``state_tomography`` and ``multirot.extract_all`` draw it: the
+    ``_grid_counts`` of the circuit alone, with counts of shape
+    (points, 2**n, 3, 2) and the calibration seed derive_seed(seed, 3)."""
+    cal, tallies = _grid_counts([(circuit, seed)], shot_grid, noise, derive_seed(seed, 3),
+                                mitigate)
+    return cal, tallies[:, 0]
 
 
 def _directed_estimates(tallies, cal=None):
-    """(r, rho, r/|r|) of each tally of an (..., 3, 2) stack, from one
+    """(r, |r|, r/|r|) of each tally of an (..., 3, 2) stack, from one
     ``_state_estimates`` call. Raises NumericError when any estimate has no
     direction."""
-    r, rho, norm = _state_estimates(tallies, cal)
+    r, norm = _state_estimates(tallies, cal)
     if np.any(norm < MIN_BLOCH_NORM):
         raise NumericError("estimated Bloch vector is below MIN_BLOCH_NORM; it has no direction")
-    return r, rho, r / norm[..., None]
+    return r, norm, r / norm[..., None]
 
 
 def state_tomography(circuit: Circuit, shots: int = 20000, noise: NoiseModel | None = None,
                      seed: int = 0, mitigate: bool = False) -> StateTomographyResult:
-    """Reconstruct qubit 0's state as ``estimate_qubit`` does from its marginal
-    in three basis-sampled jobs of ``shots * 2**n`` each, n being the number
-    of other (control) qubits. Under gate noise those qubits must be
-    controls in ``simulator.sample``'s sense (each prepared by one
-    uncontrolled H, only a control after it), else DomainError. Raises
-    NumericError when the estimate has no direction (|r| < MIN_BLOCH_NORM)."""
+    """Reconstruct qubit 0's state from three basis-sampled jobs of
+    ``shots * 2**n`` each, n being the number of other (control) qubits:
+    ``_state_estimates`` of qubit 0's tally summed over the control
+    branches, its density (I + r . sigma)/2 at r / max(1, |r|). Under gate
+    noise those qubits must be controls in ``simulator.sample``'s sense
+    (each prepared by one uncontrolled H, only a control after it), else
+    DomainError. Raises NumericError when the estimate has no direction
+    (|r| < MIN_BLOCH_NORM)."""
     cal, counts = _state_counts(circuit, [shots], noise, seed, mitigate)
-    r, rho, direction = _directed_estimates(counts.sum(axis=1), cal)
-    return StateTomographyResult(density=rho[0], bloch=direction[0],
+    r, norm, direction = _directed_estimates(counts.sum(axis=1), cal)
+    return StateTomographyResult(density=density_from_bloch(r[0] / max(1.0, norm[0])),
+                                 bloch=direction[0],
                                  expectations=dict(zip(BASIS_LABELS, r[0].tolist())),
                                  counts=counts[0])
 
 
-def _reconstruct_process(outputs: dict[str, np.ndarray]):
-    """Assemble and project the Choi matrix from the four output states, then
-    extract Kraus operators and the closest unitary, for every point of the
-    (points, 2, 2) output-state stacks at once: (choi, Kraus weights, Kraus
-    operators, unitary) as stacks over the points."""
-    e00, e11 = outputs["0"], outputs["1"]
-    e01 = outputs["+"] + 1j * outputs["+i"] - _times((1.0 + 1.0j) / 2.0, e00 + e11)
+def _reconstruct_process(outputs):
+    """Assemble and project the Choi matrix from the (points, 4, 2, 2) stack
+    of output states, by input in ``PREP_LABELS`` order, then extract Kraus
+    operators and the closest unitary, for every point at once: (choi,
+    Kraus weights, Kraus operators, unitary) as stacks over the points."""
+    e00, e11, plus, plus_i = np.moveaxis(outputs, -3, 0)
+    e01 = plus + 1j * plus_i - _times((1.0 + 1.0j) / 2.0, e00 + e11)
     choi = np.block([[e00, e01], [dagger(e01), e11]])
     weights, vectors, choi = _floor_psd(choi)
     # K_k: eigenvector k (column k), reshaped column-major to 2x2
@@ -285,8 +274,8 @@ def _reconstruct_process(outputs: dict[str, np.ndarray]):
     return choi, weights, operators, polar_unitary(operators[:, 0])
 
 
-def _process_result(outputs: dict[str, np.ndarray]) -> ProcessTomographyResult:
-    """``_reconstruct_process`` of output-state stacks of one point."""
+def _process_result(outputs) -> ProcessTomographyResult:
+    """``_reconstruct_process`` of a (1, 4, 2, 2) output-state stack."""
     choi, weights, operators, unitary = _reconstruct_process(outputs)
     w = weights[0].tolist()
     return ProcessTomographyResult(choi=choi[0], kraus=KrausSet(list(operators[0]), w),
@@ -300,17 +289,19 @@ def _process_counts(spec: RotationSpec, shot_grid, noise: NoiseModel | None, see
     ``shot_grid``, in grid order, from one ``_grid_counts`` call: tallies
     (points, 4, 3, 2) holds the tally of each input of ``PREP_LABELS``."""
     rotation_ops = axis_rotation_sequence(spec)
-    circuits = {prep: (Circuit(1, _PREP_OPS[prep] + rotation_ops), derive_seed(seed, 4 + k))
-                for k, prep in enumerate(PREP_LABELS)}
-    cal, tables = _grid_counts(circuits, shot_grid, noise, derive_seed(seed, 12), mitigate)
-    return cal, np.stack([tables[prep][:, 0] for prep in PREP_LABELS], axis=1)
+    circuits = [(Circuit(1, ops + rotation_ops), derive_seed(seed, 4 + k))
+                for k, ops in enumerate(_PREP_OPS)]
+    cal, tallies = _grid_counts(circuits, shot_grid, noise, derive_seed(seed, 12), mitigate)
+    return cal, tallies[:, :, 0]
 
 
-def _process_outputs(tallies, cal=None) -> dict[str, np.ndarray]:
+def _process_outputs(tallies, cal=None) -> np.ndarray:
     """The output states of each (4, 3, 2) tally of an (..., 4, 3, 2) stack,
-    by input, as ``_reconstruct_process`` takes them."""
-    return {prep: density_from_bloch(_bloch_vectors(tallies[..., k, :, :], cal))
-            for k, prep in enumerate(PREP_LABELS)}
+    as the (..., 4, 2, 2) stack ``_reconstruct_process`` takes, from one
+    ``_bloch_vectors`` call; ``cal`` holds one calibration per (4, 3, 2)
+    tally."""
+    cal = None if cal is None else cal[..., None, :, :]
+    return density_from_bloch(_bloch_vectors(tallies, cal))
 
 
 def process_tomography(spec: RotationSpec, shots: int = 20000,
@@ -330,11 +321,8 @@ def process_tomography_exact(u) -> ProcessTomographyResult:
         raise ShapeError(f"expected a 2x2 matrix, got shape {u.shape}")
     if not is_unitary(u, 1e-6):
         raise DomainError("matrix is not unitary within tolerance")
-    outputs = {}
-    for prep, psi in _PREP_STATES.items():
-        out = u @ psi
-        outputs[prep] = np.outer(out, out.conj())[None]
-    return _process_result(outputs)
+    return _process_result(np.array([[np.outer(out, out.conj())
+                                      for out in (u @ psi for psi in _PREP_STATES)]]))
 
 
 def gate_fidelity(u_exact, u_rec):

@@ -252,10 +252,10 @@ class TestExtraction:
             [(1, 1), (1, 1), (1, 1)],
         ], dtype=np.int64)
 
-        def fake_counts(circuits, shot_grid, noise, cal_seed, mitigate):
-            return (cal[None] if mitigate else None), {0: rows[None]}
+        def fake_counts(circuit, shot_grid, noise, seed, mitigate):
+            return (cal[None] if mitigate else None), rows[None]
 
-        monkeypatch.setattr(multirot, "_grid_counts", fake_counts)
+        monkeypatch.setattr(multirot, "_state_counts", fake_counts)
         batch = VectorBatch(unit_rows(np.random.default_rng(30), 6))
         out = extract_all(batch, worked_spec, 200, mitigate=mitigate)
         assert len(out) == 6
@@ -272,8 +272,8 @@ class TestExtraction:
         assert [item.under_sampled for item in out] == [False, True, False, True, True, True]
 
     def test_all_rows_without_samples(self, monkeypatch, worked_spec):
-        monkeypatch.setattr(multirot, "_grid_counts",
-                            lambda *args: (None, {0: np.zeros((1, 2, 3, 2), dtype=np.int64)}))
+        monkeypatch.setattr(multirot, "_state_counts",
+                            lambda *args: (None, np.zeros((1, 2, 3, 2), dtype=np.int64)))
         out = extract_all(VectorBatch(np.array([1.0, 0.0, 0.0])), worked_spec, 200)
         assert [(item.vector, item.error) for item in out] == [(None, "no samples in basis X,Y,Z")]
 

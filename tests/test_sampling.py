@@ -537,7 +537,8 @@ def test_noisy_cli_maximum_sample_memory_bound():
     # The widest noisy batch the CLI accepts, 2,048 vectors on 12 qubits.
     # Gate noise costs no memory of its own: the job holds the 2^12
     # statevector (64 KiB), its probabilities and one chunk of draws.
-    # Measured peak: 0.19 MiB.
+    # Measured peak as this test runs it, alone or in the suite (numpy
+    # 2.4.6): 313,912 to 314,512 bytes, 0.30 MiB.
     circuit = _batch_circuit(2048, 6)
     basis = ("Y",) + ("Z",) * 11
     tracemalloc.start()
@@ -554,7 +555,8 @@ def test_noiseless_full_chunk_sample_memory_bound():
     # The widest circuit at more than two full SAMPLE_CHUNK draws: the
     # chunk's uniforms, sorted in place, and the kernel's temporaries must
     # stay within the peak of an earlier per-shot lookup, 1,709,803 bytes
-    # on this job. Measured peak: 758,051 bytes.
+    # on this job. Measured peak as this test runs it, alone or in the
+    # suite (numpy 2.4.6): 725,580 to 725,708 bytes.
     circuit = _batch_circuit(2048, 6)
     basis = ("X",) + ("Z",) * 11
     shots = 2 * simulator.SAMPLE_CHUNK + 5

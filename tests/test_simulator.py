@@ -367,10 +367,10 @@ class TestRowStack:
             assert table.tobytes() == lone.table.tobytes()
 
     def test_each_circuit_object_is_evolved_once_per_grid_job(self, evolved):
-        circuits = {k: (Circuit(1, (GateOp("RY", 0, 0.3 * k), GateOp("RZ", 0, 0.1))), k)
-                    for k in range(4)}
+        circuits = [(Circuit(1, (GateOp("RY", 0, 0.3 * k), GateOp("RZ", 0, 0.1))), k)
+                    for k in range(4)]
         tomography._grid_counts(circuits, [400, 200], NoiseModel(readout_flip=0.02), 9, True)
-        for circuit, _ in circuits.values():
+        for circuit, _ in circuits:
             assert sum(ops is circuit.ops for ops, _ in evolved) == 1
         # and the two calibration circuits, then one basis change per row
         assert len(evolved) == 4 + 2 + (4 * 3 + 2)

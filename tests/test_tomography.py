@@ -11,14 +11,13 @@ from qrot import (Circuit, DomainError, GateOp, NoiseModel, NumericError,
                   calibrate_readout, dagger, eig_hermitian, erp_from_tomography,
                   gate_fidelity, mitigate_frequencies, process_tomography,
                   process_tomography_exact, smolin_project, state_tomography)
-from qrot import state_to_bloch, tomography
+from qrot import apply, state_to_bloch, tomography, zero_state
 from qrot.bloch import angle_between
 from qrot.cli import main
 from qrot.rotation import gate_ry, gate_rz
 from qrot.tomography import (MIN_BLOCH_NORM, _bloch_vectors, _directed_estimates,
                              _floor_spectrum, _process_result, _reconstruct_process,
-                             _state_counts, _state_estimates, density_from_bloch,
-                             estimate_qubit)
+                             _state_counts, _state_estimates, density_from_bloch)
 from qrot.experiments import rotation_circuit, sweep_records
 from qrot.multirot import VectorBatch, extract_all, index_estimate
 from qrot.simulator import _sample_rows, derive_seed, sample
@@ -95,6 +94,15 @@ _tally = st.tuples(st.integers(0, 5000), st.integers(0, 5000)).filter(lambda t: 
 _tallies = st.tuples(_tally, _tally, _tally).map(np.array)
 
 
+def one_tally_estimate(tally, cal=None):
+    """(r, rho, direction) of one (3, 2) tally: r from ``_state_estimates``,
+    rho the projected state of Bloch vector r / max(1, |r|), and the
+    direction r/|r| that ``index_estimate`` reads back (None below
+    MIN_BLOCH_NORM)."""
+    r, norm = _state_estimates(tally, cal)
+    return r, density_from_bloch(r / max(1.0, norm)), index_estimate(1, tally, cal).vector
+
+
 class TestEstimateQubit:
     @settings(max_examples=300, deadline=None)
     @given(tallies=_tallies)
@@ -102,7 +110,7 @@ class TestEstimateQubit:
     @example(tallies=np.array([(100, 0), (100, 0), (0, 100)]))    # |r| = sqrt(3)
     @example(tallies=np.array([(90, 100), (90, 100), (1, 1)]))    # |r| = 0.074
     def test_matches_jacobi_reference(self, tallies):
-        r, rho, direction = estimate_qubit(tallies)
+        r, rho, direction = one_tally_estimate(tallies)
         # The reference eigenvectors are only as accurate as eps / |r|, the
         # inverse eigenvalue gap, so the bound needs |r| away from 0.
         assume(np.linalg.norm(r) >= 0.05)
@@ -115,8 +123,8 @@ class TestEstimateQubit:
     @given(tallies=_tallies)
     def test_raw_vector_is_counts_or_mitigated_frequencies(self, tallies):
         cal = np.array([[0.93, 0.05], [0.07, 0.95]])
-        r, _, _ = estimate_qubit(tallies)
-        r_mitigated, _, _ = estimate_qubit(tallies, cal)
+        r, _, _ = one_tally_estimate(tallies)
+        r_mitigated, _, _ = one_tally_estimate(tallies, cal)
         for k, (n0, n1) in enumerate(tallies):
             assert r[k] == (n0 - n1) / (n0 + n1)
             p = mitigate_frequencies(np.array([n0, n1]) / (n0 + n1), cal)
@@ -124,16 +132,17 @@ class TestEstimateQubit:
 
     @pytest.mark.parametrize("cal", [None, [[0.9, 0.1], [0.1, 0.9]]])
     def test_zero_vector_has_no_direction(self, cal):
-        r, rho, direction = estimate_qubit(np.full((3, 2), 50), cal)
+        r, rho, direction = one_tally_estimate(np.full((3, 2), 50), cal)
         assert np.linalg.norm(r) < MIN_BLOCH_NORM
         assert direction is None
         assert max_abs(rho - np.eye(2) / 2.0) <= 1e-15
 
     def test_empty_basis_rejected(self):
         with pytest.raises(DomainError):
-            estimate_qubit(np.array([(0, 0), (3, 1), (2, 2)]))
+            one_tally_estimate(np.array([(0, 0), (3, 1), (2, 2)]))
 
-    @pytest.mark.parametrize("estimate", [estimate_qubit, lambda t: index_estimate(1, t)],
+    # "estimate_qubit" names the one-tally state estimate, _state_estimates.
+    @pytest.mark.parametrize("estimate", [_state_estimates, lambda t: index_estimate(1, t)],
                              ids=["estimate_qubit", "index_estimate"])
     @pytest.mark.parametrize("tally, error", [
         (np.full((2, 2), 50), ShapeError),
@@ -196,9 +205,10 @@ class TestStackedEstimates:
         if mitigate:
             cal = column_stochastic(data.draw(
                 arrays(np.float64, (len(tallies), 2), elements=st.floats(0.0, 0.3))))
-        r, rho, norm = _state_estimates(tallies, cal)
+        r, norm = _state_estimates(tallies, cal)
+        rho = density_from_bloch(r / np.maximum(1.0, norm)[:, None])
         for k, tally in enumerate(tallies):
-            one_r, one_rho, direction = estimate_qubit(tally, None if cal is None else cal[k])
+            one_r, one_rho, direction = one_tally_estimate(tally, None if cal is None else cal[k])
             assert np.array_equal(r[k], one_r)
             assert np.array_equal(rho[k], one_rho)
             assert (direction is None) == (norm[k] < MIN_BLOCH_NORM)
@@ -234,7 +244,7 @@ class TestStackErrors:
         tallies = np.array([[(5, 5), (3, 1), (2, 2)],
                             [(5, 5), (0, 0), (2, 2)],
                             [(0, 0), (0, 0), (1, 1)]])
-        alone = raises_as(DomainError, estimate_qubit, tallies[1])
+        alone = raises_as(DomainError, _state_estimates, tallies[1])
         assert alone == (DomainError, "no samples in basis Y")
         assert raises_as(DomainError, _bloch_vectors, tallies) == alone
         assert raises_as(DomainError, _state_estimates, tallies) == alone
@@ -244,10 +254,9 @@ class TestStackErrors:
         # Choi matrix is diag(1, 0, 1, 0) and each dominant Kraus operator,
         # |0><0| or |0><1|, is singular.
         reset = np.diag([1.0, 0.0]).astype(complex)
-        outputs = {prep: np.stack([np.outer(psi, psi.conj()), reset])
-                   for prep, psi in tomography._PREP_STATES.items()}
-        alone = raises_as(NumericError, _reconstruct_process,
-                          {prep: stack[1:] for prep, stack in outputs.items()})
+        outputs = np.array([[np.outer(psi, psi.conj()) for psi in tomography._PREP_STATES],
+                            [reset] * 4])
+        alone = raises_as(NumericError, _reconstruct_process, outputs[1:])
         assert raises_as(NumericError, _reconstruct_process, outputs) == alone
 
     def test_bloch_vector_below_min_norm(self, monkeypatch):
@@ -388,6 +397,30 @@ class TestStateTomography:
         assert abs(fixed.expectations["Z"] - 1.0) < 0.03
 
 
+# Each spanning input state by its label, written out independently of
+# tomography's own tables.
+_INPUT_STATES = {
+    "0": [1.0, 0.0],
+    "1": [0.0, 1.0],
+    "+": [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)],
+    "+i": [1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0)],
+}
+
+
+@pytest.mark.parametrize("k, label", enumerate(tomography.PREP_LABELS),
+                         ids=tomography.PREP_LABELS)
+def test_preparation_ops_make_their_states(k, label):
+    # The preparations are paired with their states by position only.
+    assert len(tomography._PREP_OPS) == len(tomography._PREP_STATES) == 4
+    state = apply(Circuit(1, tomography._PREP_OPS[k]), zero_state(1))
+    psi = tomography._PREP_STATES[k]
+    assert psi.dtype == complex
+    assert max_abs(psi - _INPUT_STATES[label]) <= 1e-15
+    phase = np.vdot(psi, state)
+    assert abs(abs(phase) - 1.0) <= 1e-12
+    assert max_abs(state - phase * psi) <= 1e-12
+
+
 class TestProcessTomography:
     def test_identity_circuit_dominant_kraus(self):
         spec = RotationSpec(np.array([0.0, 0.0, 1.0]), 0.0)
@@ -427,14 +460,12 @@ class TestProcessTomography:
         # the even mixture of identity and X has Choi eigenvalues (1, 1, 0, 0)
         plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        outputs = {}
-        for label, psi in (("0", np.array([1.0, 0.0], dtype=complex)),
-                           ("1", np.array([0.0, 1.0], dtype=complex)),
-                           ("+", plus),
-                           ("+i", np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0))):
+        outputs = []
+        for psi in (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex),
+                    plus, np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)):
             rho = np.outer(psi, psi.conj())
-            outputs[label] = ((rho + x @ rho @ x) / 2.0)[None]
-        result = _process_result(outputs)
+            outputs.append((rho + x @ rho @ x) / 2.0)
+        result = _process_result(np.array([outputs]))
         assert result.degenerate
 
     def test_too_few_shots_rejected(self, worked_spec):
