@@ -56,14 +56,17 @@ def log_shot_grid(lo: int = DEFAULT_SHOT_RANGE[0], hi: int = DEFAULT_SHOT_RANGE[
     range, or than ``MAX_SWEEP_RECORDS`` allows one backend and trial, and
     hi above 2**53, past which float64 skips integers, are rejected before
     anything is allocated. Near 2**53 a rounded grid value may pass its
-    neighbour or leave the range, so the grid is clipped and sorted."""
+    neighbour or leave the range, so the grid is clipped and sorted. It keeps
+    each value that differs from its predecessor rather than call
+    ``np.unique``, whose masked-array check imports ``numpy.ma`` (10-14 ms
+    per process, more than a small sweep's reconstruction)."""
     if lo < 1 or hi < lo or not 1 <= points <= hi - lo + 1:
         raise DomainError(f"invalid shot grid ({lo}, {hi}, {points})")
     if hi > 2**53:
         raise DomainError(f"shot grid must end at most at 2**53 = {2**53}, got {hi}")
     _check_sweep_size(1, 1, points)
-    grid = np.rint(np.geomspace(lo, hi, points)).astype(np.int64)
-    return np.unique(np.clip(grid, lo, hi)).tolist()
+    grid = np.sort(np.clip(np.rint(np.geomspace(lo, hi, points)).astype(np.int64), lo, hi))
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))].tolist()
 
 
 def seeded_rotations(seed: int, count: int) -> list[RotationSpec]:
@@ -274,7 +277,11 @@ def _check_sweep_size(backends: int, trials: int, points: int) -> None:
 
 
 def median_by_shots(records, metric: str, backend: str | None = None) -> dict[int, float]:
-    """Median of one metric across trials, keyed by shot count."""
+    """Median of one metric across trials, keyed by shot count. Each median
+    takes ``np.median``'s own steps (partition at the middle and last
+    positions, the mean of the middle one or two values, NaN if the last is
+    NaN), so it is the same float, without ``np.median``'s masked-array check,
+    which imports ``numpy.ma``."""
     buckets: dict[int, list[float]] = {}
     for rec in records:
         if rec.metric != metric:
@@ -282,4 +289,11 @@ def median_by_shots(records, metric: str, backend: str | None = None) -> dict[in
         if backend is not None and rec.backend != backend:
             continue
         buckets.setdefault(rec.shots, []).append(rec.value)
-    return {shots: float(np.median(vals)) for shots, vals in sorted(buckets.items())}
+    return {shots: _median(vals) for shots, vals in sorted(buckets.items())}
+
+
+def _median(vals: list[float]) -> float:
+    n = len(vals)
+    middle = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    a = np.partition(np.asarray(vals, dtype=np.float64), middle + [-1])
+    return float(a[-1]) if np.isnan(a[-1]) else float(np.mean(a[(n - 1) // 2 : n // 2 + 1]))

@@ -464,15 +464,42 @@ class TestExampleCommand:
         assert payload["oracle"] == pytest.approx([0.7698, 0.14920, 0.62060], abs=1e-4)
 
 
-def test_import_does_not_load_scipy():
-    # scipy is a test dependency only; a fresh interpreter shows what the CLI loads.
+def fresh_modules(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter that imports this checkout's qrot
+    and return the names in its ``sys.modules`` afterwards."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(qrot.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
-    code = "import sys, qrot.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test dependency only; a fresh interpreter shows what the CLI loads.
+    modules = fresh_modules("import qrot.cli")
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--trials", "1", "--points", "2", "--shots-min", "100", "--shots-max", "300",
+     "--backends", "noiseless,nisq-lite", "--mitigate", "--out", "{tmp}/s.csv"],
+    ["multi", "--vectors", "{tmp}/v.json", "--axis", "0,0,1", "--angle", "1", "--shots", "500",
+     "--out", "{tmp}/m.json"],
+    ["example", "--shots", "500", "--out", "{tmp}/e.json"],
+    ["erp", "--axis", "2,1,1", "--angle", "1.5708", "--shots", "500"],
+    ["rotate", "--axis", "1,0,0", "--angle", "1", "--vector", "0,0,1", "--shots", "500"],
+], ids=lambda argv: argv[0])
+def test_command_does_not_load_numpy_ma(tmp_path, argv):
+    # numpy.ma takes 10-14 ms to import, more than a small sweep's
+    # reconstruction, and no command uses a masked array. numpy 1.x imports
+    # it with numpy itself, so only a load by the command counts.
+    (tmp_path / "v.json").write_text("[[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    eager = "numpy.ma" in fresh_modules("import numpy")
+    modules = fresh_modules(f"from qrot.cli import main\nassert main({argv!r}) == 0")
+    assert eager or "numpy.ma" not in modules
 
 
 @pytest.mark.parametrize("name", ["align_global_phase", "angles_to_vec", "expectation_from_counts",

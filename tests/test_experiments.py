@@ -2,18 +2,20 @@
 tallies; its records must equal a loop that runs tomography at every point."""
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrot import (DomainError, ExtractedVector, RotationSpec, VectorBatch, axis_rotation_unitary,
                   extract_all, rodrigues_rotate, tomography)
 from qrot import experiments
 from qrot.bloch import angle_between
-from qrot.experiments import (NOISE_PRESETS, SweepRecord, log_shot_grid, multi_report,
-                              rotation_circuit, seeded_rotations, seeded_vectors, sweep_records)
+from qrot.experiments import (NOISE_PRESETS, SweepRecord, log_shot_grid, median_by_shots,
+                              multi_report, rotation_circuit, seeded_rotations, seeded_vectors,
+                              sweep_records)
 from qrot.simulator import derive_seed
 from qrot.tomography import gate_fidelity, process_tomography, state_tomography
 
@@ -137,6 +139,73 @@ def test_shot_grid_ends_at_most_at_two_to_the_53():
     # Near 2**53 a grid value may round past its neighbour or out of range.
     grid = log_shot_grid(2**53 - 9, 2**53, 10)
     assert grid == sorted(set(grid)) and grid[0] == 2**53 - 9 and grid[-1] == 2**53
+
+
+@st.composite
+def _shot_grid_args(draw):
+    lo = draw(st.integers(1, 2**53))
+    hi = draw(st.integers(lo, 2**53))
+    return lo, hi, draw(st.integers(1, min(hi - lo + 1, 2000)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_shot_grid_args())
+@example(args=(200, 2**53, 3))
+@example(args=(2**53 - 9, 2**53, 10))
+@example(args=(2**53 - 2000, 2**53, 2001))
+@example(args=(1, 50, 50))
+@example(args=(200, 20000, 20))
+@example(args=(7, 7, 1))
+def test_shot_grid_equals_unique_of_the_rounded_grid(args):
+    # log_shot_grid de-duplicates by hand; np.unique is the reference.
+    lo, hi, points = args
+    grid = log_shot_grid(lo, hi, points)
+    expected = np.unique(np.clip(np.rint(np.geomspace(lo, hi, points)).astype(np.int64), lo, hi))
+    assert grid == expected.tolist()
+    assert all(type(s) is int for s in grid)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("values", [
+    [0.5], [0.25, 0.75], [3.0, 1.0, 2.0], [4.0, 1.0, 3.0, 2.0], [0.9, 0.9, 0.9],
+    [1.0, 2.0, 2.0, 1.0], [-0.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0, -0.0],
+    [0.0, -0.0, -0.0, 0.0, 1.0], [math.inf, 1.0], [-math.inf, math.inf],
+    [math.inf, math.inf, -math.inf], [math.nan, 1.0, 2.0], [1.0, -math.nan],
+    [1e308, 1e308], [5e-324, -5e-324, 0.0],
+], ids=repr)
+def test_median_equals_np_median(values):
+    # Bit for bit, sign of zero and of NaN included.
+    records = [SweepRecord("noiseless", t, 1000, "gate_fidelity", v)
+               for t, v in enumerate(values)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.median(values))
+        assert _bits(median_by_shots(records, "gate_fidelity")[1000]) == _bits(expected)
+
+
+def test_median_by_shots_equals_np_median_per_backend():
+    rng = np.random.default_rng(28)
+    pool = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e308, -1e308, 5e-324,
+            0.5, 0.75, 1.0]
+    for _ in range(200):
+        records = [SweepRecord(str(rng.choice(["noiseless", "nisq-lite"])), trial,
+                               int(rng.choice([100, 200, 300])),
+                               str(rng.choice(["gate_fidelity", "angle_deg"])),
+                               float(rng.choice(pool)))
+                   for trial in range(int(rng.integers(1, 25)))]
+        for backend in (None, "noiseless", "nisq-lite"):
+            buckets = {}
+            for r in records:
+                if r.metric == "angle_deg" and backend in (None, r.backend):
+                    buckets.setdefault(r.shots, []).append(r.value)
+            with np.errstate(over="ignore", invalid="ignore"):
+                medians = median_by_shots(records, "angle_deg", backend)
+                expected = {s: float(np.median(v)) for s, v in sorted(buckets.items())}
+            assert list(medians) == list(expected)
+            assert all(type(m) is float and _bits(m) == _bits(expected[s])
+                       for s, m in medians.items())
 
 
 def reference_entries(batch, rotation, extracted):

@@ -141,9 +141,8 @@ class TestEstimateQubit:
         with pytest.raises(DomainError):
             one_tally_estimate(np.array([(0, 0), (3, 1), (2, 2)]))
 
-    # "estimate_qubit" names the one-tally state estimate, _state_estimates.
     @pytest.mark.parametrize("estimate", [_state_estimates, lambda t: index_estimate(1, t)],
-                             ids=["estimate_qubit", "index_estimate"])
+                             ids=["state_estimates", "index_estimate"])
     @pytest.mark.parametrize("tally, error", [
         (np.full((2, 2), 50), ShapeError),
         (np.full(6, 50), ShapeError),
