@@ -295,5 +295,5 @@ def median_by_shots(records, metric: str, backend: str | None = None) -> dict[in
 def _median(vals: list[float]) -> float:
     n = len(vals)
     middle = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
-    a = np.partition(np.asarray(vals, dtype=np.float64), middle + [-1])
+    a = np.partition(vals, middle + [-1])
     return float(a[-1]) if np.isnan(a[-1]) else float(np.mean(a[(n - 1) // 2 : n // 2 + 1]))
