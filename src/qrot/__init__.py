@@ -8,8 +8,7 @@ tomography on sampled counts recover the rotated vectors and the rotation
 parameters, cross-validated against the classical Rodrigues formulas.
 """
 
-from .bloch import (SphericalAngles, angle_between, normalize, state_to_bloch,
-                    vec_to_angles)
+from .bloch import SphericalAngles, angle_between, normalize, vec_to_angles
 from .circuit import BranchRotation, Circuit, GateOp
 from .errors import DomainError, NumericError, ShapeError
 from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, dagger, eig_hermitian,
@@ -17,15 +16,13 @@ from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, dagger, eig_hermitian,
 from .multirot import (ExtractedVector, VectorBatch, build_encoding_circuit, extract_all,
                        full_circuit)
 from .rotation import (ErParams, RotationSpec, axis_rotation_sequence,
-                       axis_rotation_unitary, er_matrix, erp_from_spec,
-                       erp_from_unitary, gate_rx, gate_ry, gate_rz,
-                       initialization_ops, rodrigues_matrix, rodrigues_rotate,
-                       sequence_unitary)
+                       axis_rotation_unitary, erp_from_spec, erp_from_unitary, gate_rx,
+                       gate_ry, gate_rz, initialization_ops, rodrigues_rotate)
 from .simulator import (NOISELESS, NoiseModel, ShotResult, apply, derive_seed, sample,
                         zero_state)
 from .tomography import (KrausSet, ProcessTomographyResult, StateTomographyResult,
                          calibrate_readout, erp_from_tomography, gate_fidelity,
-                         mitigate_frequencies, process_tomography,
-                         process_tomography_exact, smolin_project, state_tomography)
+                         mitigate_frequencies, process_tomography, smolin_project,
+                         state_tomography)
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, row_dot
+from .linalg import row_dot
 
 UNIT_TOL = 1e-9
 
@@ -56,23 +56,6 @@ def _spherical_angles(x: float, y: float, z: float) -> SphericalAngles:
     if phi <= -math.pi:
         phi = math.pi
     return SphericalAngles(theta, phi)
-
-
-def state_to_bloch(psi) -> np.ndarray:
-    """Bloch vector (<X>, <Y>, <Z>) of a normalized single-qubit pure state.
-
-    The result is invariant under a global phase of ``psi``.
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (2,):
-        raise DomainError(f"expected a single-qubit state of 2 amplitudes, got {psi.shape}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise DomainError("state must be normalized")
-    return np.array([
-        np.vdot(psi, PAULI_X @ psi).real,
-        np.vdot(psi, PAULI_Y @ psi).real,
-        np.vdot(psi, PAULI_Z @ psi).real,
-    ])
 
 
 def _units(v):

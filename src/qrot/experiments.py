@@ -192,8 +192,8 @@ def multi_report(batch: VectorBatch, rotation: RotationSpec, shots_per_vector: i
                                               oracles.tolist(), angles)]
 
 
-def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
-                  seed: int = 0, mitigate: bool = False) -> list[SweepRecord]:
+def sweep_records(backends, trials: int, shot_grid, seed: int = 0,
+                  mitigate: bool = False) -> list[SweepRecord]:
     """Fidelity and angle curves: for every (backend, trial, shots) run process
     tomography of a random rotation and state tomography of a random rotated
     vector. Rotations and vectors are drawn once from the seed, so every
@@ -221,7 +221,7 @@ def sweep_records(backends, trials: int = DEFAULT_TRIALS, shot_grid=None,
     check_backends(backends)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    shot_grid = log_shot_grid() if shot_grid is None else [int(s) for s in shot_grid]
+    shot_grid = [int(s) for s in shot_grid]
     if not shot_grid:
         return []
     _check_sweep_size(len(backends), trials, len(shot_grid))

@@ -1,11 +1,13 @@
-"""Classical rotation oracles and their single-qubit circuit counterparts.
+"""Axis-angle rotations: the classical oracle and the single-qubit circuit.
 
-The same 3D rotation is available through several routes: the Rodrigues
-matrix, the direct Rodrigues vector formula, the Euler-Rodrigues parameter
-matrix, and the qubit unitary (either the closed form
-cos(t/2) I - i sin(t/2) (n . sigma) or a five-gate RZ/RY conjugation
-sequence). The routes agree exactly up to floating point, which the test
-suite leans on heavily.
+The package keeps one route per job: the Rodrigues vector formula
+(``rodrigues_rotate``) rotates vectors, ``erp_from_spec`` gives the
+Euler-Rodrigues parameters, ``axis_rotation_sequence`` gives the five-gate
+RZ/RY conjugation sequence the circuits run, and ``axis_rotation_unitary``
+its closed form cos(t/2) I - i sin(t/2) (n . sigma). The Rodrigues matrix,
+the Euler-Rodrigues parameter matrix and the gate-by-gate product of the
+sequence are second routes that only cross-check these, so they live with
+the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -70,27 +72,14 @@ class ErParams(NamedTuple):
         return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
 
 
-def rodrigues_matrix(spec: RotationSpec) -> np.ndarray:
-    """Proper rotation matrix: cos(t) I + sin(t) [u]_x + (1 - cos(t)) (u u^T)."""
-    u = spec.axis
-    c = math.cos(spec.angle_r)
-    s = math.sin(spec.angle_r)
-    cross = np.array([
-        [0.0, -u[2], u[1]],
-        [u[2], 0.0, -u[0]],
-        [-u[1], u[0], 0.0],
-    ])
-    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(u, u)
-
-
 def rodrigues_rotate(spec: RotationSpec, x) -> np.ndarray:
     """Rotate ``x`` about the axis: u (u.x) + cos(t) (u x x) x u + sin(t) (u x x).
 
-    Deliberately a different formula from ``rodrigues_matrix`` so the two can
-    cross-check each other. Preserves the norm of ``x``. ``x`` is one 3-vector
-    or an (..., 3) stack of them; each row of a stack gets the bytes it gets
-    alone, since u.x is taken by ``row_dot`` (a plain ``x @ u`` may round
-    differently).
+    Deliberately a different formula from the Rodrigues matrix of the test
+    oracles, so the two can cross-check each other. Preserves the norm of
+    ``x``. ``x`` is one 3-vector or an (..., 3) stack of them; each row of a
+    stack gets the bytes it gets alone, since u.x is taken by ``row_dot`` (a
+    plain ``x @ u`` may round differently).
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (3,):
@@ -107,19 +96,6 @@ def erp_from_spec(spec: RotationSpec) -> ErParams:
     half = spec.angle_r / 2.0
     s = math.sin(half)
     return ErParams(math.cos(half), spec.axis[0] * s, spec.axis[1] * s, spec.axis[2] * s)
-
-
-def er_matrix(p: ErParams) -> np.ndarray:
-    """Rotation matrix built from Euler-Rodrigues parameters."""
-    a, b, c, d = p
-    if abs(p.quadratic_norm() - 1.0) > 1e-6:
-        raise DomainError(
-            f"parameters violate a^2+b^2+c^2+d^2 = 1 (got {p.quadratic_norm()!r})")
-    return np.array([
-        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-        [2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b)],
-        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a + d * d - b * b - c * c],
-    ])
 
 
 def gate_rx(theta: float) -> np.ndarray:
@@ -176,20 +152,11 @@ def axis_rotation_sequence(spec: RotationSpec) -> tuple[GateOp, ...]:
     )
 
 
-def sequence_unitary(spec: RotationSpec) -> np.ndarray:
-    """2x2 unitary of the five-gate sequence, composed gate by gate."""
-    theta_n, phi_n = vec_to_angles(spec.axis)
-    u = gate_rz(-phi_n)
-    for g in (gate_ry(-theta_n), gate_rz(spec.angle_r), gate_ry(theta_n), gate_rz(phi_n)):
-        u = g @ u
-    return u
-
-
 def axis_rotation_unitary(spec: RotationSpec) -> np.ndarray:
     """Closed-form 2x2 unitary: cos(t/2) I - i sin(t/2) (n . sigma).
 
-    Equal to ``sequence_unitary`` (not merely up to phase; both have unit
-    determinant).
+    Equal to the product of the ``axis_rotation_sequence`` gates (not merely
+    up to phase; both have unit determinant).
     """
     half = spec.angle_r / 2.0
     n = spec.axis

@@ -42,8 +42,8 @@ import numpy as np
 from .circuit import Circuit, GateOp
 from .errors import DomainError, NumericError, ShapeError
 from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, _entries, _times, abs_complex,
-                     dagger, eig_hermitian, is_unitary, max_abs, polar_unitary, row_dot,
-                     svd_invariants, trace, unitarity_error)
+                     dagger, eig_hermitian, max_abs, polar_unitary, row_dot, svd_invariants,
+                     trace, unitarity_error)
 from .rotation import RotationSpec, ErParams, axis_rotation_sequence, erp_from_unitary
 from .simulator import BASIS_LABELS, NoiseModel, _sample_rows, derive_seed
 
@@ -52,18 +52,12 @@ MIN_SHOTS = 100
 MIN_BLOCH_NORM = 1e-12
 
 PREP_LABELS = ("0", "1", "+", "+i")
-# The four spanning input states, as gates and as vectors, in PREP_LABELS order.
+# The four spanning input states, as gates, in PREP_LABELS order.
 _PREP_OPS = (
     (),
     (GateOp("X", 0),),
     (GateOp("RY", 0, math.pi / 2.0),),
     (GateOp("RY", 0, math.pi / 2.0), GateOp("RZ", 0, math.pi / 2.0)),
-)
-_PREP_STATES = (
-    np.array([1.0, 0.0], dtype=complex),
-    np.array([0.0, 1.0], dtype=complex),
-    np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-    np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
 )
 
 
@@ -311,18 +305,6 @@ def process_tomography(spec: RotationSpec, shots: int = 20000,
     x 3 measurement bases, ``shots`` per circuit."""
     cal, tallies = _process_counts(spec, [shots], noise, seed, mitigate)
     return _process_result(_process_outputs(tallies, cal))
-
-
-def process_tomography_exact(u) -> ProcessTomographyResult:
-    """Process tomography of a 2x2 unitary from analytic (infinite-shot)
-    expectation values; isolates the reconstruction algebra from shot noise."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ShapeError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_unitary(u, 1e-6):
-        raise DomainError("matrix is not unitary within tolerance")
-    return _process_result(np.array([[np.outer(out, out.conj())
-                                      for out in (u @ psi for psi in _PREP_STATES)]]))
 
 
 def gate_fidelity(u_exact, u_rec):

@@ -1,4 +1,14 @@
-"""Helpers that tests use as oracles and no code in ``qrot`` calls."""
+"""Oracles and helpers that tests use and no code in ``qrot`` calls.
+
+The package keeps one route per job; the second routes that cross-check it
+live here. ``rodrigues_matrix`` and ``er_matrix`` build the rotation matrix
+that ``rodrigues_rotate`` applies, ``sequence_unitary`` multiplies out the
+gates of ``axis_rotation_sequence``, ``state_to_bloch`` reads a pure state's
+Bloch vector, and ``process_tomography_exact`` runs the process
+reconstruction on exact output states of ``PREP_STATES``, the vectors that
+``tomography._PREP_OPS`` prepares. The rest are diagnostic views of counts,
+circuits and batches.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +17,86 @@ from types import MappingProxyType
 
 import numpy as np
 
-from qrot import (BranchRotation, Circuit, DomainError, GateOp, ShotResult, VectorBatch, apply,
-                  state_to_bloch, zero_state)
+from qrot import (PAULI_X, PAULI_Y, PAULI_Z, BranchRotation, Circuit, DomainError, ErParams,
+                  GateOp, RotationSpec, ShapeError, ShotResult, VectorBatch, apply,
+                  axis_rotation_sequence, is_unitary, zero_state)
 from qrot.linalg import _as_matrix
 from qrot.multirot import build_encoding_circuit, full_circuit
+from qrot.simulator import _gate_matrix
+from qrot.tomography import ProcessTomographyResult, _process_result
+
+# The four spanning input states of process tomography, in PREP_LABELS order.
+PREP_STATES = (
+    np.array([1.0, 0.0], dtype=complex),
+    np.array([0.0, 1.0], dtype=complex),
+    np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
+    np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
+)
+
+
+def rodrigues_matrix(spec: RotationSpec) -> np.ndarray:
+    """Proper rotation matrix: cos(t) I + sin(t) [u]_x + (1 - cos(t)) (u u^T)."""
+    u = spec.axis
+    c = math.cos(spec.angle_r)
+    s = math.sin(spec.angle_r)
+    cross = np.array([
+        [0.0, -u[2], u[1]],
+        [u[2], 0.0, -u[0]],
+        [-u[1], u[0], 0.0],
+    ])
+    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(u, u)
+
+
+def er_matrix(p: ErParams) -> np.ndarray:
+    """Rotation matrix built from Euler-Rodrigues parameters."""
+    a, b, c, d = p
+    if abs(p.quadratic_norm() - 1.0) > 1e-6:
+        raise DomainError(
+            f"parameters violate a^2+b^2+c^2+d^2 = 1 (got {p.quadratic_norm()!r})")
+    return np.array([
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a + d * d - b * b - c * c],
+    ])
+
+
+def sequence_unitary(spec: RotationSpec) -> np.ndarray:
+    """2x2 unitary of the gates of ``axis_rotation_sequence(spec)``, composed
+    gate by gate in application order."""
+    first, *rest = axis_rotation_sequence(spec)
+    u = _gate_matrix(first)
+    for op in rest:
+        u = _gate_matrix(op) @ u
+    return u
+
+
+def state_to_bloch(psi) -> np.ndarray:
+    """Bloch vector (<X>, <Y>, <Z>) of a normalized single-qubit pure state.
+
+    The result is invariant under a global phase of ``psi``.
+    """
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if psi.shape != (2,):
+        raise DomainError(f"expected a single-qubit state of 2 amplitudes, got {psi.shape}")
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+        raise DomainError("state must be normalized")
+    return np.array([
+        np.vdot(psi, PAULI_X @ psi).real,
+        np.vdot(psi, PAULI_Y @ psi).real,
+        np.vdot(psi, PAULI_Z @ psi).real,
+    ])
+
+
+def process_tomography_exact(u) -> ProcessTomographyResult:
+    """Process tomography of a 2x2 unitary from analytic (infinite-shot)
+    expectation values; isolates the reconstruction algebra from shot noise."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ShapeError(f"expected a 2x2 matrix, got shape {u.shape}")
+    if not is_unitary(u, 1e-6):
+        raise DomainError("matrix is not unitary within tolerance")
+    return _process_result(np.array([[np.outer(out, out.conj())
+                                      for out in (u @ psi for psi in PREP_STATES)]]))
 
 
 def align_global_phase(reference, m) -> np.ndarray:

@@ -35,9 +35,8 @@ import pytest
 from qrot import (Circuit, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
                   RotationSpec, VectorBatch, axis_rotation_unitary,
                   calibrate_readout, dagger, erp_from_spec, erp_from_unitary,
-                  extract_all, gate_fidelity, process_tomography, process_tomography_exact,
-                  rodrigues_rotate, sample, sequence_unitary, smolin_project,
-                  state_to_bloch)
+                  extract_all, gate_fidelity, process_tomography, rodrigues_rotate,
+                  sample, smolin_project)
 from qrot.bloch import angle_between
 from qrot.circuit import GateOp
 from qrot.experiments import (example_report, log_shot_grid, median_by_shots,
@@ -45,7 +44,8 @@ from qrot.experiments import (example_report, log_shot_grid, median_by_shots,
 from qrot.simulator import NoiseModel
 
 from conftest import random_spec, random_state
-from oracles import align_global_phase, bitstring_counts
+from oracles import (align_global_phase, bitstring_counts, process_tomography_exact,
+                     sequence_unitary, state_to_bloch)
 
 ACCEPT_SEED = 7        # sweep seed; see the module docstring
 EXAMPLE_SEED = 7

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from qrot import DomainError, angle_between, normalize, state_to_bloch, vec_to_angles
+from qrot import DomainError, angle_between, normalize, vec_to_angles
 from qrot.bloch import _units, require_unit
 from qrot.rotation import gate_ry, gate_rz
 
 from conftest import WORKED_AXIS, WORKED_VECTOR, random_unit
-from oracles import angles_to_vec
+from oracles import angles_to_vec, state_to_bloch
 from tiers import run_at_baseline_tier
 
 

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrot import (PAULI_X, PAULI_Y, PAULI_Z, DomainError, ErParams, RotationSpec,
-                  dagger, axis_rotation_sequence, axis_rotation_unitary, er_matrix,
+                  dagger, axis_rotation_sequence, axis_rotation_unitary,
                   erp_from_spec, erp_from_unitary, gate_rx, gate_ry, gate_rz,
-                  initialization_ops, rodrigues_matrix, rodrigues_rotate,
-                  sequence_unitary, state_to_bloch)
+                  initialization_ops, rodrigues_rotate)
 from qrot.circuit import Circuit
 from qrot.simulator import apply, zero_state
 
 from conftest import (WORKED_AXIS, WORKED_ROTATED, WORKED_VECTOR,
                       random_spec, random_state, random_unit)
-from oracles import align_global_phase
+from oracles import (align_global_phase, er_matrix, rodrigues_matrix, sequence_unitary,
+                     state_to_bloch)
 
 
 def max_abs(m):

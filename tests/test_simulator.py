@@ -6,12 +6,12 @@ import pytest
 from qrot import (BranchRotation, Circuit, DomainError, GateOp, NoiseModel, NumericError,
                   ShapeError, ShotResult, apply, axis_rotation_sequence,
                   calibrate_readout, derive_seed, initialization_ops, process_tomography,
-                  rodrigues_rotate, sample, state_to_bloch, state_tomography, zero_state)
+                  rodrigues_rotate, sample, state_tomography, zero_state)
 from qrot import simulator, tomography
 from qrot.rotation import gate_ry
 
 from conftest import WORKED_ROTATED, WORKED_VECTOR
-from oracles import bitstring_counts, expectation_from_counts
+from oracles import bitstring_counts, expectation_from_counts, state_to_bloch
 
 H = Circuit(1, (GateOp("H", 0),))
 

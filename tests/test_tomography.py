@@ -10,8 +10,8 @@ from qrot import (Circuit, DomainError, GateOp, NoiseModel, NumericError,
                   RotationSpec, ShapeError, axis_rotation_unitary,
                   calibrate_readout, dagger, eig_hermitian, erp_from_tomography,
                   gate_fidelity, mitigate_frequencies, process_tomography,
-                  process_tomography_exact, smolin_project, state_tomography)
-from qrot import apply, state_to_bloch, tomography, zero_state
+                  smolin_project, state_tomography)
+from qrot import apply, tomography, zero_state
 from qrot.bloch import angle_between
 from qrot.cli import main
 from qrot.rotation import gate_ry, gate_rz
@@ -23,7 +23,8 @@ from qrot.multirot import VectorBatch, extract_all, index_estimate
 from qrot.simulator import _sample_rows, derive_seed, sample
 
 from conftest import WORKED_ROTATED, WORKED_VECTOR, random_spec
-from oracles import align_global_phase, expectation_from_counts
+from oracles import (PREP_STATES, align_global_phase, expectation_from_counts,
+                     process_tomography_exact, state_to_bloch)
 
 import jacobi
 
@@ -253,7 +254,7 @@ class TestStackErrors:
         # Choi matrix is diag(1, 0, 1, 0) and each dominant Kraus operator,
         # |0><0| or |0><1|, is singular.
         reset = np.diag([1.0, 0.0]).astype(complex)
-        outputs = np.array([[np.outer(psi, psi.conj()) for psi in tomography._PREP_STATES],
+        outputs = np.array([[np.outer(psi, psi.conj()) for psi in PREP_STATES],
                             [reset] * 4])
         alone = raises_as(NumericError, _reconstruct_process, outputs[1:])
         assert raises_as(NumericError, _reconstruct_process, outputs) == alone
@@ -410,9 +411,9 @@ _INPUT_STATES = {
                          ids=tomography.PREP_LABELS)
 def test_preparation_ops_make_their_states(k, label):
     # The preparations are paired with their states by position only.
-    assert len(tomography._PREP_OPS) == len(tomography._PREP_STATES) == 4
+    assert len(tomography._PREP_OPS) == len(PREP_STATES) == 4
     state = apply(Circuit(1, tomography._PREP_OPS[k]), zero_state(1))
-    psi = tomography._PREP_STATES[k]
+    psi = PREP_STATES[k]
     assert psi.dtype == complex
     assert max_abs(psi - _INPUT_STATES[label]) <= 1e-15
     phase = np.vdot(psi, state)
