@@ -11,15 +11,13 @@ parameters, cross-validated against the classical Rodrigues formulas.
 from .bloch import SphericalAngles, angle_between, normalize, vec_to_angles
 from .circuit import BranchRotation, Circuit, GateOp
 from .errors import DomainError, NumericError, ShapeError
-from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, dagger, eig_hermitian,
-                     is_unitary, polar_unitary, trace)
+from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, dagger, eig_hermitian, polar_unitary
 from .multirot import (ExtractedVector, VectorBatch, build_encoding_circuit, extract_all,
                        full_circuit)
 from .rotation import (ErParams, RotationSpec, axis_rotation_sequence,
                        axis_rotation_unitary, erp_from_spec, erp_from_unitary, gate_rx,
                        gate_ry, gate_rz, initialization_ops, rodrigues_rotate)
-from .simulator import (NOISELESS, NoiseModel, ShotResult, apply, derive_seed, sample,
-                        zero_state)
+from .simulator import NOISELESS, NoiseModel, apply, derive_seed, sample, zero_state
 from .tomography import (KrausSet, ProcessTomographyResult, StateTomographyResult,
                          calibrate_readout, erp_from_tomography, gate_fidelity,
                          mitigate_frequencies, process_tomography, smolin_project,

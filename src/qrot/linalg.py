@@ -1,12 +1,11 @@
 """Dense complex linear algebra on small matrices.
 
-Everything works on plain numpy arrays (complex128, row-major). Apart from
-``trace`` and ``is_unitary``, each function takes one matrix or a stack of
-them, an (..., n, n) array whose leading axes index the matrices, and runs
-the same array code either way, so each matrix of a stack gets the bytes it
-gets alone. 2x2 problems use closed forms: the polar unitary and the
-singular values behind it, which the readout-calibration conditioning check
-shares. The one eigensolver, ``eig_hermitian``, is LAPACK's ``eigh``; one
+Everything works on plain numpy arrays (complex128, row-major). Each
+function takes one matrix or a stack of them, an (..., n, n) array whose
+leading axes index the matrices, and runs the same array code either way,
+so each matrix of a stack gets the bytes it gets alone. 2x2 problems use
+closed forms: the polar unitary and the singular values behind it, which
+the readout-calibration conditioning check shares. The one eigensolver, ``eig_hermitian``, is LAPACK's ``eigh``; one
 call solves a whole stack of 4x4 Choi matrices.
 
 numpy picks its SIMD kernels at run time, by CPU, and its complex-array
@@ -30,13 +29,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _as_matrix(m, name="matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    return m
-
-
 def _finite_stack(m) -> np.ndarray:
     """``m`` as a complex matrix or stack of matrices, rejecting NaN and
     infinite entries, which every tolerance comparison would let through."""
@@ -46,14 +38,6 @@ def _finite_stack(m) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix entries must be finite")
     return m
-
-
-def trace(m) -> complex:
-    """Sum of the diagonal of a square matrix."""
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"trace requires a square matrix, got {m.shape}")
-    return complex(np.trace(m))
 
 
 def dagger(m) -> np.ndarray:
@@ -78,14 +62,6 @@ def max_abs(m):
 def unitarity_error(m):
     """max |m^dagger m - I| of a square matrix, or of each matrix of a stack."""
     return max_abs(dagger(m) @ m - np.eye(np.shape(m)[-1]))
-
-
-def is_unitary(m, tol: float = 1e-10) -> bool:
-    """True for one square matrix within ``tol`` of unitary."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(unitarity_error(m) <= tol)
 
 
 def row_dot(u, v) -> np.ndarray:

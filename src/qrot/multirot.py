@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import UNIT_TOL, _spherical_angles, _units, require_unit
+from .bloch import UNIT_TOL, _spherical_angles, require_unit
 from .circuit import MAX_QUBITS, BranchRotation, Circuit, GateOp
 from .errors import DomainError, ShapeError
+from .linalg import row_dot
 from .rotation import RotationSpec, axis_rotation_sequence
 from .simulator import BASIS_LABELS, NoiseModel
 from .tomography import MIN_BLOCH_NORM, _checked_tally, _state_counts, _state_estimates
@@ -44,16 +45,19 @@ class VectorBatch:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=float))
+        v = np.atleast_2d(np.array(self.vectors, dtype=float))
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 1:
             raise DomainError(f"expected a (p, 3) array of vectors, got shape {v.shape}")
-        if not _all_unit(v):
-            # The row-by-row check names the first bad row.
-            for k, row in enumerate(v, start=1):
-                try:
-                    require_unit(row)
-                except DomainError as exc:
-                    raise DomainError(f"vector {k}: {exc}") from None
+        # The norm ``_units`` gives a row whose largest component lies in
+        # [2^-511, 2^510]; no row outside that range is within UNIT_TOL of 1.
+        with np.errstate(over="ignore"):
+            unit = np.abs(np.sqrt(row_dot(v, v)) - 1.0) <= UNIT_TOL
+        if not unit.all():
+            k = int(np.argmin(unit))  # ``require_unit`` words the error
+            try:
+                require_unit(v[k])
+            except DomainError as exc:
+                raise DomainError(f"vector {k + 1}: {exc}") from None
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
         if self.n + 1 > MAX_QUBITS:
@@ -68,16 +72,6 @@ class VectorBatch:
     @property
     def n(self) -> int:
         return max(1, (self.p - 1).bit_length())
-
-
-def _all_unit(v: np.ndarray) -> bool:
-    """``require_unit`` of every row of a (p, 3) stack in one pass, since
-    ``normalize`` is the one-row case of ``bloch._units``."""
-    try:
-        _, norms = _units(v)
-    except DomainError:
-        return False
-    return bool((np.abs(norms - 1.0) <= UNIT_TOL).all())
 
 
 def build_encoding_circuit(batch: VectorBatch) -> Circuit:

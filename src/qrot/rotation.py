@@ -21,7 +21,7 @@ import numpy as np
 from .bloch import require_unit, vec_to_angles
 from .circuit import GateOp
 from .errors import DomainError
-from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, abs_complex, is_unitary, row_dot
+from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, abs_complex, row_dot, unitarity_error
 
 # |a| below this is treated as zero when fixing the sign of an ErParams tuple.
 _SIGN_TOL = 1e-9
@@ -178,7 +178,7 @@ def erp_from_unitary(u, unitarity_tol: float = 1e-6) -> ErParams:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_unitary(u, unitarity_tol):
+    if not unitarity_error(u) <= unitarity_tol:
         raise DomainError("matrix is not unitary within tolerance")
     comps = np.array([
         np.trace(u) / 2.0,

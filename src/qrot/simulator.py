@@ -28,7 +28,7 @@ Conventions
   noise.
 * A job may name ``checkpoints``: shot counts whose running histograms it
   keeps besides the whole job's. The draw stops at each of them and at the
-  job's shot count, and ``ShotResult.table`` holds one row per stop, all
+  job's shot count, and the job's count table holds one row per stop, all
   tallied in the same pass over the draw. A chunk that stops cut is still
   drawn by one Generator call; each segment between stops is counted on
   its own, and each row is the running sum of the segments up to its
@@ -68,15 +68,15 @@ Conventions
   statevector with those flips folded in.
 * ``readout_flip`` flips each measured bit independently; it is folded into
   the distribution as the per-qubit confusion map [[1-f, f], [f, 1-f]].
-* Counts are integer histograms over the 2^n outcome indices, one row of
-  ``ShotResult.table`` per stop; the last, ``ShotResult.hist``, is the
-  whole job's.
+* Counts are integer histograms over the 2^n outcome indices: a job's count
+  table is a read-only int64 (stops, 2^n) array, one row per stop, and its
+  last row is the whole job's histogram.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,55 +124,20 @@ class NoiseModel:
 NOISELESS = NoiseModel()
 
 
-@dataclass(frozen=True, eq=False)
-class ShotResult:
-    """Running outcome histograms for one measurement basis: ``table[i, j]``
-    counts the shots among the job's first ``checkpoints[i]`` that read
-    basis-state index j (int64, one row of length 2^n per checkpoint,
-    read-only). The last checkpoint is the job's shot count, ``shots``, and
-    the last row its histogram, ``hist``."""
-
-    basis: tuple[str, ...]
-    checkpoints: tuple[int, ...]
-    table: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        table = np.asarray(self.table)
-        if table.dtype.kind not in "iu":
-            raise DomainError(f"count table entries must be integers, got dtype {table.dtype}")
-        table = table.astype(np.int64)
-        sums = _check_tables(table, self.checkpoints, 1 << len(self.basis))
-        table.setflags(write=False)
-        object.__setattr__(self, "checkpoints", tuple(sums[0]))
-        object.__setattr__(self, "table", table)
-
-    @property
-    def shots(self) -> int:
-        """The job's shot count, its last checkpoint."""
-        return self.checkpoints[-1]
-
-    @property
-    def hist(self) -> np.ndarray:
-        """The job's outcome histogram, the last row of ``table``."""
-        return self.table[-1]
-
-
-def _check_tables(table: np.ndarray, checkpoints, dim: int, stack=()) -> list[list[int]]:
-    """The row sums of each count table of the int64 ``table``, a stack of
-    shape ``stack`` (ShapeError unless each is len(checkpoints) >= 1 rows of
-    ``dim`` outcomes), once its rows sum to ``checkpoints``, are nonnegative
-    and do not decrease (else DomainError)."""
+def _check_tables(table: np.ndarray, checkpoints, dim: int, stack) -> None:
+    """Check the int64 ``table``, a stack of shape ``stack`` of count tables:
+    ShapeError unless each is len(checkpoints) >= 1 rows of ``dim``
+    outcomes, DomainError unless its rows sum to ``checkpoints``, are
+    nonnegative and do not decrease."""
     checkpoints = list(checkpoints)
     rows = len(checkpoints)
     if rows < 1 or table.shape != (*stack, rows, dim):
         raise ShapeError(f"count table of shape {table.shape} does not match {rows} "
                          f"checkpoints (at least one) of {dim} outcomes")
-    sums = table.sum(axis=-1).reshape(-1, rows).tolist()
-    if any(row != checkpoints for row in sums):
+    if any(row != checkpoints for row in table.sum(axis=-1).reshape(-1, rows).tolist()):
         raise DomainError(f"count table rows must sum to the checkpoints {checkpoints}")
     if (table[..., 0, :] < 0).any() or (table[..., 1:, :] < table[..., :-1, :]).any():
         raise DomainError("count table rows must be nonnegative and must not decrease")
-    return sums
 
 
 def _splitmix64(x: int) -> int:
@@ -392,15 +357,15 @@ def _sample_rows(rows, shots: int, noise: NoiseModel | None = None,
     and noise model, as one read-only (len(rows), stops, 2^n) int64 array:
     ``rows`` holds one (circuit, basis, seed) per job, every circuit n
     qubits wide, and table r equals ``sample(circuit, basis, shots, noise,
-    seed, checkpoints=checkpoints).table`` of row r.
+    seed, checkpoints=checkpoints)`` of row r.
 
     Shots and checkpoints are validated once and every row's basis before
     any draw. Each circuit object is evolved once, and its read-only final
     state is shared only by the rows that hold that same object; each row
     applies its basis's change gates to a copy. One list of stops serves
     every row, and each row draws from its own ``Philox(key=seed)`` stream,
-    made when that row is drawn, one chunk of uniforms at a time. The tables
-    are checked as ``ShotResult`` checks one, once for the whole stack."""
+    made when that row is drawn, one chunk of uniforms at a time, and
+    ``_check_tables`` checks the tables once for the whole stack."""
     noise = NOISELESS if noise is None else noise
     if not _is_int(shots) or shots < 1:
         raise DomainError(f"shots must be an integer >= 1, got {shots!r}")
@@ -439,16 +404,16 @@ def _sample_rows(rows, shots: int, noise: NoiseModel | None = None,
 
 
 def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
-           seed: int = 0, *, checkpoints=()) -> ShotResult:
-    """Run the circuit from |0...0>, measure every qubit, return the outcome
-    histograms.
+           seed: int = 0, *, checkpoints=()) -> np.ndarray:
+    """Run the circuit from |0...0>, measure every qubit, return the count
+    table: a read-only int64 (stops, 2^n) array, row i the histogram of the
+    first stops[i] shots.
 
     ``basis`` gives one Pauli label per qubit (index order). Deterministic
-    for fixed ``(circuit, basis, shots, noise, seed)``. ``checkpoints``, sorted
-    distinct ints in [1, shots], are the shot counts whose prefix histograms
-    the result keeps besides the whole job's: its ``checkpoints`` are these
-    with ``shots`` appended unless it is the last one already, and
-    ``ShotResult.table`` holds one histogram per entry.
+    for fixed ``(circuit, basis, shots, noise, seed)``. The stops are
+    ``checkpoints``, sorted distinct ints in [1, shots], with ``shots``
+    appended unless it is the last one already, so the last row is the
+    whole job's histogram.
 
     Noiseless and readout-only sampling accept any circuit. Under gate noise
     (``depol_1q`` or ``depol_ctrl`` above 0) the circuit with its
@@ -458,5 +423,4 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
 
     The one-row case of ``_sample_rows``, which tomography draws through.
     """
-    [table] = _sample_rows([(circuit, basis, seed)], shots, noise, checkpoints)
-    return ShotResult(tuple(str(b).upper() for b in basis), table.sum(axis=1).tolist(), table)
+    return _sample_rows([(circuit, basis, seed)], shots, noise, checkpoints)[0]

@@ -43,7 +43,7 @@ from .circuit import Circuit, GateOp
 from .errors import DomainError, NumericError, ShapeError
 from .linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, _entries, _times, abs_complex,
                      dagger, eig_hermitian, max_abs, polar_unitary, row_dot, svd_invariants,
-                     trace, unitarity_error)
+                     unitarity_error)
 from .rotation import RotationSpec, ErParams, axis_rotation_sequence, erp_from_unitary
 from .simulator import BASIS_LABELS, NoiseModel, _sample_rows, derive_seed
 
@@ -133,8 +133,8 @@ def smolin_project(mu) -> np.ndarray:
         raise DomainError("input entries must be finite")
     if max_abs(mu - dagger(mu)) > 1e-8:
         raise DomainError("input must be Hermitian")
-    if abs(trace(mu).real - 1.0) > 1e-6:
-        raise DomainError(f"input must have trace 1, got {trace(mu).real!r}")
+    if abs(np.trace(mu).real - 1.0) > 1e-6:
+        raise DomainError(f"input must have trace 1, got {float(np.trace(mu).real)!r}")
     return _floor_psd(mu)[2]
 
 
@@ -241,7 +241,7 @@ def state_tomography(circuit: Circuit, shots: int = 20000, noise: NoiseModel | N
     ``shots * 2**n`` each, n being the number of other (control) qubits:
     ``_state_estimates`` of qubit 0's tally summed over the control
     branches, its density (I + r . sigma)/2 at r / max(1, |r|). Under gate
-    noise those qubits must be controls in ``simulator.sample``'s sense
+    noise those qubits must be controls of the ``simulator`` module's shape
     (each prepared by one uncontrolled H, only a control after it), else
     DomainError. Raises NumericError when the estimate has no direction
     (|r| < MIN_BLOCH_NORM)."""

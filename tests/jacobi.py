@@ -10,7 +10,9 @@ so entries below that threshold are left in place. Its tests in
 import numpy as np
 
 from qrot.errors import DomainError, NumericError, ShapeError
-from qrot.linalg import _as_matrix, dagger, max_abs
+from qrot.linalg import dagger, max_abs
+
+from oracles import _as_matrix
 
 
 def eig_hermitian(m, *, hermiticity_tol: float = 1e-8,

@@ -18,9 +18,9 @@ from types import MappingProxyType
 import numpy as np
 
 from qrot import (PAULI_X, PAULI_Y, PAULI_Z, BranchRotation, Circuit, DomainError, ErParams,
-                  GateOp, RotationSpec, ShapeError, ShotResult, VectorBatch, apply,
-                  axis_rotation_sequence, is_unitary, zero_state)
-from qrot.linalg import _as_matrix
+                  GateOp, RotationSpec, ShapeError, VectorBatch, apply, axis_rotation_sequence,
+                  zero_state)
+from qrot.linalg import unitarity_error
 from qrot.multirot import build_encoding_circuit, full_circuit
 from qrot.simulator import _gate_matrix
 from qrot.tomography import ProcessTomographyResult, _process_result
@@ -93,10 +93,17 @@ def process_tomography_exact(u) -> ProcessTomographyResult:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_unitary(u, 1e-6):
+    if not unitarity_error(u) <= 1e-6:
         raise DomainError("matrix is not unitary within tolerance")
     return _process_result(np.array([[np.outer(out, out.conj())
                                       for out in (u @ psi for psi in PREP_STATES)]]))
+
+
+def _as_matrix(m, name="matrix") -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2:
+        raise ShapeError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    return m
 
 
 def align_global_phase(reference, m) -> np.ndarray:
@@ -122,25 +129,27 @@ def marginal_counts(hist: np.ndarray, qubit: int) -> np.ndarray:
     return hist.reshape(-1, 2, 1 << qubit).sum(axis=(0, 2))
 
 
-def expectation_from_counts(result: ShotResult, qubit: int) -> float:
-    """Expectation of the measured Pauli on one qubit: (N_plus - N_minus)/shots.
-
-    Outcome bit 0 counts as +1, bit 1 as -1.
+def expectation_from_counts(table: np.ndarray, qubit: int) -> float:
+    """Expectation of the measured Pauli on one qubit of a count table's last
+    row: (N_plus - N_minus)/shots. Outcome bit 0 counts as +1, bit 1 as -1.
     """
-    if result.shots < 1:
+    hist = table[-1]
+    shots = int(hist.sum())
+    if shots < 1:
         raise DomainError("empty counts")
-    n = len(result.basis)
+    n = table.shape[-1].bit_length() - 1
     if not 0 <= qubit < n:
         raise DomainError(f"qubit {qubit} out of range for {n} measured qubits")
-    pos = int(marginal_counts(result.hist, qubit)[0])
-    return (2 * pos - result.shots) / result.shots
+    pos = int(marginal_counts(hist, qubit)[0])
+    return (2 * pos - shots) / shots
 
 
-def bitstring_counts(result: ShotResult) -> MappingProxyType:
-    """Read-only bitstring view of the nonzero histogram entries."""
-    n = len(result.basis)
+def bitstring_counts(table: np.ndarray) -> MappingProxyType:
+    """Read-only bitstring view of the nonzero entries of a count table's
+    last row."""
+    n = table.shape[-1].bit_length() - 1
     return MappingProxyType({format(j, f"0{n}b"): int(c)
-                             for j, c in enumerate(result.hist) if c})
+                             for j, c in enumerate(table[-1]) if c})
 
 
 def branch_blochs(batch: VectorBatch, rotation=None) -> np.ndarray:

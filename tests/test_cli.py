@@ -503,7 +503,8 @@ def test_command_does_not_load_numpy_ma(tmp_path, argv):
 
 
 @pytest.mark.parametrize("name", ["align_global_phase", "angles_to_vec", "expectation_from_counts",
-                                  "kron", "matmul", "mitigate_counts"])
+                                  "kron", "matmul", "mitigate_counts", "ShotResult", "trace",
+                                  "is_unitary"])
 def test_retired_helpers_not_exported(name):
     assert not hasattr(qrot, name)
 

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qrot import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, DomainError, NumericError,
-                  ShapeError, dagger, eig_hermitian, polar_unitary, smolin_project, trace)
-from qrot.linalg import is_unitary, row_dot
+                  ShapeError, dagger, eig_hermitian, polar_unitary, smolin_project)
+from qrot.linalg import row_dot
 from qrot.rotation import gate_ry, gate_rz
 
 import jacobi
@@ -42,40 +42,6 @@ class TestPauliIdentities:
     def test_xy_is_i_z(self):
         # expanding the 2x2 product by hand gives diag(i, -i)
         assert max_abs(PAULI_X @ PAULI_Y - np.array([[1j, 0], [0, -1j]])) <= 1e-14
-
-
-class TestTrace:
-    def test_identity(self):
-        assert trace(PAULI_I) == 2.0
-
-    def test_pauli_x_traceless(self):
-        assert trace(PAULI_X) == 0.0
-
-    def test_rz_quarter_turn(self):
-        # e^{-i pi/4} + e^{i pi/4} = 2 cos(pi/4)
-        assert abs(trace(gate_rz(math.pi / 2.0)) - 2.0 * math.cos(math.pi / 4.0)) <= 1e-14
-
-    def test_non_square(self):
-        with pytest.raises(ShapeError):
-            trace(np.ones((2, 3)))
-
-    @pytest.mark.parametrize("shape", [(2, 2, 2), (2,)], ids=["3-d", "1-d"])
-    def test_not_a_matrix(self, shape):
-        with pytest.raises(ShapeError, match="2-dimensional"):
-            trace(np.ones(shape))
-
-    def test_cyclicity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            assert abs(trace(a @ b) - trace(b @ a)) <= 1e-10
-
-
-@pytest.mark.parametrize("m", [np.eye(2, 3), np.eye(2)[None], PAULI_X[0]],
-                         ids=["non-square", "3-d", "1-d"])
-def test_only_square_matrices_are_unitary(m):
-    assert not is_unitary(m)
 
 
 class TestKron:

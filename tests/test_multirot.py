@@ -78,6 +78,14 @@ class TestVectorBatch:
         vectors[3] *= scale
         assert np.array_equal(VectorBatch(vectors).vectors, vectors)
 
+    def test_caller_array_is_copied(self):
+        # the batch used to freeze and keep the caller's own float64 array
+        a = np.eye(3)
+        batch = VectorBatch(a)
+        a[0, 0] = 0.5
+        assert a.flags.writeable and not np.shares_memory(a, batch.vectors)
+        assert np.array_equal(batch.vectors, np.eye(3)) and not batch.vectors.flags.writeable
+
     def test_width_cap(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):

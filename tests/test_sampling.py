@@ -256,7 +256,7 @@ def test_counts_match_broadcast_sampler(case, shots, seed):
     (circuit, basis), noise = case
     expected = np.bincount(reference_outcomes(circuit, basis, shots, noise, seed),
                            minlength=1 << circuit.num_qubits)
-    assert np.array_equal(sample(circuit, basis, shots, noise, seed).hist, expected)
+    assert np.array_equal(sample(circuit, basis, shots, noise, seed)[-1], expected)
 
 
 # One-qubit jobs, so that chunks of 1 and 7 shots go through the compare
@@ -273,7 +273,7 @@ def test_counts_do_not_depend_on_chunk_size(case, shots, seed):
     hists = []
     for chunk in (1, 7, 1 << 16):
         with mock.patch.object(simulator, "SAMPLE_CHUNK", chunk):
-            hists.append(sample(circuit, basis, shots, noise, seed).hist)
+            hists.append(sample(circuit, basis, shots, noise, seed)[-1])
     assert all(np.array_equal(h, hists[0]) for h in hists)
 
 
@@ -285,7 +285,7 @@ def test_smaller_job_is_prefix_of_larger(case, sizes, seed):
     small, large = sorted(sizes)
     outcomes = reference_outcomes(circuit, basis, large, noise, seed)
     assert np.array_equal(
-        sample(circuit, basis, small, noise, seed).hist,
+        sample(circuit, basis, small, noise, seed)[-1],
         np.bincount(outcomes[:small], minlength=1 << circuit.num_qubits))
 
 
@@ -300,11 +300,12 @@ def test_checkpoint_prefix_is_the_smaller_job(job, checkpoints, extra, noise, se
     checkpoints = sorted(checkpoints)
     shots = checkpoints[-1] + extra
     result = sample(*job, shots, noise, seed, checkpoints=checkpoints)
-    assert result.checkpoints[-1] == result.shots == shots
-    assert result.checkpoints == tuple(sorted({*checkpoints, shots}))
+    sums = result.sum(axis=1).tolist()
+    assert sums[-1] == shots
+    assert sums == sorted({*checkpoints, shots})
     for s in (*checkpoints, shots):
-        row = result.table[result.checkpoints.index(s)]
-        assert np.array_equal(row, sample(*job, s, noise, seed).hist)
+        row = result[sums.index(s)]
+        assert np.array_equal(row, sample(*job, s, noise, seed)[-1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -316,9 +317,10 @@ def test_checkpoints_around_chunk_edges(job, edges, extra, noise, seed):
     checkpoints = sorted({7 * k + d for k in edges for d in (-1, 0, 1)})
     with mock.patch.object(simulator, "SAMPLE_CHUNK", 7):
         result = sample(*job, checkpoints[-1] + extra, noise, seed, checkpoints=checkpoints)
+    sums = result.sum(axis=1).tolist()
     for s in checkpoints:
-        assert np.array_equal(result.table[result.checkpoints.index(s)],
-                              sample(*job, s, noise, seed).hist)
+        assert np.array_equal(result[sums.index(s)],
+                              sample(*job, s, noise, seed)[-1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -442,7 +444,7 @@ def test_nisq_batch_matches_trajectories(data_basis):
     basis = (data_basis,) + ("Z",) * (circuit.num_qubits - 1)
     noise = NOISE_PRESETS["nisq-lite"]
     shots = 20000
-    assert_same_distribution(sample(circuit, basis, shots, noise, 21).hist,
+    assert_same_distribution(sample(circuit, basis, shots, noise, 21)[-1],
                              trajectory_hist(circuit, basis, shots, noise, 22))
 
 
@@ -476,7 +478,7 @@ def test_out_of_shape_gate_noise_rejected(circuit, basis):
     for noise in (NoiseModel(readout_flip=0.1), simulator.NOISELESS):
         expected = np.bincount(reference_outcomes(circuit, basis, 500, noise, 31),
                                minlength=1 << circuit.num_qubits)
-        assert np.array_equal(sample(circuit, basis, 500, noise, 31).hist, expected)
+        assert np.array_equal(sample(circuit, basis, 500, noise, 31)[-1], expected)
 
 
 def test_several_default_chunks_with_readout_flips():
@@ -488,7 +490,7 @@ def test_several_default_chunks_with_readout_flips():
     noise = NoiseModel(0.02, 0.05, 0.07)
     expected = np.bincount(reference_outcomes(circuit, ("Z", "X", "Y"), shots, noise, 99),
                            minlength=8)
-    assert np.array_equal(sample(circuit, ("Z", "X", "Y"), shots, noise, 99).hist,
+    assert np.array_equal(sample(circuit, ("Z", "X", "Y"), shots, noise, 99)[-1],
                           expected)
 
 
@@ -502,8 +504,8 @@ def tier_tables() -> str:
     circuit = _batch_circuit(256, 9)
     for noise in (simulator.NOISELESS, NOISE_PRESETS["nisq-lite"]):
         digest.update(sample(circuit, ("Y",) + ("Z",) * 8, shots, noise, 12,
-                             checkpoints=checkpoints).table.tobytes())
-    digest.update(sample(*_ONE_QUBIT, shots, seed=13, checkpoints=checkpoints).table.tobytes())
+                             checkpoints=checkpoints).tobytes())
+    digest.update(sample(*_ONE_QUBIT, shots, seed=13, checkpoints=checkpoints).tobytes())
     return digest.hexdigest()
 
 
@@ -528,7 +530,7 @@ def test_noiseless_sample_memory_does_not_grow_with_shots():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.hist.sum() == shots
+        assert res[-1].sum() == shots
         # Three chunk-sized int64/float64 arrays are live at once: 1.5 MiB.
         assert peak < 4 * 2**20, f"{shots} shots peaked at {peak / 2**20:.1f} MiB"
 
@@ -547,7 +549,7 @@ def test_noisy_cli_maximum_sample_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.hist.sum() == 1000
+    assert res[-1].sum() == 1000
     assert peak < 2**20, f"peaked at {peak / 2**20:.1f} MiB"
 
 
@@ -566,7 +568,7 @@ def test_noiseless_full_chunk_sample_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.hist.sum() == shots
+    assert res[-1].sum() == shots
     assert peak <= 1_709_803, f"peaked at {peak} bytes"
 
 
@@ -587,7 +589,7 @@ def test_checkpoint_sample_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.table.shape == (33, 4096) and checkpoints[-1] < simulator.SAMPLE_CHUNK
+    assert res.shape == (33, 4096) and checkpoints[-1] < simulator.SAMPLE_CHUNK
     assert peak <= 2_758_379, f"peaked at {peak} bytes"
 
 
@@ -608,7 +610,7 @@ def test_one_qubit_checkpoint_sample_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.table.shape == (20, 2) and res.hist.sum() == shots
+    assert res.shape == (20, 2) and res[-1].sum() == shots
     assert peak <= 1_151_400, f"peaked at {peak} bytes"
 
 
@@ -631,5 +633,5 @@ def test_chunk_ends_are_made_as_drawn(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.hist.sum() == shots
+    assert res[-1].sum() == shots
     assert peak < 2**20, f"peaked at {peak / 2**20:.1f} MiB"

@@ -356,7 +356,7 @@ class TestSharedCore:
         assert result.counts.shape == (2, 3, 2)
         for bi, label in enumerate("XYZ"):
             res = sample(circuit, (label, "Z"), 1000, seed=derive_seed(5, bi))
-            assert result.counts[:, bi].tolist() == res.hist.reshape(-1, 2).tolist()
+            assert result.counts[:, bi].tolist() == res[-1].reshape(-1, 2).tolist()
             assert result.expectations[label] == expectation_from_counts(res, 0)
         expected = [math.sin(0.7), 0.0, math.cos(0.7)]
         assert math.degrees(angle_between(result.bloch, expected)) < 10.0
