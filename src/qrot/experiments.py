@@ -23,9 +23,10 @@ from .tomography import (_directed_estimates, _process_counts, _process_outputs,
 
 NOISE_PRESETS = {
     "ideal": NoiseModel(),
-    # Plausibility knobs, not measured device data. Both channels shrink
-    # Bloch components isotropically, so they blur tomography statistics
-    # without biasing the reconstructed rotation.
+    # Plausibility knobs, not measured device data. Both bias estimates a
+    # little: depol_1q's basis-change gates shrink X, Y, Z by lam, lam^2, 1
+    # (about 0.04 deg), and readout flips of control bits move shots between
+    # a batch's branches (about 2 deg at 64 to 256 vectors, unmitigated).
     "nisq-lite": NoiseModel(depol_1q=0.001, depol_ctrl=0.01, readout_flip=0.02),
 }
 

@@ -15,7 +15,7 @@ spherical angles without checking it again. Extraction reads the controls
 in Z; ``tomography._state_counts`` draws the circuit in its three bases as
 one row stack, from one evolution, and tallies the shots into one
 (2**n, 3, 2) array for its one grid point, and one stacked single-qubit
-estimate, ``tomography._state_estimates``, reads every index from its
+estimate, ``tomography._bloch_vectors``, reads every index from its
 branch's (3, 2) row.
 """
 
@@ -31,7 +31,7 @@ from .errors import DomainError, ShapeError
 from .linalg import row_dot
 from .rotation import RotationSpec, axis_rotation_sequence
 from .simulator import BASIS_LABELS, NoiseModel
-from .tomography import MIN_BLOCH_NORM, _checked_tally, _state_counts, _state_estimates
+from .tomography import MIN_BLOCH_NORM, _bloch_vectors, _checked_tally, _state_counts
 
 # Below this many samples in a basis, expectation estimates have standard
 # error above 0.2 and the per-index tomography is not meaningful.
@@ -135,7 +135,7 @@ def extract_all(batch: VectorBatch, rotation: RotationSpec, shots_per_vector: in
 def index_estimate(index: int, tally, cal=None) -> ExtractedVector:
     """Single-qubit tomography for one branch from its (3, 2) tally, the
     (n0, n1) of bases X, Y, Z: the direction r/|r| of the stacked estimator
-    ``tomography._state_estimates`` on one row, or None with an error entry
+    ``tomography._bloch_vectors`` on one row, or None with an error entry
     when a basis is empty or |r| < MIN_BLOCH_NORM; ``cal`` is a checked
     readout calibration. The tally is checked by ``_checked_tally`` and must
     be a single one. The one-row case of ``extract_all``'s read-back."""
@@ -148,10 +148,11 @@ def index_estimate(index: int, tally, cal=None) -> ExtractedVector:
 def _index_estimates(indices, tallies, cal=None) -> list[ExtractedVector]:
     """``index_estimate`` of each (3, 2) tally of a checked (k, 3, 2) stack,
     with the matching one of ``indices``: r and |r| from one
-    ``tomography._state_estimates`` call over the rows with no empty basis.
+    ``tomography._bloch_vectors`` call over the rows with no empty basis.
     Each row gets the bytes it gets alone."""
     totals = tallies.sum(axis=-1)
-    r, norm = _state_estimates(tallies[(totals > 0).all(axis=-1)], cal)
+    r = _bloch_vectors(tallies[(totals > 0).all(axis=-1)], cal)
+    norm = np.sqrt(row_dot(r, r))
     directed = norm >= MIN_BLOCH_NORM
     # A row with no direction is divided by 1 and dropped.
     estimates = zip(r / np.where(directed, norm, 1.0)[:, None], directed.tolist())

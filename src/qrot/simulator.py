@@ -10,7 +10,7 @@ Conventions
   gates are ordinary gates and are subject to gate noise like any other.
 * Randomness comes from numpy's Philox counter-based generator keyed by a
   64-bit seed, so identical inputs give byte-identical counts. A sampling
-  job computes its exact outcome distribution once and then draws one
+  job computes its exact law once (``_distributions``) and then draws one
   uniform u per shot, ``SAMPLE_CHUNK`` at a time. A shot reads outcome
   min(#{cum <= u}, 2^n - 1), cum being the cumulative distribution. Two
   kernels count the chunk, chosen by the size of the outcome space, and
@@ -42,7 +42,7 @@ Conventions
   k = len(thetas) branches are multiplied by the (k, 2, 2) stack of their
   gates, built from all k angles at once. Each branch gets the bytes that
   its own controlled gate gives it. A tomography job draws its circuits in
-  all of their bases as one stack of rows (``_sample_rows``): each circuit
+  all of their bases as one stack of rows; in ``_distributions``, each circuit
   object is evolved once and each of its rows applies its basis's change
   gates to a copy of that final state, so a circuit's X, Y and Z draws
   share one evolution. Only rows that hold the same object share it, never
@@ -59,13 +59,12 @@ Conventions
   included) must have this shape: a qubit that is ever a control is touched
   first by an uncontrolled H and afterwards only as a control, so it is
   read in Z; every other qubit may be a target anywhere. Any other circuit
-  raises DomainError. In that
-  shape, every gate is block-diagonal in the controls, the Z diagonal of
-  each control stays uniform whatever the noise on its H, and each other
-  qubit's noise moves to the end of the circuit, where it is a flip of
-  that qubit's bit with probability (1 - prod lam) / 2 over the gates that
-  target it. The outcome distribution is the Born rule of the final
-  statevector with those flips folded in.
+  raises DomainError. In that shape, every gate is block-diagonal in the
+  controls, the Z diagonal of each control stays uniform whatever the noise
+  on its H, and each other qubit's noise moves to the end of the circuit,
+  where it is a flip of that qubit's bit with probability (1 - prod lam) / 2
+  over the gates that target it. ``_distributions`` folds those flips into
+  the Born rule of the final statevector.
 * ``readout_flip`` flips each measured bit independently; it is folded into
   the distribution as the per-qubit confusion map [[1-f, f], [f, 1-f]].
 * Counts are integer histograms over the 2^n outcome indices: a job's count
@@ -175,16 +174,6 @@ def _gate_matrix(op: GateOp) -> np.ndarray:
     return _PARAM_GATES[op.kind](op.theta)
 
 
-def _apply_gate(t: np.ndarray, mat: np.ndarray, axis: int, index: tuple) -> None:
-    """Apply the 2x2 ``mat`` in place along ``axis`` of ``t``, on the slice
-    ``t[index]``, where each control's axis holds the size-1 slice of its
-    trigger. The slice is viewed as (left, 2, right) with ``axis`` in the
-    middle, and ``mat`` multiplies that middle axis."""
-    sub = t[index]
-    x = sub.reshape(math.prod(sub.shape[:axis]), 2, -1)
-    sub[...] = (mat @ x).reshape(sub.shape)
-
-
 def _evolve(state: np.ndarray, ops, n: int) -> np.ndarray:
     """Apply ``ops`` in place to ``state``, a normalized 2^n statevector owned
     by the caller; qubit q is axis n - 1 - q of its (2,) * n view. Raises
@@ -199,7 +188,9 @@ def _evolve(state: np.ndarray, ops, n: int) -> np.ndarray:
         index = [slice(None)] * n
         for q, trig in op.controls:
             index[n - 1 - q] = slice(trig, trig + 1)
-        _apply_gate(t, _gate_matrix(op), n - 1 - op.target, tuple(index))
+        sub = t[tuple(index)]
+        x = sub.reshape(math.prod(sub.shape[:n - 1 - op.target]), 2, -1)
+        sub[...] = (_gate_matrix(op) @ x).reshape(sub.shape)
     if abs(np.linalg.norm(state) - 1.0) > 1e-10:
         raise NumericError("statevector norm drifted beyond 1e-10")
     return state
@@ -351,6 +342,34 @@ def _gate_noise_flips(ops, n: int, noise: NoiseModel) -> np.ndarray:
     return (1.0 - lam) / 2.0
 
 
+def _distributions(rows, noise: NoiseModel) -> np.ndarray:
+    """The exact outcome law of each (circuit, basis) row, all n qubits wide,
+    as one read-only (len(rows), 2^n) float array: the Born rule after the
+    basis change, then the gate-noise flips, then the readout flips. Every
+    basis length is checked before any label. Each circuit object is evolved
+    once, and its rows apply their basis change to copies of that state."""
+    rows = [(circuit, tuple(str(b).upper() for b in basis)) for circuit, basis in rows]
+    for circuit, basis in rows:
+        if len(basis) != circuit.num_qubits:
+            raise DomainError(f"expected {circuit.num_qubits} basis labels, got {len(basis)}")
+    evolved, dists = {}, []
+    for circuit, basis in rows:
+        n = circuit.num_qubits
+        basis_ops = _basis_change_ops(basis, n)
+        state = evolved.get(id(circuit))
+        if state is None:
+            state = evolved[id(circuit)] = _evolve(zero_state(n), circuit.ops, n)
+            state.setflags(write=False)
+        probs = abs_complex(_evolve(state.copy(), basis_ops, n)) ** 2
+        if noise.depol_1q > 0.0 or noise.depol_ctrl > 0.0:
+            probs = _confuse_readout(probs, _gate_noise_flips(circuit.ops + tuple(basis_ops),
+                                                              n, noise))
+        dists.append(_confuse_readout(probs, [noise.readout_flip] * n))
+    dists = np.stack(dists)
+    dists.setflags(write=False)
+    return dists
+
+
 def _sample_rows(rows, shots: int, noise: NoiseModel | None = None,
                  checkpoints=()) -> np.ndarray:
     """The count tables of a stack of jobs with one shot count, checkpoints
@@ -359,13 +378,10 @@ def _sample_rows(rows, shots: int, noise: NoiseModel | None = None,
     qubits wide, and table r equals ``sample(circuit, basis, shots, noise,
     seed, checkpoints=checkpoints)`` of row r.
 
-    Shots and checkpoints are validated once and every row's basis before
-    any draw. Each circuit object is evolved once, and its read-only final
-    state is shared only by the rows that hold that same object; each row
-    applies its basis's change gates to a copy. One list of stops serves
-    every row, and each row draws from its own ``Philox(key=seed)`` stream,
-    made when that row is drawn, one chunk of uniforms at a time, and
-    ``_check_tables`` checks the tables once for the whole stack."""
+    Shots and checkpoints are validated once. Each row then draws from its
+    ``_distributions`` row on its own ``Philox(key=seed)`` stream, made when
+    the row is drawn, one chunk of uniforms at a time, with one list of stops
+    for every row; ``_check_tables`` checks the whole stack once."""
     noise = NOISELESS if noise is None else noise
     if not _is_int(shots) or shots < 1:
         raise DomainError(f"shots must be an integer >= 1, got {shots!r}")
@@ -377,28 +393,10 @@ def _sample_rows(rows, shots: int, noise: NoiseModel | None = None,
     stops = [*map(int, checkpoints)]
     if not stops or stops[-1] != shots:
         stops.append(int(shots))
-    rows = [(circuit, tuple(str(b).upper() for b in basis), seed)
-            for circuit, basis, seed in rows]
-    for circuit, basis, _ in rows:
-        if len(basis) != circuit.num_qubits:
-            raise DomainError(f"expected {circuit.num_qubits} basis labels, got {len(basis)}")
-    gate_noise = noise.depol_1q > 0.0 or noise.depol_ctrl > 0.0
-    evolved, dists = {}, []
-    for circuit, basis, _ in rows:
-        n = circuit.num_qubits
-        basis_ops = _basis_change_ops(basis, n)
-        state = evolved.get(id(circuit))
-        if state is None:
-            state = evolved[id(circuit)] = _evolve(zero_state(n), circuit.ops, n)
-            state.setflags(write=False)
-        probs = abs_complex(_evolve(state.copy(), basis_ops, n)) ** 2
-        if gate_noise:
-            probs = _confuse_readout(probs, _gate_noise_flips(circuit.ops + tuple(basis_ops),
-                                                              n, noise))
-        dists.append(_confuse_readout(probs, [noise.readout_flip] * n))
+    dists = _distributions([(circuit, basis) for circuit, basis, _ in rows], noise)
     tables = np.stack([_tallies(probs, stops, _rng(seed))
                        for probs, (_, _, seed) in zip(dists, rows)])
-    _check_tables(tables, stops, 1 << rows[0][0].num_qubits, (len(rows),))
+    _check_tables(tables, stops, dists.shape[1], (len(rows),))
     tables.setflags(write=False)
     return tables
 

@@ -162,12 +162,12 @@ def _bloch_vectors(tallies, cal=None) -> np.ndarray:
     """The raw Bloch vector of each tally of an (..., 3, 2) stack, as an
     (..., 3) array: (n0 - n1)/N per basis, or p0 - p1 of the NNLS-mitigated
     frequencies given checked calibrations ``cal``, one (2, 2) matrix or one
-    per tally. The tallies are checked by ``_checked_tally``; DomainError
-    names the first empty basis of the first tally that has one."""
-    tallies = _checked_tally(tallies)
+    per tally; expected frequencies give the infinite-shot estimate.
+    DomainError names the first empty basis of the first tally with one."""
     totals = tallies.sum(axis=-1)
-    if (totals < 1).any():
-        raise DomainError(f"no samples in basis {BASIS_LABELS[np.argwhere(totals < 1)[0][-1]]}")
+    if not (totals > 0).all():
+        empty = np.argwhere(~(totals > 0))[0][-1]
+        raise DomainError(f"no samples in basis {BASIS_LABELS[empty]}")
     if cal is None:
         return (tallies[..., 0] - tallies[..., 1]) / totals
     p = _nnls_frequencies(tallies / totals[..., None], np.asarray(cal)[..., None, :, :])
@@ -175,10 +175,10 @@ def _bloch_vectors(tallies, cal=None) -> np.ndarray:
 
 
 def _state_estimates(tallies, cal=None):
-    """(r, |r|) of each tally of an (..., 3, 2) stack: r from
-    ``_bloch_vectors``, which may leave the unit ball. The projected state
-    has Bloch vector r / max(1, |r|) and direction r/|r|."""
-    r = _bloch_vectors(tallies, cal)
+    """(r, |r|) of each ``_checked_tally`` tally of an (..., 3, 2) stack: r
+    from ``_bloch_vectors``, which may leave the unit ball. The projected
+    state has Bloch vector r / max(1, |r|) and direction r/|r|."""
+    r = _bloch_vectors(_checked_tally(tallies), cal)
     return r, np.sqrt(row_dot(r, r))
 
 

@@ -5,11 +5,13 @@ Noiseless and readout-only jobs range over all circuits (``jobs``); jobs
 under gate noise range over the shape that ``sample`` accepts there
 (``shaped_jobs``)."""
 
+import ast
 import hashlib
 import itertools
 import math
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,7 +24,7 @@ from qrot import (Circuit, DomainError, GateOp, NoiseModel,
 from qrot import simulator
 from qrot.circuit import GATE_KINDS
 from qrot.experiments import NOISE_PRESETS
-from qrot.linalg import PAULI_X, PAULI_Y, PAULI_Z
+from qrot.linalg import PAULI_X, PAULI_Y, PAULI_Z, abs_complex
 
 from oracles import confuse_readout_unskipped
 from tiers import dispatch_target, run_at_baseline_tier
@@ -164,7 +166,6 @@ def noisy_jobs(draw, noises):
 
 seeds = st.integers(0, 2**64 - 1)
 depol = st.sampled_from([0.0, 0.01, 0.3, 1.0])
-gate_noise = st.builds(NoiseModel, depol, depol)
 noises = st.builds(NoiseModel, depol, depol, st.sampled_from([0.0, 0.03, 0.5]))
 
 
@@ -381,35 +382,64 @@ def test_apply_matches_dense_gate_product(job, state_seed):
     assert np.max(np.abs(apply(circuit, initial) - expected)) <= 1e-13
 
 
-def closed_form_probs(ops, n, noise):
-    """The Born rule with ``sample``'s closed-form gate-noise flips folded in."""
-    born = np.abs(apply(Circuit(n, ops), zero_state(n))) ** 2
-    return simulator._confuse_readout(born, simulator._gate_noise_flips(ops, n, noise))
+def dense_law(ops, n, noise):
+    """``dense_channel_probs`` with the readout flips applied as the Kronecker
+    product of the per-qubit confusion matrices."""
+    f = noise.readout_flip
+    confusion = reduce(np.kron, [np.array([[1.0 - f, f], [f, 1.0 - f]])] * n)
+    return confusion @ dense_channel_probs(ops, n, noise)
 
 
-@settings(max_examples=60, deadline=None)
-@given(job=shaped_jobs(), noise=gate_noise)
-def test_density_path_matches_dense_channel(job, noise):
-    # The closed form against the dense Kraus sum of the whole density matrix.
+@settings(max_examples=100, deadline=None)
+@given(job=jobs(), data=st.data())
+def test_noiseless_distributions_are_the_born_rule(job, data):
+    # Each row, whatever the other rows of its stack, is bit for bit the Born
+    # rule of the circuit with its basis-change gates appended.
     circuit, basis = job
-    ops = _measured_ops(circuit, basis)
     n = circuit.num_qubits
-    assert np.max(np.abs(closed_form_probs(ops, n, noise)
-                         - dense_channel_probs(ops, n, noise))) <= 1e-14
+    bases = [basis] + data.draw(st.lists(st.lists(st.sampled_from("XYZ"), min_size=n,
+                                                   max_size=n), max_size=3))
+    dists = simulator._distributions([(circuit, b) for b in bases], simulator.NOISELESS)
+    assert dists.shape == (len(bases), 1 << n)
+    for probs, b in zip(dists, bases):
+        born = abs_complex(apply(Circuit(n, _measured_ops(circuit, b)), zero_state(n))) ** 2
+        assert probs.tobytes() == born.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(job_noise=noisy_jobs(noises))
+def test_distributions_are_read_only_laws(job_noise):
+    (circuit, basis), noise = job_noise
+    n = circuit.num_qubits
+    dists = simulator._distributions([(circuit, basis), (circuit, ("Z",) * n)], noise)
+    assert dists.shape == (2, 1 << n) and not dists.flags.writeable
+    with pytest.raises(ValueError):
+        dists[0, 0] = 0.0
+    assert np.all(dists >= 0.0) and np.max(np.abs(dists.sum(axis=1) - 1.0)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
-@given(job=jobs(), noise=gate_noise)
+@given(job=shaped_jobs(), noise=noises)
+def test_density_path_matches_dense_channel(job, noise):
+    # The law stage against the dense Kraus sum of the whole density matrix,
+    # readout flips included.
+    circuit, basis = job
+    n = circuit.num_qubits
+    probs = simulator._distributions([(circuit, basis)], noise)[0]
+    assert np.max(np.abs(probs - dense_law(_measured_ops(circuit, basis), n, noise))) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(job=jobs(), noise=noises)
 def test_every_accepted_circuit_matches_dense_channel(job, noise):
     # The shape check on general circuits: whatever it accepts is exact.
     circuit, basis = job
-    ops = _measured_ops(circuit, basis)
     n = circuit.num_qubits
     try:
-        probs = closed_form_probs(ops, n, noise)
+        probs = simulator._distributions([(circuit, basis)], noise)[0]
     except DomainError:
         return
-    assert np.max(np.abs(probs - dense_channel_probs(ops, n, noise))) <= 1e-14
+    assert np.max(np.abs(probs - dense_law(_measured_ops(circuit, basis), n, noise))) <= 1e-14
 
 
 # Significance level of the two-sample chi-square tests against the
@@ -446,6 +476,57 @@ def test_nisq_batch_matches_trajectories(data_basis):
     shots = 20000
     assert_same_distribution(sample(circuit, basis, shots, noise, 21)[-1],
                              trajectory_hist(circuit, basis, shots, noise, 22))
+
+
+def assert_follows_law(hist, probs):
+    """Chi-square goodness-of-fit test of a histogram against an exact law;
+    bins expecting fewer than 20 shots are pooled into one."""
+    expected = hist.sum() * probs
+    small = expected < 20
+    observed = np.append(hist[~small], hist[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    keep = (observed > 0) | (expected > 0)
+    observed, expected = observed[keep], expected[keep]
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    p_value = chi2.sf(stat, observed.size - 1)
+    assert p_value >= CHI2_ALPHA, f"chi2 {stat:.1f} on {observed.size - 1} dof, p = {p_value:.2g}"
+
+
+@pytest.mark.parametrize("noise", [NOISE_PRESETS["nisq-lite"], NoiseModel(0.05, 0.1, 0.03)],
+                         ids=["nisq-lite", "heavy"])
+@pytest.mark.parametrize("data_basis", "XYZ")
+def test_trajectories_follow_the_distribution(data_basis, noise):
+    # Per-shot Pauli faults and readout flips drawn one by one, against the
+    # law that ``_distributions`` folds them into.
+    circuit = _batch_circuit(4, 9)
+    basis = (data_basis,) + ("Z",) * (circuit.num_qubits - 1)
+    probs = simulator._distributions([(circuit, basis)], noise)[0]
+    assert_follows_law(trajectory_hist(circuit, basis, 20000, noise, 23), probs)
+
+
+def noise_folding_callers() -> dict[str, set[str]]:
+    """The top-level functions of ``src/qrot`` that call ``_gate_noise_flips``
+    or ``_confuse_readout``, by the name called; a call outside any function
+    counts as the module's."""
+    package = Path(__file__).resolve().parent.parent / "src" / "qrot"
+    found = {"_gate_noise_flips": set(), "_confuse_readout": set()}
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(node, 'name', '<module>')}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    func = sub.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in found:
+                        found[name].add(owner)
+    return found
+
+
+def test_only_the_law_stage_folds_noise():
+    # One exact law: every caller that needs a distribution takes it from
+    # ``_distributions`` rather than folding the noise itself.
+    assert noise_folding_callers() == {"_gate_noise_flips": {"simulator._distributions"},
+                                       "_confuse_readout": {"simulator._distributions"}}
 
 
 # Qubit 1 controls two gates while coherent and is then rotated, so the

@@ -18,9 +18,10 @@ from qrot.rotation import gate_ry, gate_rz
 from qrot.tomography import (MIN_BLOCH_NORM, _bloch_vectors, _directed_estimates,
                              _floor_spectrum, _process_result, _reconstruct_process,
                              _state_counts, _state_estimates, density_from_bloch)
-from qrot.experiments import rotation_circuit, sweep_records
-from qrot.multirot import VectorBatch, extract_all, index_estimate
-from qrot.simulator import _sample_rows, derive_seed, sample
+from qrot.experiments import NOISE_PRESETS, rotation_circuit, sweep_records
+from qrot.multirot import VectorBatch, extract_all, full_circuit, index_estimate
+from qrot.rotation import rodrigues_rotate
+from qrot.simulator import _distributions, _sample_rows, derive_seed, sample
 
 from conftest import WORKED_ROTATED, WORKED_VECTOR, random_spec
 from oracles import (PREP_STATES, align_global_phase, expectation_from_counts,
@@ -104,7 +105,7 @@ def one_tally_estimate(tally, cal=None):
     return r, density_from_bloch(r / max(1.0, norm)), index_estimate(1, tally, cal).vector
 
 
-class TestEstimateQubit:
+class TestOneTallyEstimate:
     @settings(max_examples=300, deadline=None)
     @given(tallies=_tallies)
     @example(tallies=np.array([(60, 40), (50, 50), (70, 30)]))    # |r| < 1
@@ -212,6 +213,60 @@ class TestStackedEstimates:
             assert np.array_equal(r[k], one_r)
             assert np.array_equal(rho[k], one_rho)
             assert (direction is None) == (norm[k] < MIN_BLOCH_NORM)
+
+
+def expected_pairs(circuit, noise):
+    """The exact (n0, n1) frequencies of every control branch of ``circuit``
+    with qubit 0 read in X, Y and Z and the controls in Z, as the
+    (2**n, 3, 2) table ``_bloch_vectors`` takes: ``simulator._distributions``
+    of its three rows."""
+    n = circuit.num_qubits - 1
+    dists = _distributions([(circuit, (label,) + ("Z",) * n) for label in "XYZ"], noise)
+    return dists.reshape(3, 2**n, 2).transpose(1, 0, 2)
+
+
+def random_batch_circuit(count, seed):
+    """(circuit, oracle vectors) of a random batch of ``count`` unit vectors
+    under a random rotation."""
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng)
+    v = rng.normal(size=(count, 3))
+    batch = VectorBatch(v / np.linalg.norm(v, axis=1, keepdims=True))
+    return full_circuit(batch, spec), rodrigues_rotate(spec, batch.vectors)
+
+
+class TestInfiniteShotEstimate:
+    """``_bloch_vectors`` of the exact outcome frequencies is the estimate at
+    infinitely many shots: the same core that reads counts."""
+
+    @pytest.mark.parametrize("count, seed", [(1, 1), (2, 2), (16, 3), (64, 4)])
+    def test_noiseless_estimate_is_the_oracle(self, count, seed):
+        circuit, oracle = random_batch_circuit(count, seed)
+        r = _bloch_vectors(expected_pairs(circuit, NoiseModel()))
+        assert max_abs(r[:count] - oracle) <= 1e-12
+
+    def test_sampled_mean_converges_to_it(self):
+        # 16 vectors under nisq-lite: the raw unmitigated estimate of each
+        # branch is an unbiased mean of its shots, so over 40 seeds its mean
+        # lies within 5 standard errors of the exact value.
+        circuit, _ = random_batch_circuit(16, 5)
+        noise = NOISE_PRESETS["nisq-lite"]
+        exact = _bloch_vectors(expected_pairs(circuit, noise))[:16]
+        sampled = np.array([_bloch_vectors(_state_counts(circuit, [2000], noise, seed,
+                                                         False)[1][0, :16])
+                            for seed in range(40)])
+        se = sampled.std(axis=0, ddof=1) / math.sqrt(len(sampled))
+        assert np.all(np.abs(sampled.mean(axis=0) - exact) <= 5.0 * se)
+
+    def test_float_pairs_are_estimated_and_empty_ones_named(self):
+        pairs = np.array([[0.75, 0.25], [0.5, 0.5], [0.125, 0.875]])
+        cal = np.array([[0.93, 0.05], [0.07, 0.95]])
+        assert _bloch_vectors(pairs).tolist() == [0.5, 0.0, -0.75]
+        mitigated = [p[0] - p[1] for p in (mitigate_frequencies(f, cal) for f in pairs)]
+        assert _bloch_vectors(pairs, cal).tolist() == mitigated
+        pairs[1] = 0.0
+        with pytest.raises(DomainError, match="no samples in basis Y"):
+            _bloch_vectors(pairs)
 
 
 def raises_as(error, call, *args):
