@@ -68,9 +68,6 @@ class ErParams(NamedTuple):
                 return ErParams(-self.a, -self.b, -self.c, -self.d)
         return self
 
-    def quadratic_norm(self) -> float:
-        return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
-
 
 def rodrigues_rotate(spec: RotationSpec, x) -> np.ndarray:
     """Rotate ``x`` about the axis: u (u.x) + cos(t) (u x x) x u + sin(t) (u x x).

@@ -11,21 +11,19 @@ Conventions
 * Randomness comes from numpy's Philox counter-based generator keyed by a
   64-bit seed, so identical inputs give byte-identical counts. A sampling
   job computes its exact law once (``_distributions``) and then draws one
-  uniform u per shot, ``SAMPLE_CHUNK`` at a time. A shot reads outcome
-  min(#{cum <= u}, 2^n - 1), cum being the cumulative distribution. Two
-  kernels count the chunk, chosen by the size of the outcome space, and
-  both give bit-for-bit the histogram of a lookup per shot. Up to
-  ``_COMPARE_MAX`` outcomes, each cum value is compared with the whole
-  chunk once: the shots at or above cum[j] are those that read outcome
-  j + 1 or above, and the histogram is the difference of those counts. A
-  larger job sorts the chunk's uniforms in place and counts, by binary
-  search, those below each cum value; the histogram is again the
-  difference of those counts. A chunk's outcomes are counted as soon as
-  they are read and never kept. Memory is therefore independent of the
-  shot count (chunk ends are made as the draw reaches them), merged counts
-  do not depend on how shots are chunked, and an s-shot job's outcomes are
-  the first s outcomes of any larger job at the same seed, with or without
-  noise.
+  uniform u per shot, ``SAMPLE_CHUNK`` at a time, into one reused buffer
+  (``_tallies``). A shot reads outcome min(#{cum <= u}, 2^n - 1), cum being
+  the cumulative distribution. The draw counts below[j] = #{u < cum[j]},
+  the shots that read outcome j or less, and the histogram is the
+  difference of those counts; it is bit-for-bit the histogram of a lookup
+  per shot. Up to ``_COMPARE_MAX`` outcomes, each cum value is compared
+  with the whole chunk once; a larger job sorts the chunk's uniforms in
+  place and counts by binary search. A chunk's outcomes are counted as
+  soon as they are read and never kept. Memory is therefore independent of
+  the shot count (chunk ends are made as the draw reaches them), merged
+  counts do not depend on how shots are chunked, and an s-shot job's
+  outcomes are the first s outcomes of any larger job at the same seed,
+  with or without noise.
 * A job may name ``checkpoints``: shot counts whose running histograms it
   keeps besides the whole job's. The draw stops at each of them and at the
   job's shot count, and the job's count table holds one row per stop, all
@@ -74,6 +72,7 @@ Conventions
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -227,79 +226,47 @@ def _basis_change_ops(basis, n: int) -> list[GateOp]:
 def _tallies(probs: np.ndarray, stops, rng: np.random.Generator) -> np.ndarray:
     """The running histograms of a draw of ``stops[-1]`` shots from ``probs``
     with one uniform u per shot, as a (len(stops), dim) int64 array: row r
-    counts the shots up to ``stops[r]``. Each chunk of ``_chunks(stops)`` is
-    one ``rng.random`` call. A shot reads outcome min(#{cum <= u}, dim - 1), as
+    counts the shots up to ``stops[r]``. ``stops`` are sorted distinct
+    positive ints. A shot reads outcome min(#{cum <= u}, dim - 1), as
     ``searchsorted(cum, u, side="right")`` clamped to the last index would.
 
-    One kernel counts every chunk: ``_compare_tally`` for dim up to
-    ``_COMPARE_MAX``, ``_sort_tally`` above it. It adds each segment's
-    histogram to the segment's row of the table, and a running sum over the
-    rows at the end turns each into the histogram up to its stop."""
+    Each chunk of ``SAMPLE_CHUNK`` shots (the last may be shorter) is one
+    ``rng.random`` call into one buffer, made as the draw reaches it. The
+    stops strictly inside a chunk cut it into segments, none empty, and each
+    segment is counted into the row of the stop that ends it: its length in
+    the last outcome, and for each j, below[j] = #{u < cum[j]} added to
+    outcome j and taken from outcome j + 1. Up to ``_COMPARE_MAX`` outcomes,
+    one comparison pass over the chunk and one ``reduceat`` over the segment
+    starts count below[j] for each cum value (``reduceat`` would return an
+    element, not 0, for an empty segment). Above it, each segment is sorted
+    in place and ``searchsorted`` counts below. A running sum over the rows
+    at the end turns each into the histogram up to its stop."""
     # Dropping the last cum value clamps every count to dim - 1.
     cum = np.cumsum(probs / probs.sum())[:-1]
-    tally = _compare_tally if probs.size <= _COMPARE_MAX else _sort_tally
     counts = np.zeros((len(stops), probs.size), dtype=np.int64)
-    for row, lengths in _chunks(stops):
-        tally(rng.random(sum(lengths)), lengths, cum, counts[row:row + len(lengths)])
-    return np.cumsum(counts, axis=0, out=counts)
-
-
-def _compare_tally(u, lengths, cum, out) -> None:
-    """Add to row s of ``out`` the histogram of segment s of the chunk ``u``,
-    which ``lengths`` cuts into segments, for a small outcome space. Since cum
-    does not decrease, the shots of a segment that read outcome j or above
-    are those with u >= cum[j-1]. For each cum value, one comparison pass
-    over the chunk and one ``reduceat`` over its segment starts count them,
-    and a segment's histogram is the difference of those counts.
-    ``reduceat`` would return an element, not 0, for an empty segment;
-    ``_chunks`` makes none."""
-    starts = np.cumsum((0, *lengths[:-1]))
-    # at_least[s, j]: the shots of segment s that read outcome j or above.
-    at_least = np.zeros((len(lengths), cum.size + 2), dtype=np.int64)
-    at_least[:, 0] = lengths
-    for j, c in enumerate(cum, start=1):
-        at_least[:, j] = np.add.reduceat(u >= c, starts, dtype=np.int64)
-    out += at_least[:, :-1] - at_least[:, 1:]
-
-
-def _sort_tally(u, lengths, cum, out) -> None:
-    """Add to row s of ``out`` the histogram of segment s of the chunk ``u``,
-    which ``lengths`` cuts into segments, for a large outcome space. Each
-    segment is sorted in place, and ``searchsorted`` counts its uniforms
-    below each cum value: below[j] = #{u < cum[j]}, the shots that read
-    outcome j or less. Outcome 0 counts below[0], outcome j below[j] -
-    below[j-1], and the last outcome the segment's length less below[-1].
-    Sorting and comparing are exact, so these are the counts of a lookup per
-    shot."""
-    start = 0
-    for row, length in zip(out, lengths):
-        segment = u[start:start + length]
-        segment.sort()
-        below = np.searchsorted(segment, cum)
-        row[:-1] += below
-        row[-1] += length
-        row[1:] -= below
-        start += length
-
-
-def _chunks(stops):
-    """The chunks of a draw of ``stops[-1]`` shots, in order, made as the
-    draw reaches them; ``stops`` are sorted distinct positive ints. Every
-    chunk but the last holds ``SAMPLE_CHUNK`` shots. A chunk is (row,
-    lengths): the stops strictly inside it cut it into segments of
-    ``lengths`` shots, and its first segment's shots are those up to
-    ``stops[row]``, the next segment's up to ``stops[row + 1]``, and so on."""
     shots = stops[-1]
-    row = start = 0
-    while start < shots:
+    chunk = np.empty(min(SAMPLE_CHUNK, shots))
+    for start in range(0, shots, SAMPLE_CHUNK):
         end = min(start + SAMPLE_CHUNK, shots)
-        first, lengths = row, [min(stops[row], end) - start]
-        while stops[row] < end:
-            row += 1
-            lengths.append(min(stops[row], end) - stops[row - 1])
-        yield first, lengths
-        row += stops[row] == end
-        start = end
+        row = bisect.bisect_right(stops, start)
+        cuts = [stop - start for stop in stops[row:bisect.bisect_left(stops, end, row)]]
+        starts, ends = [0, *cuts], [*cuts, end - start]
+        out = counts[row:row + len(ends)]
+        out[:, -1] += [b - a for a, b in zip(starts, ends)]
+        u = rng.random(out=chunk[:end - start])
+        if probs.size <= _COMPARE_MAX:
+            for j, c in enumerate(cum):
+                below = np.add.reduceat(u < c, starts, dtype=np.int64)
+                out[:, j] += below
+                out[:, j + 1] -= below
+        else:
+            for r, a, b in zip(out, starts, ends):
+                segment = u[a:b]
+                segment.sort()
+                below = np.searchsorted(segment, cum)
+                r[:-1] += below
+                r[1:] -= below
+    return np.cumsum(counts, axis=0, out=counts)
 
 
 def _confuse_readout(probs: np.ndarray, flips) -> np.ndarray:

@@ -47,12 +47,17 @@ def rodrigues_matrix(spec: RotationSpec) -> np.ndarray:
     return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(u, u)
 
 
+def quadratic_norm(p: ErParams) -> float:
+    """a^2 + b^2 + c^2 + d^2, which is 1 for the parameters of a rotation."""
+    return p.a ** 2 + p.b ** 2 + p.c ** 2 + p.d ** 2
+
+
 def er_matrix(p: ErParams) -> np.ndarray:
     """Rotation matrix built from Euler-Rodrigues parameters."""
     a, b, c, d = p
-    if abs(p.quadratic_norm() - 1.0) > 1e-6:
+    if abs(quadratic_norm(p) - 1.0) > 1e-6:
         raise DomainError(
-            f"parameters violate a^2+b^2+c^2+d^2 = 1 (got {p.quadratic_norm()!r})")
+            f"parameters violate a^2+b^2+c^2+d^2 = 1 (got {quadratic_norm(p)!r})")
     return np.array([
         [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
         [2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b)],

@@ -1,6 +1,7 @@
 """README's code blocks run against the package as it is, so a deleted or
 renamed public name fails here rather than leaving the docs stale; and every
-exported name that no library code calls has a reason in README."""
+exported name, function or method that no library code calls has a reason in
+README."""
 
 import ast
 import re
@@ -21,33 +22,45 @@ def test_library_example_runs(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
-def orphaned_exports() -> set[str]:
-    """Names that ``qrot/__init__.py`` imports and no other definition in
-    ``src/qrot`` references as a ``Name`` or ``Attribute`` (docstrings do not
-    count). A definition's references to its own name do not count either."""
+def references(node: ast.AST, own: frozenset = frozenset()) -> set[str]:
+    """The names under ``node`` that a ``Name`` or ``Attribute`` refers to
+    (docstrings do not count), less each definition's references to its own
+    name or to the name of a definition that encloses it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        own = own | {node.name}
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+    found = {name} - own if name is not None else set()
+    for child in ast.iter_child_nodes(node):
+        found |= references(child, own)
+    return found
+
+
+def orphans() -> set[str]:
+    """Names that ``qrot/__init__.py`` imports, and functions and methods
+    (dunder methods aside) defined in ``src/qrot``, that nothing else in
+    ``src/qrot`` refers to."""
     package = Path(__file__).resolve().parent.parent / "src" / "qrot"
     init = ast.parse((package / "__init__.py").read_text())
-    exported = {alias.asname or alias.name for node in init.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names = {alias.asname or alias.name for node in init.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
     used = set()
     for path in package.glob("*.py"):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text()).body:
-            own = getattr(node, "name", None)
-            for sub in ast.walk(node):
-                name = (sub.id if isinstance(sub, ast.Name)
-                        else sub.attr if isinstance(sub, ast.Attribute) else None)
-                if name is not None and name != own:
-                    used.add(name)
-    return exported - used
+        tree = ast.parse(path.read_text())
+        names |= {node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("__")}
+        used |= references(tree)
+    return names - used
 
 
 def test_every_orphaned_export_has_a_reason():
-    # README's list of names exported without a library caller: one bullet per
+    # README's list of names without a library caller: one bullet per
     # reason, the names backticked before its colon.
     text = README.read_text().split("\nExported without a library caller, and why:\n", 1)[1]
     bullets = text.strip("\n").split("\n\n", 1)[0].split("\n* ")
     listed = {name for bullet in bullets
               for name in re.findall(r"`(\w+)`", bullet.split(":", 1)[0])}
-    assert orphaned_exports() == listed
+    assert orphans() == listed

@@ -13,8 +13,8 @@ from qrot.simulator import apply, zero_state
 
 from conftest import (WORKED_AXIS, WORKED_ROTATED, WORKED_VECTOR,
                       random_spec, random_state, random_unit)
-from oracles import (align_global_phase, er_matrix, rodrigues_matrix, sequence_unitary,
-                     state_to_bloch)
+from oracles import (align_global_phase, er_matrix, quadratic_norm, rodrigues_matrix,
+                     sequence_unitary, state_to_bloch)
 
 
 def max_abs(m):
@@ -149,7 +149,7 @@ class TestErParams:
     def test_constraint(self):
         rng = np.random.default_rng(24)
         for _ in range(200):
-            assert abs(erp_from_spec(random_spec(rng)).quadratic_norm() - 1.0) <= 1e-12
+            assert abs(quadratic_norm(erp_from_spec(random_spec(rng))) - 1.0) <= 1e-12
 
     def test_canonical_sign(self):
         assert ErParams(-0.5, 0.5, 0.5, 0.5).canonical().a == 0.5

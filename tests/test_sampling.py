@@ -7,7 +7,6 @@ under gate noise range over the shape that ``sample`` accepts there
 
 import ast
 import hashlib
-import itertools
 import math
 import tracemalloc
 from functools import reduce
@@ -170,20 +169,24 @@ noises = st.builds(NoiseModel, depol, depol, st.sampled_from([0.0, 0.03, 0.5]))
 
 
 class _Uniforms:
-    """Stands in for a Generator: ``random(m)`` returns the next m of ``u``."""
+    """Stands in for a Generator: ``random(out=a)`` fills ``a`` with the next
+    a.size of ``u`` and returns it; ``sizes`` records each call's size."""
 
     def __init__(self, u):
-        self.u, self.used = np.asarray(u, dtype=float), 0
+        self.u, self.used, self.sizes = np.asarray(u, dtype=float), 0, []
 
-    def random(self, m):
-        self.used += m
-        return self.u[self.used - m:self.used].copy()
+    def random(self, *, out):
+        self.sizes.append(out.size)
+        self.used += out.size
+        out[...] = self.u[self.used - out.size:self.used]
+        return out
 
 
-def assert_tallies_exact(probs, u, edges):
+def assert_tallies_exact(probs, u, edges) -> _Uniforms:
     """``simulator._tallies``, drawing ``edges[-1]`` shots with stops at
     ``edges``, gives per edge the bincount of the shots up to it of
-    ``searchsorted(cum, u, side="right")`` clamped to dim - 1."""
+    ``searchsorted(cum, u, side="right")`` clamped to dim - 1. Returns the
+    stand-in Generator that the draw read."""
     dim = probs.size
     cum = np.cumsum(probs / probs.sum())
     idx = np.minimum(np.searchsorted(cum, u, side="right"), dim - 1)
@@ -192,6 +195,7 @@ def assert_tallies_exact(probs, u, edges):
     assert table.shape == (len(edges), dim) and uniforms.used == edges[-1]
     for end, hist in zip(edges, table):
         assert np.array_equal(hist, np.bincount(idx[:end], minlength=dim))
+    return uniforms
 
 
 @st.composite
@@ -202,8 +206,8 @@ def tally_cases(draw):
     T <= 2^16 put every cum value on a dyadic point too, so that uniforms
     equal to cum values test which side of each comparison counts them; a
     last weight of 1 puts cum[-2] on (T - 1) / T. Dyadic uniforms repeat,
-    so the sort kernel also meets ties. The sizes drawn include both sides
-    of the crossover between the compare and sort kernels."""
+    so the sorted count also meets ties. The sizes drawn include both sides
+    of ``_COMPARE_MAX``, where the draw turns from comparing to sorting."""
     dim = draw(st.one_of(st.sampled_from([2, simulator._COMPARE_MAX,
                                           simulator._COMPARE_MAX + 1, 4096]),
                          st.integers(2, 300)))
@@ -260,8 +264,8 @@ def test_counts_match_broadcast_sampler(case, shots, seed):
     assert np.array_equal(sample(circuit, basis, shots, noise, seed)[-1], expected)
 
 
-# One-qubit jobs, so that chunks of 1 and 7 shots go through the compare
-# kernel; the drawn jobs reach it up to three qubits and the sort kernel above.
+# One-qubit jobs, so that chunks of 1 and 7 shots are counted by comparison;
+# the drawn jobs are counted by comparison up to three qubits, by sorting above.
 _ONE_QUBIT = (Circuit(1, (GateOp("RY", 0, 1.1),)), ("X",))
 
 
@@ -328,24 +332,17 @@ def test_checkpoints_around_chunk_edges(job, edges, extra, noise, seed):
 @given(shots=st.integers(1, 400), cuts=st.lists(st.integers(1, 400), max_size=12),
        chunk=st.integers(1, 40))
 def test_chunks_never_yield_an_empty_segment(shots, cuts, chunk):
-    # The compare kernel counts each segment with np.add.reduceat, which
-    # returns the element at an empty segment's start instead of 0.
+    # The comparison count sums each segment with np.add.reduceat, which
+    # returns the element at an empty segment's start instead of 0, so an
+    # empty segment would break the per-shot lookup's table.
     stops = sorted({*(s for s in cuts if s <= shots), shots})
-    with mock.patch.object(simulator, "SAMPLE_CHUNK", chunk):
-        chunks = list(simulator._chunks(stops))
-    assert all(0 < length for _, lengths in chunks for length in lengths)
-    # A full chunk is one Generator call of SAMPLE_CHUNK uniforms.
-    assert all(sum(lengths) == chunk for _, lengths in chunks[:-1])
-    assert 0 < sum(chunks[-1][1]) <= chunk
-    # Segments run stop to stop, so their running total meets every stop.
-    ends, total = [], 0
-    for row, lengths in chunks:
-        for r, length in enumerate(lengths, start=row):
-            total += length
-            ends.append((r, total))
-    assert total == shots
-    assert all(end <= stops[r] for r, end in ends)
-    assert {stops[r] for r, end in ends if end == stops[r]} == set(stops)
+    u = np.random.default_rng(shots).random(shots)
+    for dim in (2, simulator._COMPARE_MAX + 1):
+        with mock.patch.object(simulator, "SAMPLE_CHUNK", chunk):
+            sizes = assert_tallies_exact(np.arange(1.0, dim + 1), u, stops).sizes
+        # A full chunk is one Generator call of SAMPLE_CHUNK uniforms.
+        assert all(m == chunk for m in sizes[:-1])
+        assert 0 < sizes[-1] <= chunk
 
 
 @settings(max_examples=200, deadline=None)
@@ -612,7 +609,8 @@ def test_noiseless_sample_memory_does_not_grow_with_shots():
         finally:
             tracemalloc.stop()
         assert res[-1].sum() == shots
-        # Three chunk-sized int64/float64 arrays are live at once: 1.5 MiB.
+        # The draw holds one chunk buffer (512 KiB) at any shot count;
+        # measured peak 548,131 and 548,523 bytes.
         assert peak < 4 * 2**20, f"{shots} shots peaked at {peak / 2**20:.1f} MiB"
 
 
@@ -636,10 +634,10 @@ def test_noisy_cli_maximum_sample_memory_bound():
 
 def test_noiseless_full_chunk_sample_memory_bound():
     # The widest circuit at more than two full SAMPLE_CHUNK draws: the
-    # chunk's uniforms, sorted in place, and the kernel's temporaries must
-    # stay within the peak of an earlier per-shot lookup, 1,709,803 bytes
-    # on this job. Measured peak as this test runs it, alone or in the
-    # suite (numpy 2.4.6): 725,580 to 725,708 bytes.
+    # chunk buffer, its segments sorted in place, and the counts of each
+    # segment must stay within the peak of an earlier per-shot lookup,
+    # 1,709,803 bytes on this job. Measured peak as this test runs it,
+    # alone or in the suite (numpy 2.4.6): 691,723 to 691,987 bytes.
     circuit = _batch_circuit(2048, 6)
     basis = ("X",) + ("Z",) * 11
     shots = 2 * simulator.SAMPLE_CHUNK + 5
@@ -659,7 +657,7 @@ def test_checkpoint_sample_memory_bound():
     # nothing more, 1,048,576 + 1,709,803 bytes. The table's 33rd row is the
     # histogram that the job above holds too. Each segment is counted into
     # its own row, with no segments x outcomes array; measured peak:
-    # 2,398,552 bytes.
+    # 2,198,646 to 2,202,270 bytes.
     circuit = _batch_circuit(2048, 6)
     basis = ("X",) + ("Z",) * 11
     shots = 2 * simulator.SAMPLE_CHUNK + 5
@@ -675,11 +673,11 @@ def test_checkpoint_sample_memory_bound():
 
 
 def test_one_qubit_checkpoint_sample_memory_bound():
-    # A sweep-shaped draw through the compare kernel: one qubit, more than
-    # two full SAMPLE_CHUNK draws and 19 checkpoints cutting both full chunks.
+    # A sweep-shaped draw counted by comparison: one qubit, more than two
+    # full SAMPLE_CHUNK draws and 19 checkpoints cutting both full chunks.
     # It must peak no higher than an earlier per-shot lookup on this job,
-    # 1,151,400 bytes; the compare kernel peaks at 1,119,699 (a chunk of
-    # uniforms, its comparison mask, and reduceat's int64 cast of the mask).
+    # 1,151,400 bytes; the draw peaks at 1,118,891 (the chunk buffer, its
+    # comparison mask, and reduceat's int64 cast of the mask).
     # A one-shot draw first loads what numpy imports on its first Generator.
     circuit = _ONE_QUBIT[0]
     shots = 2 * simulator.SAMPLE_CHUNK + 5
@@ -696,23 +694,25 @@ def test_one_qubit_checkpoint_sample_memory_bound():
 
 
 def test_chunk_ends_are_made_as_drawn(monkeypatch):
-    # 10**10 shots end 152,588 chunks; a _chunks that lists them all before
-    # the first draw peaks at 23,925,330 bytes. The stub consumes the
-    # chunks and credits every shot drawn to the last stop, so the peak is
-    # what sample holds besides draws.
-    def consume_chunks(probs, stops, rng):
-        counts = np.zeros((len(stops), probs.size), dtype=np.int64)
-        chunks = simulator._chunks(stops)
-        counts[-1, 0] = sum(itertools.chain.from_iterable(lengths for _, lengths in chunks))
-        return counts
+    # 10**10 shots end 152,588 chunks; a draw that listed them all before
+    # its first uniform peaked at 23,925,330 bytes. The stub Generator
+    # raises at its first call, so the peak is what sample holds before any
+    # uniform is drawn: the law, the count table and the one chunk buffer
+    # (512 KiB).
+    class FirstDraw(Exception):
+        pass
 
-    monkeypatch.setattr(simulator, "_tallies", consume_chunks)
+    class Unreached:
+        def random(self, *args, **kwargs):
+            raise FirstDraw
+
+    monkeypatch.setattr(simulator, "_rng", lambda seed: Unreached())
     shots = 10**10
     tracemalloc.start()
     try:
-        res = sample(Circuit(1), ("Z",), shots, seed=5)
+        with pytest.raises(FirstDraw):
+            sample(Circuit(1), ("Z",), shots, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res[-1].sum() == shots
     assert peak < 2**20, f"peaked at {peak / 2**20:.1f} MiB"
