@@ -13,9 +13,11 @@ invocations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -83,7 +85,78 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)``
+    would, plus a newline. json indents with its pure-Python encoder; this
+    writer formats each leaf with the C functions json uses and joins each
+    container once."""
+    _write_text(path, _json(payload, "") + "\n")
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x, indent=None) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _list(items, indent: str) -> str:
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    try:  # the bulk of an artifact: a list of floats
+        body = sep.join(map(float.__repr__, items))
+    except TypeError:
+        body = None
+    if body is None:
+        body = sep.join([_json(v, inner) for v in items])
+    elif "n" in body:  # nan or inf
+        body = sep.join(map(_float, items))
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
+def _dict(items, indent: str) -> str:
+    if not items:
+        return "{}"
+    inner = indent + "  "
+    body = (",\n" + inner).join([_key(k) + ": " + _json(v, inner)
+                                 for k, v in sorted(items.items())])
+    return "{\n" + inner + body + "\n" + indent + "}"
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if not isinstance(key, (int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    return encode_basestring_ascii(_json(key, ""))
+
+
+# The JSON text of a value of each exact type, nested at ``indent``.
+_WRITERS = {
+    str: lambda s, indent: encode_basestring_ascii(s),
+    int: lambda i, indent: int.__repr__(i),
+    float: _float,
+    bool: lambda b, indent: "true" if b else "false",
+    type(None): lambda none, indent: "null",
+    list: _list,
+    tuple: _list,
+    dict: _dict,
+}
+
+
+def _subclass(value, indent: str) -> str:
+    """A subclass takes its base's writer, found in json's order."""
+    for base in (str, int, float, list, tuple, dict):
+        if isinstance(value, base):
+            return _WRITERS[base](value, indent)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json(value, indent: str) -> str:
+    return _WRITERS.get(type(value), _subclass)(value, indent)
 
 
 def _add_rotation(parser: argparse.ArgumentParser) -> None:
@@ -104,6 +177,7 @@ def _add_common(parser: argparse.ArgumentParser, shots_default: int | None) -> N
     parser.add_argument("--out", help="write the artifact to this path")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrot",
@@ -260,9 +334,9 @@ def cmd_multi(args) -> dict:
             print(f"  #{e['index']}: FAILED ({e['error']})")
         else:
             flag = "  [under-sampled]" if e["under_sampled"] else ""
-            print(f"  #{e['index']}: {_fmt_vec(e['extracted'])} vs oracle "
-                  f"{_fmt_vec(e['oracle'])}  diff {e['angle_deg']:.4f} deg "
-                  f"({e['samples']} samples){flag}")
+            print("  #%d: (%.6f, %.6f, %.6f) vs oracle (%.6f, %.6f, %.6f)  diff %.4f deg "
+                  "(%d samples)%s" % (e["index"], *e["extracted"], *e["oracle"],
+                                      e["angle_deg"], e["samples"], flag))
     return {"rotation": {"axis": [float(x) for x in spec.axis], "angle_r": spec.angle_r},
             "shots_per_vector": args.shots,
             "seed": args.seed,

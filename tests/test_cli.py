@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -11,16 +12,17 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
 import qrot
-from qrot import cli, tomography
+from qrot import cli, experiments, tomography
 from qrot.bloch import normalize
 from qrot.circuit import MAX_QUBITS
 from qrot.cli import MAX_BATCH_VECTORS, main
 from qrot.experiments import MAX_SWEEP_RECORDS
-from qrot.multirot import VectorBatch
+from qrot.multirot import ExtractedVector, VectorBatch
 
 
 def run(capsys, *argv):
@@ -408,6 +410,41 @@ class TestMultiCommand:
         assert "entry 2" in err
 
 
+    @pytest.mark.parametrize("patched", [False, True], ids=["drawn", "patched"])
+    def test_vector_lines_keep_their_format(self, capsys, tmp_path, monkeypatch, patched):
+        # The per-vector lines as first printed, with f-strings; the CLI now
+        # prints them with one % format and must keep every byte.
+        def reference(e):
+            if e["extracted"] is None:
+                return f"  #{e['index']}: FAILED ({e['error']})"
+            flag = "  [under-sampled]" if e["under_sampled"] else ""
+            return (f"  #{e['index']}: {cli._fmt_vec(e['extracted'])} vs oracle "
+                    f"{cli._fmt_vec(e['oracle'])}  diff {e['angle_deg']:.4f} deg "
+                    f"({e['samples']} samples){flag}")
+
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, -0.8, 0], [-1, 0, 0]]
+        if patched:
+            # No CLI draw under-samples at 100 or more shots per vector.
+            extracted = [ExtractedVector(1, np.array([1.0, 0.0, 0.0]), 3000, False),
+                         ExtractedVector(2, np.array([-0.0, 1e-9, -1.0]), 24, True),
+                         ExtractedVector(3, None, 0, True, "no samples in basis X,Z"),
+                         ExtractedVector(4, np.array([0.6, 0.8, 0.0]), 12, True),
+                         ExtractedVector(5, None, 75, False,
+                                         "estimated Bloch vector has no direction")]
+            monkeypatch.setattr(experiments, "extract_all", lambda *args: extracted)
+        out_path = tmp_path / "multi.json"
+        code, out, err = run(capsys, "multi", "--vectors", self._vector_file(tmp_path, rows),
+                             "--axis", "1,-2,0.5", "--angle", "2.1", "--shots", "300",
+                             "--out", str(out_path))
+        assert code == 0, err
+        entries = json.loads(out_path.read_text())["vectors"]
+        lines = out.splitlines()
+        assert lines[-len(entries) - 1].startswith("rotated 5 vectors")
+        assert lines[-len(entries):] == [reference(e) for e in entries]
+        if patched:
+            assert sum("[under-sampled]" in line for line in lines) == 2
+
+
 class TestSeedRange:
     COMMANDS = {
         "erp": ("erp", "--axis", "0,0,1", "--angle", "1"),
@@ -462,6 +499,83 @@ class TestExampleCommand:
         assert payload["erp_classical"] == pytest.approx(
             [0.70710678, 0.57735027, 0.28867513, 0.28867513], abs=1e-8)
         assert payload["oracle"] == pytest.approx([0.7698, 0.14920, 0.62060], abs=1e-4)
+
+
+# Trees of what json writes: None, bools, ints past 64 bits, floats with NaN,
+# infinities, -0.0, subnormals and np.float64, strings with quotes, backslashes,
+# control characters, non-ASCII text and brackets; lists, tuples and str-keyed
+# dicts, empty ones included.
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+                     2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 0.1]),
+    st.floats().map(np.float64))
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/[]{}:,\x00\x1f\x7f\n\t\r\u2028'),
+                               st.characters()))
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.integers(min_value=2**64), st.integers(max_value=-2**64),
+                         _JSON_FLOATS, _JSON_TEXT)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=6),
+                            st.lists(inner, max_size=6).map(tuple),
+                            st.lists(_JSON_FLOATS, max_size=6),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=6)),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    """``cli._write_json`` writes what ``json.dumps(indent=2, sort_keys=True)``
+    writes, byte for byte, and raises TypeError where it raises."""
+
+    @staticmethod
+    def dumps(payload) -> str:
+        return json.dumps(payload, indent=2, sort_keys=True)
+
+    @settings(max_examples=250, deadline=None)
+    @given(payload=_JSON_PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        assert cli._json(payload, "") == self.dumps(payload)
+
+    def test_subclasses_and_non_string_keys(self):
+        class Text(str):
+            pass
+
+        class Number(int):
+            pass
+
+        payload = {Text("k"): [Text("v"), Number(5), np.float64(-0.0), np.float64("nan")],
+                   "keys": [{1: 0, 2**70: 1, -3: 2}, {0.5: 0, math.inf: 1, math.nan: 2},
+                            {True: 0}, {False: 1}, {None: 2}, {Number(4): 0}],
+                   "containers": [type("L", (list,), {})([1.0, "a"]),
+                                  type("D", (dict,), {})(b=(), a={})]}
+        assert cli._json(payload, "") == self.dumps(payload)
+
+    @pytest.mark.parametrize("payload", [
+        np.int64(1), np.float32(1.0), np.bool_(True), np.array([1.0]), {1, 2}, b"x", 1j,
+        object(), [1.0, np.int64(2)], {"a": {"b": frozenset()}}, {(1, 2): 0}, {b"k": 0},
+        (0.5, [None, {"x": np.int32(3)}]),
+    ], ids=lambda payload: type(payload).__name__)
+    def test_unsupported_value_raises_type_error(self, payload):
+        with pytest.raises(TypeError) as expected:
+            self.dumps(payload)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+            cli._json(payload, "")
+
+    def test_file_bytes(self, tmp_path):
+        payload = {"vectors": [[0.1, -0.0, math.nan], [], {}], "text": "caf\u00e9\n"}
+        cli._write_json(str(tmp_path / "a.json"), payload)
+        assert (tmp_path / "a.json").read_bytes() == (self.dumps(payload) + "\n").encode()
+
+
+def test_parser_is_built_once_and_parses_afresh():
+    # main() reuses one parser; a parse leaves nothing behind for the next.
+    assert cli._build_parser() is cli._build_parser()
+    first = cli._build_parser().parse_args(["erp", "--axis", "0,0,1", "--angle", "1",
+                                            "--mitigate", "--seed", "3"])
+    second = cli._build_parser().parse_args(["erp", "--axis", "1,0,0", "--angle", "2"])
+    assert (first.mitigate, first.seed) == (True, 3)
+    assert (second.mitigate, second.seed, second.axis) == (False, 7, "1,0,0")
 
 
 def fresh_modules(code: str) -> list[str]:

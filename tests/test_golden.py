@@ -2,7 +2,8 @@
 
 Each case runs one CLI invocation and compares its parsed artifact with the
 values pinned in ``golden/seed7.json``: integers, strings, booleans and None
-exactly, floats within ``FLOAT_TOL``. A change to the sampler or an
+exactly, floats within ``FLOAT_TOL``; a JSON artifact's text must also be
+what ``json.dumps(indent=2, sort_keys=True)`` writes. A change to the sampler or an
 estimator that alters any count or estimate fails here, whereas the
 reproducibility tests only compare a run with itself. The same artifacts,
 and those of a short mitigated sweep, must also have the same bytes at
@@ -183,6 +184,15 @@ def test_artifact_matches_golden(name, golden, tmp_path, capsys):
     actual = run_case(name, str(tmp_path))
     capsys.readouterr()
     assert_matches(golden[name], actual)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (argv, _) in CASES.items() if argv[0] != "sweep"))
+def test_json_artifact_text_is_indented_and_sorted(name, tmp_path, capsys):
+    # The test above compares parsed values; this pins the text itself: what
+    # json.dumps writes with a two-space indent and sorted keys, plus "\n".
+    text = _artifact_text(name, *CASES[name], str(tmp_path))
+    capsys.readouterr()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_artifacts_equal_at_baseline_tier(tmp_path):
