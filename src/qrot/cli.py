@@ -92,12 +92,11 @@ def _write_json(path: str, payload) -> None:
     _write_text(path, _json(payload, "") + "\n")
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float(x, indent=None) -> str:
+def _float(x) -> str:
     text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
+    if "n" in text:  # nan, inf or -inf
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[text]
+    return text
 
 
 def _list(items, indent: str) -> str:
@@ -138,7 +137,7 @@ def _key(key) -> str:
 _WRITERS = {
     str: lambda s, indent: encode_basestring_ascii(s),
     int: lambda i, indent: int.__repr__(i),
-    float: _float,
+    float: lambda x, indent: _float(x),
     bool: lambda b, indent: "true" if b else "false",
     type(None): lambda none, indent: "null",
     list: _list,
