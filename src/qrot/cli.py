@@ -108,6 +108,7 @@ def _list(items, indent: str) -> str:
         body = sep.join(map(float.__repr__, items))
     except TypeError:
         body = None
+    # Outside the handler, so that an item's own TypeError is not chained.
     if body is None:
         body = sep.join([_json(v, inner) for v in items])
     elif "n" in body:  # nan or inf

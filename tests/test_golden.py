@@ -3,11 +3,11 @@
 Each case runs one CLI invocation and compares its parsed artifact with the
 values pinned in ``golden/seed7.json``: integers, strings, booleans and None
 exactly, floats within ``FLOAT_TOL``; a JSON artifact's text must also be
-what ``json.dumps(indent=2, sort_keys=True)`` writes. A change to the sampler or an
-estimator that alters any count or estimate fails here, whereas the
-reproducibility tests only compare a run with itself. The same artifacts,
-and those of a short mitigated sweep, must also have the same bytes at
-numpy's baseline dispatch tier as at this process's tier.
+what ``json.dumps(indent=2, sort_keys=True)`` writes. A change to the
+sampler or an estimator that alters any count or estimate fails here,
+whereas the reproducibility tests only compare a run with itself. The same
+artifacts, and those of a short mitigated sweep, must also have the same
+bytes at numpy's baseline dispatch tier as at this process's tier.
 
 Regenerate the fixture only when a change is meant to alter artifacts, and
 say so in the change log. Before it rewrites the fixture, the script prints
