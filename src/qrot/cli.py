@@ -88,7 +88,8 @@ def _write_json(path: str, payload) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)``
     would, plus a newline. json indents with its pure-Python encoder; this
     writer formats each leaf with the C functions json uses and joins each
-    container once."""
+    container once. The text is made before the file is opened, so a value
+    that ``_json`` rejects leaves no file behind."""
     _write_text(path, _json(payload, "") + "\n")
 
 
@@ -99,64 +100,42 @@ def _float(x) -> str:
     return text
 
 
-def _list(items, indent: str) -> str:
-    if not items:
-        return "[]"
+def _json(value, indent: str) -> str:
+    """The JSON text of ``value``, nested at ``indent``. An artifact holds
+    only dicts with str keys, lists, floats, ints, strs, bools and None, each
+    of exactly that type (a list of floats may hold float subclasses); any
+    other value, or a key that is not a str, raises TypeError."""
+    kind = type(value)
+    if kind is float:
+        return _float(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is not list and kind is not dict:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        return "[]" if kind is list else "{}"
     inner = indent + "  "
     sep = ",\n" + inner
+    if kind is dict:  # encode_basestring_ascii raises on a key that is not a str
+        body = sep.join([encode_basestring_ascii(k) + ": " + _json(v, inner)
+                         for k, v in sorted(value.items())])
+        return "{\n" + inner + body + "\n" + indent + "}"
     try:  # the bulk of an artifact: a list of floats
-        body = sep.join(map(float.__repr__, items))
+        body = sep.join(map(float.__repr__, value))
     except TypeError:
         body = None
     # Outside the handler, so that an item's own TypeError is not chained.
     if body is None:
-        body = sep.join([_json(v, inner) for v in items])
+        body = sep.join([_json(v, inner) for v in value])
     elif "n" in body:  # nan or inf
-        body = sep.join(map(_float, items))
+        body = sep.join(map(_float, value))
     return "[\n" + inner + body + "\n" + indent + "]"
-
-
-def _dict(items, indent: str) -> str:
-    if not items:
-        return "{}"
-    inner = indent + "  "
-    body = (",\n" + inner).join([_key(k) + ": " + _json(v, inner)
-                                 for k, v in sorted(items.items())])
-    return "{\n" + inner + body + "\n" + indent + "}"
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if not isinstance(key, (int, float)) and key is not None:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {type(key).__name__}")
-    return encode_basestring_ascii(_json(key, ""))
-
-
-# The JSON text of a value of each exact type, nested at ``indent``.
-_WRITERS = {
-    str: lambda s, indent: encode_basestring_ascii(s),
-    int: lambda i, indent: int.__repr__(i),
-    float: lambda x, indent: _float(x),
-    bool: lambda b, indent: "true" if b else "false",
-    type(None): lambda none, indent: "null",
-    list: _list,
-    tuple: _list,
-    dict: _dict,
-}
-
-
-def _subclass(value, indent: str) -> str:
-    """A subclass takes its base's writer, found in json's order."""
-    for base in (str, int, float, list, tuple, dict):
-        if isinstance(value, base):
-            return _WRITERS[base](value, indent)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json(value, indent: str) -> str:
-    return _WRITERS.get(type(value), _subclass)(value, indent)
 
 
 def _add_rotation(parser: argparse.ArgumentParser) -> None:

@@ -26,7 +26,8 @@ NOISE_PRESETS = {
     # Plausibility knobs, not measured device data. Both bias estimates a
     # little: depol_1q's basis-change gates shrink X, Y, Z by lam, lam^2, 1
     # (about 0.04 deg), and readout flips of control bits move shots between
-    # a batch's branches (about 2 deg at 64 to 256 vectors, unmitigated).
+    # a batch's branches (about 2 deg at 64 to 256 vectors, with or without
+    # --mitigate, which corrects only the data bit).
     "nisq-lite": NoiseModel(depol_1q=0.001, depol_ctrl=0.01, readout_flip=0.02),
 }
 
@@ -216,7 +217,7 @@ def sweep_records(backends, trials: int, shot_grid, seed: int = 0,
     one ``gate_fidelity`` and one ``angle_between`` call. The one-point
     functions run the same code on a stack of one, so the records equal
     those of ``process_tomography`` and ``state_tomography`` run at each
-    point. An unknown backend name, or a sweep of more than
+    point. An unknown or repeated backend name, or a sweep of more than
     ``MAX_SWEEP_RECORDS`` records, raises DomainError before any draw.
     """
     check_backends(backends)
@@ -264,11 +265,14 @@ def _stacked(draws):
 
 
 def check_backends(backends) -> None:
-    """Raise DomainError unless every name is "noiseless" or a noise preset."""
-    for b in backends:
+    """Raise DomainError unless every name is "noiseless" or a noise preset,
+    named once."""
+    for i, b in enumerate(backends):
         if b != "noiseless" and b not in NOISE_PRESETS:
             raise DomainError(f"unknown backend {b!r}; expected 'noiseless' or one of "
                               f"{sorted(NOISE_PRESETS)}")
+        if b in backends[:i]:
+            raise DomainError(f"backend {b!r} is named more than once")
 
 
 def _check_sweep_size(backends: int, trials: int, points: int) -> None:

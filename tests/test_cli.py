@@ -193,6 +193,15 @@ class TestSweepCommand:
                          "--out", str(tmp_path / "s.csv"))
         assert code == 2
 
+    def test_repeated_backend_is_usage_error(self, capsys, tmp_path):
+        # Each backend's records and summary line appear once.
+        code, out, err = run(capsys, "sweep", "--trials", "1", "--points", "2",
+                             "--shots-min", "200", "--shots-max", "400",
+                             "--backends", "noiseless,noiseless", "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert out == "" and err == "error: backend 'noiseless' is named more than once\n"
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("backends", ["", " , "])
     def test_no_backend_is_usage_error(self, capsys, tmp_path, backends):
         code, _, err = run(capsys, "sweep", "--backends", backends,
@@ -501,15 +510,14 @@ class TestExampleCommand:
         assert payload["oracle"] == pytest.approx([0.7698, 0.14920, 0.62060], abs=1e-4)
 
 
-# Trees of what json writes: None, bools, ints past 64 bits, floats with NaN,
-# infinities, -0.0, subnormals and np.float64, strings with quotes, backslashes,
-# control characters, non-ASCII text and brackets; lists, tuples and str-keyed
-# dicts, empty ones included.
+# Trees of what an artifact holds: None, bools, ints past 64 bits, floats
+# with NaN, infinities, -0.0 and subnormals, strings with quotes, backslashes,
+# control characters, non-ASCII text and brackets; lists and str-keyed dicts,
+# empty ones included; and lists of floats that mix in np.float64.
 _JSON_FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310,
-                     2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 0.1]),
-    st.floats().map(np.float64))
+                     2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 0.1]))
 _JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/[]{}:,\x00\x1f\x7f\n\t\r\u2028'),
                                st.characters()))
 _JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -518,15 +526,16 @@ _JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
 _JSON_PAYLOADS = st.recursive(
     _JSON_LEAVES,
     lambda inner: st.one_of(st.lists(inner, max_size=6),
-                            st.lists(inner, max_size=6).map(tuple),
-                            st.lists(_JSON_FLOATS, max_size=6),
+                            st.lists(st.one_of(_JSON_FLOATS, st.floats().map(np.float64)),
+                                     max_size=6),
                             st.dictionaries(_JSON_TEXT, inner, max_size=6)),
     max_leaves=20)
 
 
 class TestJsonWriter:
     """``cli._write_json`` writes what ``json.dumps(indent=2, sort_keys=True)``
-    writes, byte for byte, and raises TypeError where it raises."""
+    writes, byte for byte, for what an artifact holds, and raises TypeError
+    for any other value, with json's message where json raises too."""
 
     @staticmethod
     def dumps(payload) -> str:
@@ -538,29 +547,42 @@ class TestJsonWriter:
         assert cli._json(payload, "") == self.dumps(payload)
 
     def test_subclasses_and_non_string_keys(self):
+        # json writes most of these; no artifact holds one, so the writer
+        # rejects each, alone or as a dict value.
         class Text(str):
             pass
 
         class Number(int):
             pass
 
-        payload = {Text("k"): [Text("v"), Number(5), np.float64(-0.0), np.float64("nan")],
-                   "keys": [{1: 0, 2**70: 1, -3: 2}, {0.5: 0, math.inf: 1, math.nan: 2},
-                            {True: 0}, {False: 1}, {None: 2}, {Number(4): 0}],
-                   "containers": [type("L", (list,), {})([1.0, "a"]),
-                                  type("D", (dict,), {})(b=(), a={})]}
-        assert cli._json(payload, "") == self.dumps(payload)
+        rejected = [Text("v"), Number(5), type("L", (list,), {})([1.0]),
+                    type("D", (dict,), {})(a=1.0), (), (0.5, 1.0),
+                    (0.5, [None, {"x": np.int32(3)}]), np.float64(0.5), [np.float64(0.5), "a"],
+                    {1: 0}, {2**70: 0}, {0.5: 0}, {math.nan: 0}, {True: 0}, {False: 0},
+                    {None: 0}, {"a": 0, 1: 1}, {(1, 2): 0}, {b"k": 0}]
+        for payload in rejected:
+            for tree in (payload, {"k": payload}):
+                with pytest.raises(TypeError):
+                    cli._json(tree, "")
 
     @pytest.mark.parametrize("payload", [
         np.int64(1), np.float32(1.0), np.bool_(True), np.array([1.0]), {1, 2}, b"x", 1j,
-        object(), [1.0, np.int64(2)], {"a": {"b": frozenset()}}, {(1, 2): 0}, {b"k": 0},
-        (0.5, [None, {"x": np.int32(3)}]),
+        object(), [1.0, np.int64(2)], {"a": {"b": frozenset()}},
     ], ids=lambda payload: type(payload).__name__)
     def test_unsupported_value_raises_type_error(self, payload):
         with pytest.raises(TypeError) as expected:
             self.dumps(payload)
         with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
             cli._json(payload, "")
+
+    @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["new", "existing"])
+    def test_rejected_payload_writes_nothing(self, tmp_path, existing):
+        path = tmp_path / "a.json"
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(TypeError):
+            cli._write_json(str(path), {"seed": np.int64(7), "vectors": [[0.5, 1.0]]})
+        assert (path.read_bytes() if path.exists() else None) == existing
 
     def test_file_bytes(self, tmp_path):
         payload = {"vectors": [[0.1, -0.0, math.nan], [], {}], "text": "caf\u00e9\n"}

@@ -93,6 +93,8 @@ def test_unknown_backend_rejected_before_any_draw(monkeypatch):
     monkeypatch.setattr(tomography, "_sample_rows", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(DomainError, match="unknown backend 'bogus'"):
         sweep_records(["noiseless", "bogus"], 2, [200, 400], 1)
+    with pytest.raises(DomainError, match="backend 'nisq-lite' is named more than once"):
+        sweep_records(["nisq-lite", "noiseless", "nisq-lite"], 1, [200, 400], 1)
     assert calls == []
 
 
