@@ -535,7 +535,7 @@ _JSON_PAYLOADS = st.recursive(
 class TestJsonWriter:
     """``cli._write_json`` writes what ``json.dumps(indent=2, sort_keys=True)``
     writes, byte for byte, for what an artifact holds, and raises TypeError
-    for any other value, with json's message where json raises too."""
+    for any other value, with json's message where json rejects that value."""
 
     @staticmethod
     def dumps(payload) -> str:
@@ -565,14 +565,22 @@ class TestJsonWriter:
                 with pytest.raises(TypeError):
                     cli._json(tree, "")
 
-    @pytest.mark.parametrize("payload", [
-        np.int64(1), np.float32(1.0), np.bool_(True), np.array([1.0]), {1, 2}, b"x", 1j,
-        object(), [1.0, np.int64(2)], {"a": {"b": frozenset()}},
-    ], ids=lambda payload: type(payload).__name__)
-    def test_unsupported_value_raises_type_error(self, payload):
+    @pytest.mark.parametrize("payload, message", [pytest.param(*case, id=type(case[0]).__name__)
+                                                  for case in [
+        (np.int64(1), None), (np.float32(1.0), None), (np.bool_(True), None),
+        (np.array([1.0]), None), ({1, 2}, None), (b"x", None), (1j, None), (object(), None),
+        ([1.0, np.int64(2)], None), ({"a": {"b": frozenset()}}, None),
+        # json rejects these by its key rule or for a value inside the tuple;
+        # the writer rejects the tuple key, the bytes key or the tuple itself.
+        ({(1, 2): 0}, "first argument must be a string, not tuple"),
+        ({b"k": 0}, "first argument must be a string, not bytes"),
+        ((0.5, [None, {"x": np.int32(3)}]), "Object of type tuple is not JSON serializable"),
+    ]])
+    def test_unsupported_value_raises_type_error(self, payload, message):
         with pytest.raises(TypeError) as expected:
             self.dumps(payload)
-        with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+        message = str(expected.value) if message is None else message
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             cli._json(payload, "")
 
     @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["new", "existing"])
