@@ -37,8 +37,8 @@ DEFAULT_TRIALS = 20
 # Records a sweep may make, 2 per (backend, trial, grid point), for a budget
 # of 256 MiB. A backend reconstructs all of its trials and points as one
 # stack, so memory grows with trials x points. At this cap under nisq-lite
-# with mitigation, one trial of 65,536 points peaks at 138 MiB under
-# tracemalloc (192 MiB RSS) and 4,096 trials of 16 points at 143 MiB (187).
+# with mitigation, one trial of 65,536 points peaks at 124 MiB under
+# tracemalloc (169 MiB RSS) and 4,096 trials of 16 points at 131 MiB (193).
 MAX_SWEEP_RECORDS = 1 << 17
 
 
@@ -207,17 +207,18 @@ def sweep_records(backends, trials: int, shot_grid, seed: int = 0,
     one instead of resampling it, because each row of a draw takes one
     uniform per shot from its exact outcome distribution, so the curve as a
     whole fluctuates far less, which is what makes point-to-point comparisons
-    along it meaningful. Each trial therefore draws every circuit once, at
-    the largest grid point, with every grid point as a checkpoint
-    (``_process_counts`` and ``_state_counts``), and keeps only the tallies
-    that each point reads as its row of the draw's prefix table, with their
-    readout calibrations. Each backend then reconstructs the whole (trials x
-    points) stack in one pass: one process estimate, one Choi
-    eigendecomposition, one polar factor and one state estimate call, then
-    one ``gate_fidelity`` and one ``angle_between`` call. The one-point
-    functions run the same code on a stack of one, so the records equal
-    those of ``process_tomography`` and ``state_tomography`` run at each
-    point. An unknown or repeated backend name, or a sweep of more than
+    along it meaningful. Each backend therefore draws every circuit of every
+    trial once, at the largest grid point, with every grid point as a
+    checkpoint, in one ``_process_counts`` and one ``_state_counts`` call,
+    each one stack of jobs, one per trial. It keeps only the tallies that
+    each point reads as its row of the draw's prefix table, with their
+    readout calibrations, and reconstructs the whole (trials x points)
+    stack in one pass: one process estimate, one Choi eigendecomposition,
+    one polar factor and one state estimate call, then one ``gate_fidelity``
+    and one ``angle_between`` call. The one-point functions run the same
+    code on a stack of one, so the records equal those of
+    ``process_tomography`` and ``state_tomography`` run at each point. An
+    unknown or repeated backend name, or a sweep of more than
     ``MAX_SWEEP_RECORDS`` records, raises DomainError before any draw.
     """
     check_backends(backends)
@@ -233,20 +234,17 @@ def sweep_records(backends, trials: int, shot_grid, seed: int = 0,
     exact = np.repeat([axis_rotation_unitary(spec) for spec in specs], len(shot_grid), axis=0)
     oracles = np.repeat([rodrigues_rotate(spec, vector) for spec, vector in zip(specs, vectors)],
                         len(shot_grid), axis=0)
+    processes = [(spec, derive_seed(seed, trial, 3)) for trial, spec in enumerate(specs)]
+    states = [(rotation_circuit(vector, spec), derive_seed(seed, trial, 4))
+              for trial, (spec, vector) in enumerate(zip(specs, vectors))]
     records: list[SweepRecord] = []
     for backend in backends:
         noise = None if backend == "noiseless" else NOISE_PRESETS[backend]
         use_mitigation = mitigate and backend != "noiseless"
         label = backend + "+mit" if use_mitigation else backend
-        procs, states = [], []
-        for trial, (spec, vector) in enumerate(zip(specs, vectors)):
-            procs.append(_process_counts(spec, shot_grid, noise, derive_seed(seed, trial, 3),
-                                         use_mitigation))
-            states.append(_state_counts(rotation_circuit(vector, spec), shot_grid, noise,
-                                        derive_seed(seed, trial, 4), use_mitigation))
-        cal, tallies = _stacked(procs)
+        cal, tallies = _process_counts(processes, shot_grid, noise, use_mitigation)
         *_, unitary = _reconstruct_process(_process_outputs(tallies, cal))
-        cal, counts = _stacked(states)
+        cal, counts = _state_counts(states, shot_grid, noise, use_mitigation)
         *_, direction = _directed_estimates(counts.sum(axis=1), cal)
         fidelities = gate_fidelity(exact, unitary).tolist()
         angles = angle_between(direction, oracles).tolist()
@@ -255,13 +253,6 @@ def sweep_records(backends, trials: int, shot_grid, seed: int = 0,
             records.append(SweepRecord(label, trial, shots, "gate_fidelity", fidelity))
             records.append(SweepRecord(label, trial, shots, "angle_deg", math.degrees(angle)))
     return records
-
-
-def _stacked(draws):
-    """The trial-by-trial (cal, counts) pairs of ``draws`` as one (trials x
-    points) stack of each; cal stays None without mitigation."""
-    cals, counts = zip(*draws)
-    return None if cals[0] is None else np.concatenate(cals), np.concatenate(counts)
 
 
 def check_backends(backends) -> None:

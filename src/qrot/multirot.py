@@ -126,8 +126,8 @@ def extract_all(batch: VectorBatch, rotation: RotationSpec, shots_per_vector: in
     under-sampled; an index with zero samples in some basis or a zero
     estimate gets an error entry rather than failing the whole extraction.
     """
-    cal, counts = _state_counts(full_circuit(batch, rotation), [shots_per_vector], noise, seed,
-                                mitigate)
+    cal, counts = _state_counts([(full_circuit(batch, rotation), seed)], [shots_per_vector],
+                                noise, mitigate)
     cal = None if cal is None else cal[0]
     return _index_estimates(range(1, batch.p + 1), counts[0, :batch.p], cal)
 

@@ -203,6 +203,8 @@ def apply(circuit: Circuit, initial) -> np.ndarray:
         raise ShapeError(
             f"state has {initial.shape[0]} amplitudes; circuit width {circuit.num_qubits} "
             f"needs {dim}")
+    if not np.all(np.isfinite(initial)):
+        raise DomainError("initial state amplitudes must be finite")
     if abs(np.linalg.norm(initial) - 1.0) > 1e-10:
         raise DomainError("initial state must be normalized")
     return _evolve(initial.copy(), circuit.ops, circuit.num_qubits)

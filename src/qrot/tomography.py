@@ -1,13 +1,13 @@
 """State and process reconstruction from sampled counts.
 
-Every step below works on stacks. ``_grid_counts`` draws all of a job's
-circuits, in all three bases, as one stack of rows of
+Every step below works on stacks. ``_grid_counts`` draws every circuit of
+a stack of jobs, in all three bases, as one stack of rows of
 ``simulator._sample_rows`` and returns their tallies as one
-(points, circuits, 2**n, 3, 2) array. A sweep draws trial by trial, stacks
-every trial's tallies and calibrations, and gets one estimate, one Choi
-projection and one polar factor per (trial, point) from a single call each
-per backend. The public one-point functions run the same code on a stack
-of one, so a sweep's values equal theirs.
+(jobs x points, circuits, 2**n, 3, 2) array. A sweep draws each backend's
+trials as one stack of jobs and gets one estimate, one Choi projection and
+one polar factor per (trial, point) from a single call each per backend.
+The public one-point functions run the same code on a stack of one job,
+so a sweep's values equal theirs.
 
 State tomography measures the data qubit, qubit 0, in the three Pauli bases
 (any other qubit is a control read in Z; see ``_grid_counts``), forms the
@@ -182,46 +182,51 @@ def _state_estimates(tallies, cal=None):
     return r, np.sqrt(row_dot(r, r))
 
 
-def _grid_counts(circuits, shot_grid, noise: NoiseModel | None, cal_seed: int,
+def _grid_counts(jobs, shot_grid, noise: NoiseModel | None,
                  mitigate: bool) -> tuple[np.ndarray | None, np.ndarray]:
     """(cal, tallies) over the points s of the non-empty ``shot_grid``, in
-    grid order, for a sequence of (circuit, seed) pairs: cal stacks the
-    checked readout calibrations of s shots per run as one (points, 2, 2)
-    array (None without mitigation). Every circuit has the same width.
-    Qubit 0 is the data qubit, measured in bases X, Y, Z; every other qubit
-    is a control bit read in Z. Circuits with n control qubits are drawn at
-    s * 2**n shots per basis, about s per control branch, and the tallies
-    are one int64 array of shape (points, circuits, 2**n, 3, 2): point,
-    circuit, branch b, then basis X/Y/Z, then (n0, n1). The calibration's
-    two runs are one ``_sample_rows`` call and every (circuit, basis) row of
-    the data another, each drawn once at the largest point with the
-    distinct points as checkpoints; each row's prefix table is its slice of
-    the tallies."""
+    grid order, for a sequence of (cal_seed, [(circuit, seed), ...]) jobs of
+    as many circuits each, all of one width, stacked job-major as (jobs x
+    points, ...): cal holds the checked readout calibrations of s shots per
+    run from each job's cal_seed (None without mitigation). Qubit 0 is the
+    data qubit, measured in bases X, Y, Z; every other qubit is a control bit
+    read in Z. Circuits with n control qubits are drawn at s * 2**n shots per
+    basis, about s per control branch, and the tallies are one int64 array
+    of shape (jobs x points, circuits, 2**n, 3, 2): job and point, circuit,
+    branch b, then basis X/Y/Z, then (n0, n1). Every job's calibration runs
+    are one ``_sample_rows`` call and every (job, circuit, basis) row of the
+    data another, each drawn once at the largest point with the distinct
+    points as checkpoints; each row's prefix table is its slice of the
+    tallies."""
     if min(shot_grid) < MIN_SHOTS:
         raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {min(shot_grid)}")
     checkpoints = sorted(set(shot_grid))
     row_of = {s: row for row, s in enumerate(checkpoints)}
     rows = [row_of[s] for s in shot_grid]
     top = checkpoints[-1]
-    cal = (_conditioned(_readout_matrix(_readout_runs(noise, top, cal_seed, checkpoints))[rows])
-           if mitigate else None)
-    n = circuits[0][0].num_qubits - 1
-    jobs = [(circuit, (label,) + ("Z",) * n, derive_seed(seed, bi))
-            for circuit, seed in circuits for bi, label in enumerate(BASIS_LABELS)]
-    tables = _sample_rows(jobs, top * 2**n, noise, [s * 2**n for s in checkpoints])
-    # (circuit, basis, checkpoint, branch, bit) to (point, circuit, branch, basis, bit)
-    tables = tables.reshape(len(circuits), 3, len(checkpoints), 2**n, 2)
-    return cal, tables.transpose(2, 0, 3, 1, 4)[rows]
+    cal_seeds, circuits = zip(*jobs)
+    cal = None
+    if mitigate:
+        cal = _readout_runs(noise, top, cal_seeds, checkpoints)[:, rows]
+        cal = _conditioned(cal.reshape(-1, 2, 2))
+    n = circuits[0][0][0].num_qubits - 1
+    draws = [(circuit, (label,) + ("Z",) * n, derive_seed(seed, bi))
+             for job in circuits for circuit, seed in job for bi, label in enumerate(BASIS_LABELS)]
+    tables = _sample_rows(draws, top * 2**n, noise, [s * 2**n for s in checkpoints])
+    # (job, circuit, basis, checkpoint, branch, bit) to (job, point, circuit, branch, basis, bit)
+    tables = tables.reshape(len(jobs), -1, 3, len(checkpoints), 2**n, 2)
+    tables = tables.transpose(0, 3, 1, 4, 2, 5)[:, rows]
+    return cal, tables.reshape((-1,) + tables.shape[2:])
 
 
-def _state_counts(circuit: Circuit, shot_grid, noise: NoiseModel | None, seed: int,
+def _state_counts(circuits, shot_grid, noise: NoiseModel | None,
                   mitigate: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """(cal, counts) of one circuit at every point of ``shot_grid``, in grid
-    order, as ``state_tomography`` and ``multirot.extract_all`` draw it: the
-    ``_grid_counts`` of the circuit alone, with counts of shape
-    (points, 2**n, 3, 2) and the calibration seed derive_seed(seed, 3)."""
-    cal, tallies = _grid_counts([(circuit, seed)], shot_grid, noise, derive_seed(seed, 3),
-                                mitigate)
+    """(cal, counts) of the ``_grid_counts`` of one job per (circuit, seed)
+    of ``circuits``, as ``state_tomography`` and ``multirot.extract_all``
+    draw one: counts (circuits x points, 2**n, 3, 2), calibration seed
+    derive_seed(seed, 3)."""
+    cal, tallies = _grid_counts([(derive_seed(seed, 3), [(circuit, seed)])
+                                 for circuit, seed in circuits], shot_grid, noise, mitigate)
     return cal, tallies[:, 0]
 
 
@@ -245,7 +250,7 @@ def state_tomography(circuit: Circuit, shots: int = 20000, noise: NoiseModel | N
     (each prepared by one uncontrolled H, only a control after it), else
     DomainError. Raises NumericError when the estimate has no direction
     (|r| < MIN_BLOCH_NORM)."""
-    cal, counts = _state_counts(circuit, [shots], noise, seed, mitigate)
+    cal, counts = _state_counts([(circuit, seed)], [shots], noise, mitigate)
     r, norm, direction = _directed_estimates(counts.sum(axis=1), cal)
     return StateTomographyResult(density=density_from_bloch(r[0] / max(1.0, norm[0])),
                                  bloch=direction[0],
@@ -277,15 +282,18 @@ def _process_result(outputs) -> ProcessTomographyResult:
                                    degenerate=w[0] - w[1] < 1e-6 and w[1] > 0.1)
 
 
-def _process_counts(spec: RotationSpec, shot_grid, noise: NoiseModel | None, seed: int,
+def _process_counts(specs, shot_grid, noise: NoiseModel | None,
                     mitigate: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """(cal, tallies) of ``process_tomography`` at every point of
-    ``shot_grid``, in grid order, from one ``_grid_counts`` call: tallies
-    (points, 4, 3, 2) holds the tally of each input of ``PREP_LABELS``."""
-    rotation_ops = axis_rotation_sequence(spec)
-    circuits = [(Circuit(1, ops + rotation_ops), derive_seed(seed, 4 + k))
-                for k, ops in enumerate(_PREP_OPS)]
-    cal, tallies = _grid_counts(circuits, shot_grid, noise, derive_seed(seed, 12), mitigate)
+    """(cal, tallies) of ``process_tomography`` for each (spec, seed) of
+    ``specs``, from one ``_grid_counts`` call of one job per spec: tallies
+    (specs x points, 4, 3, 2) holds the tally of each input of PREP_LABELS."""
+    jobs = []
+    for spec, seed in specs:
+        rotation_ops = axis_rotation_sequence(spec)
+        circuits = [(Circuit(1, ops + rotation_ops), derive_seed(seed, 4 + k))
+                    for k, ops in enumerate(_PREP_OPS)]
+        jobs.append((derive_seed(seed, 12), circuits))
+    cal, tallies = _grid_counts(jobs, shot_grid, noise, mitigate)
     return cal, tallies[:, :, 0]
 
 
@@ -303,7 +311,7 @@ def process_tomography(spec: RotationSpec, shots: int = 20000,
                        mitigate: bool = False) -> ProcessTomographyResult:
     """Sampled process tomography of the rotation circuit: 4 input states
     x 3 measurement bases, ``shots`` per circuit."""
-    cal, tallies = _process_counts(spec, [shots], noise, seed, mitigate)
+    cal, tallies = _process_counts([(spec, seed)], [shots], noise, mitigate)
     return _process_result(_process_outputs(tallies, cal))
 
 
@@ -340,23 +348,20 @@ def calibrate_readout(noise: NoiseModel | None, shots: int, seed: int = 0) -> np
     Column j holds the outcome frequencies observed when |j> is prepared;
     columns sum to 1 exactly.
     """
-    return _readout_matrix(_readout_runs(noise, shots, seed, ()))[0]
+    return _readout_runs(noise, shots, [seed], ())[0, 0]
 
 
-def _readout_runs(noise: NoiseModel | None, shots: int, seed: int,
+def _readout_runs(noise: NoiseModel | None, shots: int, seeds,
                   checkpoints) -> np.ndarray:
-    """The prepare-|0> and prepare-|1> runs behind ``calibrate_readout``, as
-    the (2, stops, 2) count tables of one ``_sample_rows`` call."""
-    return _sample_rows([(Circuit(1, prep), ("Z",), derive_seed(seed, j))
-                         for j, prep in enumerate(((), (GateOp("X", 0),)))],
-                        shots, noise, checkpoints)
-
-
-def _readout_matrix(tables) -> np.ndarray:
-    """The confusion matrices of ``_readout_runs`` at each of their
-    checkpoints, as one (checkpoints, 2, 2) array: column j of each holds
-    run j's frequencies."""
-    return np.moveaxis(tables, 0, -1) / tables[0].sum(axis=-1)[:, None, None]
+    """The confusion matrices of the prepare-|0> and prepare-|1> runs behind
+    ``calibrate_readout``, drawn for each of ``seeds`` in one
+    ``_sample_rows`` call, as one (seeds, stops, 2, 2) array: column j of
+    each holds run j's frequencies at that stop."""
+    tables = _sample_rows([(Circuit(1, prep), ("Z",), derive_seed(seed, j))
+                           for seed in seeds for j, prep in enumerate(((), (GateOp("X", 0),)))],
+                          shots, noise, checkpoints)
+    tables = tables.reshape((len(seeds), 2) + tables.shape[1:])
+    return np.moveaxis(tables, 1, -1) / tables[:, 0].sum(axis=-1)[..., None, None]
 
 
 def _conditioned(cal: np.ndarray) -> np.ndarray:

@@ -118,7 +118,7 @@ def test_trial_heavy_sweep_stays_within_its_share_of_the_budget():
     # holds all of its trials' tallies and reconstructs them as one stack,
     # so a scaled-down trial-heavy sweep must stay within its share of that
     # budget: 64 trials x 16 points under nisq-lite with mitigation make
-    # 2,048 records, 4 MiB. Measured peak: 2.5 MiB.
+    # 2,048 records, 4 MiB. Measured peak: 2.4 MiB.
     shot_grid = log_shot_grid(100, 1000, 16)
     sweep_records(["nisq-lite"], 1, shot_grid[:2], mitigate=True)  # first-draw imports
     tracemalloc.start()

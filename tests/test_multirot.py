@@ -260,7 +260,7 @@ class TestExtraction:
             [(1, 1), (1, 1), (1, 1)],
         ], dtype=np.int64)
 
-        def fake_counts(circuit, shot_grid, noise, seed, mitigate):
+        def fake_counts(circuits, shot_grid, noise, mitigate):
             return (cal[None] if mitigate else None), rows[None]
 
         monkeypatch.setattr(multirot, "_state_counts", fake_counts)

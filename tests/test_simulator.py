@@ -43,6 +43,10 @@ class TestApply:
     def test_unnormalized_rejected(self):
         with pytest.raises(DomainError):
             apply(Circuit(1, ()), np.array([1.0, 1.0]))
+        # a NaN amplitude makes the norm NaN, which no tolerance check rejects
+        for initial in ([math.nan, 0.0], [math.nan, 1.0]):
+            with pytest.raises(DomainError, match="finite"):
+                apply(Circuit(1, (GateOp("H", 0),)), initial)
 
     def test_unsatisfied_control_leaves_state_unchanged(self):
         circuit = Circuit(2, (GateOp("RY", 0, 1.3, ((1, 1),)),))
@@ -355,11 +359,14 @@ class TestRowStack:
     def test_each_circuit_object_is_evolved_once_per_grid_job(self, evolved):
         circuits = [(Circuit(1, (GateOp("RY", 0, 0.3 * k), GateOp("RZ", 0, 0.1))), k)
                     for k in range(4)]
-        tomography._grid_counts(circuits, [400, 200], NoiseModel(readout_flip=0.02), 9, True)
-        for circuit, _ in circuits:
-            assert sum(ops is circuit.ops for ops, _ in evolved) == 1
-        # and the two calibration circuits, then one basis change per row
-        assert len(evolved) == 4 + 2 + (4 * 3 + 2)
+        # one job of the four circuits, then two jobs of two
+        for jobs in ([(9, circuits)], [(9, circuits[:2]), (10, circuits[2:])]):
+            evolved.clear()
+            tomography._grid_counts(jobs, [400, 200], NoiseModel(readout_flip=0.02), True)
+            for circuit, _ in circuits:
+                assert sum(ops is circuit.ops for ops, _ in evolved) == 1
+            # and each job's two calibration circuits, then one basis change per row
+            assert len(evolved) == 4 + 2 * len(jobs) + (4 * 3 + 2 * len(jobs))
 
     def test_state_tomography_evolves_its_circuit_once(self, evolved):
         state_tomography(self.CIRCUIT, 300, seed=2)

@@ -252,7 +252,7 @@ class TestInfiniteShotEstimate:
         circuit, _ = random_batch_circuit(16, 5)
         noise = NOISE_PRESETS["nisq-lite"]
         exact = _bloch_vectors(expected_pairs(circuit, noise))[:16]
-        sampled = np.array([_bloch_vectors(_state_counts(circuit, [2000], noise, seed,
+        sampled = np.array([_bloch_vectors(_state_counts([(circuit, seed)], [2000], noise,
                                                          False)[1][0, :16])
                             for seed in range(40)])
         se = sampled.std(axis=0, ddof=1) / math.sqrt(len(sampled))
@@ -319,7 +319,7 @@ class TestStackErrors:
         circuit = Circuit(1, ())
         alone = raises_as(NumericError, state_tomography, circuit, 200)
         assert "MIN_BLOCH_NORM" in alone[1]
-        cal, counts = _state_counts(circuit, [400, 200, 800], None, 0, False)
+        cal, counts = _state_counts([(circuit, 0)], [400, 200, 800], None, False)
         assert raises_as(NumericError, _directed_estimates, counts.sum(axis=1), cal) == alone
         assert state_tomography(circuit, 400).expectations == {"X": 0.5, "Y": 0.5, "Z": 0.5}
 
@@ -403,6 +403,23 @@ class TestSharedCore:
         with pytest.raises(DomainError):
             extract_all(VectorBatch(np.tile([0.0, 0.0, 1.0], (5, 1))), worked_spec, 50)
         assert calls == []
+
+    @pytest.mark.parametrize("backend, mitigate", [("noiseless", False), ("nisq-lite", True)])
+    def test_sweep_draws_every_trial_of_a_backend_at_once(self, monkeypatch, backend, mitigate):
+        # one call per draw of the backend, whatever its trial count: the
+        # process data, then the state data, each after its calibration runs
+        sizes = []
+
+        def recording_rows(rows, shots, noise=None, checkpoints=()):
+            sizes.append(len(rows))
+            return _sample_rows(rows, shots, noise, checkpoints)
+
+        monkeypatch.setattr(tomography, "_sample_rows", recording_rows)
+        for trials in (1, 5):
+            sizes.clear()
+            sweep_records([backend], trials, [200, 400], seed=6, mitigate=mitigate)
+            per_trial = [2, 4 * 3, 2, 3] if mitigate else [4 * 3, 3]
+            assert sizes == [trials * rows for rows in per_trial]
 
     def test_two_qubit_state_reads_qubit_0_marginal(self, calls):
         circuit = Circuit(2, (GateOp("H", 1), GateOp("RY", 0, 0.7)))
