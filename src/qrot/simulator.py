@@ -11,24 +11,27 @@ Conventions
 * Randomness comes from numpy's Philox counter-based generator keyed by a
   64-bit seed, so identical inputs give byte-identical counts. A sampling
   job computes its exact law once (``_distributions``) and then draws one
-  uniform u per shot, ``SAMPLE_CHUNK`` at a time, into one reused buffer
+  raw 64-bit Philox word w per shot, ``SAMPLE_CHUNK`` at a time
   (``_tallies``). A shot reads outcome min(#{cum <= u}, 2^n - 1), cum being
-  the cumulative distribution. The draw counts below[j] = #{u < cum[j]},
-  the shots that read outcome j or less, and the histogram is the
-  difference of those counts; it is bit-for-bit the histogram of a lookup
-  per shot. Up to ``_COMPARE_MAX`` outcomes, each cum value is compared
-  with the whole chunk once; a larger job sorts the chunk's uniforms in
-  place and counts by binary search. A chunk's outcomes are counted as
-  soon as they are read and never kept. Memory is therefore independent of
-  the shot count (chunk ends are made as the draw reaches them), merged
-  counts do not depend on how shots are chunked, and an s-shot job's
-  outcomes are the first s outcomes of any larger job at the same seed,
-  with or without noise.
+  the cumulative distribution and u = (w >> 11) * 2^-53 the double that
+  ``Generator.random`` makes of the same word. The draw never forms u: for
+  the integer k = w >> 11, u < c holds exactly when k < ceil(c * 2^53), so
+  each cum value becomes an integer word threshold. The draw counts
+  below[j] = #{w < threshold j}, the shots that read outcome j or less,
+  and the histogram is the difference of those counts; it is bit-for-bit
+  the histogram of a lookup per shot of ``Generator.random``'s uniforms. Up
+  to ``_COMPARE_MAX`` outcomes, each threshold is compared with the whole
+  chunk once; a larger job sorts the chunk's words in place and counts by
+  binary search. A chunk's outcomes are counted as soon as they are read
+  and never kept. Memory is therefore independent of the shot count (chunk
+  ends are made as the draw reaches them), merged counts do not depend on
+  how shots are chunked, and an s-shot job's outcomes are the first s
+  outcomes of any larger job at the same seed, with or without noise.
 * A job may name ``checkpoints``: shot counts whose running histograms it
   keeps besides the whole job's. The draw stops at each of them and at the
   job's shot count, and the job's count table holds one row per stop, all
   tallied in the same pass over the draw. A chunk that stops cut is still
-  drawn by one Generator call; each segment between stops is counted on
+  drawn by one ``random_raw`` call; each segment between stops is counted on
   its own, and each row is the running sum of the segments up to its
   stop. The row of s shots equals the histogram of an s-shot job at the
   same seed, so one job at the largest count stands for every smaller one.
@@ -89,10 +92,10 @@ _MASK64 = (1 << 64) - 1
 SAMPLE_CHUNK = 1 << 16
 # Outcome spaces up to this size are tallied by comparison, larger ones by
 # sorting. Comparison makes one pass over the chunk per outcome; sorting
-# costs the same whatever the size. Per 20,000-shot draw (Xeon, numpy 2.4
-# at its AVX2 tier) comparison took 30/65/137 us at 2/4/8 outcomes and
-# sorting 125 us; cut by a sweep's 19 checkpoints, 35/70/145 us against
-# 220 us. The two cost the same at about 8 outcomes uncut and 16 cut.
+# costs the same whatever the size. Per 20,000-shot draw (Xeon, numpy 2.4),
+# words drawn included, comparison took 106/130/184 us at 2/4/8 outcomes and
+# sorting 190 us; cut by a sweep's 19 checkpoints, 108/132/191 us against
+# 226-249 us. The two cost the same at about 8 outcomes uncut and 12 cut.
 _COMPARE_MAX = 8
 
 _CONST_GATES = {
@@ -157,8 +160,21 @@ def derive_seed(seed: int, *path: int) -> int:
     return s
 
 
+def _keyed(bit_generator: np.random.Philox, seed: int) -> np.random.Philox:
+    """``bit_generator`` re-keyed in place to the start of the stream of
+    ``Philox(key=seed)``: key (seed mod 2^64, 0), counter 0 and an empty
+    buffer. Setting the state costs 1-2 us, against about 10 us for a new
+    bit generator, most of it spent reading OS entropy for a seed that the
+    key then replaces."""
+    bit_generator.state = {"bit_generator": "Philox",
+                           "state": {"counter": [0, 0, 0, 0], "key": [int(seed) & _MASK64, 0]},
+                           "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                           "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    return np.random.Generator(_keyed(np.random.Philox(), seed))
 
 
 def zero_state(num_qubits: int) -> np.ndarray:
@@ -225,49 +241,62 @@ def _basis_change_ops(basis, n: int) -> list[GateOp]:
     return ops
 
 
-def _tallies(probs: np.ndarray, stops, rng: np.random.Generator) -> np.ndarray:
+def _tallies(probs: np.ndarray, stops, bit_generator: np.random.Philox) -> np.ndarray:
     """The running histograms of a draw of ``stops[-1]`` shots from ``probs``
-    with one uniform u per shot, as a (len(stops), dim) int64 array: row r
-    counts the shots up to ``stops[r]``. ``stops`` are sorted distinct
-    positive ints. A shot reads outcome min(#{cum <= u}, dim - 1), as
-    ``searchsorted(cum, u, side="right")`` clamped to the last index would.
+    with one raw 64-bit word w of ``bit_generator`` per shot, as a
+    (len(stops), dim) int64 array: row r counts the shots up to ``stops[r]``.
+    ``stops`` are sorted distinct positive ints. A shot reads outcome
+    min(#{cum <= u}, dim - 1) of its uniform u = (w >> 11) * 2^-53, the double
+    that ``Generator.random`` makes of w, as ``searchsorted(cum, u,
+    side="right")`` clamped to the last index would.
+
+    No double is formed. For the integer k = w >> 11, u < c holds exactly
+    when k < K = min(ceil(c * 2^53), 2^53) (the product is exact), that is
+    when w < K << 11. So each cum value becomes a word threshold, and
+    below[j] = #{u < cum[j]} counts the words under threshold j. A K of
+    2^53 counts every shot, and so does every later one, since cum does not
+    decrease: the first such value's outcome, ``last``, takes the shots that
+    no threshold below it counts, and the outcomes after it none.
 
     Each chunk of ``SAMPLE_CHUNK`` shots (the last may be shorter) is one
-    ``rng.random`` call into one buffer, made as the draw reaches it. The
-    stops strictly inside a chunk cut it into segments, none empty, and each
-    segment is counted into the row of the stop that ends it: its length in
-    the last outcome, and for each j, below[j] = #{u < cum[j]} added to
-    outcome j and taken from outcome j + 1. Up to ``_COMPARE_MAX`` outcomes,
-    one comparison pass over the chunk and one ``reduceat`` over the segment
-    starts count below[j] for each cum value (``reduceat`` would return an
-    element, not 0, for an empty segment). Above it, each segment is sorted
-    in place and ``searchsorted`` counts below. A running sum over the rows
-    at the end turns each into the histogram up to its stop."""
+    ``random_raw`` call, made as the draw reaches it. The stops strictly
+    inside a chunk cut it into segments, none empty, and each segment is
+    counted into the row of the stop that ends it: its length in outcome
+    ``last``, and for each j, below[j] added to outcome j and taken from
+    outcome j + 1. Up to ``_COMPARE_MAX`` outcomes, one comparison pass over
+    the chunk and one int32 ``reduceat`` over the segment starts count
+    below[j] for each threshold (``reduceat`` would return an element, not 0,
+    for an empty segment; a segment of at most 2^16 shots cannot overflow
+    int32). Above it, each segment is sorted in place and ``searchsorted``
+    counts below. A running sum over the rows at the end turns each into the
+    histogram up to its stop."""
     # Dropping the last cum value clamps every count to dim - 1.
-    cum = np.cumsum(probs / probs.sum())[:-1]
+    k = np.ceil(np.cumsum(probs / probs.sum())[:-1] * 2.0**53)
+    last = int(np.searchsorted(k, 2.0**53))
+    thresholds = k[:last].astype(np.uint64) << 11
     counts = np.zeros((len(stops), probs.size), dtype=np.int64)
     shots = stops[-1]
-    chunk = np.empty(min(SAMPLE_CHUNK, shots))
     for start in range(0, shots, SAMPLE_CHUNK):
         end = min(start + SAMPLE_CHUNK, shots)
         row = bisect.bisect_right(stops, start)
         cuts = [stop - start for stop in stops[row:bisect.bisect_left(stops, end, row)]]
         starts, ends = [0, *cuts], [*cuts, end - start]
         out = counts[row:row + len(ends)]
-        out[:, -1] += [b - a for a, b in zip(starts, ends)]
-        u = rng.random(out=chunk[:end - start])
+        out[:, last] += [b - a for a, b in zip(starts, ends)]
+        words = bit_generator.random_raw(end - start)
         if probs.size <= _COMPARE_MAX:
-            for j, c in enumerate(cum):
-                below = np.add.reduceat(u < c, starts, dtype=np.int64)
+            for j, t in enumerate(thresholds):
+                below = np.add.reduceat((words < t).view(np.int8), starts, dtype=np.int32)
                 out[:, j] += below
                 out[:, j + 1] -= below
         else:
             for r, a, b in zip(out, starts, ends):
-                segment = u[a:b]
-                segment.sort()
-                below = np.searchsorted(segment, cum)
-                r[:-1] += below
-                r[1:] -= below
+                words[a:b].sort()
+                below = np.searchsorted(words[a:b], thresholds)
+                r[:last] += below
+                r[1:last + 1] -= below
+        # Free this chunk before the next one is drawn.
+        del words
     return np.cumsum(counts, axis=0, out=counts)
 
 
@@ -347,10 +376,11 @@ def _sample_rows(rows, shots: int, noise: NoiseModel | None = None,
     qubits wide, and table r equals ``sample(circuit, basis, shots, noise,
     seed, checkpoints=checkpoints)`` of row r.
 
-    Shots and checkpoints are validated once. Each row then draws from its
-    ``_distributions`` row on its own ``Philox(key=seed)`` stream, made when
-    the row is drawn, one chunk of uniforms at a time, with one list of stops
-    for every row; ``_check_tables`` checks the whole stack once."""
+    Shots and checkpoints are validated once. The call makes one Philox bit
+    generator, and each row re-keys it (``_keyed``) to the start of its own
+    ``Philox(key=seed)`` stream when the row is drawn, then draws from its
+    ``_distributions`` row one chunk of words at a time, with one list of
+    stops for every row; ``_check_tables`` checks the whole stack once."""
     noise = NOISELESS if noise is None else noise
     if not _is_int(shots) or shots < 1:
         raise DomainError(f"shots must be an integer >= 1, got {shots!r}")
@@ -363,7 +393,8 @@ def _sample_rows(rows, shots: int, noise: NoiseModel | None = None,
     if not stops or stops[-1] != shots:
         stops.append(int(shots))
     dists = _distributions([(circuit, basis) for circuit, basis, _ in rows], noise)
-    tables = np.stack([_tallies(probs, stops, _rng(seed))
+    bit_generator = np.random.Philox()
+    tables = np.stack([_tallies(probs, stops, _keyed(bit_generator, seed))
                        for probs, (_, _, seed) in zip(dists, rows)])
     _check_tables(tables, stops, dists.shape[1], (len(rows),))
     tables.setflags(write=False)

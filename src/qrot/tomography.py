@@ -48,6 +48,14 @@ from .rotation import RotationSpec, ErParams, axis_rotation_sequence, erp_from_u
 from .simulator import BASIS_LABELS, NoiseModel, _sample_rows, derive_seed
 
 MIN_SHOTS = 100
+# Shots that one ``_grid_counts`` call may draw, one Philox word each, over
+# its data rows and calibration runs. Every command draws through it, so
+# this bounds a command's time per draw before anything is evolved or
+# drawn: 2^30 words take about 4 s at 2 outcomes, 8 s at 8 and 16 s at
+# 4,096 (the 12-qubit maximum), at 4.0, 7.1 and 14.6 ns per word (one Xeon
+# core, numpy 2.4.6). It admits a sweep at its record cap with the default
+# shots (983 M words) and a 2,048-vector ``multi`` at 20,000 shots (123 M).
+MAX_DRAW_WORDS = 1 << 30
 # A Bloch vector estimate shorter than this has no direction.
 MIN_BLOCH_NORM = 1e-12
 
@@ -197,7 +205,8 @@ def _grid_counts(jobs, shot_grid, noise: NoiseModel | None,
     are one ``_sample_rows`` call and every (job, circuit, basis) row of the
     data another, each drawn once at the largest point with the distinct
     points as checkpoints; each row's prefix table is its slice of the
-    tallies."""
+    tallies. A call that would draw more than ``MAX_DRAW_WORDS`` shots in
+    all raises DomainError before either draw."""
     if min(shot_grid) < MIN_SHOTS:
         raise DomainError(f"shots must be >= {MIN_SHOTS} for tomography, got {min(shot_grid)}")
     checkpoints = sorted(set(shot_grid))
@@ -205,13 +214,17 @@ def _grid_counts(jobs, shot_grid, noise: NoiseModel | None,
     rows = [row_of[s] for s in shot_grid]
     top = checkpoints[-1]
     cal_seeds, circuits = zip(*jobs)
+    n = circuits[0][0][0].num_qubits - 1
+    draws = [(circuit, (label,) + ("Z",) * n, derive_seed(seed, bi))
+             for job in circuits for circuit, seed in job for bi, label in enumerate(BASIS_LABELS)]
+    words = top * (len(draws) * 2**n + (2 * len(jobs) if mitigate else 0))
+    if words > MAX_DRAW_WORDS:
+        raise DomainError(f"{len(draws)} rows of {top * 2**n} shots would draw {words} shots "
+                          f"in all, more than the {MAX_DRAW_WORDS} (2**30) one draw may make")
     cal = None
     if mitigate:
         cal = _readout_runs(noise, top, cal_seeds, checkpoints)[:, rows]
         cal = _conditioned(cal.reshape(-1, 2, 2))
-    n = circuits[0][0][0].num_qubits - 1
-    draws = [(circuit, (label,) + ("Z",) * n, derive_seed(seed, bi))
-             for job in circuits for circuit, seed in job for bi, label in enumerate(BASIS_LABELS)]
     tables = _sample_rows(draws, top * 2**n, noise, [s * 2**n for s in checkpoints])
     # (job, circuit, basis, checkpoint, branch, bit) to (job, point, circuit, branch, basis, bit)
     tables = tables.reshape(len(jobs), -1, 3, len(checkpoints), 2**n, 2)

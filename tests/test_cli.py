@@ -262,6 +262,39 @@ class TestSweepCommand:
         assert not (tmp_path / "s.csv").exists()
 
 
+class TestDrawBound:
+    """A command that would draw more than ``tomography.MAX_DRAW_WORDS``
+    shots in one draw is a usage error, raised before any draw and before
+    any artifact is written."""
+
+    ROTATE = ["--axis", "0,0,1", "--angle", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--shots-max", str(2**53), "--points", "3", "--trials", "1",
+         "--backends", "noiseless"],
+        ["rotate", *ROTATE, "--vector", "1,0,0", "--shots", "100000000000"],
+        # 9e8 data shots fit; the calibration's 6e8 do not
+        ["rotate", *ROTATE, "--vector", "1,0,0", "--shots", "300000000",
+         "--noise", "nisq-lite", "--mitigate"],
+        ["multi", *ROTATE, "--vectors", "{vectors}", "--shots", "1000000000"],
+        ["example", "--shots", "100000000000"],
+        ["erp", *ROTATE, "--shots", "100000000000"]],
+        ids=["sweep", "rotate", "rotate-mitigated", "multi", "example", "erp"])
+    def test_oversized_draw_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(tomography, "_sample_rows", lambda *args, **kwargs: calls.append(args))
+        vectors = tmp_path / "vectors.json"
+        vectors.write_text("[[1, 0, 0], [0, 1, 0]]")
+        out_path = tmp_path / "artifact"
+        argv = [a.format(vectors=vectors) for a in argv] + ["--out", str(out_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert f"more than the {tomography.MAX_DRAW_WORDS} (2**30)" in err
+        assert calls == []
+        assert not out_path.exists()
+
+
 class TestMultiCommand:
     def _vector_file(self, tmp_path, payload):
         path = tmp_path / "vectors.json"

@@ -168,46 +168,50 @@ depol = st.sampled_from([0.0, 0.01, 0.3, 1.0])
 noises = st.builds(NoiseModel, depol, depol, st.sampled_from([0.0, 0.03, 0.5]))
 
 
-class _Uniforms:
-    """Stands in for a Generator: ``random(out=a)`` fills ``a`` with the next
-    a.size of ``u`` and returns it; ``sizes`` records each call's size."""
+class _Words:
+    """Stands in for a Philox bit generator: ``random_raw(n)`` returns the
+    next n of ``w``; ``sizes`` records each call's size."""
 
-    def __init__(self, u):
-        self.u, self.used, self.sizes = np.asarray(u, dtype=float), 0, []
+    def __init__(self, w):
+        self.w, self.used, self.sizes = np.asarray(w, dtype=np.uint64), 0, []
 
-    def random(self, *, out):
-        self.sizes.append(out.size)
-        self.used += out.size
-        out[...] = self.u[self.used - out.size:self.used]
-        return out
+    def random_raw(self, n):
+        self.sizes.append(n)
+        self.used += n
+        return self.w[self.used - n:self.used].copy()
 
 
-def assert_tallies_exact(probs, u, edges) -> _Uniforms:
+def assert_tallies_exact(probs, w, edges) -> _Words:
     """``simulator._tallies``, drawing ``edges[-1]`` shots with stops at
-    ``edges``, gives per edge the bincount of the shots up to it of
-    ``searchsorted(cum, u, side="right")`` clamped to dim - 1. Returns the
-    stand-in Generator that the draw read."""
+    ``edges`` from the words ``w``, gives per edge the bincount of the shots
+    up to it of ``searchsorted(cum, u, side="right")`` clamped to dim - 1,
+    u = (w >> 11) * 2^-53 being the uniform that ``Generator.random`` makes
+    of w. Returns the stand-in bit generator that the draw read."""
     dim = probs.size
     cum = np.cumsum(probs / probs.sum())
+    u = (np.asarray(w, dtype=np.uint64) >> 11) * 2.0**-53
     idx = np.minimum(np.searchsorted(cum, u, side="right"), dim - 1)
-    uniforms = _Uniforms(u)
-    table = simulator._tallies(probs, edges, uniforms)
-    assert table.shape == (len(edges), dim) and uniforms.used == edges[-1]
+    words = _Words(w)
+    table = simulator._tallies(probs, edges, words)
+    assert table.shape == (len(edges), dim) and words.used == edges[-1]
     for end, hist in zip(edges, table):
         assert np.array_equal(hist, np.bincount(idx[:end], minlength=dim))
-    return uniforms
+    return words
 
 
 @st.composite
 def tally_cases(draw):
-    """Hand-built outcome probabilities with runs of zeros, and uniforms
-    that sit on dyadic points j / 2^16, on cum values and just below them,
-    or anywhere. Weights of 0, 1 or 2 padded to a power-of-two total
-    T <= 2^16 put every cum value on a dyadic point too, so that uniforms
-    equal to cum values test which side of each comparison counts them; a
-    last weight of 1 puts cum[-2] on (T - 1) / T. Dyadic uniforms repeat,
-    so the sorted count also meets ties. The sizes drawn include both sides
-    of ``_COMPARE_MAX``, where the draw turns from comparing to sorting."""
+    """Hand-built outcome probabilities with runs of zeros, and words whose
+    uniform sits on a dyadic point j / 2^16, on the smallest uniform at or
+    above a cum value c (k = w >> 11 at ceil(c * 2^53)), on the one below
+    it, or anywhere. Every word's low 11 bits are random, so a draw that
+    read them would miss. Weights of 0, 1 or 2 padded to a power-of-two
+    total T <= 2^16 put every cum value on a dyadic point too, so that
+    uniforms equal to cum values test which side of each comparison counts
+    them; a last weight of 1 puts cum[-2] on (T - 1) / T. Dyadic uniforms
+    repeat, so the sorted count also meets ties. The sizes drawn include
+    both sides of ``_COMPARE_MAX``, where the draw turns from comparing to
+    sorting."""
     dim = draw(st.one_of(st.sampled_from([2, simulator._COMPARE_MAX,
                                           simulator._COMPARE_MAX + 1, 4096]),
                          st.integers(2, 300)))
@@ -228,24 +232,34 @@ def tally_cases(draw):
         probs[np.flatnonzero(probs)[0]] += total - probs.sum()
     cum = np.cumsum(probs / probs.sum())
     shots = draw(st.integers(1, 3000))
-    on_cum = np.minimum(cum[rng.integers(dim, size=shots)], np.nextafter(1.0, 0.0))
-    pools = [rng.integers(0, 2**16, shots) / 2**16, on_cum, np.nextafter(on_cum, 0.0),
-             rng.random(shots)]
-    u = np.choose(rng.integers(len(pools), size=shots), pools)
+    top = 2**53 - 1
+    on_cum = np.minimum(np.ceil(cum[rng.integers(dim, size=shots)] * 2.0**53), top)
+    on_cum = on_cum.astype(np.uint64)
+    pools = [rng.integers(0, 2**16, shots, dtype=np.uint64) << 37, on_cum,
+             np.maximum(on_cum, 1) - 1, rng.integers(0, top, shots, dtype=np.uint64,
+                                                     endpoint=True)]
+    k = np.choose(rng.integers(len(pools), size=shots), pools)
+    w = (k << 11) | rng.integers(0, 2**11, shots, dtype=np.uint64)
     edges = sorted({*rng.integers(1, shots + 1, size=draw(st.integers(0, 4))), shots})
-    return probs, u, edges
+    return probs, w, edges
 
 
 # Seven equal weights of 0.3 sum to a cum that ends at 1 - 2^-52, below the
-# largest uniform 1 - 2^-53; six of 0.1 end at 1 + 2^-52.
-_BELOW_ONE, _ABOVE_ONE = np.full(7, 0.3), np.full(6, 0.1)
-_TOP_UNIFORMS = np.array([0.0, 0.5, 1.0 - 2**-52, 1.0 - 2**-53, 0.75, 1.0 - 2**-53])
+# largest uniform 1 - 2^-53; six of 0.1 end at 1 + 2^-52. The words make
+# the uniforms 0, 0.5, 1 - 2^-52, 1 - 2^-53, 0.75 and 1 - 2^-53 with low bits
+# of 0, all ones or one of them set. A first weight of 0 puts cum[0] at 0,
+# which no uniform is below, and a last one of 0 puts cum[1] at 1, which
+# every uniform is below.
+_BELOW_ONE, _ABOVE_ONE, _ZERO_FIRST = np.full(7, 0.3), np.full(6, 0.1), np.array([0.0, 1.0, 0.0])
+_TOP_WORDS = ((np.array([0, 2**52, 2**53 - 2, 2**53 - 1, 3 * 2**51, 2**53 - 1], dtype=np.uint64)
+               << 11) | np.array([0, 2**11 - 1, 2**11 - 1, 0, 2**10, 2**11 - 1], dtype=np.uint64))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=tally_cases())
-@example(case=(_BELOW_ONE, _TOP_UNIFORMS, [2, 6]))
-@example(case=(_ABOVE_ONE, _TOP_UNIFORMS, [6]))
+@example(case=(_BELOW_ONE, _TOP_WORDS, [2, 6]))
+@example(case=(_ABOVE_ONE, _TOP_WORDS, [6]))
+@example(case=(_ZERO_FIRST, _TOP_WORDS, [1, 6]))
 def test_tallies_match_searchsorted(case):
     assert_tallies_exact(*case)
 
@@ -253,6 +267,44 @@ def test_tallies_match_searchsorted(case):
 def test_tally_examples_end_off_one():
     assert np.cumsum(_BELOW_ONE / _BELOW_ONE.sum())[-1] < 1.0 - 2**-53
     assert np.cumsum(_ABOVE_ONE / _ABOVE_ONE.sum())[-1] > 1.0
+    assert np.cumsum(_ZERO_FIRST)[:-1].tolist() == [0.0, 1.0]
+    assert ((_TOP_WORDS >> 11) * 2.0**-53).tolist() == [0.0, 0.5, 1.0 - 2**-52, 1.0 - 2**-53,
+                                                        0.75, 1.0 - 2**-53]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_words_are_the_generator_stream(seed):
+    # The draw counts raw words on the claim that Generator.random makes
+    # each uniform as (w >> 11) * 2^-53 of one word of the same stream, and
+    # that a re-keyed bit generator restarts that stream, whatever it drew
+    # before: here 3 words, and 5 then 6 after re-keying, which cut its
+    # 4-word buffer.
+    n = 1001
+    words = np.random.Philox(key=seed).random_raw(n)
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    assert ((words >> 11) * 2.0**-53).tobytes() == uniforms.tobytes()
+    bit_generator = np.random.Philox(key=seed ^ 1)
+    bit_generator.random_raw(3)
+    simulator._keyed(bit_generator, seed)
+    drawn = np.concatenate([bit_generator.random_raw(5), bit_generator.random_raw(6)])
+    assert np.array_equal(drawn, words[:11])
+    assert simulator._rng(seed).random(n).tobytes() == uniforms.tobytes()
+
+
+def test_one_philox_per_row_stack(monkeypatch):
+    # Each row re-keys one bit generator instead of building its own.
+    made, philox = [], np.random.Philox
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return philox(*args, **kwargs)
+
+    rows = [(_ONE_QUBIT[0], _ONE_QUBIT[1], seed) for seed in range(150)]
+    expected = [sample(circuit, basis, 200, seed=seed) for circuit, basis, seed in rows[:3]]
+    monkeypatch.setattr(np.random, "Philox", counted)
+    tables = simulator._sample_rows(rows, 200)
+    assert len(made) == 1 and tables.shape == (150, 1, 2)
+    assert all(np.array_equal(t, e) for t, e in zip(tables, expected))
 
 
 @settings(max_examples=60, deadline=None)
@@ -336,11 +388,11 @@ def test_chunks_never_yield_an_empty_segment(shots, cuts, chunk):
     # returns the element at an empty segment's start instead of 0, so an
     # empty segment would break the per-shot lookup's table.
     stops = sorted({*(s for s in cuts if s <= shots), shots})
-    u = np.random.default_rng(shots).random(shots)
+    w = np.random.default_rng(shots).integers(0, 2**64, shots, dtype=np.uint64)
     for dim in (2, simulator._COMPARE_MAX + 1):
         with mock.patch.object(simulator, "SAMPLE_CHUNK", chunk):
-            sizes = assert_tallies_exact(np.arange(1.0, dim + 1), u, stops).sizes
-        # A full chunk is one Generator call of SAMPLE_CHUNK uniforms.
+            sizes = assert_tallies_exact(np.arange(1.0, dim + 1), w, stops).sizes
+        # A full chunk is one random_raw call of SAMPLE_CHUNK words.
         assert all(m == chunk for m in sizes[:-1])
         assert 0 < sizes[-1] <= chunk
 
@@ -609,8 +661,8 @@ def test_noiseless_sample_memory_does_not_grow_with_shots():
         finally:
             tracemalloc.stop()
         assert res[-1].sum() == shots
-        # The draw holds one chunk buffer (512 KiB) at any shot count;
-        # measured peak 548,131 and 548,523 bytes.
+        # The draw holds one chunk of words (512 KiB) at any shot count;
+        # measured peak 549,311 and 554,567 bytes.
         assert peak < 4 * 2**20, f"{shots} shots peaked at {peak / 2**20:.1f} MiB"
 
 
@@ -634,10 +686,10 @@ def test_noisy_cli_maximum_sample_memory_bound():
 
 def test_noiseless_full_chunk_sample_memory_bound():
     # The widest circuit at more than two full SAMPLE_CHUNK draws: the
-    # chunk buffer, its segments sorted in place, and the counts of each
+    # chunk of words, its segments sorted in place, and the counts of each
     # segment must stay within the peak of an earlier per-shot lookup,
-    # 1,709,803 bytes on this job. Measured peak as this test runs it,
-    # alone or in the suite (numpy 2.4.6): 691,723 to 691,987 bytes.
+    # 1,709,803 bytes on this job. Measured peak as this test runs it
+    # (numpy 2.4.6): 724,703 bytes.
     circuit = _batch_circuit(2048, 6)
     basis = ("X",) + ("Z",) * 11
     shots = 2 * simulator.SAMPLE_CHUNK + 5
@@ -657,7 +709,7 @@ def test_checkpoint_sample_memory_bound():
     # nothing more, 1,048,576 + 1,709,803 bytes. The table's 33rd row is the
     # histogram that the job above holds too. Each segment is counted into
     # its own row, with no segments x outcomes array; measured peak:
-    # 2,198,646 to 2,202,270 bytes.
+    # 2,204,234 bytes.
     circuit = _batch_circuit(2048, 6)
     basis = ("X",) + ("Z",) * 11
     shots = 2 * simulator.SAMPLE_CHUNK + 5
@@ -676,9 +728,9 @@ def test_one_qubit_checkpoint_sample_memory_bound():
     # A sweep-shaped draw counted by comparison: one qubit, more than two
     # full SAMPLE_CHUNK draws and 19 checkpoints cutting both full chunks.
     # It must peak no higher than an earlier per-shot lookup on this job,
-    # 1,151,400 bytes; the draw peaks at 1,118,891 (the chunk buffer, its
-    # comparison mask, and reduceat's int64 cast of the mask).
-    # A one-shot draw first loads what numpy imports on its first Generator.
+    # 1,151,400 bytes; the draw peaks at 857,843 (the chunk of words, its
+    # comparison mask, and reduceat's int32 cast of the mask).
+    # A one-shot draw first loads what numpy imports on its first draw.
     circuit = _ONE_QUBIT[0]
     shots = 2 * simulator.SAMPLE_CHUNK + 5
     checkpoints = [6800 * k for k in range(1, 20)]
@@ -695,18 +747,17 @@ def test_one_qubit_checkpoint_sample_memory_bound():
 
 def test_chunk_ends_are_made_as_drawn(monkeypatch):
     # 10**10 shots end 152,588 chunks; a draw that listed them all before
-    # its first uniform peaked at 23,925,330 bytes. The stub Generator
+    # its first uniform peaked at 23,925,330 bytes. The stub bit generator
     # raises at its first call, so the peak is what sample holds before any
-    # uniform is drawn: the law, the count table and the one chunk buffer
-    # (512 KiB).
+    # word is drawn: the law and the count table.
     class FirstDraw(Exception):
         pass
 
     class Unreached:
-        def random(self, *args, **kwargs):
+        def random_raw(self, *args, **kwargs):
             raise FirstDraw
 
-    monkeypatch.setattr(simulator, "_rng", lambda seed: Unreached())
+    monkeypatch.setattr(simulator, "_keyed", lambda bit_generator, seed: Unreached())
     shots = 10**10
     tracemalloc.start()
     try:

@@ -421,6 +421,40 @@ class TestSharedCore:
             per_trial = [2, 4 * 3, 2, 3] if mitigate else [4 * 3, 3]
             assert sizes == [trials * rows for rows in per_trial]
 
+    @pytest.mark.parametrize("jobs, circuits, n, top, mitigate, words", [
+        # a sweep at its record cap with the default shots: 4,096 trials of
+        # 4 process circuits in 3 bases
+        (4096, 4, 0, 20000, False, 983_040_000),
+        # a 2,048-vector multi at 20,000 shots per vector
+        (1, 1, 11, 20000, False, 122_880_000),
+        # 2 circuits in 3 bases and 2 calibration runs of 2**27 shots
+        (1, 2, 0, 2**27, True, 2**30),
+        (1, 2, 0, 2**27 + 1, True, 2**30 + 8)])
+    def test_draw_bound_counts_data_and_calibration(self, monkeypatch, jobs, circuits, n, top,
+                                                    mitigate, words):
+        class Drawn(Exception):
+            pass
+
+        drawn = []
+
+        def first_draw(rows, shots, noise=None, checkpoints=()):
+            drawn.append(len(rows) * shots)
+            raise Drawn
+
+        monkeypatch.setattr(tomography, "_sample_rows", first_draw)
+        circuit = Circuit(n + 1)
+        job_list = [(j, [(circuit, k) for k in range(circuits)]) for j in range(jobs)]
+        calibration = 2 * jobs * top if mitigate else 0
+        assert words == jobs * circuits * 3 * top * 2**n + calibration
+        if words <= tomography.MAX_DRAW_WORDS:
+            with pytest.raises(Drawn):
+                tomography._grid_counts(job_list, [top], NoiseModel(), mitigate)
+            assert drawn == [calibration or words]
+        else:
+            with pytest.raises(DomainError, match=f"would draw {words} shots"):
+                tomography._grid_counts(job_list, [top], NoiseModel(), mitigate)
+            assert drawn == []
+
     def test_two_qubit_state_reads_qubit_0_marginal(self, calls):
         circuit = Circuit(2, (GateOp("H", 1), GateOp("RY", 0, 0.7)))
         result = state_tomography(circuit, shots=500, seed=5)
