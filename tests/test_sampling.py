@@ -170,7 +170,8 @@ noises = st.builds(NoiseModel, depol, depol, st.sampled_from([0.0, 0.03, 0.5]))
 
 class _Words:
     """Stands in for a Philox bit generator: ``random_raw(n)`` returns the
-    next n of ``w``; ``sizes`` records each call's size."""
+    next n of ``w`` as a new array, as the real one does (the draw sorts
+    it in place); ``sizes`` records each call's size."""
 
     def __init__(self, w):
         self.w, self.used, self.sizes = np.asarray(w, dtype=np.uint64), 0, []
