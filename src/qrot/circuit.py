@@ -22,17 +22,12 @@ def _is_int(x) -> bool:
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate: a kind, a target qubit, an optional angle and control pattern.
-
-    ``controls`` is a tuple of ``(qubit, trigger)`` pairs; the gate acts on the
-    target only where every control qubit carries its trigger value (0 or 1).
-    A trigger of 0 is the native form of a control sandwiched between X gates.
-    """
+    """One uncontrolled gate: a kind, a target qubit and an angle (unused by H
+    and X). The one controlled gate is ``BranchRotation``."""
 
     kind: str
     target: int
     theta: float = 0.0
-    controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -42,32 +37,6 @@ class GateOp:
         if not _is_int(self.target) or self.target < 0:
             raise DomainError(f"target qubit index must be a non-negative integer, "
                               f"got {self.target!r}")
-        try:
-            pairs = [(q, t) for q, t in self.controls]
-        except (TypeError, ValueError):
-            raise DomainError(f"controls must be (qubit, trigger) pairs, "
-                              f"got {self.controls!r}") from None
-        for q, t in pairs:
-            if not (_is_int(q) and _is_int(t)):
-                raise DomainError(f"control qubits and triggers must be integers, "
-                                  f"got {self.controls!r}")
-        controls = tuple([(int(q), int(t)) for q, t in pairs])
-        object.__setattr__(self, "controls", controls)
-        seen = set()
-        for q, t in controls:
-            if t not in (0, 1):
-                raise DomainError(f"control trigger must be 0 or 1, got {t}")
-            if q == self.target:
-                raise DomainError(f"qubit {q} cannot be both control and target")
-            if q < 0:
-                raise DomainError(f"control qubit index must be non-negative, got {q}")
-            if q in seen:
-                raise DomainError(f"duplicate control on qubit {q}")
-            seen.add(q)
-
-    @property
-    def control_qubits(self) -> tuple[int, ...]:
-        return tuple([q for q, _ in self.controls])
 
 
 @dataclass(frozen=True)
@@ -76,8 +45,9 @@ class BranchRotation:
     branch, ``thetas[b]`` on branch b, and no gate on branches at or beyond
     ``len(thetas)`` (Mottonen et al., PRL 93, 130502, 2004).
 
-    It equals ``len(thetas)`` fully controlled ``GateOp``s, where the k-th
-    qubit of ``controls`` carries bit k of the branch index. Only the shape
+    It equals ``len(thetas)`` fully controlled gates, where the k-th qubit of
+    ``controls`` carries bit k of the branch index
+    (``tests/oracles.expand_branch_rotations`` writes them out). Only the shape
     of a batch encoding is allowed: target 0, and controls 1, 2, ..., n in
     order, which ``Circuit`` requires to be every other qubit. Branch b is
     then the amplitude pair 2b, 2b + 1 of the statevector.
@@ -105,10 +75,6 @@ class BranchRotation:
         if len(thetas) > 1 << len(controls):
             raise DomainError(f"{len(thetas)} angles for {1 << len(controls)} branches")
 
-    @property
-    def control_qubits(self) -> tuple[int, ...]:
-        return self.controls
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -123,10 +89,12 @@ class Circuit:
                               f"got {self.num_qubits!r}")
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
+            if not isinstance(op, (GateOp, BranchRotation)):
+                raise DomainError(f"a circuit holds GateOp and BranchRotation ops, got {op!r}")
             if isinstance(op, BranchRotation) and len(op.controls) != self.num_qubits - 1:
                 raise DomainError(f"a branch rotation must be controlled by every qubit "
                                   f"but 0; {len(op.controls)} controls at width "
                                   f"{self.num_qubits}")
-            for q in (op.target, *op.control_qubits):
-                if q >= self.num_qubits:
-                    raise DomainError(f"qubit index {q} out of range for width {self.num_qubits}")
+            if op.target >= self.num_qubits:
+                raise DomainError(f"qubit index {op.target} out of range for width "
+                                  f"{self.num_qubits}")

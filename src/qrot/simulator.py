@@ -35,37 +35,38 @@ Conventions
   its own, and each row is the running sum of the segments up to its
   stop. The row of s shots equals the histogram of an s-shot job at the
   same seed, so one job at the largest count stands for every smaller one.
-* A ``GateOp`` is applied by one in-place kernel with no batch axis: on the
-  slice where each control axis holds its trigger, the target's axis is
-  viewed as the middle of (left, 2, right) and multiplied by the 2x2 gate.
-  A ``BranchRotation`` is one stacked product: the statevector is viewed as
-  (branches, 2, 1), branch b being amplitudes 2b and 2b + 1, and its first
-  k = len(thetas) branches are multiplied by the (k, 2, 2) stack of their
-  gates, built from all k angles at once. Each branch gets the bytes that
-  its own controlled gate gives it. A tomography job draws its circuits in
-  all of their bases as one stack of rows; in ``_distributions``, each circuit
-  object is evolved once and each of its rows applies its basis's change
-  gates to a copy of that final state, so a circuit's X, Y and Z draws
-  share one evolution. Only rows that hold the same object share it, never
-  an equal one: circuits that compare equal (an angle of 0.0 against -0.0)
-  may give states that differ in the sign of a zero amplitude. A norm
-  drift beyond 1e-10 raises NumericError.
+* A ``GateOp`` is applied in place with no batch axis: the statevector is
+  viewed as (left, 2, right), the target's axis in the middle, and
+  multiplied by the 2x2 gate. A ``BranchRotation`` is one stacked product:
+  the statevector is viewed as (branches, 2, 1), branch b being amplitudes
+  2b and 2b + 1, and its first k = len(thetas) branches are multiplied by
+  the (k, 2, 2) stack of their gates, built from all k angles at once. Each
+  branch gets the bytes that its own controlled gate gives it
+  (``tests/oracles.apply_gates`` applies such gates one at a time). A
+  tomography job draws its circuits in all of their bases as one stack of
+  rows; in ``_distributions``, each circuit object is evolved once and each
+  of its rows applies its basis's change gates to a copy of that final
+  state, so a circuit's X, Y and Z draws share one evolution. Only rows that
+  hold the same object share it, never an equal one: circuits that compare
+  equal (an angle of 0.0 against -0.0) may give states that differ in the
+  sign of a zero amplitude. A norm drift beyond 1e-10 raises NumericError.
 * Gate noise: after each gate, with the configured depolarizing probability
-  (``depol_ctrl`` for controlled gates, ``depol_1q`` otherwise), one Pauli
-  chosen uniformly from {X, Y, Z} hits the gate's target qubit. That uniform
-  Pauli channel is the depolarizing channel rho -> lam rho + (1 - lam) I/2
-  with lam = 1 - 4p/3, which commutes with every gate on its qubit. A
-  ``BranchRotation`` counts as the len(thetas) controlled gates on qubit 0
-  that it stands for. Under gate noise a circuit (basis-change gates
-  included) must have this shape: a qubit that is ever a control is touched
-  first by an uncontrolled H and afterwards only as a control, so it is
-  read in Z; every other qubit may be a target anywhere. Any other circuit
-  raises DomainError. In that shape, every gate is block-diagonal in the
-  controls, the Z diagonal of each control stays uniform whatever the noise
-  on its H, and each other qubit's noise moves to the end of the circuit,
-  where it is a flip of that qubit's bit with probability (1 - prod lam) / 2
-  over the gates that target it. ``_distributions`` folds those flips into
-  the Born rule of the final statevector.
+  (``depol_ctrl`` per angle of a ``BranchRotation``, ``depol_1q`` per
+  ``GateOp``), one Pauli chosen uniformly from {X, Y, Z} hits the gate's
+  target qubit. That uniform Pauli channel is the depolarizing channel
+  rho -> lam rho + (1 - lam) I/2 with lam = 1 - 4p/3, which commutes with
+  every gate on its qubit. A ``BranchRotation`` counts as the len(thetas)
+  controlled gates on qubit 0 that it stands for. Under gate noise a
+  circuit (basis-change gates included) must have this shape: a control of
+  a ``BranchRotation`` is touched by one H, before any ``BranchRotation``,
+  and by no other gate, so it is read in Z; every other qubit may be a
+  target anywhere. Any other circuit raises DomainError. In that shape,
+  every gate is block-diagonal in the controls, the Z diagonal of each
+  control stays uniform whatever the noise on its H, and each other qubit's
+  noise moves to the end of the circuit, where it is a flip of that qubit's
+  bit with probability (1 - prod lam) / 2 over the gates that target it.
+  ``_distributions`` folds those flips into the Born rule of the final
+  statevector.
 * ``readout_flip`` flips each measured bit independently; it is folded into
   the distribution as the per-qubit confusion map [[1-f, f], [f, 1-f]].
 * Counts are integer histograms over the 2^n outcome indices: a job's count
@@ -109,7 +110,9 @@ BASIS_LABELS = ("X", "Y", "Z")
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Depolarizing probabilities per gate plus an independent readout flip."""
+    """Depolarizing probabilities, ``depol_1q`` per ``GateOp`` and
+    ``depol_ctrl`` per angle of a ``BranchRotation``, plus an independent
+    readout flip."""
 
     depol_1q: float = 0.0
     depol_ctrl: float = 0.0
@@ -191,21 +194,16 @@ def _gate_matrix(op: GateOp) -> np.ndarray:
 
 def _evolve(state: np.ndarray, ops, n: int) -> np.ndarray:
     """Apply ``ops`` in place to ``state``, a normalized 2^n statevector owned
-    by the caller; qubit q is axis n - 1 - q of its (2,) * n view. Raises
-    NumericError if the norm has drifted beyond 1e-10."""
-    t = state.reshape((2,) * n)
+    by the caller; qubit q is the middle axis of its (2^(n-1-q), 2, 2^q)
+    view. Raises NumericError if the norm has drifted beyond 1e-10."""
     for op in ops:
         if isinstance(op, BranchRotation):
             # Branch b is the amplitude pair 2b, 2b + 1; each gets its own 2x2.
             branches = state.reshape(-1, 2, 1)[:len(op.thetas)]
             branches[...] = _PARAM_GATES[op.kind](op.thetas) @ branches
-            continue
-        index = [slice(None)] * n
-        for q, trig in op.controls:
-            index[n - 1 - q] = slice(trig, trig + 1)
-        sub = t[tuple(index)]
-        x = sub.reshape(math.prod(sub.shape[:n - 1 - op.target]), 2, -1)
-        sub[...] = (_gate_matrix(op) @ x).reshape(sub.shape)
+        else:
+            x = state.reshape(1 << (n - 1 - op.target), 2, -1)
+            x[...] = _gate_matrix(op) @ x
     if abs(np.linalg.norm(state) - 1.0) > 1e-10:
         raise NumericError("statevector norm drifted beyond 1e-10")
     return state
@@ -318,21 +316,21 @@ def _gate_noise_flips(ops, n: int, noise: NoiseModel) -> np.ndarray:
     """Per-qubit bit-flip probabilities equal to the gate noise of ``ops``
     on the outcome distribution, for the shape in the module docstring;
     raises DomainError for any other circuit."""
-    controls = {q for op in ops for q in op.control_qubits}
+    controls = {q for op in ops if isinstance(op, BranchRotation) for q in op.controls}
     prepared = set()
     lam = np.ones(n)
     for op in ops:
-        in_shape = prepared.issuperset(op.control_qubits)
-        if op.target in controls:
-            in_shape &= op.kind == "H" and not op.controls and op.target not in prepared
-            prepared.add(op.target)
-        elif isinstance(op, BranchRotation):
+        if isinstance(op, BranchRotation):
+            in_shape = prepared.issuperset(op.controls)
             # One controlled gate per angle, each factor applied in turn.
             for _ in op.thetas:
                 lam[op.target] *= 1.0 - 4.0 * noise.depol_ctrl / 3.0
+        elif op.target in controls:
+            in_shape = op.kind == "H" and op.target not in prepared
+            prepared.add(op.target)
         else:
-            p = noise.depol_ctrl if op.controls else noise.depol_1q
-            lam[op.target] *= 1.0 - 4.0 * p / 3.0
+            in_shape = True
+            lam[op.target] *= 1.0 - 4.0 * noise.depol_1q / 3.0
         if not in_shape:
             raise DomainError(f"under gate noise, each control qubit must be touched first "
                               f"by an uncontrolled H and only be a control after it; {op} "
@@ -416,8 +414,8 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     Noiseless and readout-only sampling accept any circuit. Under gate noise
     (``depol_1q`` or ``depol_ctrl`` above 0) the circuit with its
     basis-change gates must have the module docstring's shape: each control
-    qubit prepared by one uncontrolled H, only a control afterwards and
-    measured in Z. Any other noisy circuit raises DomainError.
+    of a ``BranchRotation`` prepared by one H before it, touched by no other
+    gate and measured in Z. Any other noisy circuit raises DomainError.
 
     The one-row case of ``_sample_rows``, which tomography draws through.
     """

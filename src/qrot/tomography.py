@@ -260,7 +260,7 @@ def state_tomography(circuit: Circuit, shots: int = 20000, noise: NoiseModel | N
     ``_state_estimates`` of qubit 0's tally summed over the control
     branches, its density (I + r . sigma)/2 at r / max(1, |r|). Under gate
     noise those qubits must be controls of the ``simulator`` module's shape
-    (each prepared by one uncontrolled H, only a control after it), else
+    (each prepared by one H and touched by no other gate), else
     DomainError. Raises NumericError when the estimate has no direction
     (|r| < MIN_BLOCH_NORM)."""
     cal, counts = _state_counts([(circuit, seed)], [shots], noise, mitigate)

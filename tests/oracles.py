@@ -6,20 +6,24 @@ that ``rodrigues_rotate`` applies, ``sequence_unitary`` multiplies out the
 gates of ``axis_rotation_sequence``, ``state_to_bloch`` reads a pure state's
 Bloch vector, and ``process_tomography_exact`` runs the process
 reconstruction on exact output states of ``PREP_STATES``, the vectors that
-``tomography._PREP_OPS`` prepares. The rest are diagnostic views of counts,
-circuits and batches.
+``tomography._PREP_OPS`` prepares. ``ControlledGate`` is the general
+controlled gate, which ``qrot`` builds only as the branches of a
+``BranchRotation``: ``expand_branch_rotations`` writes a circuit out in such
+gates, ``apply_gates`` evolves a state through them one by one, and
+``gate_noise_flips`` multiplies out their gate noise one by one. The rest
+are diagnostic views of counts, circuits and batches.
 """
 
 from __future__ import annotations
 
 import math
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from qrot import (PAULI_X, PAULI_Y, PAULI_Z, BranchRotation, Circuit, DomainError, ErParams,
-                  GateOp, RotationSpec, ShapeError, VectorBatch, apply, axis_rotation_sequence,
-                  zero_state)
+                  RotationSpec, ShapeError, VectorBatch, apply, axis_rotation_sequence, zero_state)
 from qrot.linalg import unitarity_error
 from qrot.multirot import build_encoding_circuit, full_circuit
 from qrot.simulator import _gate_matrix
@@ -192,17 +196,61 @@ def confuse_readout_unskipped(probs: np.ndarray, flips) -> np.ndarray:
     return t.reshape(-1)
 
 
-def expand_branch_rotations(circuit: Circuit) -> Circuit:
-    """``circuit`` with each ``BranchRotation`` replaced by the fully controlled
-    ``GateOp``s it stands for: one per angle, in branch order, where the k-th
-    control carries bit k of the branch index. This is the per-index encoding
-    the branch rotations replaced."""
-    ops = []
+class ControlledGate(NamedTuple):
+    """A gate of ``GateOp``'s kinds on ``target`` that acts only where each
+    control qubit carries its trigger, ``controls`` holding (qubit, trigger)
+    pairs; with no controls it is the ``GateOp`` of the same fields."""
+
+    kind: str
+    target: int
+    theta: float = 0.0
+    controls: tuple[tuple[int, int], ...] = ()
+
+
+def expand_branch_rotations(circuit: Circuit) -> list[ControlledGate]:
+    """The ops of ``circuit`` as controlled gates, each ``BranchRotation``
+    replaced by the fully controlled gates it stands for: one per angle, in
+    branch order, where the k-th control carries bit k of the branch index.
+    This is the per-index encoding the branch rotations replaced."""
+    gates = []
     for op in circuit.ops:
         if not isinstance(op, BranchRotation):
-            ops.append(op)
+            gates.append(ControlledGate(op.kind, op.target, op.theta))
             continue
         for branch, theta in enumerate(op.thetas):
             triggers = tuple([(q, (branch >> k) & 1) for k, q in enumerate(op.controls)])
-            ops.append(GateOp(op.kind, op.target, theta, triggers))
-    return Circuit(circuit.num_qubits, ops)
+            gates.append(ControlledGate(op.kind, op.target, theta, triggers))
+    return gates
+
+
+def apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
+    """Apply the controlled gates ``gates`` in place to ``state``, a 2^n
+    statevector; qubit q is axis n - 1 - q of its (2,) * n view. On the slice
+    where each control axis holds its trigger, the target's axis is viewed as
+    the middle of (left, 2, right) and multiplied by the 2x2 gate. This was
+    the simulator's kernel for every gate while ``GateOp`` had controls."""
+    t = state.reshape((2,) * n)
+    for op in gates:
+        index = [slice(None)] * n
+        for q, trig in op.controls:
+            index[n - 1 - q] = slice(trig, trig + 1)
+        sub = t[tuple(index)]
+        x = sub.reshape(math.prod(sub.shape[:n - 1 - op.target]), 2, -1)
+        sub[...] = (_gate_matrix(op) @ x).reshape(sub.shape)
+    return state
+
+
+def gate_noise_flips(gates, n: int, noise) -> np.ndarray:
+    """Per-qubit bit-flip probabilities (1 - prod lam) / 2 of the gate noise of
+    ``gates`` in the shape that ``sample`` accepts under gate noise:
+    lam = 1 - 4p / 3 per gate on the qubit, p being ``depol_ctrl`` for a
+    controlled gate and ``depol_1q`` otherwise, multiplied gate by gate in
+    order. A control qubit's own gates flip nothing: their noise leaves its
+    Z diagonal uniform."""
+    controls = {q for op in gates for q, _ in op.controls}
+    lam = np.ones(n)
+    for op in gates:
+        if op.target not in controls:
+            p = noise.depol_ctrl if op.controls else noise.depol_1q
+            lam[op.target] *= 1.0 - 4.0 * p / 3.0
+    return (1.0 - lam) / 2.0

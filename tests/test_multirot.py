@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrot import (BranchRotation, Circuit, DomainError, RotationSpec, ShapeError,
+from qrot import (BranchRotation, Circuit, DomainError, GateOp, RotationSpec, ShapeError,
                   VectorBatch, apply, axis_rotation_sequence, build_encoding_circuit,
                   extract_all, full_circuit, rodrigues_rotate, vec_to_angles, zero_state)
 from qrot import multirot, simulator
@@ -13,7 +13,8 @@ from qrot.experiments import NOISE_PRESETS
 from qrot.multirot import index_estimate
 
 from conftest import WORKED_AXIS
-from oracles import bitstring_counts, branch_blochs, expand_branch_rotations
+from oracles import (apply_gates, bitstring_counts, branch_blochs, expand_branch_rotations,
+                     gate_noise_flips)
 from tiers import dispatch_target, run_at_baseline_tier
 
 
@@ -109,7 +110,8 @@ class TestMultiRotationPlan:
 
 def check_encoding_against_reference(p):
     """``apply`` and the gate-noise flips of the batch circuits of p vectors
-    equal, in bytes, those of the per-index controlled gates the branch
+    equal, in bytes, the controlled-gate kernel's state and the per-gate
+    product of the flips of the per-index controlled gates the branch
     rotations stand for, in branch order and interleaved RY, RZ per index.
     Rows 1, 5, ... (from 0) are +z, rows 2, 6, ... are -z (phi = 0 at both)
     and rows 3, 7, ... have a y of -0.0; every p below a power of two leaves
@@ -119,19 +121,19 @@ def check_encoding_against_reference(p):
     batch = VectorBatch(vectors)
     encoding = build_encoding_circuit(batch)
     n = encoding.num_qubits
-    per_index = expand_branch_rotations(encoding).ops
+    per_index = expand_branch_rotations(encoding)
     heads, ry, rz = per_index[:n - 1], per_index[n - 1:n - 1 + p], per_index[n - 1 + p:]
-    interleaved = Circuit(n, heads + tuple(g for pair in zip(ry, rz) for g in pair))
+    interleaved = heads + [g for pair in zip(ry, rz) for g in pair]
     full = full_circuit(batch, RotationSpec(WORKED_AXIS, 1.1))
     basis_ops = tuple(simulator._basis_change_ops(("Y",) + ("Z",) * (n - 1), n))
+    basis_gates = expand_branch_rotations(Circuit(n, basis_ops))
     noise = NOISE_PRESETS["nisq-lite"]
     for circuit, reference in ((encoding, expand_branch_rotations(encoding)),
                                (encoding, interleaved), (full, expand_branch_rotations(full))):
         assert apply(circuit, zero_state(n)).tobytes() \
-            == apply(reference, zero_state(n)).tobytes()
+            == apply_gates(zero_state(n), reference, n).tobytes()
         flips = simulator._gate_noise_flips(circuit.ops + basis_ops, n, noise)
-        assert flips.tobytes() == simulator._gate_noise_flips(reference.ops + basis_ops,
-                                                              n, noise).tobytes()
+        assert flips.tobytes() == gate_noise_flips(reference + basis_gates, n, noise).tobytes()
 
 
 ENCODING_SIZES = (1, 2, 3, 5, 16, 256)
@@ -145,7 +147,7 @@ class TestEncodingCircuit:
         assert len(circuit.ops) == 4
         assert [op.kind for op in circuit.ops[:2]] == ["H", "H"]
         assert [op.target for op in circuit.ops[:2]] == [1, 2]
-        assert all(not op.controls for op in circuit.ops[:2])
+        assert all(type(op) is GateOp for op in circuit.ops[:2])
         ry, rz = circuit.ops[2:]
         assert isinstance(ry, BranchRotation) and isinstance(rz, BranchRotation)
         assert (ry.kind, rz.kind) == ("RY", "RZ")

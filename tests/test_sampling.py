@@ -18,23 +18,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2
 
-from qrot import (Circuit, DomainError, GateOp, NoiseModel,
+from qrot import (BranchRotation, Circuit, DomainError, GateOp, NoiseModel,
                   RotationSpec, VectorBatch, apply, full_circuit, sample, zero_state)
 from qrot import simulator
 from qrot.circuit import GATE_KINDS
 from qrot.experiments import NOISE_PRESETS
 from qrot.linalg import PAULI_X, PAULI_Y, PAULI_Z, abs_complex
 
-from oracles import confuse_readout_unskipped
+from oracles import apply_gates, confuse_readout_unskipped, expand_branch_rotations
 from tiers import dispatch_target, run_at_baseline_tier
 from trajectories import trajectory_hist
 
 _BASIS_OPS = {"X": (("H", 0.0),), "Y": (("RZ", -math.pi / 2.0), ("H", 0.0)), "Z": ()}
 
 
-def _measured_ops(circuit, basis):
-    return list(circuit.ops) + [GateOp(kind, q, theta) for q, label in enumerate(basis)
-                                for kind, theta in _BASIS_OPS[label]]
+def _measured(circuit, basis):
+    """``circuit`` with the basis-change gates of ``basis`` appended."""
+    return Circuit(circuit.num_qubits,
+                   circuit.ops + tuple([GateOp(kind, q, theta) for q, label in enumerate(basis)
+                                        for kind, theta in _BASIS_OPS[label]]))
 
 
 def _on_qubit(mat, q, n):
@@ -53,8 +55,8 @@ def _single_qubit_matrix(op):
 
 
 def dense_gate(op, n):
-    """``op`` as a 2^n x 2^n matrix: I + (|t><t| on each control with trigger
-    t, U - I on the target, I elsewhere)."""
+    """The controlled gate ``op`` as a 2^n x 2^n matrix: I + (|t><t| on each
+    control with trigger t, U - I on the target, I elsewhere)."""
     triggers = dict(op.controls)
     factors = []
     for q in range(n - 1, -1, -1):
@@ -67,13 +69,14 @@ def dense_gate(op, n):
     return np.eye(1 << n) + reduce(np.kron, factors)
 
 
-def dense_channel_probs(ops, n, noise):
-    """Diagonal of the 2^n x 2^n density matrix after ``ops`` from |0...0>,
-    each gate followed by (1 - p) rho + (p/3) sum_P P rho P on its target."""
+def dense_channel_probs(gates, n, noise):
+    """Diagonal of the 2^n x 2^n density matrix after the controlled gates
+    ``gates`` from |0...0>, each gate followed by (1 - p) rho + (p/3) sum_P
+    P rho P on its target."""
     dim = 1 << n
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
-    for op in ops:
+    for op in gates:
         u = dense_gate(op, n)
         rho = u @ rho @ u.conj().T
         p = noise.depol_ctrl if op.controls else noise.depol_1q
@@ -88,11 +91,11 @@ def reference_outcomes(circuit, basis, shots, noise, seed):
     noise) times the Kronecker product of the readout confusion matrices,
     then shots x 2^n cumulative sums compared with one uniform per shot."""
     n = circuit.num_qubits
-    ops = _measured_ops(circuit, basis)
+    measured = _measured(circuit, basis)
     if noise.depol_1q == 0.0 and noise.depol_ctrl == 0.0:
-        probs = np.abs(apply(Circuit(n, ops), zero_state(n))) ** 2
+        probs = np.abs(apply(measured, zero_state(n))) ** 2
     else:
-        probs = dense_channel_probs(ops, n, noise)
+        probs = dense_channel_probs(expand_branch_rotations(measured), n, noise)
     f = noise.readout_flip
     probs = reduce(np.kron, [np.array([[1.0 - f, f], [f, 1.0 - f]])] * n) @ probs
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -103,22 +106,27 @@ def reference_outcomes(circuit, basis, shots, noise, seed):
 
 
 @st.composite
+def uncontrolled_gates(draw, qubits):
+    """An uncontrolled gate of any kind on one of ``qubits``."""
+    kind = draw(st.sampled_from(GATE_KINDS))
+    theta = draw(st.floats(-math.pi, math.pi)) if kind.startswith("R") else 0.0
+    return GateOp(kind, draw(st.sampled_from(qubits)), theta)
+
+
+@st.composite
+def branch_rotations(draw, n):
+    """An RY or RZ branch rotation on n >= 2 qubits, with 0 to 2^(n-1) angles."""
+    thetas = draw(st.lists(st.floats(-math.pi, math.pi), max_size=1 << (n - 1)))
+    return BranchRotation(draw(st.sampled_from(("RY", "RZ"))), 0, thetas, range(1, n))
+
+
+@st.composite
 def jobs(draw, max_qubits=6):
-    """A random circuit, plus a measurement basis. A controlled gate has any
-    nonempty set of the other qubits as controls, in random order and with
-    random triggers, on either side of its target."""
+    """A random circuit, plus a measurement basis. From two qubits up, each
+    op is a branch rotation or an uncontrolled gate, either at any position."""
     n = draw(st.integers(1, max_qubits))
-    ops = []
-    for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(GATE_KINDS))
-        target = draw(st.integers(0, n - 1))
-        theta = draw(st.floats(-math.pi, math.pi)) if kind.startswith("R") else 0.0
-        controls = ()
-        if n > 1 and draw(st.booleans()):
-            others = [q for q in range(n) if q != target]
-            qubits = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
-            controls = tuple((q, draw(st.integers(0, 1))) for q in qubits)
-        ops.append(GateOp(kind, target, theta, controls))
+    ops = [draw(branch_rotations(n)) if n > 1 and draw(st.booleans())
+           else draw(uncontrolled_gates(range(n))) for _ in range(draw(st.integers(0, 12)))]
     basis = tuple(draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n)))
     return Circuit(n, ops), basis
 
@@ -126,31 +134,23 @@ def jobs(draw, max_qubits=6):
 @st.composite
 def shaped_jobs(draw, max_qubits=6):
     """A random circuit in the shape that sampling under gate noise accepts,
-    plus a measurement basis. Some qubits are controls: each gets one
-    uncontrolled H before its first use as a control and is measured in Z.
-    The others are free targets of any gate, uncontrolled or controlled by
-    any set of the prepared controls with random triggers, measured in any
-    basis."""
+    plus a measurement basis: either uncontrolled gates on any qubits,
+    measured in any basis, or branch rotations on qubits 1, ..., n - 1 as
+    controls. Each control then gets one H before the first branch rotation
+    and is measured in Z; qubit 0 is the free target of any gate anywhere,
+    measured in any basis."""
     n = draw(st.integers(1, max_qubits))
-    qubits = draw(st.permutations(range(n)))
-    split = draw(st.integers(0, n))
-    controls, free = qubits[:split], qubits[split:]
-    ready, ops = [], []
-    for _ in range(draw(st.integers(0, 12))):
-        waiting = [q for q in controls if q not in ready]
-        if waiting and (not free or draw(st.booleans())):
-            ready.append(draw(st.sampled_from(waiting)))
-            ops.append(GateOp("H", ready[-1]))
-            continue
-        if not free:
-            break
-        kind = draw(st.sampled_from(GATE_KINDS))
-        target = draw(st.sampled_from(free))
-        theta = draw(st.floats(-math.pi, math.pi)) if kind.startswith("R") else 0.0
-        chosen = draw(st.lists(st.sampled_from(ready), unique=True)) if ready else []
-        ops.append(GateOp(kind, target, theta,
-                          tuple((q, draw(st.integers(0, 1))) for q in chosen)))
-    basis = tuple("Z" if q in controls else draw(st.sampled_from("XYZ")) for q in range(n))
+    if n == 1 or draw(st.booleans()):
+        ops = draw(st.lists(uncontrolled_gates(range(n)), max_size=12))
+        return Circuit(n, ops), tuple(draw(st.lists(st.sampled_from("XYZ"), min_size=n,
+                                                    max_size=n)))
+    ops = [draw(branch_rotations(n)) if draw(st.booleans())
+           else draw(uncontrolled_gates([0])) for _ in range(draw(st.integers(0, 12)))]
+    first = next((i for i, op in enumerate(ops) if isinstance(op, BranchRotation)), len(ops))
+    for q in draw(st.permutations(range(1, n))):
+        ops.insert(draw(st.integers(0, first)), GateOp("H", q))
+        first += 1
+    basis = (draw(st.sampled_from("XYZ")),) + ("Z",) * (n - 1)
     return Circuit(n, ops), basis
 
 
@@ -427,17 +427,32 @@ def test_apply_matches_dense_gate_product(job, state_seed):
     initial = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     initial /= np.linalg.norm(initial)
     expected = initial
-    for op in circuit.ops:
+    for op in expand_branch_rotations(circuit):
         expected = dense_gate(op, n) @ expected
     assert np.max(np.abs(apply(circuit, initial) - expected)) <= 1e-13
 
 
-def dense_law(ops, n, noise):
-    """``dense_channel_probs`` with the readout flips applied as the Kronecker
-    product of the per-qubit confusion matrices."""
+@settings(max_examples=200, deadline=None)
+@given(job=jobs(), state_seed=seeds)
+def test_apply_matches_controlled_gates_in_bytes(job, state_seed):
+    # Each branch of a branch rotation gets the bytes of its own controlled
+    # gate, and each uncontrolled gate those of the controlled-gate kernel.
+    circuit, _ = job
+    n = circuit.num_qubits
+    rng = np.random.default_rng(state_seed)
+    initial = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    initial /= np.linalg.norm(initial)
+    expected = apply_gates(initial.copy(), expand_branch_rotations(circuit), n)
+    assert apply(circuit, initial).tobytes() == expected.tobytes()
+
+
+def dense_law(circuit, noise):
+    """``dense_channel_probs`` of ``circuit`` with the readout flips applied as
+    the Kronecker product of the per-qubit confusion matrices."""
+    n = circuit.num_qubits
     f = noise.readout_flip
     confusion = reduce(np.kron, [np.array([[1.0 - f, f], [f, 1.0 - f]])] * n)
-    return confusion @ dense_channel_probs(ops, n, noise)
+    return confusion @ dense_channel_probs(expand_branch_rotations(circuit), n, noise)
 
 
 @settings(max_examples=100, deadline=None)
@@ -452,7 +467,7 @@ def test_noiseless_distributions_are_the_born_rule(job, data):
     dists = simulator._distributions([(circuit, b) for b in bases], simulator.NOISELESS)
     assert dists.shape == (len(bases), 1 << n)
     for probs, b in zip(dists, bases):
-        born = abs_complex(apply(Circuit(n, _measured_ops(circuit, b)), zero_state(n))) ** 2
+        born = abs_complex(apply(_measured(circuit, b), zero_state(n))) ** 2
         assert probs.tobytes() == born.tobytes()
 
 
@@ -474,9 +489,8 @@ def test_density_path_matches_dense_channel(job, noise):
     # The law stage against the dense Kraus sum of the whole density matrix,
     # readout flips included.
     circuit, basis = job
-    n = circuit.num_qubits
     probs = simulator._distributions([(circuit, basis)], noise)[0]
-    assert np.max(np.abs(probs - dense_law(_measured_ops(circuit, basis), n, noise))) <= 1e-14
+    assert np.max(np.abs(probs - dense_law(_measured(circuit, basis), noise))) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -484,12 +498,11 @@ def test_density_path_matches_dense_channel(job, noise):
 def test_every_accepted_circuit_matches_dense_channel(job, noise):
     # The shape check on general circuits: whatever it accepts is exact.
     circuit, basis = job
-    n = circuit.num_qubits
     try:
         probs = simulator._distributions([(circuit, basis)], noise)[0]
     except DomainError:
         return
-    assert np.max(np.abs(probs - dense_law(_measured_ops(circuit, basis), n, noise))) <= 1e-14
+    assert np.max(np.abs(probs - dense_law(_measured(circuit, basis), noise))) <= 1e-14
 
 
 # Significance level of the two-sample chi-square tests against the
@@ -579,28 +592,27 @@ def test_only_the_law_stage_folds_noise():
                                        "_confuse_readout": {"simulator._distributions"}}
 
 
-# Qubit 1 controls two gates while coherent and is then rotated, so the
-# off-diagonal blocks of a control would reach the outcome distribution.
-_REUSED_CONTROL = Circuit(3, (GateOp("H", 1), GateOp("RX", 2, 0.8),
-                              GateOp("RY", 0, 1.9, ((1, 1),)),
-                              GateOp("RX", 2, 1.3, ((1, 0),)),
-                              GateOp("RY", 1, 0.6), GateOp("H", 0, 0.0, ((2, 1),)),
-                              GateOp("RZ", 1, 2.2, ((0, 0),))))
-_PREPARED = (GateOp("H", 1), GateOp("RY", 0, 1.9, ((1, 1),)))
+# Qubit 1 controls two branch rotations while coherent and is then rotated,
+# so the off-diagonal blocks of a control would reach the outcome
+# distribution.
+_REUSED_CONTROL = Circuit(3, (GateOp("H", 1), GateOp("H", 2), GateOp("RX", 0, 0.8),
+                              BranchRotation("RY", 0, (0.4, 1.9), (1, 2)),
+                              BranchRotation("RZ", 0, (1.3, -0.5, 2.2), (1, 2)),
+                              GateOp("RY", 1, 0.6), GateOp("H", 0)))
+_ROTATION = BranchRotation("RY", 0, (0.3, 1.9), (1,))
+_PREPARED = (GateOp("H", 1), _ROTATION)
 
 
 @pytest.mark.parametrize("circuit, basis", [
-    (Circuit(2, (GateOp("X", 1), GateOp("RY", 0, 1.9, ((1, 1),)))), ("Z", "Z")),
-    (Circuit(2, (GateOp("RY", 0, 1.9, ((1, 1),)), GateOp("H", 1))), ("Z", "Z")),
-    (Circuit(3, (GateOp("H", 2), GateOp("H", 1, 0.0, ((2, 1),)),
-                 GateOp("RY", 0, 1.9, ((1, 1),)))), ("Z", "Z", "Z")),
+    (Circuit(2, (GateOp("X", 1), _ROTATION)), ("Z", "Z")),
+    (Circuit(2, (_ROTATION, GateOp("H", 1))), ("Z", "Z")),
     (Circuit(2, _PREPARED + (GateOp("RX", 1, 0.4),)), ("Z", "Z")),
     (Circuit(2, _PREPARED), ("X", "X")),
     (Circuit(2, _PREPARED), ("Z", "Y")),
     (_REUSED_CONTROL, ("Z", "Z", "Z")),
     (_REUSED_CONTROL, ("X", "Y", "Z")),
     (_REUSED_CONTROL, ("Y", "X", "X")),
-], ids=["control-prepared-by-x", "control-used-before-its-h", "controlled-h-on-control",
+], ids=["control-prepared-by-x", "control-used-before-its-h",
         "control-targeted-after-its-h", "control-measured-in-x", "control-measured-in-y",
         "reused-control-zzz", "reused-control-xyz", "reused-control-yxx"])
 def test_out_of_shape_gate_noise_rejected(circuit, basis):
@@ -614,14 +626,15 @@ def test_out_of_shape_gate_noise_rejected(circuit, basis):
 
 def test_several_default_chunks_with_readout_flips():
     # More than one SAMPLE_CHUNK and a short last chunk, under gate noise.
-    # Qubit 0 is the control and is read in Z; qubits 1 and 2 are free.
-    circuit = Circuit(3, (GateOp("H", 0), GateOp("RY", 1, 0.7, ((0, 1),)),
-                          GateOp("RX", 2, 2.1)))
+    # Qubits 1 and 2 are the controls and are read in Z; qubit 0 is the target.
+    circuit = Circuit(3, (GateOp("H", 1), GateOp("H", 2),
+                          BranchRotation("RY", 0, (0.7, -1.2, 2.6), (1, 2)),
+                          GateOp("RX", 0, 2.1)))
     shots = 2 * simulator.SAMPLE_CHUNK + 3
     noise = NoiseModel(0.02, 0.05, 0.07)
-    expected = np.bincount(reference_outcomes(circuit, ("Z", "X", "Y"), shots, noise, 99),
+    expected = np.bincount(reference_outcomes(circuit, ("Y", "Z", "Z"), shots, noise, 99),
                            minlength=8)
-    assert np.array_equal(sample(circuit, ("Z", "X", "Y"), shots, noise, 99)[-1],
+    assert np.array_equal(sample(circuit, ("Y", "Z", "Z"), shots, noise, 99)[-1],
                           expected)
 
 

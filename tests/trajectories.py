@@ -58,16 +58,17 @@ def flip_readout(outcomes: np.ndarray, n: int, p: float,
     return outcomes ^ (flips.astype(np.int64) << np.arange(n)).sum(axis=1)
 
 
-def sample_trajectories(ops, n: int, shots: int, noise, rng) -> np.ndarray:
-    """Outcome index per shot of ``ops`` from |0...0>, one trajectory each."""
+def sample_trajectories(gates, n: int, shots: int, noise, rng) -> np.ndarray:
+    """Outcome index per shot of the controlled gates ``gates`` from
+    |0...0>, one trajectory each."""
     dim = 1 << n
-    fire = rng.random((shots, len(ops)))
-    which = rng.random((shots, len(ops)))
+    fire = rng.random((shots, len(gates)))
+    which = rng.random((shots, len(gates)))
     u_meas = rng.random(shots)
     states = np.zeros((shots, dim), dtype=complex)
     states[:, 0] = 1.0
     t = states.reshape((shots,) + (2,) * n)
-    for g, op in enumerate(ops):
+    for g, op in enumerate(gates):
         t = _apply_matrix(t, simulator._gate_matrix(op), op.target, n, op.controls)
         p = noise.depol_ctrl if op.controls else noise.depol_1q
         hit = fire[:, g] < p
@@ -83,9 +84,9 @@ def trajectory_hist(circuit: Circuit, basis, shots: int, noise, seed: int) -> np
     """Outcome histogram of the trajectory sampler, as ``sample`` measures it.
     Branch rotations run as the controlled gates they stand for."""
     n = circuit.num_qubits
-    ops = list(expand_branch_rotations(circuit).ops) + simulator._basis_change_ops(basis, n)
+    measured = Circuit(n, circuit.ops + tuple(simulator._basis_change_ops(basis, n)))
     rng = simulator._rng(seed)
-    outcomes = sample_trajectories(ops, n, shots, noise, rng)
+    outcomes = sample_trajectories(expand_branch_rotations(measured), n, shots, noise, rng)
     if noise.readout_flip > 0.0:
         outcomes = flip_readout(outcomes, n, noise.readout_flip, rng)
     return np.bincount(outcomes, minlength=1 << n)
