@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 from .errors import DomainError
 
@@ -20,6 +20,17 @@ def _is_int(x) -> bool:
     return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
 
 
+def _is_angle(x) -> bool:
+    return isinstance(x, Real) and math.isfinite(x)
+
+
+def _as_tuple(items, what: str) -> tuple:
+    try:
+        return tuple(items)
+    except TypeError:
+        raise DomainError(f"{what} must be iterable, got {items!r}") from None
+
+
 @dataclass(frozen=True)
 class GateOp:
     """One uncontrolled gate: a kind, a target qubit and an angle (unused by H
@@ -32,8 +43,8 @@ class GateOp:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise DomainError(f"unknown gate kind {self.kind!r}; expected one of {GATE_KINDS}")
-        if not math.isfinite(self.theta):
-            raise DomainError("gate angle must be finite")
+        if not _is_angle(self.theta):
+            raise DomainError(f"gate angle must be a finite real number, got {self.theta!r}")
         if not _is_int(self.target) or self.target < 0:
             raise DomainError(f"target qubit index must be a non-negative integer, "
                               f"got {self.target!r}")
@@ -41,39 +52,26 @@ class GateOp:
 
 @dataclass(frozen=True)
 class BranchRotation:
-    """A uniformly controlled rotation: one RY or RZ on the target per control
+    """A uniformly controlled rotation of qubit 0: one RY or RZ per control
     branch, ``thetas[b]`` on branch b, and no gate on branches at or beyond
     ``len(thetas)`` (Mottonen et al., PRL 93, 130502, 2004).
 
-    It equals ``len(thetas)`` fully controlled gates, where the k-th qubit of
-    ``controls`` carries bit k of the branch index
-    (``tests/oracles.expand_branch_rotations`` writes them out). Only the shape
-    of a batch encoding is allowed: target 0, and controls 1, 2, ..., n in
-    order, which ``Circuit`` requires to be every other qubit. Branch b is
-    then the amplitude pair 2b, 2b + 1 of the statevector.
+    In a circuit of width n + 1 its controls are qubits 1, ..., n, qubit k
+    carrying bit k - 1 of the branch index; branch b is the amplitude pair 2b,
+    2b + 1 of the statevector. It equals ``len(thetas)`` fully controlled gates
+    (``tests/oracles.expand_branch_rotations`` writes them out). ``Circuit``
+    checks that there is a control and at most one angle per branch.
     """
 
     kind: str
-    target: int
     thetas: tuple[float, ...]
-    controls: tuple[int, ...]
 
     def __post_init__(self):
         if self.kind not in ("RY", "RZ"):
             raise DomainError(f"a branch rotation is RY or RZ, got {self.kind!r}")
-        thetas, controls = tuple(self.thetas), tuple(self.controls)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "controls", controls)
-        if not all(map(math.isfinite, thetas)):
-            raise DomainError("gate angle must be finite")
-        if not (_is_int(self.target) and self.target == 0):
-            raise DomainError(f"a branch rotation targets qubit 0, got {self.target!r}")
-        if (not controls or not all(map(_is_int, controls))
-                or controls != tuple(range(1, len(controls) + 1))):
-            raise DomainError(f"a branch rotation is controlled by qubits 1, 2, ..., n "
-                              f"in order, got {controls!r}")
-        if len(thetas) > 1 << len(controls):
-            raise DomainError(f"{len(thetas)} angles for {1 << len(controls)} branches")
+        object.__setattr__(self, "thetas", _as_tuple(self.thetas, "a branch rotation's angles"))
+        if not all(map(_is_angle, self.thetas)):
+            raise DomainError("gate angles must be finite real numbers")
 
 
 @dataclass(frozen=True)
@@ -87,14 +85,16 @@ class Circuit:
         if not (_is_int(self.num_qubits) and 1 <= self.num_qubits <= MAX_QUBITS):
             raise DomainError(f"num_qubits must be an integer in [1, {MAX_QUBITS}], "
                               f"got {self.num_qubits!r}")
-        object.__setattr__(self, "ops", tuple(self.ops))
+        object.__setattr__(self, "ops", _as_tuple(self.ops, "a circuit's ops"))
         for op in self.ops:
-            if not isinstance(op, (GateOp, BranchRotation)):
+            if isinstance(op, BranchRotation):
+                if self.num_qubits == 1:
+                    raise DomainError("a branch rotation needs a control qubit: width 2 or more")
+                if len(op.thetas) > 1 << (self.num_qubits - 1):
+                    raise DomainError(f"{len(op.thetas)} angles for "
+                                      f"{1 << (self.num_qubits - 1)} branches")
+            elif not isinstance(op, GateOp):
                 raise DomainError(f"a circuit holds GateOp and BranchRotation ops, got {op!r}")
-            if isinstance(op, BranchRotation) and len(op.controls) != self.num_qubits - 1:
-                raise DomainError(f"a branch rotation must be controlled by every qubit "
-                                  f"but 0; {len(op.controls)} controls at width "
-                                  f"{self.num_qubits}")
-            if op.target >= self.num_qubits:
+            elif op.target >= self.num_qubits:
                 raise DomainError(f"qubit index {op.target} out of range for width "
                                   f"{self.num_qubits}")

@@ -81,11 +81,9 @@ def build_encoding_circuit(batch: VectorBatch) -> Circuit:
     RZ per index. Branches beyond p receive no gates and keep the data qubit
     at |0>."""
     n = batch.n
-    controls = tuple(range(1, n + 1))
     thetas, phis = zip(*[_spherical_angles(*row) for row in batch.vectors.tolist()])
-    return Circuit(n + 1, [GateOp("H", q) for q in controls]
-                   + [BranchRotation("RY", 0, thetas, controls),
-                      BranchRotation("RZ", 0, phis, controls)])
+    return Circuit(n + 1, [GateOp("H", q) for q in range(1, n + 1)]
+                   + [BranchRotation("RY", thetas), BranchRotation("RZ", phis)])
 
 
 def full_circuit(batch: VectorBatch, rotation: RotationSpec) -> Circuit:

@@ -37,11 +37,12 @@ Conventions
   same seed, so one job at the largest count stands for every smaller one.
 * A ``GateOp`` is applied in place with no batch axis: the statevector is
   viewed as (left, 2, right), the target's axis in the middle, and
-  multiplied by the 2x2 gate. A ``BranchRotation`` is one stacked product:
-  the statevector is viewed as (branches, 2, 1), branch b being amplitudes
-  2b and 2b + 1, and its first k = len(thetas) branches are multiplied by
-  the (k, 2, 2) stack of their gates, built from all k angles at once. Each
-  branch gets the bytes that its own controlled gate gives it
+  multiplied by the 2x2 gate. A ``BranchRotation``, on qubit 0 and
+  controlled by every other qubit, is one stacked product: the statevector
+  is viewed as (branches, 2, 1), branch b being amplitudes 2b and 2b + 1,
+  and its first k = len(thetas) branches are multiplied by the (k, 2, 2)
+  stack of their gates, built from all k angles at once. Each branch gets
+  the bytes that its own controlled gate gives it
   (``tests/oracles.apply_gates`` applies such gates one at a time). A
   tomography job draws its circuits in all of their bases as one stack of
   rows; in ``_distributions``, each circuit object is evolved once and each
@@ -56,17 +57,17 @@ Conventions
   target qubit. That uniform Pauli channel is the depolarizing channel
   rho -> lam rho + (1 - lam) I/2 with lam = 1 - 4p/3, which commutes with
   every gate on its qubit. A ``BranchRotation`` counts as the len(thetas)
-  controlled gates on qubit 0 that it stands for. Under gate noise a
-  circuit (basis-change gates included) must have this shape: a control of
-  a ``BranchRotation`` is touched by one H, before any ``BranchRotation``,
-  and by no other gate, so it is read in Z; every other qubit may be a
-  target anywhere. Any other circuit raises DomainError. In that shape,
-  every gate is block-diagonal in the controls, the Z diagonal of each
-  control stays uniform whatever the noise on its H, and each other qubit's
-  noise moves to the end of the circuit, where it is a flip of that qubit's
-  bit with probability (1 - prod lam) / 2 over the gates that target it.
-  ``_distributions`` folds those flips into the Born rule of the final
-  statevector.
+  controlled gates on qubit 0 that it stands for. Under gate noise a circuit
+  (basis-change gates included) must have this shape: if it holds a
+  ``BranchRotation``, each qubit but 0 is a control, touched by one H before
+  any ``BranchRotation`` and by no other gate, so it is read in Z; every
+  other qubit may be a target anywhere. Any other circuit raises
+  DomainError. In that shape, every gate is block-diagonal in the controls,
+  the Z diagonal of each control stays uniform whatever the noise on its H,
+  and each other qubit's noise moves to the end of the circuit, where it is
+  a flip of that qubit's bit with probability (1 - prod lam) / 2 over the
+  gates that target it. ``_distributions`` folds those flips into the Born
+  rule of the final statevector.
 * ``readout_flip`` flips each measured bit independently; it is folded into
   the distribution as the per-qubit confusion map [[1-f, f], [f, 1-f]].
 * Counts are integer histograms over the 2^n outcome indices: a job's count
@@ -316,15 +317,15 @@ def _gate_noise_flips(ops, n: int, noise: NoiseModel) -> np.ndarray:
     """Per-qubit bit-flip probabilities equal to the gate noise of ``ops``
     on the outcome distribution, for the shape in the module docstring;
     raises DomainError for any other circuit."""
-    controls = {q for op in ops if isinstance(op, BranchRotation) for q in op.controls}
+    controls = range(1, n) if any(isinstance(op, BranchRotation) for op in ops) else ()
     prepared = set()
     lam = np.ones(n)
     for op in ops:
         if isinstance(op, BranchRotation):
-            in_shape = prepared.issuperset(op.controls)
-            # One controlled gate per angle, each factor applied in turn.
+            in_shape = prepared.issuperset(controls)
+            # One controlled gate on qubit 0 per angle, each factor applied in turn.
             for _ in op.thetas:
-                lam[op.target] *= 1.0 - 4.0 * noise.depol_ctrl / 3.0
+                lam[0] *= 1.0 - 4.0 * noise.depol_ctrl / 3.0
         elif op.target in controls:
             in_shape = op.kind == "H" and op.target not in prepared
             prepared.add(op.target)
@@ -412,10 +413,10 @@ def sample(circuit: Circuit, basis, shots: int, noise: NoiseModel | None = None,
     whole job's histogram.
 
     Noiseless and readout-only sampling accept any circuit. Under gate noise
-    (``depol_1q`` or ``depol_ctrl`` above 0) the circuit with its
-    basis-change gates must have the module docstring's shape: each control
-    of a ``BranchRotation`` prepared by one H before it, touched by no other
-    gate and measured in Z. Any other noisy circuit raises DomainError.
+    (``depol_1q`` or ``depol_ctrl`` above 0) the circuit with its basis-change
+    gates must have the module docstring's shape: with a ``BranchRotation``,
+    each qubit but 0 is prepared by one H before it, touched by no other gate
+    and read in Z. Any other noisy circuit raises DomainError.
 
     The one-row case of ``_sample_rows``, which tomography draws through.
     """

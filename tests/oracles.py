@@ -209,17 +209,18 @@ class ControlledGate(NamedTuple):
 
 def expand_branch_rotations(circuit: Circuit) -> list[ControlledGate]:
     """The ops of ``circuit`` as controlled gates, each ``BranchRotation``
-    replaced by the fully controlled gates it stands for: one per angle, in
-    branch order, where the k-th control carries bit k of the branch index.
-    This is the per-index encoding the branch rotations replaced."""
+    replaced by the fully controlled gates on qubit 0 it stands for: one per
+    angle, in branch order, where qubit k + 1 carries bit k of the branch
+    index. This is the per-index encoding the branch rotations replaced."""
     gates = []
     for op in circuit.ops:
         if not isinstance(op, BranchRotation):
             gates.append(ControlledGate(op.kind, op.target, op.theta))
             continue
         for branch, theta in enumerate(op.thetas):
-            triggers = tuple([(q, (branch >> k) & 1) for k, q in enumerate(op.controls)])
-            gates.append(ControlledGate(op.kind, op.target, theta, triggers))
+            triggers = tuple([(k + 1, (branch >> k) & 1)
+                              for k in range(circuit.num_qubits - 1)])
+            gates.append(ControlledGate(op.kind, 0, theta, triggers))
     return gates
 
 

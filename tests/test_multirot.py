@@ -151,9 +151,7 @@ class TestEncodingCircuit:
         ry, rz = circuit.ops[2:]
         assert isinstance(ry, BranchRotation) and isinstance(rz, BranchRotation)
         assert (ry.kind, rz.kind) == ("RY", "RZ")
-        assert ry.target == rz.target == 0
-        # index i sits on the branch spelling i-1 in binary: qubit c holds bit c-1
-        assert ry.controls == rz.controls == (1, 2)
+        # index i sits on branch i - 1, so its angles are at position i - 1
         angles = [vec_to_angles(v) for v in batch.vectors]
         assert ry.thetas == tuple(theta for theta, _ in angles)
         assert rz.thetas == tuple(phi for _, phi in angles)

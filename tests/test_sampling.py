@@ -117,7 +117,7 @@ def uncontrolled_gates(draw, qubits):
 def branch_rotations(draw, n):
     """An RY or RZ branch rotation on n >= 2 qubits, with 0 to 2^(n-1) angles."""
     thetas = draw(st.lists(st.floats(-math.pi, math.pi), max_size=1 << (n - 1)))
-    return BranchRotation(draw(st.sampled_from(("RY", "RZ"))), 0, thetas, range(1, n))
+    return BranchRotation(draw(st.sampled_from(("RY", "RZ"))), thetas)
 
 
 @st.composite
@@ -596,10 +596,10 @@ def test_only_the_law_stage_folds_noise():
 # so the off-diagonal blocks of a control would reach the outcome
 # distribution.
 _REUSED_CONTROL = Circuit(3, (GateOp("H", 1), GateOp("H", 2), GateOp("RX", 0, 0.8),
-                              BranchRotation("RY", 0, (0.4, 1.9), (1, 2)),
-                              BranchRotation("RZ", 0, (1.3, -0.5, 2.2), (1, 2)),
+                              BranchRotation("RY", (0.4, 1.9)),
+                              BranchRotation("RZ", (1.3, -0.5, 2.2)),
                               GateOp("RY", 1, 0.6), GateOp("H", 0)))
-_ROTATION = BranchRotation("RY", 0, (0.3, 1.9), (1,))
+_ROTATION = BranchRotation("RY", (0.3, 1.9))
 _PREPARED = (GateOp("H", 1), _ROTATION)
 
 
@@ -628,7 +628,7 @@ def test_several_default_chunks_with_readout_flips():
     # More than one SAMPLE_CHUNK and a short last chunk, under gate noise.
     # Qubits 1 and 2 are the controls and are read in Z; qubit 0 is the target.
     circuit = Circuit(3, (GateOp("H", 1), GateOp("H", 2),
-                          BranchRotation("RY", 0, (0.7, -1.2, 2.6), (1, 2)),
+                          BranchRotation("RY", (0.7, -1.2, 2.6)),
                           GateOp("RX", 0, 2.1)))
     shots = 2 * simulator.SAMPLE_CHUNK + 3
     noise = NoiseModel(0.02, 0.05, 0.07)

@@ -49,13 +49,13 @@ class TestApply:
                 apply(Circuit(1, (GateOp("H", 0),)), initial)
 
     def test_unsatisfied_control_leaves_state_unchanged(self):
-        circuit = Circuit(2, (BranchRotation("RY", 0, (1.3,), (1,)),))
+        circuit = Circuit(2, (BranchRotation("RY", (1.3,)),))
         state = np.zeros(4, dtype=complex)
         state[2] = 1.0  # control qubit 1 is |1>, and only branch 0 has a gate
         assert np.array_equal(apply(circuit, state), state)
 
     def test_zero_trigger_control_fires_on_zero(self):
-        circuit = Circuit(2, (BranchRotation("RY", 0, (math.pi,), (1,)),))
+        circuit = Circuit(2, (BranchRotation("RY", (math.pi,)),))
         out = apply(circuit, zero_state(2))
         expected = np.zeros(4, dtype=complex)
         expected[1] = 1.0  # data qubit flipped to |1> on the |0> control branch
@@ -63,7 +63,7 @@ class TestApply:
 
     def test_controlled_gate_matches_dense_construction(self):
         theta = 0.77
-        circuit = Circuit(2, (BranchRotation("RY", 0, (0.0, theta), (1,)),))
+        circuit = Circuit(2, (BranchRotation("RY", (0.0, theta)),))
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
         dense = np.kron(p0, np.eye(2)) + np.kron(p1, gate_ry(theta))
@@ -80,8 +80,7 @@ class TestApply:
             for _ in range(100):
                 if rng.random() < 0.3:
                     thetas = rng.uniform(-math.pi, math.pi, int(rng.integers(1 << (n - 1))) + 1)
-                    ops.append(BranchRotation(("RY", "RZ")[rng.integers(2)], 0, thetas,
-                                              range(1, n)))
+                    ops.append(BranchRotation(("RY", "RZ")[rng.integers(2)], thetas))
                     continue
                 kind = kinds[rng.integers(len(kinds))]
                 theta = float(rng.uniform(-math.pi, math.pi)) if kind.startswith("R") else 0.0
@@ -116,6 +115,12 @@ class TestApply:
         with pytest.raises(DomainError, match="GateOp and BranchRotation"):
             Circuit(2, (op,))
 
+    @pytest.mark.parametrize("ops", [None, 5], ids=["none", "int"])
+    def test_ops_not_iterable_rejected(self, ops):
+        # Each used to escape as a TypeError.
+        with pytest.raises(DomainError, match="iterable"):
+            Circuit(1, ops)
+
 
 class TestGateOp:
     # A fractional target used to pass Circuit and escape sample as a
@@ -127,7 +132,7 @@ class TestGateOp:
     @pytest.mark.parametrize("target", [True, np.bool_(True), 1.0, np.float64(1.0)],
                              ids=["bool-target", "np-bool-target", "float-target",
                                   "np-float64-target"])
-    def test_malformed_controls_and_bool_indices_rejected(self, target):
+    def test_bool_and_float_targets_rejected(self, target):
         # bool used to pass as an integer index. Float values are no index
         # even when integral.
         with pytest.raises(DomainError):
@@ -144,44 +149,44 @@ class TestGateOp:
         ("CNOT", 0.0, "unknown gate kind"),
         ("RY", math.nan, "finite"),
         ("RY", math.inf, "finite"),
-    ], ids=["unknown-kind", "nan-angle", "infinite-angle"])
+        ("RY", None, "finite real"),
+        ("RY", "x", "finite real"),
+        ("RY", np.array([1.0, 2.0]), "finite real"),
+    ], ids=["unknown-kind", "nan-angle", "infinite-angle", "none-angle", "str-angle",
+            "array-angle"])
     def test_invalid_gate_rejected(self, kind, theta, match):
+        # The last three used to escape as a TypeError.
         with pytest.raises(DomainError, match=match):
             GateOp(kind, 0, theta)
 
 
 class TestBranchRotation:
-    @pytest.mark.parametrize("width, kind, target, thetas, controls, match", [
-        (3, "RX", 0, (0.1,), (1, 2), "RY or RZ"),
-        (3, "H", 0, (0.1,), (1, 2), "RY or RZ"),
-        (3, "RY", 1, (0.1,), (1, 2), "targets qubit 0"),
-        (3, "RY", True, (0.1,), (1, 2), "targets qubit 0"),
-        (3, "RY", 0, (0.1,), (2, 1), "in order"),
-        (3, "RZ", 0, (0.1,), (1, 3), "in order"),
-        (3, "RY", 0, (0.1,), (True, 2), "in order"),
-        (1, "RY", 0, (0.1,), (), "in order"),
-        (3, "RY", 0, (0.1,) * 5, (1, 2), "5 angles for 4 branches"),
-        (3, "RZ", 0, (0.1, math.nan), (1, 2), "finite"),
-        (3, "RY", 0, (math.inf,), (1, 2), "finite"),
-        (4, "RY", 0, (0.1,), (1, 2), "every qubit but 0"),
-        (2, "RY", 0, (0.1,), (1, 2), "every qubit but 0"),
-    ], ids=["rx", "h", "target-1", "bool-target", "reversed-controls", "gap-in-controls",
-            "bool-control", "no-controls", "too-many-angles", "nan-angle", "infinite-angle",
-            "too-wide", "too-narrow"])
-    def test_malformed_branch_rotation_rejected(self, width, kind, target, thetas, controls,
-                                                match):
+    @pytest.mark.parametrize("width, kind, thetas, match", [
+        (3, "RX", (0.1,), "RY or RZ"),
+        (3, "H", (0.1,), "RY or RZ"),
+        (1, "RY", (0.1,), "control qubit"),
+        (3, "RY", (0.1,) * 5, "5 angles for 4 branches"),
+        (3, "RZ", (0.1, math.nan), "finite"),
+        (3, "RY", (math.inf,), "finite"),
+        (3, "RY", 0.3, "iterable"),
+        (3, "RY", ("a",), "finite real"),
+        (3, "RZ", (0.1, 1j), "finite real"),
+    ], ids=["rx", "h", "no-controls", "too-many-angles", "nan-angle", "infinite-angle",
+            "not-iterable", "str-angle", "complex-angle"])
+    def test_malformed_branch_rotation_rejected(self, width, kind, thetas, match):
+        # The last three used to escape as a TypeError.
         with pytest.raises(DomainError, match=match):
-            Circuit(width, (BranchRotation(kind, target, thetas, controls),))
+            Circuit(width, (BranchRotation(kind, thetas),))
 
     @pytest.mark.parametrize("count", [0, 1, 4])
     def test_up_to_one_angle_per_branch_accepted(self, count):
-        op = BranchRotation("RZ", 0, [0.5] * count, [1, 2])
+        op = BranchRotation("RZ", [0.5] * count)
         assert Circuit(3, (op,)).ops == (op,)
-        assert op.thetas == (0.5,) * count and op.controls == (1, 2)
+        assert op.thetas == (0.5,) * count
 
     def test_noisy_sample_needs_prepared_controls(self):
         noise = NoiseModel(depol_ctrl=0.01)
-        op = BranchRotation("RY", 0, (0.3, 1.2, 2.0), (1, 2))
+        op = BranchRotation("RY", (0.3, 1.2, 2.0))
         ready = Circuit(3, (GateOp("H", 1), GateOp("H", 2), op))
         assert sample(ready, ("Z",) * 3, 100, noise)[-1].sum() == 100
         for ops in ((GateOp("H", 1), op), (op, GateOp("H", 1), GateOp("H", 2))):
@@ -301,7 +306,7 @@ class TestSample:
 # Two circuits that compare equal (an angle of 0.0 against -0.0) whose final
 # states differ in the sign of a zero amplitude.
 _SIGNED_ZERO_OPS = [GateOp("X", 0), GateOp("RX", 1, 0.7),
-                    BranchRotation("RY", 0, (0.0, 0.7), (1,))]
+                    BranchRotation("RY", (0.0, 0.7))]
 _POSITIVE_ZERO = Circuit(2, _SIGNED_ZERO_OPS + [GateOp("RY", 1, 0.0)])
 _NEGATIVE_ZERO = Circuit(2, _SIGNED_ZERO_OPS + [GateOp("RY", 1, -0.0)])
 
@@ -313,8 +318,8 @@ class TestRowStack:
     table of that row."""
 
     CIRCUIT = Circuit(3, (GateOp("H", 1), GateOp("H", 2),
-                          BranchRotation("RY", 0, (0.0, 0.4, 0.0, 0.4), (1, 2)),
-                          BranchRotation("RZ", 0, (0.0, 1.1), (1, 2)), GateOp("RX", 0, -0.8)))
+                          BranchRotation("RY", (0.0, 0.4, 0.0, 0.4)),
+                          BranchRotation("RZ", (0.0, 1.1)), GateOp("RX", 0, -0.8)))
     BASES = (("X", "Z", "Z"), ("Y", "Z", "Z"), ("Z", "Z", "Z"))
 
     @pytest.fixture
@@ -481,7 +486,7 @@ class TestNoise:
         # factor -1/3: <Z> = -(-1)/3 = 1/3 for a pi rotation. The control is
         # prepared by H, so branch 0 (row 0 of the tally) holds about half
         # the shots.
-        circuit = Circuit(2, (GateOp("H", 1), BranchRotation("RY", 0, (math.pi,), (1,))))
+        circuit = Circuit(2, (GateOp("H", 1), BranchRotation("RY", (math.pi,))))
         shots = 40000
         res = sample(circuit, ("Z", "Z"), shots, NoiseModel(0.0, 1.0, 0.0), seed=13)
         n0, n1 = res[-1].reshape(-1, 2)[0]
